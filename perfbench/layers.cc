@@ -1,8 +1,8 @@
 // In-process workloads of the repository benchmark, and the traced
 // layer-by-layer replay (see README.md).
 //
-//   perfbench_layers paper-suite|fuzz-campaign|mt-servers
-//       --seed N --seconds S --trace 0|1 --setup-seconds T [--spans FILE]
+//   perfbench_layers fuzz-campaign|mt-servers
+//       --seed N --seconds S --trace 0|1 [--spans FILE]
 //
 // Prints one JSON object of raw samples and counts on stdout; run.py reduces
 // it into metrics. Everything runs on the calling thread (--jobs 1, scale 1).
@@ -460,13 +460,15 @@ struct Args {
   uint64_t seed = 1;
   double seconds = 10;
   bool trace = false;
-  double setup_seconds = 1.0;
   std::string spans;
 };
 
-// Builds the frontend input modules repeatedly for `budget` seconds (at least
-// five times) and keeps the last build. Set-up is milliseconds, so one timing
-// would be mostly noise; the median of many is not.
+// Set-up takes milliseconds, so one timing would be mostly noise. It is
+// repeated for this many seconds (at least five times); setup_s is the median.
+constexpr double kSetupSeconds = 2.0;
+
+// Builds the frontend input modules repeatedly for kSetupSeconds and keeps
+// the last build.
 struct Setup {
   std::vector<double> seconds;
   uint64_t modules = 0;
@@ -474,10 +476,10 @@ struct Setup {
   std::vector<std::unique_ptr<ir::Module>> built;
 };
 
-Setup BuildInputs(const std::vector<workloads::Workload>& sets, double budget) {
+Setup BuildInputs(const std::vector<workloads::Workload>& sets) {
   Setup setup;
   const Clock::time_point begin = Clock::now();
-  while (StartAnother(setup.seconds, SecondsSince(begin), budget, 5)) {
+  while (StartAnother(setup.seconds, SecondsSince(begin), kSetupSeconds, 5)) {
     const Clock::time_point start = Clock::now();
     setup.built = workloads::BuildWorkloads(sets, /*scale=*/1, /*jobs=*/1);
     setup.seconds.push_back(SecondsSince(start));
@@ -534,40 +536,6 @@ LayerReport ReplayPasses(const std::vector<workloads::Workload>& sets,
 }
 
 // ---------------------------------------------------------------------------
-// paper-suite: the suite itself runs as a subprocess of run.py. This part
-// times the frontend builds of the six workload sets the suite builds, and in
-// the traced run replays the suite's SPEC sweep: every Table 1/3 cell at O0
-// and every ablation_opt cell at O1.
-
-void PaperSuite(const Args& args, Json& j, Tracer& tracer) {
-  const auto sets = Concat({&workloads::SpecCpu2006(), &workloads::Phoronix(),
-                            &workloads::WebServer(), &workloads::ConcurrentServer(),
-                            &workloads::EventLoop(), &workloads::ChurnServer()});
-  const Setup setup = BuildInputs(sets, args.setup_seconds);
-  WriteSetup(j, setup);
-  if (!args.trace) return;
-
-  const size_t n_spec = workloads::SpecCpu2006().size();  // first in `sets`
-  std::vector<core::Protection> o0 = workloads::OverheadProtections();
-  const std::vector<core::Protection> o1 = o0;
-  o0.push_back(core::Protection::kSoftBound);
-  std::vector<Cell> cells;
-  for (int opt = 0; opt <= 1; ++opt) {
-    for (size_t wi = 0; wi < n_spec; ++wi) {
-      Cell vanilla{wi, {}};
-      vanilla.config.opt_level = opt;
-      cells.push_back(vanilla);
-      for (core::Protection p : opt == 0 ? o0 : o1) {
-        Cell c = vanilla;
-        c.config.protection = p;
-        cells.push_back(c);
-      }
-    }
-  }
-  WriteLayers(j, ReplayPasses(sets, setup.built, cells, args.seconds, tracer));
-}
-
-// ---------------------------------------------------------------------------
 // mt-servers: the concurrent, event-loop and churn servers, each as vanilla
 // and CPI at shards=1, and at shards=16 with migrate off and on.
 
@@ -585,7 +553,7 @@ const MtCell kMtCells[] = {{"vanilla", core::Protection::kNone, 1, false},
 void MtServers(const Args& args, Json& j, Tracer& tracer) {
   const auto sets = Concat({&workloads::ConcurrentServer(), &workloads::EventLoop(),
                             &workloads::ChurnServer()});
-  const Setup setup = BuildInputs(sets, args.setup_seconds);
+  const Setup setup = BuildInputs(sets);
   WriteSetup(j, setup);
 
   std::vector<Cell> cells;
@@ -606,6 +574,7 @@ void MtServers(const Args& args, Json& j, Tracer& tracer) {
   // budget and give the baseline of the tracing overhead.
   std::vector<vm::RunResult> first(cells.size());
   std::vector<double> sweep_s;
+  std::vector<std::vector<double>> cell_s;  // per sweep, per cell
   std::vector<std::string> failures;
   size_t attempted = 0;
   const double untraced_budget = args.trace ? args.seconds / 2 : args.seconds;
@@ -613,9 +582,12 @@ void MtServers(const Args& args, Json& j, Tracer& tracer) {
   while (StartAnother(sweep_s, SecondsSince(start), untraced_budget, 2)) {
     const Clock::time_point sweep_start = Clock::now();
     std::vector<vm::RunResult> results(cells.size());
+    cell_s.emplace_back();
     for (size_t i = 0; i < cells.size(); ++i) {
+      const Clock::time_point cell_start = Clock::now();
       results[i] = FacadeRun(*setup.built[cells[i].workload], cells[i].config,
                              sets[cells[i].workload].input);
+      cell_s.back().push_back(SecondsSince(cell_start));
     }
     sweep_s.push_back(SecondsSince(sweep_start));
     for (size_t i = 0; i < cells.size(); ++i) {
@@ -630,6 +602,9 @@ void MtServers(const Args& args, Json& j, Tracer& tracer) {
     if (sweep_s.size() == 1) first = std::move(results);
   }
   j.Key("unit_s").Nums(sweep_s);
+  j.Key("pieces_s").Open('[');
+  for (const std::vector<double>& sweep : cell_s) j.Nums(sweep);
+  j.Close(']');
   j.Key("unit_cells").Int(cells.size());
   j.Key("attempted").Int(attempted);
   j.Key("failures").Open('[');
@@ -661,16 +636,17 @@ void MtServers(const Args& args, Json& j, Tracer& tracer) {
 
 // ---------------------------------------------------------------------------
 // fuzz-campaign: fuzz::MakePlan -> fuzz::Materialize -> fuzz::RunCase with
-// the bench/fuzz defaults (hazards, threads and the fault campaign on). Case
-// i of seed S is generated from seed S + i, as bench/fuzz numbers its cases.
-// Runs with nearby seeds therefore share most of their programs. Case times
-// differ tenfold, and disjoint draws of ~50 cases per run would move a run's
-// figures by more than the benchmark's bounds.
+// the bench/fuzz defaults (hazards, threads and the fault campaign on), over
+// a fixed batch: the first kBatchCases cases of the default campaign
+// (`bench/fuzz --seed 1`, case i from seed 1 + i). The run repeats the batch,
+// so its work never depends on how fast the program is. Case times differ
+// fivefold, and batches of 16 drawn per seed differed from each other by ~15%
+// (inter-quartile range over median), most of a bound; so the seed only
+// rotates the order of the cases.
 
-constexpr size_t kSetupCases = 32;   // plan + materialize batch timed as set-up
-constexpr size_t kTracedCases = 8;   // cases the traced run replays, per pass
+constexpr size_t kBatchCases = 8;
 
-uint64_t CaseSeed(uint64_t seed, size_t i) { return seed + i; }
+uint64_t CaseSeed(uint64_t seed, size_t i) { return 1 + (seed + i) % kBatchCases; }
 
 fuzz::GenOptions CampaignGenOptions() {
   fuzz::GenOptions g;
@@ -687,10 +663,20 @@ uint64_t Mix(uint64_t seed, uint64_t salt) {
   return z ^ (z >> 31);
 }
 
-// fuzz::RunCase's cell matrix for one scheme after its oracle, in its order.
+// A mirror of the cell matrix fuzz::RunCase (src/fuzz/differential.cc) runs
+// for one scheme after its oracle, in its order. ReplayCase checks per case
+// that the mirror reproduces RunCase's cell count, fuel skips and fault
+// coverage, so a change to RunCase's matrix shows up as a fidelity failure.
+//
+// How RunCase reads each cell: a fuel-capped behaviour cell, or a fuel-capped
+// reference half of a reference/fused pair, is one fuel skip; a fault cell
+// whose injection landed adds (scheme, kind) to the coverage.
+enum class Role { kIdentity, kSkipIfOutOfFuel, kFault };
+
 // Fault plans are stored alongside so the Config pointers stay valid.
 struct FuzzCell {
   core::Config config;
+  Role role;
   std::unique_ptr<vm::FaultPlan> faults;
 };
 
@@ -702,7 +688,9 @@ std::vector<FuzzCell> SchemeCells(const core::ProtectionScheme* s, const fuzz::P
   base.scheme = s;
   base.max_steps = options.max_steps;
   std::vector<FuzzCell> out;
-  const auto add = [&out](const core::Config& c) { out.push_back({c, nullptr}); };
+  const auto add = [&out](const core::Config& c, Role role = Role::kIdentity) {
+    out.push_back({c, role, nullptr});
+  };
   const std::pair<vm::EngineKind, uint64_t> id_cells[] = {{vm::EngineKind::kDecoded, 64},
                                                           {vm::EngineKind::kFused, 64},
                                                           {vm::EngineKind::kFused, 1},
@@ -720,11 +708,11 @@ std::vector<FuzzCell> SchemeCells(const core::ProtectionScheme* s, const fuzz::P
     core::Config c = base;
     c.opt_level = opt;
     c.store = store;
-    add(c);
+    add(c, Role::kSkipIfOutOfFuel);
   }
   const auto ref_and_fused = [&](core::Config c) {
     c.engine = vm::EngineKind::kReference;
-    add(c);
+    add(c, Role::kSkipIfOutOfFuel);
     c.engine = vm::EngineKind::kFused;
     add(c);
   };
@@ -766,7 +754,7 @@ std::vector<FuzzCell> SchemeCells(const core::ProtectionScheme* s, const fuzz::P
         c.shards = 8;
       }
       c.faults = fplan.get();
-      out.push_back({c, std::move(fplan)});
+      out.push_back({c, Role::kFault, std::move(fplan)});
     }
   }
   return out;
@@ -778,15 +766,31 @@ vm::RunResult FuzzFacade(const fuzz::Plan& plan, const core::Config& config) {
   return core::InstrumentAndRun(*module, config);
 }
 
-// Replays one case's whole matrix from a single materialized module. Returns
-// the number of cells replayed.
-size_t ReplayCase(const fuzz::Plan& plan, const ir::Module& base,
-                  const fuzz::DiffOptions& options, bool check_fidelity, Tracer& tracer,
-                  LayerCounts& n, LayerReport& report) {
+// What fuzz::RunCase reports about a passing case besides its verdict.
+struct CaseShape {
+  int cells = 0;
+  int fuel_skips = 0;
+  std::vector<std::pair<std::string, std::string>> fault_coverage;
+
+  bool operator==(const CaseShape& o) const {
+    return cells == o.cells && fuel_skips == o.fuel_skips && fault_coverage == o.fault_coverage;
+  }
+};
+
+std::string Describe(const CaseShape& c) {
+  return std::to_string(c.cells) + " cells, " + std::to_string(c.fuel_skips) +
+         " fuel skips, " + std::to_string(c.fault_coverage.size()) + " faults landed";
+}
+
+// Replays one case's whole matrix from a single materialized module, and
+// counts its cells, fuel skips and fault coverage the way RunCase does.
+CaseShape ReplayCase(const fuzz::Plan& plan, const ir::Module& base,
+                     const fuzz::DiffOptions& options, bool check_fidelity, Tracer& tracer,
+                     LayerCounts& n, LayerReport& report) {
   const core::Input no_input;
-  size_t cells = 0;
+  CaseShape shape;
   const auto run = [&](const core::Config& config) {
-    ++cells;
+    ++shape.cells;
     const vm::RunResult r = ReplayCell(base, config, no_input, tracer, n);
     if (check_fidelity) {
       ++report.fidelity_cells;
@@ -805,29 +809,42 @@ size_t ReplayCase(const fuzz::Plan& plan, const ir::Module& base,
     oracle.max_steps = options.max_steps;
     oracle.engine = vm::EngineKind::kReference;
     const vm::RunResult o = run(oracle);
-    if (o.status == vm::RunStatus::kOutOfFuel) continue;
+    if (o.status == vm::RunStatus::kOutOfFuel) {
+      ++shape.fuel_skips;
+      continue;
+    }
     for (const FuzzCell& c : SchemeCells(s, plan, o.counters.instructions, options)) {
-      run(c.config);
+      const vm::RunResult r = run(c.config);
+      if (c.role == Role::kSkipIfOutOfFuel && r.status == vm::RunStatus::kOutOfFuel) {
+        ++shape.fuel_skips;
+      } else if (c.role == Role::kFault && r.faults_injected > 0) {
+        shape.fault_coverage.emplace_back(s->name(),
+                                          vm::FaultKindName(c.faults->events.front().kind));
+      }
     }
   }
-  return cells;
+  return shape;
+}
+
+std::string CaseFailure(const fuzz::Plan& plan, const fuzz::CaseResult& r) {
+  return "case " + std::to_string(plan.seed) + ": " + fuzz::CaseStatusName(r.status) + " " +
+         r.detail;
 }
 
 void FuzzCampaign(const Args& args, Json& j, Tracer& tracer) {
   const fuzz::GenOptions gopts = CampaignGenOptions();
   const fuzz::DiffOptions dopts;
 
-  // Set-up: plan + materialize a fixed batch of cases, repeatedly for the
-  // set-up budget.
+  // Set-up: plan + materialize the batch, repeated for the set-up window.
   std::vector<fuzz::Plan> plans;
   std::vector<std::unique_ptr<ir::Module>> modules;
   std::vector<double> setup_s, plan_ms, materialize_ms;
   const Clock::time_point begin = Clock::now();
-  while (StartAnother(setup_s, SecondsSince(begin), args.setup_seconds, 5)) {
+  while (StartAnother(setup_s, SecondsSince(begin), kSetupSeconds, 5)) {
     plans.clear();
     modules.clear();
     const Clock::time_point start = Clock::now();
-    for (size_t i = 0; i < kSetupCases; ++i) {
+    for (size_t i = 0; i < kBatchCases; ++i) {
       plans.push_back(fuzz::MakePlan(CaseSeed(args.seed, i), gopts));
     }
     const Clock::time_point planned = Clock::now();
@@ -844,37 +861,57 @@ void FuzzCampaign(const Args& args, Json& j, Tracer& tracer) {
   j.Key("modules").Int(modules.size());
   j.Key("ir_instructions").Int(ir_instructions);
   j.Close('}');
+  j.Key("case_seeds").Open('[');
+  for (const fuzz::Plan& p : plans) j.Int(p.seed);
+  j.Close(']');
   j.Key("fuzz").Open('{');
   j.Key("plan_ms").Num(Median(plan_ms)).Key("materialize_ms").Num(Median(materialize_ms));
 
-  const auto plan_for = [&](size_t i) {
-    return i < plans.size() ? plans[i] : fuzz::MakePlan(CaseSeed(args.seed, i), gopts);
-  };
   std::vector<std::string> failures;
+  size_t attempted = 0;
   if (!args.trace) {
-    std::vector<double> case_s;
+    // The batch, again and again; every repetition must run the same cells.
+    std::vector<double> batch_s;
+    std::vector<std::vector<double>> case_s;
+    std::vector<CaseShape> first;
+    const Clock::time_point start = Clock::now();
+    while (StartAnother(batch_s, SecondsSince(start), args.seconds, 2)) {
+      std::vector<CaseShape> shapes;
+      const Clock::time_point batch_start = Clock::now();
+      case_s.emplace_back();
+      for (const fuzz::Plan& plan : plans) {
+        const Clock::time_point case_start = Clock::now();
+        const fuzz::CaseResult r = fuzz::RunCase(plan, dopts);
+        case_s.back().push_back(SecondsSince(case_start));
+        ++attempted;
+        shapes.push_back({r.cells_run, r.fuel_skips, r.fault_coverage});
+        if (r.status != fuzz::CaseStatus::kPass) failures.push_back(CaseFailure(plan, r));
+      }
+      batch_s.push_back(SecondsSince(batch_start));
+      if (first.empty()) {
+        first = std::move(shapes);
+      } else if (shapes != first) {
+        failures.push_back("batch " + std::to_string(batch_s.size()) + " differs from the first");
+      }
+    }
     uint64_t cells = 0;
     uint64_t fuel_skips = 0;
-    const Clock::time_point start = Clock::now();
-    while (StartAnother(case_s, SecondsSince(start), args.seconds, 3)) {
-      const fuzz::Plan plan = plan_for(case_s.size());
-      const Clock::time_point case_start = Clock::now();
-      const fuzz::CaseResult r = fuzz::RunCase(plan, dopts);
-      case_s.push_back(SecondsSince(case_start));
-      cells += static_cast<uint64_t>(r.cells_run);
-      fuel_skips += static_cast<uint64_t>(r.fuel_skips);
-      if (r.status != fuzz::CaseStatus::kPass) {
-        failures.push_back("case " + std::to_string(plan.seed) + ": " +
-                           fuzz::CaseStatusName(r.status) + " " + r.detail);
-      }
+    for (const CaseShape& c : first) {
+      cells += static_cast<uint64_t>(c.cells);
+      fuel_skips += static_cast<uint64_t>(c.fuel_skips);
     }
     j.Key("cells").Int(cells).Key("fuel_skips").Int(fuel_skips);
     j.Close('}');
-    j.Key("unit_s").Nums(case_s);
-    j.Key("attempted").Int(case_s.size());
+    j.Key("unit_s").Nums(batch_s);
+    j.Key("pieces_s").Open('[');
+    for (const std::vector<double>& batch : case_s) j.Nums(batch);
+    j.Close(']');
+    j.Key("unit_cases").Int(kBatchCases);
+    j.Key("unit_cells").Int(cells);
   } else {
-    // Two passes over the same cases: RunCase, then the replay of its matrix
-    // (checked against RunCase's own cell path in the first pass).
+    // Two passes over the batch: RunCase, then the replay of its matrix.
+    // The first pass also checks every replayed cell against RunCase's own
+    // cell path.
     LayerReport report;
     std::vector<double> runcase_ms;
     std::vector<uint64_t> pass_cells;
@@ -884,23 +921,23 @@ void FuzzCampaign(const Args& args, Json& j, Tracer& tracer) {
       LayerCounts n;
       double ms = 0;
       uint64_t cells = 0;
-      for (size_t i = 0; i < kTracedCases; ++i) {
-        const fuzz::Plan plan = plan_for(i);
+      for (size_t i = 0; i < kBatchCases; ++i) {
+        const fuzz::Plan& plan = plans[i];
         const Clock::time_point case_start = Clock::now();
         const fuzz::CaseResult r = fuzz::RunCase(plan, dopts);
         ms += 1000.0 * SecondsSince(case_start);
         cells += static_cast<uint64_t>(r.cells_run);
-        if (pass == 0) fuel_skips += static_cast<uint64_t>(r.fuel_skips);
-        if (pass == 0 && r.status != fuzz::CaseStatus::kPass) {
-          failures.push_back("case " + std::to_string(plan.seed) + ": " +
-                             fuzz::CaseStatusName(r.status) + " " + r.detail);
-        }
-        const size_t replayed =
+        const CaseShape replayed =
             ReplayCase(plan, *modules[i], dopts, pass == 0, tracer, n, report);
-        if (replayed != static_cast<size_t>(r.cells_run)) {
-          failures.push_back("case " + std::to_string(plan.seed) + ": replayed " +
-                             std::to_string(replayed) + " cells, RunCase ran " +
-                             std::to_string(r.cells_run));
+        if (pass > 0) continue;
+        ++attempted;
+        fuel_skips += static_cast<uint64_t>(r.fuel_skips);
+        const CaseShape want{r.cells_run, r.fuel_skips, r.fault_coverage};
+        if (r.status != fuzz::CaseStatus::kPass) {
+          failures.push_back(CaseFailure(plan, r));
+        } else if (!(replayed == want)) {
+          failures.push_back("case " + std::to_string(plan.seed) + ": replay has " +
+                             Describe(replayed) + ", RunCase " + Describe(want));
         }
       }
       runcase_ms.push_back(ms);
@@ -911,9 +948,9 @@ void FuzzCampaign(const Args& args, Json& j, Tracer& tracer) {
     j.Key("fuel_skips").Int(fuel_skips);
     j.Key("cells_repeat").Bool(pass_cells[0] == pass_cells[1]);
     j.Close('}');
-    j.Key("attempted").Int(kTracedCases);
     WriteLayers(j, report);
   }
+  j.Key("attempted").Int(attempted);
   j.Key("failures").Open('[');
   for (const std::string& f : failures) j.Str(f);
   j.Close(']');
@@ -923,8 +960,8 @@ Args ParseArgs(int argc, char** argv) {
   Args args;
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: %s paper-suite|fuzz-campaign|mt-servers --seed N --seconds S "
-                 "--trace 0|1 --setup-seconds T [--spans FILE]\n",
+                 "usage: %s fuzz-campaign|mt-servers --seed N --seconds S "
+                 "--trace 0|1 [--spans FILE]\n",
                  argv[0]);
     std::exit(2);
   }
@@ -938,8 +975,6 @@ Args ParseArgs(int argc, char** argv) {
       args.seconds = std::strtod(value, nullptr);
     } else if (key == "--trace") {
       args.trace = std::strcmp(value, "1") == 0;
-    } else if (key == "--setup-seconds") {
-      args.setup_seconds = std::strtod(value, nullptr);
     } else if (key == "--spans") {
       args.spans = value;
     } else {
@@ -956,9 +991,7 @@ int Main(int argc, char** argv) {
   Tracer tracer;
   j.Open('{');
   j.Key("compiler").Str(PERFBENCH_COMPILER).Key("build_type").Str(PERFBENCH_BUILD_TYPE);
-  if (args.workload == "paper-suite") {
-    PaperSuite(args, j, tracer);
-  } else if (args.workload == "fuzz-campaign") {
+  if (args.workload == "fuzz-campaign") {
     FuzzCampaign(args, j, tracer);
   } else if (args.workload == "mt-servers") {
     MtServers(args, j, tracer);

@@ -1,20 +1,13 @@
-"""Metric definitions and the reductions that turn raw samples into metrics.
+"""The reductions that turn raw samples into metrics, and the correctness
+gates.
 
 Pure functions only, so that perfbench/test_metrics.py can check them
-without building anything.
+without building anything. The metric names and units come from
+BENCHMARK.json, which run.py loads.
 """
 
 import json
 import statistics
-
-# name -> (unit, better); the end-to-end metrics of every untraced run.
-END_TO_END = {
-    "wall_s": ("s", "lower"),
-    "setup_s": ("s", "lower"),
-    "peak_rss_mb": ("MB", "lower"),
-    "cells_per_s": ("1/s", "higher"),
-    "cases_per_s": ("1/s", "higher"),
-}
 
 SUITE_TABLES = (
     "ablation_churn", "ablation_isolation", "ablation_mpx", "ablation_opt",
@@ -24,48 +17,11 @@ SUITE_TABLES = (
     "table_composites",
 )
 
-# name -> unit; the per-layer metrics of every traced run. A workload that
-# does not exercise a layer reports 0 for it.
-PER_LAYER = {
-    "frontend.build_ms": "ms",
-    "frontend.modules": "count",
-    "frontend.ir_instructions": "count",
-    "fuzz.plan_ms": "ms",
-    "fuzz.materialize_ms": "ms",
-    "fuzz.runcase_ms": "ms",
-    "fuzz.cells": "count",
-    "fuzz.fuel_skip_ratio": "ratio",
-    "ir.clone_ms": "ms",
-    "ir.clones": "count",
-    "ir.verify_ms": "ms",
-    "analysis.classify_ms": "ms",
-    "instrument.ms": "ms",
-    "instrument.instructions_added": "count",
-    "opt.ms": "ms",
-    "opt.instructions_removed": "count",
-    "opt.checks_eliminated": "count",
-    "vm.decode_ms": "ms",
-    "vm.decode_ops": "count",
-    "vm.fused_op_ratio": "ratio",
-    "vm.execute_ms": "ms",
-    "vm.runs": "count",
-    "vm.execute_ms_per_run": "ms",
-    "vm.sim_instructions": "count",
-    "vm.sim_mips": "Minstr/s",
-    "vm.cache_miss_ratio": "ratio",
-    "vm.mem_accesses": "count",
-    "runtime.store_ops": "count",
-    "runtime.store_contended_ratio": "ratio",
-    "runtime.shard_migrations": "count",
-    "runtime.store_bytes": "bytes",
-    "runtime.seal_ops": "count",
-    **{f"suite.{t}_ms": "ms" for t in SUITE_TABLES},
-    "suite.vm_runs": "count",
-    "suite.ops_before_fusion": "count",
-    "suite.ops_after_fusion": "count",
-    "trace.cells": "count",
-    "trace.overhead_ratio": "ratio",
-}
+
+def units(bench, kind):
+    """name -> unit of the metrics BENCHMARK.json lists under `kind`
+    ("end_to_end" or "per_layer")."""
+    return {m["name"]: m["unit"] for m in bench[kind]}
 
 
 def median(values):
@@ -81,11 +37,11 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def spread(values):
-    """Inter-quartile distance as a share of the median."""
-    q1, _, q3 = quartiles(values)
-    m = median(values)
-    return (q3 - q1) / m if m else float("inf")
+def fastest_total(repetitions):
+    """The time of one unit of work at the host's full speed. Each
+    repetition lists the times of the same pieces of the unit, in the same
+    order; this is the sum over pieces of each piece's fastest time."""
+    return sum(min(times) for times in zip(*repetitions))
 
 
 def ratio(numerator, base):
@@ -150,11 +106,12 @@ def churn_failures(programs, churn_table):
     return failures
 
 
-def layer_metrics(layers, extra):
-    """The per-layer metrics from the replay counts and times `layers`
-    (perfbench_layers' "layers" object) plus workload-specific values in
-    `extra`. Every PER_LAYER name is present."""
-    out = dict.fromkeys(PER_LAYER, 0)
+def layer_metrics(names, layers, extra):
+    """The per-layer metrics `names` from the replay counts and times
+    `layers` (perfbench_layers' "layers" object) plus workload-specific
+    values in `extra`. Every name is present; a layer the workload does not
+    run reports 0."""
+    out = dict.fromkeys(names, 0)
     if layers:
         for key in ("ir.clone_ms", "ir.clones", "ir.verify_ms", "analysis.classify_ms",
                     "instrument.ms", "instrument.instructions_added", "opt.ms",
@@ -172,7 +129,7 @@ def layer_metrics(layers, extra):
             layers["vm.cache_misses"], layers["vm.cache_hits"] + layers["vm.cache_misses"])
         out["runtime.store_contended_ratio"] = ratio(
             layers["runtime.store_contended"], layers["runtime.store_ops"])
-    unknown = set(extra) - set(PER_LAYER)
+    unknown = set(extra) - set(names)
     if unknown:
         raise KeyError(f"not per-layer metrics: {sorted(unknown)}")
     out.update(extra)

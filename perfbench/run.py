@@ -2,7 +2,7 @@
 """Repository benchmark: builds the program from source, runs one workload,
 checks its outputs and prints its metrics (see perfbench/README.md).
 
-  python3 perfbench/run.py --workload paper-suite|fuzz-campaign|mt-servers \
+  python3 perfbench/run.py --workload fuzz-campaign|mt-servers \
       --seed N --seconds S --trace 0|1
 
 Run from the repository root. The last line of stdout is one JSON object
@@ -27,15 +27,21 @@ ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 import metrics  # noqa: E402
 
-WORKLOADS = ("paper-suite", "fuzz-campaign", "mt-servers")
+WORKLOADS = ("fuzz-campaign", "mt-servers")
 SUITE_ARGS = ["--json", "--jobs", "1", "--opt", "1"]
-SETUP_SECONDS = 1.0   # set-up is repeated for this long; its median is setup_s
 CHILD_TIMEOUT_S = 150
-# On a shared host the vCPUs run at different speeds for minutes at a time
-# (1.5-2x apart), and a process otherwise stays on the vCPU it started on.
-# Moving every measured process to the next CPU this often makes a run sample
-# all vCPUs alike instead of the one it happened to start on.
-ROTATE_S = 0.2
+# On a shared host each vCPU switches, for seconds to minutes at a time,
+# between its full speed and up to ~2x slower, partly independently of the
+# others. This often, the measured process moves to whichever other vCPU a
+# short probe finds fastest (see README.md).
+FOLLOW_S = 0.3
+# glibc's malloc otherwise hands freed memory back to the kernel and faults it
+# in again on the next cell. On a VM host one page fault costs several times
+# more when the host is busy: the fuzz workload spent ~40% of its time in
+# the kernel's fault path, and batches took 2.2-4.9 s by host load alone.
+# Keeping freed memory in the process takes that host cost out of the timings.
+MALLOC_TUNABLES = ("glibc.malloc.trim_threshold=4294967295:"
+                   "glibc.malloc.mmap_threshold=33554432:glibc.malloc.top_pad=67108864")
 
 
 class BenchError(Exception):
@@ -69,112 +75,108 @@ def build(bdir):
         raise BenchError(f"build failed: {e}") from e
 
 
-def rotate_cpus(pid, done):
-    """Moves process pid to the next allowed CPU every ROTATE_S until done."""
+def probe_s():
+    """Time of a fixed CPython loop. CPython's evaluation loop is an
+    interpreter dispatch loop like the VM's, so it slows down as the VM does
+    when a vCPU is in its slow state."""
+    start = time.perf_counter()
+    x = 0
+    for i in range(20000):
+        x = (x * 31 + i) & 0xFFFF
+        if x & 1:
+            x ^= 5
+    return time.perf_counter() - start
+
+
+def follow_fastest_cpu(pid, done):
+    """Every FOLLOW_S until done, probes each allowed CPU but the one pid runs
+    on (from this thread, pinned there) and moves pid to the fastest."""
     cpus = sorted(os.sched_getaffinity(0))
-    turn = 0
-    while len(cpus) > 1 and not done.wait(ROTATE_S):
-        try:
-            os.sched_setaffinity(pid, {cpus[turn % len(cpus)]})
-        except OSError:  # exited; not yet reaped, so the pid is still its own
-            return
-        turn += 1
+    current = None
+    try:
+        while len(cpus) > 1 and not done.wait(FOLLOW_S):
+            timed = []
+            for cpu in cpus:
+                if cpu != current:
+                    os.sched_setaffinity(0, {cpu})
+                    timed.append((min(probe_s(), probe_s()), cpu))
+            current = min(timed)[1]
+            try:
+                os.sched_setaffinity(pid, {current})
+            except OSError:  # exited; not yet reaped, so the pid is still its own
+                return
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 def run_child(cmd):
-    """Runs cmd to completion, rotating it over the CPUs. Returns (exit code,
-    stdout, wall seconds, peak RSS in MB of that process alone)."""
-    start = time.perf_counter()
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE)
+    """Runs cmd to completion on the fastest CPU. Returns (exit code, stdout,
+    peak RSS in MB of that process alone)."""
+    env = dict(os.environ, GLIBC_TUNABLES=MALLOC_TUNABLES)
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, env=env)
     timer = threading.Timer(CHILD_TIMEOUT_S, proc.kill)
     timer.start()
     done = threading.Event()
-    rotator = threading.Thread(target=rotate_cpus, args=(proc.pid, done))
-    rotator.start()
+    follower = threading.Thread(target=follow_fastest_cpu, args=(proc.pid, done))
+    follower.start()
     try:
         out = proc.stdout.read()
     finally:
-        # Stop rotating before the child is reaped and its pid can be reused.
+        # Stop moving it before the child is reaped and its pid can be reused.
         done.set()
-        rotator.join()
+        follower.join()
         _, status, usage = os.wait4(proc.pid, 0)
         timer.cancel()
         proc.stdout.close()
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, out.decode(), wall, usage.ru_maxrss / 1024.0
+    return os.waitstatus_to_exitcode(status), out.decode(), usage.ru_maxrss / 1024.0
 
 
 def run_layers(bdir, workload, args, seconds, spans=None):
     cmd = [str(bdir / "perfbench_layers"), workload, "--seed", str(args.seed),
-           "--seconds", repr(seconds), "--trace", str(args.trace),
-           "--setup-seconds", repr(SETUP_SECONDS)]
+           "--seconds", repr(seconds), "--trace", str(args.trace)]
     if spans is not None:
         cmd += ["--spans", str(spans)]
-    code, out, _, rss = run_child(cmd)
+    code, out, rss = run_child(cmd)
     if code != 0:
         raise BenchError(f"perfbench_layers {workload} exited with {code}")
     return json.loads(out), rss
 
 
-def start_another(units, elapsed, budget, min_units):
-    """The time-bounded loop rule perfbench_layers uses too."""
-    if len(units) < min_units:
-        return True
-    return elapsed + sum(units) / len(units) <= budget
-
-
-def expected_tables():
-    with open(HERE / "expected_tables.json") as f:
+def load_json(name):
+    with open(ROOT / name) as f:
         return json.load(f)
 
 
-def suite_runs(bdir, budget, min_runs, max_runs=None):
-    """Runs the suite until the budget is spent. Returns (walls, rss list,
-    reports, failures)."""
+def expected_tables():
+    """The recorded suite tables every suite run must reproduce."""
+    return load_json("BENCH_pr10.json")["suite"]["tables"]
+
+
+def suite_twice(bdir):
+    """Runs the suite twice, so that its fusion counts can be checked to
+    repeat exactly. Returns (the reports that passed the gate, failures)."""
     expected = expected_tables()
-    walls, rss, reports, failures = [], [], [], []
-    start = time.perf_counter()
-    while start_another(walls, time.perf_counter() - start, budget, min_runs):
-        if max_runs is not None and len(walls) >= max_runs:
-            break
-        code, out, wall, peak = run_child([str(bdir / "cpi" / "suite")] + SUITE_ARGS)
-        walls.append(wall)
-        rss.append(peak)
+    reports, failures = [], []
+    for _ in range(2):
+        code, out, _ = run_child([str(bdir / "cpi" / "suite")] + SUITE_ARGS)
         failure = metrics.suite_failure(code, out, expected)
         if failure is None:
             reports.append(json.loads(out))
         else:
             failures.append(failure)
-    return walls, rss, reports, failures
+    return reports, failures
 
 
-def paper_suite(bdir, args, spans):
-    data, _ = run_layers(bdir, "paper-suite", args, args.seconds / 3, spans)
-    if not args.trace:
-        # At least two runs, so that wall_s is a median even on a slow host.
-        walls, rss, reports, failures = suite_runs(bdir, args.seconds, 2)
-        data["unit_s"] = walls
-        modules = sum(r["fusion"]["modules"] for r in reports)
-        e2e = {
-            "wall_s": metrics.median(walls),
-            "setup_s": metrics.median(data["setup_s"]),
-            "peak_rss_mb": max(rss),
-            "cells_per_s": metrics.ratio(modules, sum(walls)),
-            "cases_per_s": metrics.ratio(len(walls), sum(walls)),
-        }
-        return e2e, len(walls), failures, data
-    # Two suite runs, so that its counts can be checked to repeat exactly.
-    _, _, reports, failures = suite_runs(bdir, 0, 2, 2)
-    extra = {}
-    if len(reports) == 2:
-        extra, error = metrics.suite_layer_metrics(reports)
-        if error:
-            failures.append(error)
-    failures += layer_failures(data)
-    extra.update(frontend_metrics(data))
-    attempted = 2 + data["layers"]["fidelity_cells"]
-    return metrics.layer_metrics(data["layers"], extra), attempted, failures, data
+def end_to_end(unit_s, unit_cells, unit_cases, setup_s, rss_mb):
+    """The end-to-end metrics of a run whose unit of work takes unit_s at
+    the host's full speed and runs unit_cells VM cells in unit_cases cases."""
+    return {
+        "wall_s": unit_s,
+        "setup_s": metrics.median(setup_s),
+        "peak_rss_mb": rss_mb,
+        "cells_per_s": unit_cells / unit_s,
+        "cases_per_s": unit_cases / unit_s,
+    }
 
 
 def frontend_metrics(data):
@@ -191,22 +193,14 @@ def layer_failures(data):
     return failures
 
 
-def fuzz_campaign(bdir, args, spans):
+def fuzz_campaign(bdir, args, spans, names):
     data, rss = run_layers(bdir, "fuzz-campaign", args, args.seconds, spans)
     failures = list(data["failures"])
     fz = data["fuzz"]
     if not args.trace:
-        units = data["unit_s"]
-        e2e = {
-            # Case sizes differ tenfold, so the median case jumps between
-            # sizes as the case window moves with the seed; the mean over the
-            # run's consecutive cases does not.
-            "wall_s": sum(units) / len(units),
-            "setup_s": metrics.median(data["setup_s"]),
-            "peak_rss_mb": rss,
-            "cells_per_s": metrics.ratio(fz["cells"], sum(units)),
-            "cases_per_s": metrics.ratio(len(units), sum(units)),
-        }
+        # A piece is one case of the batch.
+        e2e = end_to_end(metrics.fastest_total(data["pieces_s"]), fz["cells"],
+                         data["unit_cases"], data["setup_s"], rss)
         return e2e, data["attempted"], failures, data
     failures += layer_failures(data)
     if not fz["cells_repeat"]:
@@ -220,29 +214,32 @@ def fuzz_campaign(bdir, args, spans):
         "fuzz.fuel_skip_ratio": metrics.ratio(fz["fuel_skips"], fz["cells"]),
     })
     attempted = data["attempted"] + data["layers"]["fidelity_cells"]
-    return metrics.layer_metrics(data["layers"], extra), attempted, failures, data
+    return metrics.layer_metrics(names, data["layers"], extra), attempted, failures, data
 
 
-def mt_servers(bdir, args, spans):
+def mt_servers(bdir, args, spans, names):
     data, rss = run_layers(bdir, "mt-servers", args, args.seconds, spans)
     failures = list(data["failures"])
     failures += metrics.churn_failures(data["churn"], expected_tables()["ablation_churn"])
-    units = data["unit_s"]
     if not args.trace:
-        e2e = {
-            "wall_s": metrics.median(units),
-            "setup_s": metrics.median(data["setup_s"]),
-            "peak_rss_mb": rss,
-            "cells_per_s": metrics.ratio(data["unit_cells"] * len(units), sum(units)),
-            "cases_per_s": metrics.ratio(len(units), sum(units)),
-        }
+        # A piece is one cell of the sweep.
+        e2e = end_to_end(metrics.fastest_total(data["pieces_s"]), data["unit_cells"], 1,
+                         data["setup_s"], rss)
         return e2e, data["attempted"], failures, data
     failures += layer_failures(data)
     extra = frontend_metrics(data)
     extra["trace.overhead_ratio"] = metrics.ratio(
-        metrics.median(data["traced_unit_s"]), metrics.median(units))
-    attempted = data["attempted"] + data["layers"]["fidelity_cells"]
-    return metrics.layer_metrics(data["layers"], extra), attempted, failures, data
+        metrics.median(data["traced_unit_s"]), metrics.median(data["unit_s"]))
+    # The suite's own per-table times and fusion counts, and its tables gate.
+    reports, suite_failures = suite_twice(bdir)
+    failures += suite_failures
+    if len(reports) == 2:
+        suite, error = metrics.suite_layer_metrics(reports)
+        extra.update(suite)
+        if error:
+            failures.append(error)
+    attempted = data["attempted"] + data["layers"]["fidelity_cells"] + 2
+    return metrics.layer_metrics(names, data["layers"], extra), attempted, failures, data
 
 
 def source_digest():
@@ -284,10 +281,11 @@ def protocol(args, data):
         "source_sha256": source_digest(),
         "jobs": 1,
         "scale": 1,
-        "suite_args": SUITE_ARGS if args.workload == "paper-suite" else None,
+        "suite_args": SUITE_ARGS if args.trace and args.workload == "mt-servers" else None,
+        "glibc_tunables": MALLOC_TUNABLES,
     }
     if args.workload == "fuzz-campaign":
-        proto["case_seeds"] = f"{args.seed} + i"
+        proto["case_seeds"] = data["case_seeds"]
     return proto
 
 
@@ -303,14 +301,15 @@ def main():
 
     bdir = build_dir()
     try:
+        bench = load_json("BENCHMARK.json")
+        names = metrics.units(bench, "per_layer")
         build(bdir)
         results = bdir / "results"
         results.mkdir(exist_ok=True)
         tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
         spans = results / f"spans-{tag}.jsonl" if args.trace else None
-        runner = {"paper-suite": paper_suite, "fuzz-campaign": fuzz_campaign,
-                  "mt-servers": mt_servers}[args.workload]
-        values, attempted, failures, data = runner(bdir, args, spans)
+        runner = {"fuzz-campaign": fuzz_campaign, "mt-servers": mt_servers}[args.workload]
+        values, attempted, failures, data = runner(bdir, args, spans, names)
     except (BenchError, OSError, ValueError, KeyError) as e:
         log(f"perfbench: {e}")
         return 2
@@ -321,7 +320,7 @@ def main():
     for f in failures:
         log(f"perfbench: FAILED {f}")
     failed = min(len(failures), attempted)
-    units = metrics.PER_LAYER if args.trace else {k: v[0] for k, v in metrics.END_TO_END.items()}
+    units = names if args.trace else metrics.units(bench, "end_to_end")
     result = {
         "correct": not failures,
         "attempted": attempted,

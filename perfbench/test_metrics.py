@@ -7,18 +7,9 @@ import copy
 import json
 import statistics
 import unittest
-from pathlib import Path
 
 import metrics
 import run
-
-HERE = Path(__file__).resolve().parent
-ROOT = HERE.parent
-
-
-def expected_tables():
-    with open(HERE / "expected_tables.json") as f:
-        return json.load(f)
 
 
 class ReductionTest(unittest.TestCase):
@@ -29,21 +20,19 @@ class ReductionTest(unittest.TestCase):
         values = [9.1, 9.4, 9.2, 10.3, 9.3, 9.8, 9.25, 9.6, 9.35, 9.5]
         q1, q2, q3 = statistics.quantiles(values, n=4)
         self.assertEqual(metrics.quartiles(values), (q1, q2, q3))
-        self.assertAlmostEqual(metrics.spread(values), (q3 - q1) / statistics.median(values))
 
-    def test_single_sample_has_no_spread(self):
+    def test_single_sample_quartiles(self):
         self.assertEqual(metrics.quartiles([2.0]), (2.0, 2.0, 2.0))
-        self.assertEqual(metrics.spread([2.0]), 0.0)
+
+    def test_fastest_total_takes_each_piece_at_its_fastest(self):
+        # three repetitions of a unit cut into two pieces
+        reps = [[1.0, 5.0], [1.5, 4.0], [0.9, 4.5]]
+        self.assertEqual(metrics.fastest_total(reps), 0.9 + 4.0)
+        self.assertEqual(metrics.fastest_total([[0.25], [0.2], [0.3]]), 0.2)
 
     def test_ratio_of_empty_base_is_zero(self):
         self.assertEqual(metrics.ratio(5, 0), 0.0)
         self.assertEqual(metrics.ratio(1, 4), 0.25)
-
-    def test_time_bounded_loop_rule(self):
-        self.assertTrue(run.start_another([], 100.0, 1.0, 1))
-        self.assertTrue(run.start_another([2.0, 4.0], 6.0, 9.0, 1))
-        self.assertFalse(run.start_another([2.0, 4.0], 6.0, 8.9, 1))
-        self.assertTrue(run.start_another([2.0, 4.0], 6.0, 1.0, 3))
 
 
 class LayerMetricsTest(unittest.TestCase):
@@ -59,8 +48,10 @@ class LayerMetricsTest(unittest.TestCase):
         "runtime.store_bytes": 4096, "runtime.seal_ops": 7,
     }
 
+    NAMES = metrics.units(run.load_json("BENCHMARK.json"), "per_layer")
+
     def test_ratio_bases(self):
-        m = metrics.layer_metrics(self.LAYERS, {})
+        m = metrics.layer_metrics(self.NAMES, self.LAYERS, {})
         # ops after fusion over ops before, on the fused cells only
         self.assertEqual(m["vm.fused_op_ratio"], 600 / 800)
         self.assertEqual(m["vm.execute_ms_per_run"], 5.0)
@@ -71,14 +62,14 @@ class LayerMetricsTest(unittest.TestCase):
         self.assertEqual(m["trace.cells"], 10)
 
     def test_every_metric_present_and_unused_layers_zero(self):
-        m = metrics.layer_metrics(self.LAYERS, {"fuzz.cells": 3})
-        self.assertEqual(set(m), set(metrics.PER_LAYER))
+        m = metrics.layer_metrics(self.NAMES, self.LAYERS, {"fuzz.cells": 3})
+        self.assertEqual(set(m), set(self.NAMES))
         self.assertEqual(m["fuzz.cells"], 3)
         self.assertEqual(m["suite.vm_runs"], 0)
 
     def test_unknown_extra_metric_is_rejected(self):
         with self.assertRaises(KeyError):
-            metrics.layer_metrics(self.LAYERS, {"vm.bogus": 1})
+            metrics.layer_metrics(self.NAMES, self.LAYERS, {"vm.bogus": 1})
 
     def test_suite_counts_must_repeat(self):
         def report(modules):
@@ -95,7 +86,7 @@ class LayerMetricsTest(unittest.TestCase):
 
 class SuiteGateTest(unittest.TestCase):
     def setUp(self):
-        self.expected = expected_tables()
+        self.expected = run.expected_tables()
 
     def report(self, tables):
         return json.dumps({"wall_ms": 1.0, "tables": tables})
@@ -117,13 +108,6 @@ class SuiteGateTest(unittest.TestCase):
         self.assertIsNotNone(metrics.suite_failure(0, "{truncated", self.expected))
         self.assertIsNotNone(metrics.suite_failure(0, "[]", self.expected))
 
-    def test_expected_tables_are_the_recorded_baseline(self):
-        baseline = ROOT / "BENCH_pr10.json"
-        if not baseline.is_file():
-            self.skipTest("no BENCH_pr10.json in this checkout")
-        with open(baseline) as f:
-            self.assertTrue(metrics.tables_match(json.load(f)["suite"]["tables"], self.expected))
-
 
 class ChurnGateTest(unittest.TestCase):
     """mt-servers cells rebuilt from the ablation_churn table: with a base of
@@ -131,7 +115,7 @@ class ChurnGateTest(unittest.TestCase):
     count, so the recomputed percentages are exact."""
 
     def setUp(self):
-        self.table = expected_tables()["ablation_churn"]
+        self.table = run.expected_tables()["ablation_churn"]
         self.programs = []
         for row in self.table["rows"]:
             prog = {"workload": row["workload"], "vanilla": {"cycles": 100000}}
@@ -155,16 +139,6 @@ class ChurnGateTest(unittest.TestCase):
     def test_unknown_program_fails(self):
         self.programs[0]["workload"] = "mt-unknown"
         self.assertEqual(len(metrics.churn_failures(self.programs, self.table)), 1)
-
-
-class BenchmarkFileTest(unittest.TestCase):
-    def test_benchmark_json_names_the_metrics_reported(self):
-        with open(ROOT / "BENCHMARK.json") as f:
-            bench = json.load(f)
-        self.assertEqual({w["name"] for w in bench["workloads"]}, set(run.WORKLOADS))
-        self.assertEqual({m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]},
-                         metrics.END_TO_END)
-        self.assertEqual({m["name"]: m["unit"] for m in bench["per_layer"]}, metrics.PER_LAYER)
 
 
 if __name__ == "__main__":
