@@ -2,19 +2,20 @@
 //
 //   --json       machine-readable output (where the driver supports it)
 //   --time       print harness wall-clock
-//   --scale N    workload size multiplier (also accepts "small" == 1)
+//   --scale N    workload size multiplier, N >= 1 (also accepts "small" == 1)
 //   --jobs N     measurement-cell parallelism; 0 or omitted = hardware
 //                concurrency, 1 = strictly serial (bit-identical tables
 //                either way — only wall-clock changes)
-//   --opt N      post-instrumentation optimization level (default 0; every
-//                historical table is recorded at O0). Most drivers measure
-//                at the given level; the suite instead keeps its standard
-//                tables at O0 and adds the ablation_opt O0-vs-O1 table.
+//   --opt N      post-instrumentation optimization level, 0 or 1 (default
+//                0; every historical table is recorded at O0). Most drivers
+//                measure at the given level; the suite instead keeps its
+//                standard tables at O0 and adds the ablation_opt O0-vs-O1
+//                table.
 //   --engine E   VM execution tier: fused (default), decoded, reference.
 //                Simulated counters — and therefore every table — are
 //                bit-identical across tiers; only wall-clock changes.
-//   --shards N   safe-pointer-store shard count (default 1 — the legacy
-//                shared store every historical table is recorded at).
+//   --shards N   safe-pointer-store shard count, N >= 1 (default 1 — the
+//                legacy shared store every historical table is recorded at).
 //                Behaviour is shard-count-invariant; cycles model per-shard
 //                contention (see bench/ablation_shards).
 //   --migrate    epoch-based shard-ownership migration (default off — the
@@ -29,12 +30,17 @@
 //                exit 2, like any other bad argument. Drivers that sweep the
 //                registry ignore it; drivers that evaluate one configuration
 //                (e.g. bench/ripe_effectiveness) consume Flags::scheme.
+//
+// A numeric value that is not a whole number in its range fails with usage
+// + exit 2 as well.
 #ifndef CPI_BENCH_FLAGS_H_
 #define CPI_BENCH_FLAGS_H_
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "src/core/levee.h"
@@ -78,7 +84,26 @@ inline void PrintUsage(const char* argv0) {
                argv0);
 }
 
+// The value of numeric flag `name`: a whole decimal number in [min, max].
+// Anything else (empty, trailing characters, out of range) prints usage and
+// exits 2, like any other bad argument, so a typo can never run a table
+// under a silently substituted value.
+inline int ParseCount(const char* name, const char* text, long min, long max,
+                      const char* argv0) {
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < min || value > max) {
+    std::fprintf(stderr, "invalid %s: '%s' (expected an integer in [%ld, %ld])\n", name, text,
+                 min, max);
+    PrintUsage(argv0);
+    std::exit(2);
+  }
+  return static_cast<int>(value);
+}
+
 inline Flags Parse(int argc, char** argv) {
+  constexpr long kMaxCount = std::numeric_limits<int>::max();
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
@@ -87,30 +112,16 @@ inline Flags Parse(int argc, char** argv) {
       flags.timing = true;
     } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
       ++i;
-      flags.scale = std::strcmp(argv[i], "small") == 0 ? 1 : std::atoi(argv[i]);
-      if (flags.scale < 1) {
-        std::fprintf(stderr, "invalid --scale; using 1\n");
-        flags.scale = 1;
-      }
+      flags.scale = std::strcmp(argv[i], "small") == 0
+                        ? 1
+                        : ParseCount("--scale", argv[i], 1, kMaxCount, argv[0]);
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      flags.jobs = std::atoi(argv[++i]);
-      if (flags.jobs < 0) {
-        flags.jobs = 0;
-      }
+      flags.jobs = ParseCount("--jobs", argv[++i], 0, kMaxCount, argv[0]);
     } else if (std::strcmp(argv[i], "--opt") == 0 && i + 1 < argc) {
-      flags.opt = std::atoi(argv[++i]);
-      if (flags.opt < 0) {
-        std::fprintf(stderr, "invalid --opt; using 0\n");
-        flags.opt = 0;
-      }
+      flags.opt = ParseCount("--opt", argv[++i], 0, 1, argv[0]);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n < 1) {
-        std::fprintf(stderr, "invalid --shards; using 1\n");
-        flags.shards = 1;
-      } else {
-        flags.shards = static_cast<uint32_t>(n);
-      }
+      flags.shards =
+          static_cast<uint32_t>(ParseCount("--shards", argv[++i], 1, kMaxCount, argv[0]));
     } else if (std::strcmp(argv[i], "--migrate") == 0) {
       flags.migrate = true;
     } else if (std::strcmp(argv[i], "--scheme") == 0 && i + 1 < argc) {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <exception>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <tuple>
 
 #include "src/core/levee.h"
 #include "src/core/scheme.h"
@@ -18,14 +21,51 @@ struct Cell {
   std::string host_error;
 };
 
-// Materializes the plan fresh for every cell (instrumentation mutates the
-// module in place) and traps any host-level exception: a cell can fail, the
-// campaign cannot.
-Cell RunCell(const Plan& plan, const core::Config& config) {
+// The instrumented modules of one case, one per compile key: everything
+// core::Compiler::Instrument reads from a Config (scheme, opt level, debug
+// and temporal modes, classification flags; RunCase always sets
+// Config::scheme, so the Protection id adds nothing). Engine, quantum, store, shard
+// count, migration and fault plan are runtime settings; vm::Execute takes
+// the module const, so every cell of a key can run on the same module.
+class SharedModules {
+ public:
+  explicit SharedModules(const Plan& plan) : plan_(plan) {}
+
+  // Compiles on the key's first use; a compile that throws leaves nothing
+  // behind, so the exception reaches the cell that asked.
+  const ir::Module& For(const core::Config& config) {
+    std::unique_ptr<ir::Module>& module =
+        modules_[std::make_tuple(config.scheme, config.opt_level, config.debug_mode,
+                                 config.temporal, config.char_star_heuristic,
+                                 config.cast_dataflow)];
+    if (module == nullptr) {
+      auto fresh = Materialize(plan_);
+      core::Compiler(config).Instrument(*fresh);
+      module = std::move(fresh);
+    }
+    return *module;
+  }
+
+ private:
+  using Key = std::tuple<const core::ProtectionScheme*, int, bool, bool, bool, bool>;
+  const Plan& plan_;
+  std::map<Key, std::unique_ptr<ir::Module>> modules_;
+};
+
+// Runs one cell and traps any host-level exception: a cell can fail, the
+// campaign cannot. With `shared`, the cell runs on its compile key's shared
+// module. Without it, the cell materializes and instruments a module of its
+// own: RunCase does that for the first reference-engine cell of each key,
+// so every counter-identity comparison has one independently compiled side.
+Cell RunCell(const Plan& plan, const core::Config& config, SharedModules* shared = nullptr) {
   Cell cell;
   try {
-    auto module = Materialize(plan);
-    cell.result = core::InstrumentAndRun(*module, config);
+    if (shared != nullptr) {
+      cell.result = core::Run(shared->For(config), config);
+    } else {
+      auto module = Materialize(plan);
+      cell.result = core::InstrumentAndRun(*module, config);
+    }
     cell.ok = true;
   } catch (const std::exception& e) {
     cell.host_error = e.what();
@@ -139,6 +179,7 @@ CaseResult RunCase(const Plan& plan, const DiffOptions& options) {
 
   vm::RunResult vanilla_oracle;
   bool have_vanilla = false;
+  SharedModules shared(plan);
 
   for (const core::ProtectionScheme* s : core::SchemeRegistry::All()) {
     const std::string scheme = s->name();
@@ -176,7 +217,7 @@ CaseResult RunCase(const Plan& plan, const DiffOptions& options) {
       core::Config config = base_config(s);
       config.engine = spec.engine;
       config.thread_quantum = spec.quantum;
-      Cell c = RunCell(plan, config);
+      Cell c = RunCell(plan, config, &shared);
       ++out.cells_run;
       if (!c.ok) {
         fail(CaseStatus::kHostError, scheme + "/" + spec.label, c.host_error);
@@ -215,7 +256,7 @@ CaseResult RunCase(const Plan& plan, const DiffOptions& options) {
       core::Config config = base_config(s);
       config.opt_level = spec.opt;
       config.store = spec.store;
-      Cell c = RunCell(plan, config);
+      Cell c = RunCell(plan, config, &shared);
       ++out.cells_run;
       if (!c.ok) {
         fail(CaseStatus::kHostError, scheme + "/" + spec.label, c.host_error);
@@ -243,8 +284,8 @@ CaseResult RunCase(const Plan& plan, const DiffOptions& options) {
       ref.engine = vm::EngineKind::kReference;
       core::Config fused = ref;
       fused.engine = vm::EngineKind::kFused;
-      Cell cr = RunCell(plan, ref);
-      Cell cf = RunCell(plan, fused);
+      Cell cr = RunCell(plan, ref, &shared);
+      Cell cf = RunCell(plan, fused, &shared);
       out.cells_run += 2;
       const std::string label = "shards" + std::to_string(shards);
       if (!cr.ok || !cf.ok) {
@@ -277,8 +318,8 @@ CaseResult RunCase(const Plan& plan, const DiffOptions& options) {
       ref.engine = vm::EngineKind::kReference;
       core::Config fused = ref;
       fused.engine = vm::EngineKind::kFused;
-      Cell cr = RunCell(plan, ref);
-      Cell cf = RunCell(plan, fused);
+      Cell cr = RunCell(plan, ref, &shared);
+      Cell cf = RunCell(plan, fused, &shared);
       out.cells_run += 2;
       if (!cr.ok || !cf.ok) {
         fail(CaseStatus::kHostError, scheme + "/migrate",
@@ -325,7 +366,7 @@ CaseResult RunCase(const Plan& plan, const DiffOptions& options) {
         core::Config fused = ref;
         fused.engine = vm::EngineKind::kFused;
         Cell cr = RunCell(plan, ref);
-        Cell cf = RunCell(plan, fused);
+        Cell cf = RunCell(plan, fused, &shared);
         out.cells_run += 2;
         if (!cr.ok || !cf.ok) {
           fail(CaseStatus::kHostError, scheme + std::string("/") + label,
@@ -366,7 +407,7 @@ CaseResult RunCase(const Plan& plan, const DiffOptions& options) {
           config.shards = 8;  // per-shard containment needs real shards
         }
         config.faults = &fplan;
-        Cell c = RunCell(plan, config);
+        Cell c = RunCell(plan, config, &shared);
         ++out.cells_run;
         const char* kind_name = vm::FaultKindName(kind);
         if (!c.ok) {

@@ -30,6 +30,11 @@
 //     cannot observe scheduling). Coverage of (scheme × kind) pairs that
 //     actually injected is reported for the campaign-level assertion.
 //
+// Cells that differ only in runtime settings share one instrumented module;
+// the first reference-engine cell of each compile key compiles its own, so
+// every counter-identity comparison has an independently compiled side
+// (docs/FUZZING.md, "Compile sharing").
+//
 // Every cell is wrapped in a catch-all: a host-level exception becomes
 // CaseStatus::kHostError in the CaseResult, never an aborted campaign.
 #ifndef CPI_SRC_FUZZ_DIFFERENTIAL_H_

@@ -22,20 +22,24 @@ uint64_t SlotOf(uint64_t addr) { return addr >> 3; }
 
 // ---------------------------------------------------------------------------
 // Sparse direct-mapped array. One entry per 8-byte slot of the regular
-// region, materialised in page-sized chunks on first touch — the "simple
-// array relying on sparse address space support of the underlying OS" that
-// §4 found fastest (with superpages). Memory cost is highest: every touched
-// page reserves entries for all of its slots.
+// region, reserved a superpage at a time on first touch — the "simple array
+// relying on sparse address space support of the underlying OS" that §4
+// found fastest (with superpages). Memory cost is highest: every touched
+// superpage reserves entries for all of its slots. Like the OS's sparse
+// pages, the host backs a superpage only where it is written: its entries
+// are allocated one block (a regular-region page's worth of slots) at a
+// time, while MemoryBytes() reports the modeled footprint of whole
+// superpages.
 class ArrayStore final : public SafePointerStore {
  public:
   static constexpr uint64_t kSlotsPerPage = 1 << 16;  // 2 MB superpage of entries
+  static constexpr uint64_t kSlotsPerBlock = 512;     // one 4 KiB regular page
 
   StoreKind kind() const override { return StoreKind::kArray; }
 
   void Set(uint64_t addr, const SafeEntry& entry, TouchList* touched) override {
     const uint64_t slot = SlotOf(addr);
-    Page& page = GetPage(slot / kSlotsPerPage);
-    SafeEntry& dst = page.entries[slot % kSlotsPerPage];
+    SafeEntry& dst = EntryFor(slot);
     if (!dst.IsPresent() && entry.IsPresent()) {
       ++live_entries_;
     } else if (dst.IsPresent() && !entry.IsPresent()) {
@@ -48,25 +52,21 @@ class ArrayStore final : public SafePointerStore {
   SafeEntry Get(uint64_t addr, TouchList* touched) const override {
     const uint64_t slot = SlotOf(addr);
     Touch(slot, touched);
-    auto it = pages_.find(slot / kSlotsPerPage);
-    if (it == pages_.end()) {
-      return SafeEntry{};
-    }
-    return it->second->entries[slot % kSlotsPerPage];
+    const SafeEntry* e = FindEntry(slot);
+    return e == nullptr ? SafeEntry{} : *e;
   }
 
   void Clear(uint64_t addr, TouchList* touched) override {
     const uint64_t slot = SlotOf(addr);
     Touch(slot, touched);
-    auto it = pages_.find(slot / kSlotsPerPage);
-    if (it == pages_.end()) {
+    SafeEntry* dst = FindEntry(slot);
+    if (dst == nullptr) {
       return;
     }
-    SafeEntry& dst = it->second->entries[slot % kSlotsPerPage];
-    if (dst.IsPresent()) {
+    if (dst->IsPresent()) {
       --live_entries_;
     }
-    dst = SafeEntry{};
+    *dst = SafeEntry{};
   }
 
   uint64_t MemoryBytes() const override {
@@ -80,7 +80,8 @@ class ArrayStore final : public SafePointerStore {
       return false;
     }
     // pages_ iterates in hash order; scan page ids sorted so the corrupted
-    // entry is a deterministic function of (which, store contents).
+    // entry is a deterministic function of (which, store contents). Within
+    // a superpage, blocks and entries go in slot order.
     std::vector<uint64_t> ids;
     ids.reserve(pages_.size());
     for (const auto& [id, page] : pages_) {
@@ -90,13 +91,18 @@ class ArrayStore final : public SafePointerStore {
     std::sort(ids.begin(), ids.end());
     uint64_t target = which % live_entries_;
     for (uint64_t id : ids) {
-      for (SafeEntry& e : pages_[id]->entries) {
-        if (!e.IsPresent()) {
+      for (auto& block : pages_[id]->blocks) {
+        if (block == nullptr) {
           continue;
         }
-        if (target-- == 0) {
-          e.value ^= xor_mask;
-          return true;
+        for (SafeEntry& e : block->entries) {
+          if (!e.IsPresent()) {
+            continue;
+          }
+          if (target-- == 0) {
+            e.value ^= xor_mask;
+            return true;
+          }
         }
       }
     }
@@ -104,8 +110,11 @@ class ArrayStore final : public SafePointerStore {
   }
 
  private:
+  struct Block {
+    SafeEntry entries[kSlotsPerBlock];
+  };
   struct Page {
-    SafeEntry entries[kSlotsPerPage];
+    std::unique_ptr<Block> blocks[kSlotsPerPage / kSlotsPerBlock];
   };
 
   static void Touch(uint64_t slot, TouchList* touched) {
@@ -116,13 +125,29 @@ class ArrayStore final : public SafePointerStore {
     }
   }
 
-  Page& GetPage(uint64_t page_id) {
-    auto it = pages_.find(page_id);
+  // The slot's entry, or null when its block was never written.
+  SafeEntry* FindEntry(uint64_t slot) const {
+    auto it = pages_.find(slot / kSlotsPerPage);
+    if (it == pages_.end()) {
+      return nullptr;
+    }
+    Block* block = it->second->blocks[slot % kSlotsPerPage / kSlotsPerBlock].get();
+    return block == nullptr ? nullptr : &block->entries[slot % kSlotsPerBlock];
+  }
+
+  // The slot's entry, reserving its superpage (the one modeled growth
+  // allocation) and backing its block as needed.
+  SafeEntry& EntryFor(uint64_t slot) {
+    auto it = pages_.find(slot / kSlotsPerPage);
     if (it == pages_.end()) {
       ConsumeGrowthAllocation();
-      it = pages_.emplace(page_id, std::make_unique<Page>()).first;
+      it = pages_.emplace(slot / kSlotsPerPage, std::make_unique<Page>()).first;
     }
-    return *it->second;
+    std::unique_ptr<Block>& block = it->second->blocks[slot % kSlotsPerPage / kSlotsPerBlock];
+    if (block == nullptr) {
+      block = std::make_unique<Block>();
+    }
+    return block->entries[slot % kSlotsPerBlock];
   }
 
   std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;

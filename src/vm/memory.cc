@@ -1,10 +1,29 @@
 #include "src/vm/memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/support/oom.h"
 
 namespace cpi::vm {
+
+namespace {
+
+// Bits [begin, end) of one 64-bit bitmap word, 0 <= begin < end <= 64.
+uint64_t BitRange(uint64_t begin, uint64_t end) {
+  const uint64_t high = end == 64 ? ~0ULL : (1ULL << end) - 1;
+  return high & ~((1ULL << begin) - 1);
+}
+
+}  // namespace
+
+ByteMemory::Chunk& ByteMemory::ChunkFor(uint64_t chunk_id) {
+  std::unique_ptr<Chunk>& chunk = chunks_[chunk_id];
+  if (chunk == nullptr) {
+    chunk = std::make_unique<Chunk>();
+  }
+  return *chunk;
+}
 
 void ByteMemory::MapRange(uint64_t start, uint64_t size, bool writable) {
   if (size == 0) {
@@ -16,36 +35,44 @@ void ByteMemory::MapRange(uint64_t start, uint64_t size, bool writable) {
   InvalidateTranslationCache();
   const uint64_t first = start / kPageBytes;
   const uint64_t last = (start + size + kPageBytes - 1) / kPageBytes;
-  for (uint64_t p = first; p < last; ++p) {
-    Page& page = pages_[p];
-    page.mapped = true;
+  // One bitmap word (up to 64 pages) per step; a step never crosses a chunk.
+  for (uint64_t p = first; p < last;) {
+    const uint64_t in_chunk = p % kChunkPages;
+    const uint64_t word = in_chunk / 64;
+    const uint64_t bit = in_chunk % 64;
+    const uint64_t n = std::min(last - p, 64 - bit);
+    const uint64_t mask = BitRange(bit, bit + n);
+    Chunk& chunk = ChunkFor(p / kChunkPages);
+    mapped_pages_ += static_cast<uint64_t>(__builtin_popcountll(mask & ~chunk.mapped[word]));
+    chunk.mapped[word] |= mask;
     // Remap semantics: the most recent mapping wins, exactly like mprotect.
     // The old or-merge could never drop writability, so a page remapped
     // read-only (code/constant data) stayed silently writable.
-    page.writable = writable;
+    if (writable) {
+      chunk.writable[word] |= mask;
+    } else {
+      chunk.writable[word] &= ~mask;
+    }
+    p += n;
   }
 }
 
-void ByteMemory::UnmapRange(uint64_t start, uint64_t size) {
-  InvalidateTranslationCache();
-  // Only whole pages strictly inside the range are unmapped; partial pages at
-  // the edges stay (they may still back neighbouring objects).
-  uint64_t first = (start + kPageBytes - 1) / kPageBytes;
-  uint64_t last = (start + size) / kPageBytes;
-  for (uint64_t p = first; p < last; ++p) {
-    pages_.erase(p);
-  }
-}
-
-ByteMemory::Page* ByteMemory::FindPageSlow(uint64_t id) {
-  auto it = pages_.find(id);
-  Page* page = (it == pages_.end() || !it->second.mapped) ? nullptr : &it->second;
+void ByteMemory::TranslateSlow(uint64_t id) const {
   cached_id_ = id;
-  cached_page_ = page;
-  return page;
+  cached_page_ = PageRef{};
+  auto it = chunks_.find(id / kChunkPages);
+  if (it == chunks_.end()) {
+    return;
+  }
+  Chunk& chunk = *it->second;
+  const uint64_t slot = id % kChunkPages;
+  const uint64_t bit = 1ULL << (slot % 64);
+  if ((chunk.mapped[slot / 64] & bit) != 0) {
+    cached_page_ = PageRef{&chunk.pages[slot], (chunk.writable[slot / 64] & bit) != 0};
+  }
 }
 
-uint8_t* ByteMemory::MaterializePage(Page& page) {
+uint8_t* ByteMemory::MaterializePage(PageBytesPtr& bytes) {
   if (alloc_failure_countdown_ != kAllocFailureDisarmed) {
     if (alloc_failure_countdown_ == 0) {
       alloc_failure_countdown_ = kAllocFailureDisarmed;
@@ -53,16 +80,9 @@ uint8_t* ByteMemory::MaterializePage(Page& page) {
     }
     --alloc_failure_countdown_;
   }
-  page.bytes = std::make_unique<uint8_t[]>(kPageBytes);
-  std::memset(page.bytes.get(), 0, kPageBytes);
-  return page.bytes.get();
-}
-
-bool ByteMemory::IsMapped(uint64_t addr) const { return FindPage(addr) != nullptr; }
-
-bool ByteMemory::IsWritable(uint64_t addr) const {
-  const Page* p = FindPage(addr);
-  return p != nullptr && p->writable;
+  bytes = std::make_unique<uint8_t[]>(kPageBytes);
+  std::memset(bytes.get(), 0, kPageBytes);
+  return bytes.get();
 }
 
 MemFault ByteMemory::ReadSlow(uint64_t addr, void* out, uint64_t size) const {
@@ -70,16 +90,16 @@ MemFault ByteMemory::ReadSlow(uint64_t addr, void* out, uint64_t size) const {
   uint64_t done = 0;
   while (done < size) {
     const uint64_t a = addr + done;
-    const Page* page = FindPage(a);
-    if (page == nullptr) {
+    const PageRef& page = Translate(a);
+    if (page.bytes == nullptr) {
       return MemFault::kUnmapped;
     }
     const uint64_t in_page = a % kPageBytes;
     const uint64_t chunk = std::min(size - done, kPageBytes - in_page);
-    if (page->bytes == nullptr) {
+    if (*page.bytes == nullptr) {
       std::memset(dst + done, 0, chunk);
     } else {
-      std::memcpy(dst + done, page->bytes.get() + in_page, chunk);
+      std::memcpy(dst + done, page.bytes->get() + in_page, chunk);
     }
     done += chunk;
   }
@@ -90,21 +110,21 @@ MemFault ByteMemory::WriteSlow(uint64_t addr, const void* data, uint64_t size) {
   const uint8_t* src = static_cast<const uint8_t*>(data);
   // Validate the whole range first so partially-applied writes cannot occur.
   for (uint64_t a = addr / kPageBytes; a <= (addr + size - 1) / kPageBytes; ++a) {
-    const Page* page = FindPage(a * kPageBytes);
-    if (page == nullptr) {
+    const PageRef& page = Translate(a * kPageBytes);
+    if (page.bytes == nullptr) {
       return MemFault::kUnmapped;
     }
-    if (!page->writable) {
+    if (!page.writable) {
       return MemFault::kReadOnly;
     }
   }
   uint64_t done = 0;
   while (done < size) {
     const uint64_t a = addr + done;
-    Page* page = FindPage(a);
+    PageBytesPtr& bytes = *Translate(a).bytes;
     const uint64_t in_page = a % kPageBytes;
     const uint64_t chunk = std::min(size - done, kPageBytes - in_page);
-    std::memcpy(PageBytes(*page) + in_page, src + done, chunk);
+    std::memcpy(PageBytes(bytes) + in_page, src + done, chunk);
     done += chunk;
   }
   return MemFault::kNone;
@@ -116,12 +136,19 @@ void ByteMemory::LoaderWrite(uint64_t addr, const void* data, uint64_t size) {
   uint64_t done = 0;
   while (done < size) {
     const uint64_t a = addr + done;
-    Page& page = pages_[a / kPageBytes];
-    page.mapped = true;
+    const uint64_t id = a / kPageBytes;
+    const uint64_t slot = id % kChunkPages;
+    const uint64_t bit = 1ULL << (slot % 64);
+    Chunk& chunk = ChunkFor(id / kChunkPages);
+    if ((chunk.mapped[slot / 64] & bit) == 0) {
+      // A page the loader touches first is mapped read-only.
+      chunk.mapped[slot / 64] |= bit;
+      ++mapped_pages_;
+    }
     const uint64_t in_page = a % kPageBytes;
-    const uint64_t chunk = std::min(size - done, kPageBytes - in_page);
-    std::memcpy(PageBytes(page) + in_page, src + done, chunk);
-    done += chunk;
+    const uint64_t n = std::min(size - done, kPageBytes - in_page);
+    std::memcpy(PageBytes(chunk.pages[slot]) + in_page, src + done, n);
+    done += n;
   }
 }
 

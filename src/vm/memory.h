@@ -5,6 +5,11 @@
 // Loads/stores of unmapped addresses fault, exactly like touching an unmapped
 // page on real hardware — this is what turns wild attacker guesses under
 // information-hiding isolation into crashes (§3.2.3).
+//
+// Pages live in a two-level table: a sparse directory of fixed-size chunks,
+// each a flat array of page slots with per-page mapped/writable bitmaps.
+// Mapping a range sets bitmap words, so its cost grows with the chunks it
+// covers, not the pages; a page's bytes are allocated only on first write.
 #ifndef CPI_SRC_VM_MEMORY_H_
 #define CPI_SRC_VM_MEMORY_H_
 
@@ -24,6 +29,8 @@ enum class MemFault {
 class ByteMemory {
  public:
   static constexpr uint64_t kPageBytes = 4096;
+  // Pages per directory chunk: 512 pages, a 2 MiB span.
+  static constexpr uint64_t kChunkPages = 512;
 
   // Makes [start, start+size) accessible. Pages materialise lazily,
   // zero-filled. A zero-size range maps nothing. Remapping is mprotect-like:
@@ -31,26 +38,22 @@ class ByteMemory {
   // the previous permission does not linger.
   void MapRange(uint64_t start, uint64_t size, bool writable);
 
-  // Removes access (used when unsafe frames are popped so that dangling
-  // stack references fault).
-  void UnmapRange(uint64_t start, uint64_t size);
-
-  bool IsMapped(uint64_t addr) const;
-  bool IsWritable(uint64_t addr) const;
+  bool IsMapped(uint64_t addr) const { return Translate(addr).bytes != nullptr; }
+  bool IsWritable(uint64_t addr) const { return Translate(addr).writable; }
 
   // Single-page accesses (virtually all of them: the VM reads/writes 1-8
   // byte scalars) take the inline fast path; page-straddling accesses fall
   // back to the chunked loop in memory.cc.
   MemFault Read(uint64_t addr, void* out, uint64_t size) const {
     if ((addr & (kPageBytes - 1)) + size <= kPageBytes) {
-      const Page* page = FindPage(addr);
-      if (page == nullptr) {
+      const PageRef& page = Translate(addr);
+      if (page.bytes == nullptr) {
         return MemFault::kUnmapped;
       }
-      if (page->bytes == nullptr) {
+      if (*page.bytes == nullptr) {
         std::memset(out, 0, size);
       } else {
-        std::memcpy(out, page->bytes.get() + (addr & (kPageBytes - 1)), size);
+        std::memcpy(out, page.bytes->get() + (addr & (kPageBytes - 1)), size);
       }
       return MemFault::kNone;
     }
@@ -58,14 +61,14 @@ class ByteMemory {
   }
   MemFault Write(uint64_t addr, const void* data, uint64_t size) {
     if ((addr & (kPageBytes - 1)) + size <= kPageBytes) {
-      Page* page = FindPage(addr);
-      if (page == nullptr) {
+      const PageRef& page = Translate(addr);
+      if (page.bytes == nullptr) {
         return MemFault::kUnmapped;
       }
-      if (!page->writable) {
+      if (!page.writable) {
         return MemFault::kReadOnly;
       }
-      std::memcpy(PageBytes(*page) + (addr & (kPageBytes - 1)), data, size);
+      std::memcpy(PageBytes(*page.bytes) + (addr & (kPageBytes - 1)), data, size);
       return MemFault::kNone;
     }
     return WriteSlow(addr, data, size);
@@ -77,60 +80,71 @@ class ByteMemory {
   MemFault WriteByte(uint64_t addr, uint8_t value) { return Write(addr, &value, 1); }
 
   // Raw write ignoring the read-only bit — used by the loader to place
-  // constant data, never by program execution.
+  // constant data, never by program execution. A page it touches that was
+  // not mapped becomes mapped read-only.
   void LoaderWrite(uint64_t addr, const void* data, uint64_t size);
 
-  uint64_t mapped_bytes() const { return pages_.size() * kPageBytes; }
+  uint64_t mapped_bytes() const { return mapped_pages_ * kPageBytes; }
 
   // Fault injection (vm::FaultPlan, kOomPageAlloc): after `countdown` more
   // page materialisations succeed, the next one throws SimulatedOom. The VM
   // catches it and reports the run as crashed; the harness asserts the host
-  // survives. One-shot: the failure disarms itself after firing.
+  // survives. One-shot: the failure disarms itself after firing. Directory
+  // chunks are bookkeeping, not pages, and never consume the countdown.
   void ArmAllocFailure(uint64_t countdown) { alloc_failure_countdown_ = countdown; }
 
  private:
-  struct Page {
-    std::unique_ptr<uint8_t[]> bytes;
-    bool writable = false;
-    bool mapped = false;
+  using PageBytesPtr = std::unique_ptr<uint8_t[]>;
+  static constexpr uint64_t kChunkWords = kChunkPages / 64;
+
+  struct Chunk {
+    PageBytesPtr pages[kChunkPages];  // null until the page is first written
+    uint64_t mapped[kChunkWords] = {};
+    uint64_t writable[kChunkWords] = {};
   };
 
-  Page* FindPage(uint64_t addr) {
+  // One page's translation: its byte slot (null when the page is unmapped)
+  // and whether it is writable.
+  struct PageRef {
+    PageBytesPtr* bytes = nullptr;
+    bool writable = false;
+  };
+
+  const PageRef& Translate(uint64_t addr) const {
     const uint64_t id = addr / kPageBytes;
-    if (id == cached_id_) {
-      return cached_page_;
+    if (id != cached_id_) {
+      TranslateSlow(id);
     }
-    return FindPageSlow(id);
+    return cached_page_;
   }
-  const Page* FindPage(uint64_t addr) const {
-    return const_cast<ByteMemory*>(this)->FindPage(addr);
-  }
-  Page* FindPageSlow(uint64_t id);
-  uint8_t* PageBytes(Page& page) {
-    if (page.bytes == nullptr) {
-      return MaterializePage(page);
+  void TranslateSlow(uint64_t id) const;
+  Chunk& ChunkFor(uint64_t chunk_id);
+  uint8_t* PageBytes(PageBytesPtr& bytes) {
+    if (bytes == nullptr) {
+      return MaterializePage(bytes);
     }
-    return page.bytes.get();
+    return bytes.get();
   }
-  uint8_t* MaterializePage(Page& page);
+  uint8_t* MaterializePage(PageBytesPtr& bytes);
   MemFault ReadSlow(uint64_t addr, void* out, uint64_t size) const;
   MemFault WriteSlow(uint64_t addr, const void* data, uint64_t size);
   void InvalidateTranslationCache() const {
     cached_id_ = ~0ULL;
-    cached_page_ = nullptr;
+    cached_page_ = PageRef{};
   }
 
-  std::unordered_map<uint64_t, Page> pages_;
+  std::unordered_map<uint64_t, std::unique_ptr<Chunk>> chunks_;
+  uint64_t mapped_pages_ = 0;
   // Armed by ArmAllocFailure; kDisarmed means allocations always succeed.
   static constexpr uint64_t kAllocFailureDisarmed = ~0ULL;
   uint64_t alloc_failure_countdown_ = kAllocFailureDisarmed;
   // One-entry translation cache: program accesses hit the same page in
-  // bursts, so most lookups skip the hash table. Pointers into pages_ are
-  // stable across inserts (node-based container); the cache is invalidated
-  // on every map/unmap. Purely a host-side speedup — no simulated cost
-  // depends on it.
+  // bursts, so most lookups skip the directory. Chunks are never freed, so
+  // a cached slot pointer stays valid; the cache is invalidated on every
+  // map, because that can change a page's permissions. Purely a host-side
+  // speedup — no simulated cost depends on it.
   mutable uint64_t cached_id_ = ~0ULL;
-  mutable Page* cached_page_ = nullptr;
+  mutable PageRef cached_page_;
 };
 
 }  // namespace cpi::vm

@@ -4,6 +4,9 @@
 // exactly that).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "bench/flags.h"
 
 namespace cpi::bench {
@@ -109,6 +112,45 @@ TEST(BenchFlagsDeathTest, MissingValueExitsNonZero) {
   char a1[] = "--scale";  // value missing: falls through to the unknown path
   char* argv[] = {a0, a1};
   EXPECT_EXIT(Parse(2, argv), testing::ExitedWithCode(2), "usage:");
+}
+
+// Numeric flags take whole numbers in range or nothing: `--jobs x` used to
+// become hardware concurrency and `--opt x` O0, while a bad --scale or
+// --shards warned and carried on.
+TEST(BenchFlagsDeathTest, NonNumericOrOutOfRangeValuesExitNonZero) {
+  const std::pair<const char*, const char*> kBad[] = {
+      {"--jobs", "x"},    {"--jobs", "-1"},    {"--jobs", "2x"},  {"--jobs", ""},
+      {"--opt", "x"},     {"--opt", "2"},      {"--opt", "-1"},   {"--scale", "big"},
+      {"--scale", "0"},   {"--shards", "0"},   {"--shards", "x"}, {"--shards", "4.5"},
+      {"--scale", "99999999999999999999"},
+  };
+  for (const auto& [flag, value] : kBad) {
+    char a0[] = "bench";
+    std::string a1 = flag;
+    std::string a2 = value;
+    char* argv[] = {a0, a1.data(), a2.data()};
+    EXPECT_EXIT(Parse(3, argv), testing::ExitedWithCode(2),
+                std::string("invalid ") + flag + "(.|\n)*usage:")
+        << flag << " " << value;
+  }
+}
+
+TEST(BenchFlagsTest, NumericBoundsParse) {
+  char a0[] = "bench";
+  char a1[] = "--jobs";
+  char a2[] = "0";  // hardware concurrency
+  char a3[] = "--opt";
+  char a4[] = "0";
+  char a5[] = "--scale";
+  char a6[] = "small";
+  char a7[] = "--shards";
+  char a8[] = "1";
+  char* argv[] = {a0, a1, a2, a3, a4, a5, a6, a7, a8};
+  const Flags flags = Parse(9, argv);
+  EXPECT_GE(flags.jobs, 1);
+  EXPECT_EQ(flags.opt, 0);
+  EXPECT_EQ(flags.scale, 1);
+  EXPECT_EQ(flags.shards, 1u);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 
 #include <filesystem>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/levee.h"
+#include "src/core/scheme.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/differential.h"
 #include "src/fuzz/generator.h"
@@ -84,6 +86,94 @@ TEST(FuzzDifferentialTest, CleanOnSampledSeeds) {
     EXPECT_EQ(r.status, fuzz::CaseStatus::kPass) << "seed " << seed << ": " << r.detail;
     EXPECT_GT(r.cells_run, 50) << "seed " << seed;
     EXPECT_FALSE(r.fault_coverage.empty()) << "seed " << seed;
+  }
+}
+
+// RunCase runs most cells of a compile key on one shared module, so running
+// a module must leave it as it was: every runtime setting RunCase varies,
+// run in turn on one module, gives the run a fresh compile gives.
+TEST(FuzzDifferentialTest, SharedModuleRunsMatchFreshCompiles) {
+  vm::FaultPlan corrupt;
+  corrupt.events.push_back({vm::FaultKind::kCorruptSafeStore, 60, 5});
+  corrupt.events.push_back({vm::FaultKind::kForcePreempt, 90, 0});
+  corrupt.events.push_back({vm::FaultKind::kCorruptShard, 150, 9});
+  vm::FaultPlan oom;
+  oom.events.push_back({vm::FaultKind::kOomPageAlloc, 40, 2});
+  auto runtime_variants = [&](const core::Config& base) {
+    std::vector<core::Config> out;
+    for (vm::EngineKind engine :
+         {vm::EngineKind::kReference, vm::EngineKind::kDecoded, vm::EngineKind::kFused}) {
+      out.push_back(base);
+      out.back().engine = engine;
+    }
+    for (uint64_t quantum : {1ULL, 4096ULL}) {
+      out.push_back(base);
+      out.back().thread_quantum = quantum;
+    }
+    for (runtime::StoreKind store : {runtime::StoreKind::kHash, runtime::StoreKind::kTwoLevel}) {
+      out.push_back(base);
+      out.back().store = store;
+    }
+    for (uint32_t shards : {2u, 64u}) {
+      out.push_back(base);
+      out.back().shards = shards;
+    }
+    out.push_back(base);
+    out.back().shards = 8;
+    out.back().migrate = true;
+    out.push_back(base);
+    out.back().shards = 8;
+    out.back().faults = &corrupt;
+    out.push_back(base);
+    out.back().faults = &oom;
+    return out;
+  };
+  auto same = [](const vm::RunResult& a, const vm::RunResult& b) {
+    auto tie = [](const vm::RunResult& r) {
+      const vm::Counters& c = r.counters;
+      return std::make_tuple(
+          r.status, r.violation, r.message, r.exit_code, r.output, r.faults_injected,
+          c.instructions, c.cycles, c.mem_accesses, c.safe_store_ops, c.store_contended_ops,
+          c.shard_migrations, c.seal_ops, c.checks, c.calls, c.hijack_transfers, c.cache_hits,
+          c.cache_misses, c.thread_spawns, r.memory.regular_bytes, r.memory.safe_store_bytes,
+          r.memory.safe_stack_bytes, r.memory.safe_store_entries);
+    };
+    return tie(a) == tie(b);
+  };
+
+  for (uint64_t seed : {3ULL, 11ULL}) {
+    const fuzz::Plan plan = fuzz::MakePlan(seed, FullOptions());
+    std::vector<core::Config> keys;
+    for (const core::ProtectionScheme* s : core::SchemeRegistry::All()) {
+      keys.emplace_back();
+      keys.back().scheme = s;
+      keys.back().protection = s->id();
+    }
+    const core::ProtectionScheme* cpi = core::SchemeRegistry::FindByName("cpi");
+    for (int variant = 0; variant < 3; ++variant) {
+      keys.emplace_back();
+      keys.back().scheme = cpi;
+      keys.back().protection = cpi->id();
+      keys.back().opt_level = variant == 0 ? 1 : 0;
+      keys.back().debug_mode = variant == 1;
+      keys.back().temporal = variant == 2;
+    }
+    for (core::Config key : keys) {
+      key.max_steps = fuzz::DiffOptions{}.max_steps;
+      auto shared = fuzz::Materialize(plan);
+      core::Compiler(key).Instrument(*shared);
+      for (const core::Config& config : runtime_variants(key)) {
+        const vm::RunResult got = core::Run(*shared, config);
+        const vm::RunResult want = core::InstrumentAndRun(*fuzz::Materialize(plan), config);
+        EXPECT_TRUE(same(got, want))
+            << "seed " << seed << " " << key.scheme->name() << " O" << key.opt_level
+            << (key.debug_mode ? " debug" : "") << (key.temporal ? " temporal" : "")
+            << ": engine " << static_cast<int>(config.engine) << " quantum "
+            << config.thread_quantum << " store " << runtime::StoreKindName(config.store)
+            << " shards " << config.shards << (config.migrate ? " migrate" : "")
+            << (config.faults != nullptr ? " faults" : "");
+      }
+    }
   }
 }
 

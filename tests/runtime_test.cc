@@ -5,13 +5,17 @@
 // must be behaviourally indistinguishable from the flat one it wraps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <tuple>
+#include <vector>
 
 #include "src/runtime/metadata.h"
 #include "src/runtime/safe_store.h"
 #include "src/runtime/seal.h"
 #include "src/runtime/temporal.h"
+#include "src/support/oom.h"
 #include "src/support/rng.h"
 #include "src/vm/layout.h"
 
@@ -256,6 +260,81 @@ TEST_P(StoreTest, MemoryAccountingGrowsWithEntries) {
   }
   EXPECT_GT(store_->MemoryBytes(), before);
   EXPECT_EQ(store_->EntryCount(), 1000u);
+}
+
+// The array store's modeled footprint: a whole 2 MiB superpage of entries
+// per superpage touched (per shard), however few of its blocks the host
+// actually backs.
+TEST_P(StoreTest, ArraySuperpagesReportTheModeledFootprint) {
+  if (Kind() != StoreKind::kArray) {
+    GTEST_SKIP() << "array-store superpages only";
+  }
+  constexpr uint64_t kSuperpageBytes = 2ULL << 20;  // 65,536 entries x 32 bytes
+  constexpr uint64_t kSpan = (1ULL << 16) * 8;      // regular bytes one superpage covers
+  std::set<std::pair<uint32_t, uint64_t>> superpages;  // (shard, superpage)
+  for (uint64_t base : {vm::kHeapBase, vm::kHeapBase + 5 * kSpan,
+                        vm::kHeapLimit - vm::kThreadHeapBytes, vm::kStackTop - kSpan}) {
+    for (uint64_t off = 0; off < kSpan; off += 4096 + 8) {
+      const uint64_t addr = base + off;
+      store_->Set(addr, SafeEntry::Code(0x1000), nullptr);
+      superpages.emplace(vm::ShardOfAddress(addr, Shards()), addr / kSpan);
+    }
+  }
+  EXPECT_EQ(store_->MemoryBytes(), superpages.size() * kSuperpageBytes);
+  store_->Clear(vm::kHeapBase, nullptr);  // clearing releases nothing
+  EXPECT_EQ(store_->MemoryBytes(), superpages.size() * kSuperpageBytes);
+}
+
+// CorruptEntry(which) hits the which-th live entry in slot order (shards in
+// index order first), whatever order the entries were inserted in.
+TEST_P(StoreTest, CorruptEntryFollowsSlotOrder) {
+  if (Kind() == StoreKind::kHash) {
+    GTEST_SKIP() << "the hash store corrupts in table order";
+  }
+  // Scattered over blocks, superpages and the heaps of four homes.
+  Rng rng(11);
+  std::set<uint64_t> unique;
+  for (uint64_t tid = 0; tid < 4; ++tid) {
+    const uint64_t base =
+        tid == 0 ? vm::kHeapBase : vm::kHeapLimit - tid * vm::kThreadHeapBytes;
+    for (int i = 0; i < 12; ++i) {
+      unique.insert(base + rng.NextBelow(1 << 19) * 8);
+    }
+  }
+  std::vector<uint64_t> inserted(unique.begin(), unique.end());
+  std::reverse(inserted.begin(), inserted.end());
+  std::vector<uint64_t> order(unique.begin(), unique.end());
+  std::stable_sort(order.begin(), order.end(), [this](uint64_t a, uint64_t b) {
+    return vm::ShardOfAddress(a, Shards()) < vm::ShardOfAddress(b, Shards());
+  });
+  for (size_t which = 0; which < order.size(); ++which) {
+    auto store = CreateSafeStore(Kind(), Shards(), &vm::ShardOfAddress);
+    for (uint64_t a : inserted) {
+      store->Set(a, SafeEntry::Code(a), nullptr);
+    }
+    ASSERT_TRUE(store->CorruptEntry(which, 0xf0));
+    for (uint64_t a : inserted) {
+      EXPECT_EQ(store->Get(a, nullptr).value != a, a == order[which]) << "which " << which;
+    }
+  }
+}
+
+// The array store's growth-failure countdown is consumed once per new
+// superpage; backing more blocks of a reserved superpage never consumes it.
+TEST_P(StoreTest, ArrayAllocFailureFiresOnSuperpageGrowth) {
+  if (Kind() != StoreKind::kArray) {
+    GTEST_SKIP() << "array-store superpages only";
+  }
+  constexpr uint64_t kSpan = (1ULL << 16) * 8;
+  store_->InjectAllocFailure(1);  // one growth succeeds, the next throws
+  for (uint64_t off = 0; off < kSpan; off += 4096) {  // every block of one superpage
+    ASSERT_NO_THROW(store_->Set(vm::kHeapBase + off, SafeEntry::Code(0x40), nullptr));
+  }
+  EXPECT_THROW(store_->Set(vm::kHeapBase + kSpan, SafeEntry::Code(0x40), nullptr),
+               SimulatedOom);
+  // One-shot: disarmed after firing.
+  EXPECT_NO_THROW(store_->Set(vm::kHeapBase + 2 * kSpan, SafeEntry::Code(0x40), nullptr));
+  EXPECT_EQ(store_->MemoryBytes(), 2 * (2ULL << 20));
 }
 
 INSTANTIATE_TEST_SUITE_P(

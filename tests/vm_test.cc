@@ -6,6 +6,7 @@
 #include "src/core/levee.h"
 #include "src/frontend/compile.h"
 #include "src/ir/builder.h"
+#include "src/support/oom.h"
 #include "src/vm/cache.h"
 #include "src/vm/layout.h"
 #include "src/vm/machine.h"
@@ -88,6 +89,65 @@ TEST(ByteMemoryTest, RemapPermissionsHonourLastMapping) {
   EXPECT_EQ(v, 42u);  // contents survive the permission change
   mem.MapRange(0x3000, 64, /*writable=*/true);  // and back
   EXPECT_EQ(mem.WriteU64(0x3000, 7), MemFault::kNone);
+}
+
+// A stack-sized range that starts mid-chunk spans three directory chunks;
+// mapped_bytes() counts its pages once, however often they are remapped.
+TEST(ByteMemoryTest, StraddlingMapCountsEachPageOnce) {
+  constexpr uint64_t kChunkBytes = ByteMemory::kChunkPages * ByteMemory::kPageBytes;
+  constexpr uint64_t kBytes = 4ULL << 20;
+  const uint64_t start = 5 * kChunkBytes - 3 * ByteMemory::kPageBytes;
+  ByteMemory mem;
+  mem.MapRange(start, kBytes, /*writable=*/true);
+  EXPECT_EQ(mem.mapped_bytes(), 1024 * ByteMemory::kPageBytes);
+  EXPECT_FALSE(mem.IsMapped(start - 1));
+  EXPECT_TRUE(mem.IsMapped(start));
+  EXPECT_TRUE(mem.IsMapped(5 * kChunkBytes));  // the first chunk boundary
+  EXPECT_TRUE(mem.IsMapped(start + kBytes - 1));
+  EXPECT_FALSE(mem.IsMapped(start + kBytes));
+  ASSERT_EQ(mem.WriteU64(start + kBytes - 8, 9), MemFault::kNone);
+
+  mem.MapRange(start, kBytes, /*writable=*/false);  // remap: same pages
+  mem.MapRange(start - ByteMemory::kPageBytes, 2 * ByteMemory::kPageBytes, true);  // one new
+  EXPECT_EQ(mem.mapped_bytes(), 1025 * ByteMemory::kPageBytes);
+  EXPECT_TRUE(mem.IsWritable(start));
+  EXPECT_FALSE(mem.IsWritable(start + ByteMemory::kPageBytes));
+  uint64_t v = 0;
+  ASSERT_EQ(mem.ReadU64(start + kBytes - 8, &v), MemFault::kNone);
+  EXPECT_EQ(v, 9u);
+}
+
+// The loader places constant data on pages no MapRange covered; such a
+// page becomes mapped read-only, and a mapped page keeps its permission.
+TEST(ByteMemoryTest, LoaderWriteMapsUnmappedPagesReadOnly) {
+  ByteMemory mem;
+  const uint64_t value = 0x55;
+  mem.LoaderWrite(0x7000, &value, sizeof(value));
+  EXPECT_EQ(mem.mapped_bytes(), ByteMemory::kPageBytes);
+  EXPECT_TRUE(mem.IsMapped(0x7000));
+  EXPECT_FALSE(mem.IsWritable(0x7000));
+  EXPECT_EQ(mem.WriteU64(0x7000, 1), MemFault::kReadOnly);
+  uint64_t v = 0;
+  ASSERT_EQ(mem.ReadU64(0x7000, &v), MemFault::kNone);
+  EXPECT_EQ(v, value);
+
+  mem.MapRange(0x9000, 8, /*writable=*/true);
+  mem.LoaderWrite(0x9000, &value, sizeof(value));
+  EXPECT_EQ(mem.mapped_bytes(), 2 * ByteMemory::kPageBytes);
+  EXPECT_EQ(mem.WriteU64(0x9000, 1), MemFault::kNone);
+}
+
+// kOomPageAlloc's countdown counts page materialisations. Mapping creates
+// directory chunks, which must not consume it.
+TEST(ByteMemoryTest, AllocFailureCountsPagesNotChunks) {
+  constexpr uint64_t kChunkBytes = ByteMemory::kChunkPages * ByteMemory::kPageBytes;
+  ByteMemory mem;
+  mem.ArmAllocFailure(2);
+  mem.MapRange(0, 3 * kChunkBytes, /*writable=*/true);  // three new chunks
+  EXPECT_EQ(mem.WriteByte(0, 1), MemFault::kNone);
+  EXPECT_EQ(mem.WriteByte(kChunkBytes, 1), MemFault::kNone);
+  EXPECT_EQ(mem.WriteByte(kChunkBytes + 1, 1), MemFault::kNone);  // page already there
+  EXPECT_THROW(mem.WriteByte(2 * kChunkBytes, 1), SimulatedOom);
 }
 
 TEST(CacheTest, RepeatAccessHits) {
