@@ -1,42 +1,35 @@
-// Shared CLI parsing for the bench drivers.
+// Strict CLI parsing for the bench binaries: Parse for bench/suite,
+// ParseFuzz for bench/fuzz (bench/store_micro takes google-benchmark's own
+// flags).
 //
-//   --json       machine-readable output (where the driver supports it)
+// suite:
+//   --json       machine-readable output
 //   --time       print harness wall-clock
 //   --scale N    workload size multiplier, N >= 1 (also accepts "small" == 1)
 //   --jobs N     measurement-cell parallelism; 0 or omitted = hardware
 //                concurrency, 1 = strictly serial (bit-identical tables
 //                either way — only wall-clock changes)
-//   --opt N      post-instrumentation optimization level, 0 or 1 (default
-//                0; every historical table is recorded at O0). Most drivers
-//                measure at the given level; the suite instead keeps its
-//                standard tables at O0 and adds the ablation_opt O0-vs-O1
-//                table.
+//   --opt N      0 or 1 (default 0). The standard tables always run at O0,
+//                every historical table's level; 1 adds the ablation_opt
+//                O0-vs-O1 table.
 //   --engine E   VM execution tier: fused (default), decoded, reference.
 //                Simulated counters — and therefore every table — are
 //                bit-identical across tiers; only wall-clock changes.
-//   --shards N   safe-pointer-store shard count, N >= 1 (default 1 — the
-//                legacy shared store every historical table is recorded at).
-//                Behaviour is shard-count-invariant; cycles model per-shard
-//                contention (see bench/ablation_shards).
-//   --migrate    epoch-based shard-ownership migration (default off — the
-//                static owner table every historical table is recorded
-//                under). Only meaningful with --shards > 1: ownership then
-//                republishes at spawn/join boundaries and readers take the
-//                RCU-style epoch path (see bench/ablation_churn).
-//   --scheme S   a registered scheme name ("cpi") or a composite spec
-//                ("ptrenc+safestack") resolved through
-//                core::SchemeRegistry::FindOrRegisterComposite. Unknown
-//                components and write-conflicting stacks fail with usage +
-//                exit 2, like any other bad argument. Drivers that sweep the
-//                registry ignore it; drivers that evaluate one configuration
-//                (e.g. bench/ripe_effectiveness) consume Flags::scheme.
 //
-// A numeric value that is not a whole number in its range fails with usage
-// + exit 2 as well.
+// fuzz (see bench/fuzz.cc):
+//   --cases N (>= 1)  --seed S  --jobs N  --max-steps N  --inject N
+//   --corpus-dir DIR  --replay FILE  --no-hazards  --no-threads
+//   --no-self-test  --json
+//
+// An unknown argument, a missing value, or a numeric value that is not a
+// whole decimal number in its range prints usage and exits 2, so a typo can
+// never run under a silently substituted value.
 #ifndef CPI_BENCH_FLAGS_H_
 #define CPI_BENCH_FLAGS_H_
 
+#include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,127 +37,148 @@
 #include <string>
 
 #include "src/core/levee.h"
-#include "src/core/scheme.h"
 #include "src/support/pool.h"
 
 namespace cpi::bench {
+
+// One parser's walk over argv.
+struct Args {
+  int argc;
+  char** argv;
+  const char* usage;  // the flag synopsis printed after "usage: argv0"
+  int i = 0;
+
+  bool Next() { return ++i < argc; }
+  bool Is(const char* flag) const { return std::strcmp(argv[i], flag) == 0; }
+
+  [[noreturn]] void Fail(const std::string& reason) const {
+    std::fprintf(stderr, "%s\nusage: %s %s\n", reason.c_str(), argv[0], usage);
+    std::exit(2);
+  }
+
+  // The current flag's value.
+  const char* Value() {
+    if (i + 1 >= argc) {
+      Fail(std::string("missing value for ") + argv[i]);
+    }
+    return argv[++i];
+  }
+};
+
+// The current flag's value as a whole decimal number in [min, max].
+// Anything else (empty, a sign, trailing characters, out of range) fails.
+inline uint64_t ParseCount(Args& args, uint64_t min, uint64_t max) {
+  const std::string name = args.argv[args.i];
+  const char* text = args.Value();
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE ||
+      value < min || value > max) {
+    args.Fail("invalid " + name + ": '" + text + "' (expected an integer in [" +
+              std::to_string(min) + ", " + std::to_string(max) + "])");
+  }
+  return value;
+}
+
+constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
 
 struct Flags {
   bool json = false;
   bool timing = false;
   int scale = 1;
   int jobs = 0;  // resolved to ThreadPool::DefaultJobs() by Parse
-  int opt = 0;   // core::Config::opt_level for the measured cells
+  int opt = 0;   // core::Config::opt_level of the ablation_opt cells
   vm::EngineKind engine = vm::EngineKind::kFused;  // core::Config::engine
-  uint32_t shards = 1;   // core::Config::shards for the measured cells
-  bool migrate = false;  // core::Config::migrate for the measured cells
-  // Resolved --scheme selection (nullptr: not given). Deliberately NOT
-  // applied by BaseConfig: Config::scheme overrides Config::protection, so
-  // auto-applying it would silently pin every cell of a registry-sweeping
-  // driver to one scheme. Drivers opt in where a single-scheme evaluation
-  // makes sense.
-  const core::ProtectionScheme* scheme = nullptr;
 };
 
-// The Config every measured cell starts from under these flags.
-inline core::Config BaseConfig(const Flags& flags) {
-  core::Config config;
-  config.opt_level = flags.opt;
-  config.engine = flags.engine;
-  config.shards = flags.shards;
-  config.migrate = flags.migrate;
-  return config;
-}
-
-inline void PrintUsage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--json] [--time] [--scale N|small] [--jobs N] [--opt N] "
-               "[--engine fused|decoded|reference] [--shards N] [--migrate] "
-               "[--scheme NAME[+NAME...]]\n",
-               argv0);
-}
-
-// The value of numeric flag `name`: a whole decimal number in [min, max].
-// Anything else (empty, trailing characters, out of range) prints usage and
-// exits 2, like any other bad argument, so a typo can never run a table
-// under a silently substituted value.
-inline int ParseCount(const char* name, const char* text, long min, long max,
-                      const char* argv0) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < min || value > max) {
-    std::fprintf(stderr, "invalid %s: '%s' (expected an integer in [%ld, %ld])\n", name, text,
-                 min, max);
-    PrintUsage(argv0);
-    std::exit(2);
-  }
-  return static_cast<int>(value);
-}
-
 inline Flags Parse(int argc, char** argv) {
-  constexpr long kMaxCount = std::numeric_limits<int>::max();
+  Args args{argc, argv,
+            "[--json] [--time] [--scale N|small] [--jobs N] [--opt N] "
+            "[--engine fused|decoded|reference]"};
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
+  while (args.Next()) {
+    if (args.Is("--json")) {
       flags.json = true;
-    } else if (std::strcmp(argv[i], "--time") == 0) {
+    } else if (args.Is("--time")) {
       flags.timing = true;
-    } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      ++i;
-      flags.scale = std::strcmp(argv[i], "small") == 0
-                        ? 1
-                        : ParseCount("--scale", argv[i], 1, kMaxCount, argv[0]);
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      flags.jobs = ParseCount("--jobs", argv[++i], 0, kMaxCount, argv[0]);
-    } else if (std::strcmp(argv[i], "--opt") == 0 && i + 1 < argc) {
-      flags.opt = ParseCount("--opt", argv[++i], 0, 1, argv[0]);
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      flags.shards =
-          static_cast<uint32_t>(ParseCount("--shards", argv[++i], 1, kMaxCount, argv[0]));
-    } else if (std::strcmp(argv[i], "--migrate") == 0) {
-      flags.migrate = true;
-    } else if (std::strcmp(argv[i], "--scheme") == 0 && i + 1 < argc) {
-      ++i;
-      std::string error;
-      flags.scheme = core::SchemeRegistry::FindOrRegisterComposite(argv[i], &error);
-      if (flags.scheme == nullptr) {
-        std::fprintf(stderr, "bad --scheme: %s\n", error.c_str());
-        PrintUsage(argv[0]);
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      ++i;
-      if (std::strcmp(argv[i], "fused") == 0) {
+    } else if (args.Is("--scale") && args.i + 1 < argc &&
+               std::strcmp(argv[args.i + 1], "small") == 0) {
+      ++args.i;  // "small" is scale 1
+    } else if (args.Is("--scale")) {
+      flags.scale = static_cast<int>(ParseCount(args, 1, kMaxInt));
+    } else if (args.Is("--jobs")) {
+      flags.jobs = static_cast<int>(ParseCount(args, 0, kMaxInt));
+    } else if (args.Is("--opt")) {
+      flags.opt = static_cast<int>(ParseCount(args, 0, 1));
+    } else if (args.Is("--engine")) {
+      const std::string engine = args.Value();
+      if (engine == "fused") {
         flags.engine = vm::EngineKind::kFused;
-      } else if (std::strcmp(argv[i], "decoded") == 0) {
+      } else if (engine == "decoded") {
         flags.engine = vm::EngineKind::kDecoded;
-      } else if (std::strcmp(argv[i], "reference") == 0) {
+      } else if (engine == "reference") {
         flags.engine = vm::EngineKind::kReference;
       } else {
-        std::fprintf(stderr, "unknown --engine: %s\n", argv[i]);
-        PrintUsage(argv[0]);
-        std::exit(2);
+        args.Fail("unknown --engine: " + engine);
       }
     } else {
-      // Unknown (or value-less) arguments used to be silently ignored, so a
-      // typo like `--job 4` recorded a whole table under default settings.
-      // Fail loudly instead.
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      PrintUsage(argv[0]);
-      std::exit(2);
+      args.Fail(std::string("unknown argument: ") + argv[args.i]);
     }
   }
   if (flags.jobs == 0) {
     flags.jobs = ThreadPool::DefaultJobs();
   }
-  if (flags.migrate && flags.shards == 1) {
-    // Ownership of a single shard can never migrate: the flag combination is
-    // legal (runs are byte-identical to plain --shards 1) but almost
-    // certainly not what the user meant.
-    std::fprintf(stderr,
-                 "warning: --migrate with --shards 1 is a no-op (nothing to migrate); "
-                 "pass --shards N>1 to enable epoch ownership\n");
+  return flags;
+}
+
+struct FuzzFlags {
+  int cases = 100;
+  uint64_t seed = 1;
+  int jobs = 0;  // 0 = hardware concurrency
+  uint64_t max_steps = 2'000'000;
+  std::string corpus_dir = "fuzz_corpus";
+  std::string replay;
+  uint64_t inject = 0;
+  bool hazards = true;
+  bool threads = true;
+  bool self_test = true;
+  bool json = false;
+};
+
+inline FuzzFlags ParseFuzz(int argc, char** argv) {
+  Args args{argc, argv,
+            "[--cases N] [--seed S] [--jobs N] [--max-steps N]\n"
+            "       [--corpus-dir DIR] [--replay FILE] [--inject N]\n"
+            "       [--no-hazards] [--no-threads] [--no-self-test] [--json]"};
+  FuzzFlags flags;
+  while (args.Next()) {
+    if (args.Is("--cases")) {
+      flags.cases = static_cast<int>(ParseCount(args, 1, kMaxInt));
+    } else if (args.Is("--seed")) {
+      flags.seed = ParseCount(args, 0, kMaxU64);
+    } else if (args.Is("--jobs")) {
+      flags.jobs = static_cast<int>(ParseCount(args, 0, kMaxInt));
+    } else if (args.Is("--max-steps")) {
+      flags.max_steps = ParseCount(args, 0, kMaxU64);
+    } else if (args.Is("--inject")) {
+      flags.inject = ParseCount(args, 0, kMaxU64);
+    } else if (args.Is("--corpus-dir")) {
+      flags.corpus_dir = args.Value();
+    } else if (args.Is("--replay")) {
+      flags.replay = args.Value();
+    } else if (args.Is("--no-hazards")) {
+      flags.hazards = false;
+    } else if (args.Is("--no-threads")) {
+      flags.threads = false;
+    } else if (args.Is("--no-self-test")) {
+      flags.self_test = false;
+    } else if (args.Is("--json")) {
+      flags.json = true;
+    } else {
+      args.Fail(std::string("unknown argument: ") + argv[args.i]);
+    }
   }
   return flags;
 }

@@ -10,8 +10,8 @@
 // the generator's decision trace and written to the corpus directory with an
 // exact repro command.
 //
-// This driver parses its own flags (the campaign surface is disjoint from
-// the measurement drivers' bench/flags.h).
+// Flags (parsed by bench::ParseFuzz in bench/flags.h, which rejects a
+// non-numeric or out-of-range value with usage + exit 2):
 //
 //   --cases N        programs to generate (default 100)
 //   --seed S         base seed; case i uses seed S+i (default 1)
@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/flags.h"
 #include "src/core/scheme.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/differential.h"
@@ -44,76 +45,7 @@
 namespace cpi {
 namespace {
 
-struct FuzzFlags {
-  int cases = 100;
-  uint64_t seed = 1;
-  int jobs = 0;
-  uint64_t max_steps = 2'000'000;
-  std::string corpus_dir = "fuzz_corpus";
-  std::string replay;
-  uint64_t inject = 0;
-  bool hazards = true;
-  bool threads = true;
-  bool self_test = true;
-  bool json = false;
-};
-
-void PrintUsage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--cases N] [--seed S] [--jobs N] [--max-steps N]\n"
-               "       [--corpus-dir DIR] [--replay FILE] [--inject N]\n"
-               "       [--no-hazards] [--no-threads] [--no-self-test] [--json]\n",
-               argv0);
-}
-
-FuzzFlags ParseFlags(int argc, char** argv) {
-  FuzzFlags flags;
-  for (int i = 1; i < argc; ++i) {
-    auto value = [&](uint64_t* out) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", argv[i]);
-        PrintUsage(argv[0]);
-        std::exit(2);
-      }
-      *out = std::strtoull(argv[++i], nullptr, 10);
-    };
-    if (std::strcmp(argv[i], "--cases") == 0) {
-      uint64_t v = 0;
-      value(&v);
-      flags.cases = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      value(&flags.seed);
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      uint64_t v = 0;
-      value(&v);
-      flags.jobs = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--max-steps") == 0) {
-      value(&flags.max_steps);
-    } else if (std::strcmp(argv[i], "--inject") == 0) {
-      value(&flags.inject);
-    } else if (std::strcmp(argv[i], "--corpus-dir") == 0 && i + 1 < argc) {
-      flags.corpus_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--replay") == 0 && i + 1 < argc) {
-      flags.replay = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-hazards") == 0) {
-      flags.hazards = false;
-    } else if (std::strcmp(argv[i], "--no-threads") == 0) {
-      flags.threads = false;
-    } else if (std::strcmp(argv[i], "--no-self-test") == 0) {
-      flags.self_test = false;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      flags.json = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      PrintUsage(argv[0]);
-      std::exit(2);
-    }
-  }
-  if (flags.cases < 1) {
-    flags.cases = 1;
-  }
-  return flags;
-}
+using bench::FuzzFlags;
 
 fuzz::DiffOptions DiffOptionsFor(const FuzzFlags& flags) {
   fuzz::DiffOptions options;
@@ -183,7 +115,7 @@ SelfTestOutcome RunSelfTest(const FuzzFlags& flags, const fuzz::GenOptions& gopt
 }
 
 int Main(int argc, char** argv) {
-  const FuzzFlags flags = ParseFlags(argc, argv);
+  const FuzzFlags flags = bench::ParseFuzz(argc, argv);
   if (!flags.replay.empty()) {
     return Replay(flags, argv[0]);
   }

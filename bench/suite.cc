@@ -1,30 +1,36 @@
-// The unified bench suite: every paper table/figure in one process, sharing
-// one frontend build per workload across all of them, with every
-// (workload × configuration) measurement cell executed across the --jobs
-// thread pool (src/support/pool.h).
+// The bench suite: every paper table and figure in one process.
 //
-//   suite                 human-readable report, all tables
-//   suite --json          one consolidated machine-readable report
+//   suite                 human-readable report, every table
+//   suite --json          one machine-readable report (one table:
+//                         `suite --json | jq .tables.NAME`)
 //   suite --scale N       workload size multiplier ("small" == 1)
 //   suite --jobs N        cell parallelism (default: hardware concurrency)
-//   suite --time          append wall-clock summary to the human report
-//   suite --opt N         additionally emit the ablation_opt table (per-
-//                         scheme overhead with the post-instrumentation
-//                         optimizer off/on). The standard tables always run
-//                         at O0 and stay byte-identical at any --opt value.
+//   suite --time          append the wall-clock summary to the human report
+//   suite --opt N         add the ablation_opt table (per-scheme overhead with
+//                         the post-instrumentation optimizer off/on). Every
+//                         other table runs at O0 and stays byte-identical at
+//                         any --opt value.
+//   suite --engine E      VM tier; tables are bit-identical across tiers
 //
-// Table values are bit-identical to the individual bench binaries at any
-// --jobs value (the cost model is simulated; the pool only changes
-// wall-clock). The JSON layout keeps everything that varies between runs
-// (wall_ms, jobs, host concurrency) outside "tables", so
-// `jq .tables` output is byte-stable and CI diffs it against the committed
-// BENCH_pr4.json baseline (recorded at --opt 1; dropping its ablation_opt
-// table recovers the BENCH_pr3.json O0 payload byte for byte).
+// Each table is declared once, in kTables: its name and a function that
+// requests the cells it needs, reduces them, and returns its JSON and text
+// printers. Every cell goes through one workloads::CellMemo keyed on
+// (workload, canonical Config), and every attack matrix through a memo keyed
+// the same way, so a table asks for its own baselines and a cell another
+// table already ran costs a lookup. Tables run in a fixed order (`run`);
+// each table's wall time charges only the cells it is first to request.
+//
+// Table values are bit-identical at any --jobs value (the cost model is
+// simulated; the pool only changes wall-clock). The JSON keeps everything
+// that varies between runs (wall_ms, table_wall_ms, jobs, host concurrency,
+// fusion counts) outside "tables", so `jq .tables` is byte-stable; CI diffs
+// it against the committed BENCH_pr10.json baseline (recorded at --opt 1).
 //
 // docs/PAPER_MAP.md maps each table emitted here back to the paper.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,6 +38,7 @@
 #include "bench/flags.h"
 #include "src/attacks/ripe.h"
 #include "src/core/scheme.h"
+#include "src/ir/clone.h"
 #include "src/support/stats.h"
 #include "src/support/table.h"
 #include "src/vm/decode.h"
@@ -40,14 +47,19 @@
 namespace {
 
 using cpi::Table;
+using cpi::attacks::AttackResult;
 using cpi::core::Config;
 using cpi::core::Protection;
 using cpi::core::ProtectionScheme;
+using cpi::core::SchemeRegistry;
 using cpi::runtime::StoreKind;
+using cpi::workloads::CellRequest;
 using cpi::workloads::CellResult;
-using cpi::workloads::MeasureCell;
 using cpi::workloads::Measurement;
 using cpi::workloads::Workload;
+
+// values[row][column]
+using Grid = std::vector<std::vector<double>>;
 
 class Stopwatch {
  public:
@@ -60,1054 +72,1133 @@ class Stopwatch {
   Clock::time_point start_ = Clock::now();
 };
 
-const char* SchemeName(Protection p) { return cpi::core::SchemeRegistry::Get(p).name(); }
+const char* SchemeName(Protection p) { return SchemeRegistry::Get(p).name(); }
 
-// ---------------------------------------------------------------------------
-// Per-table data, reduced once and rendered twice (human table / JSON).
-
-struct OverheadTable {  // table1 / table3 / table4 / fig4 shape
-  std::vector<const Measurement*> rows;
-  std::vector<Protection> columns;
-};
-
-struct Fig5Row {
-  const ProtectionScheme* scheme = nullptr;
-  int hijacked = 0;
-  int attacks = 0;
-  bool some_fail = false;
-  bool has_overhead = false;
-  double avg_overhead_pct = 0;
-};
-
-struct AblationIsolation {
-  std::vector<std::string> workloads;
-  // column name -> per-workload overheads (column order fixed below)
-  std::vector<std::pair<std::string, std::vector<double>>> columns;
-};
-
-struct AblationMpx {
-  std::vector<std::string> workloads;
-  std::vector<double> software_pct;
-  std::vector<double> mpx_pct;
-};
-
-struct RipeRow {
-  const ProtectionScheme* scheme = nullptr;
-  int counts[4] = {0, 0, 0, 0};  // AttackOutcome order
-};
-
-// One composite-table row (SchemeRegistry::CompositeTableRows): SPEC
-// overhead column plus both attack matrices, with the auth-abort count
-// (kPointerAuthFailure verdicts) broken out — the ret-chain schemes turn
-// ret-hijacks into exactly these.
-struct CompositeRow {
-  const ProtectionScheme* scheme = nullptr;
-  std::vector<double> overhead_pct;  // per SPEC workload
-  double avg_overhead_pct = 0;
-  RipeRow ripe;
-  RipeRow ripe_concurrent;
-  int ripe_auth_aborts = 0;
-  int ripec_auth_aborts = 0;
-};
-
-struct MemStoreRow {
-  StoreKind store;
-  std::map<Protection, double> median_overhead_pct;
-  std::map<Protection, double> median_safe_store_bytes;
-};
-
-struct AblationOpt {
-  std::vector<std::string> workloads;
-  // scheme -> per-workload {O0, O1} overhead percents
-  std::map<Protection, std::vector<std::pair<double, double>>> overhead_pct;
-};
-
-struct AblationShards {
-  std::vector<uint32_t> shard_counts;
-  std::vector<std::string> workloads;
-  // [workload][shard-count] CPI overhead vs vanilla / contended-op share.
-  std::vector<std::vector<double>> overhead_pct;
-  std::vector<std::vector<double>> contended_pct;
-};
-
-struct AblationChurn {
-  std::vector<uint32_t> shard_counts;
-  std::vector<std::string> workloads;
-  // [workload][shard-count], static ownership vs epoch migration
-  // (Config::migrate). The epoch column's one-time publish charges are
-  // counted in `migrations` (owner changes across the whole run).
-  std::vector<std::vector<double>> static_overhead_pct;
-  std::vector<std::vector<double>> epoch_overhead_pct;
-  std::vector<std::vector<double>> static_contended_pct;
-  std::vector<std::vector<double>> epoch_contended_pct;
-  std::vector<std::vector<uint64_t>> migrations;
-};
-
-// ---------------------------------------------------------------------------
-// JSON emission. Percents use %.3f like the standalone binaries.
-
-void JsonOverheadMap(const Measurement& m, const std::vector<Protection>& columns) {
-  std::printf("\"overhead_pct\":{");
-  bool first = true;
+std::vector<std::string> SchemeNames(const std::vector<Protection>& columns) {
+  std::vector<std::string> names;
   for (Protection p : columns) {
-    if (m.status.count(p) != 0 && m.status.at(p) != cpi::vm::RunStatus::kOk) {
-      continue;
-    }
-    std::printf("%s\"%s\":%.3f", first ? "" : ",", SchemeName(p), m.overhead_pct.at(p));
-    first = false;
+    names.push_back(SchemeName(p));
   }
+  return names;
+}
+
+bool Failed(const Measurement& m, Protection p) {
+  return m.status.count(p) != 0 && m.status.at(p) != cpi::vm::RunStatus::kOk;
+}
+
+std::vector<double> ColumnMeans(const Grid& grid) {
+  std::vector<double> means;
+  for (size_t c = 0; !grid.empty() && c < grid[0].size(); ++c) {
+    std::vector<double> column;
+    for (const auto& row : grid) {
+      column.push_back(row[c]);
+    }
+    means.push_back(cpi::Mean(column));
+  }
+  return means;
+}
+
+std::vector<std::string> Names(const std::vector<const Workload*>& workloads) {
+  std::vector<std::string> names;
+  for (const Workload* w : workloads) {
+    names.push_back(w->name);
+  }
+  return names;
+}
+
+std::vector<const Workload*> Rows(std::initializer_list<const std::vector<Workload>*> sets) {
+  std::vector<const Workload*> rows;
+  for (const auto* set : sets) {
+    for (const Workload& w : *set) {
+      rows.push_back(&w);
+    }
+  }
+  return rows;
+}
+
+// ---------------------------------------------------------------------------
+// The run context every table draws its cells and attack matrices from.
+
+class Suite {
+ public:
+  explicit Suite(const cpi::bench::Flags& flags)
+      : flags(flags), memo(flags.scale, flags.jobs) {}
+
+  const cpi::bench::Flags& flags;
+  cpi::workloads::CellMemo memo;
+  int failures = 0;  // unexpected failing cells (see Overheads)
+
+  // The standard tables' base configuration: O0, every knob at its default
+  // except the engine.
+  Config Base(Protection p = Protection::kNone) const {
+    Config config;
+    config.protection = p;
+    config.engine = flags.engine;
+    return config;
+  }
+
+  // Vanilla plus each of `protections` per workload. Failing columns are
+  // tolerated (they surface in the JSON "fails" arrays) so one bad scheme
+  // cannot abort a long sweep, but each is reported and makes the suite
+  // exit non-zero — except SoftBound, which the paper reports breaking on
+  // unsafe pointer idioms (Table 3).
+  std::vector<Measurement> Overheads(const char* table, const std::vector<Workload>& workloads,
+                                     const std::vector<Protection>& protections) {
+    std::vector<Measurement> ms = memo.Measure(workloads, protections, Base());
+    for (const Measurement& m : ms) {
+      for (const auto& [p, status] : m.status) {
+        if (status != cpi::vm::RunStatus::kOk && p != Protection::kSoftBound) {
+          std::fprintf(stderr, "suite: FAILED cell %s/%s under %s: %s\n", table,
+                       m.workload.c_str(), SchemeName(p), cpi::vm::RunStatusName(status));
+          ++failures;
+        }
+      }
+    }
+    return ms;
+  }
+
+  // Per workload, one cell per config (config 0 is usually the baseline);
+  // every cell must complete. Returns [workload][config].
+  std::vector<std::vector<CellResult>> Sweep(const std::vector<const Workload*>& workloads,
+                                             const std::vector<Config>& configs) {
+    std::vector<CellRequest> cells;
+    for (const Workload* w : workloads) {
+      for (const Config& config : configs) {
+        cells.push_back({w, config});
+      }
+    }
+    const std::vector<CellResult> results = memo.Run(cells);
+    std::vector<std::vector<CellResult>> out;
+    for (size_t wi = 0; wi < workloads.size(); ++wi) {
+      out.emplace_back(results.begin() + wi * configs.size(),
+                       results.begin() + (wi + 1) * configs.size());
+      for (const CellResult& r : out.back()) {
+        CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
+      }
+    }
+    return out;
+  }
+
+  // The RIPE-style matrix (or its cross-thread rows) under `scheme`.
+  const std::vector<AttackResult>& Matrix(const ProtectionScheme* scheme, bool cross_thread) {
+    Config config = Base(scheme->id());
+    config.scheme = scheme;
+    const auto key = cpi::workloads::CanonicalKey(cross_thread ? "ripe_concurrent" : "ripe",
+                                                  config);
+    auto it = matrices_.find(key);
+    if (it == matrices_.end()) {
+      it = matrices_
+               .emplace(key, cross_thread
+                                 ? cpi::attacks::RunCrossThreadMatrix(config, flags.jobs)
+                                 : cpi::attacks::RunAttackMatrix(config, flags.jobs))
+               .first;
+    }
+    return it->second;
+  }
+
+ private:
+  std::map<cpi::workloads::CellKey, std::vector<AttackResult>> matrices_;
+};
+
+// Overhead (%) of columns 1.. of each sweep row against its column 0.
+Grid OverheadGrid(const std::vector<std::vector<CellResult>>& sweep) {
+  Grid grid;
+  for (const auto& row : sweep) {
+    std::vector<double> out;
+    for (size_t c = 1; c < row.size(); ++c) {
+      out.push_back(cpi::OverheadPercent(static_cast<double>(row[c].cycles),
+                                         static_cast<double>(row[0].cycles)));
+    }
+    grid.push_back(std::move(out));
+  }
+  return grid;
+}
+
+// Share (%) of safe-store ops that paid the shard-crossing premium.
+double ContendedPct(const CellResult& r) {
+  return r.safe_store_ops == 0 ? 0.0
+                               : 100.0 * static_cast<double>(r.store_contended_ops) /
+                                     static_cast<double>(r.safe_store_ops);
+}
+
+// ---------------------------------------------------------------------------
+// JSON emission. Percents use %.3f.
+
+// "k0":v0,"k1":v1,... with each value printed by `format`.
+void JsonFields(const std::vector<std::string>& keys, const std::vector<double>& values,
+                const char* format = "%.3f") {
+  for (size_t i = 0; i < keys.size(); ++i) {
+    std::printf("%s\"%s\":", i == 0 ? "" : ",", keys[i].c_str());
+    std::printf(format, values[i]);
+  }
+}
+
+void JsonMap(const std::vector<std::string>& keys, const std::vector<double>& values,
+             const char* format = "%.3f") {
+  std::printf("{");
+  JsonFields(keys, values, format);
   std::printf("}");
 }
 
-void JsonFailList(const Measurement& m, const std::vector<Protection>& columns) {
-  std::printf("\"fails\":[");
-  bool first = true;
-  for (Protection p : columns) {
-    if (m.status.count(p) != 0 && m.status.at(p) != cpi::vm::RunStatus::kOk) {
-      std::printf("%s\"%s\"", first ? "" : ",", SchemeName(p));
-      first = false;
-    }
+// [row(0),row(1),...]
+void JsonArray(size_t n, const std::function<void(size_t)>& row) {
+  std::printf("[");
+  for (size_t i = 0; i < n; ++i) {
+    std::printf("%s", i == 0 ? "" : ",");
+    row(i);
   }
   std::printf("]");
 }
 
-void JsonOverheadTable(const OverheadTable& t, bool lang, bool fails) {
-  std::printf("{\"rows\":[");
-  for (size_t i = 0; i < t.rows.size(); ++i) {
-    const Measurement& m = *t.rows[i];
-    std::printf("%s{\"workload\":\"%s\",", i == 0 ? "" : ",", m.workload.c_str());
+// The table1 / table3 / table4 / fig4 shape.
+void JsonOverheadTable(const std::vector<Measurement>& ms, const std::vector<Protection>& columns,
+                       bool lang, bool fails) {
+  std::printf("{\"rows\":");
+  JsonArray(ms.size(), [&](size_t i) {
+    const Measurement& m = ms[i];
+    std::printf("{\"workload\":\"%s\",", m.workload.c_str());
     if (lang) {
       std::printf("\"lang\":\"%s\",", m.language.c_str());
     }
-    JsonOverheadMap(m, t.columns);
+    std::vector<std::string> keys;
+    std::vector<double> values;
+    std::vector<std::string> failed;
+    for (Protection p : columns) {
+      if (Failed(m, p)) {
+        failed.push_back(std::string("\"") + SchemeName(p) + "\"");
+      } else {
+        keys.push_back(SchemeName(p));
+        values.push_back(m.overhead_pct.at(p));
+      }
+    }
+    std::printf("\"overhead_pct\":");
+    JsonMap(keys, values);
     if (fails) {
-      std::printf(",");
-      JsonFailList(m, t.columns);
+      std::printf(",\"fails\":");
+      JsonArray(failed.size(), [&](size_t k) { std::printf("%s", failed[k].c_str()); });
     }
     std::printf("}");
-  }
-  std::printf("]}");
+  });
+  std::printf("}");
 }
 
 // ---------------------------------------------------------------------------
 // Human rendering.
 
-void PrintOverheadTable(const char* title, const OverheadTable& t, bool lang) {
-  std::printf("%s\n\n", title);
+Table OverheadTable(const std::vector<Measurement>& ms, const std::vector<Protection>& columns,
+                    bool lang) {
   std::vector<std::string> header = {"Benchmark"};
   if (lang) {
     header.push_back("Lang");
   }
-  for (Protection p : t.columns) {
+  for (Protection p : columns) {
     header.push_back(SchemeName(p));
   }
   Table table(header);
-  for (const Measurement* m : t.rows) {
-    std::vector<std::string> row = {m->workload};
+  for (const Measurement& m : ms) {
+    std::vector<std::string> row = {m.workload};
     if (lang) {
-      row.push_back(m->language);
+      row.push_back(m.language);
     }
-    for (Protection p : t.columns) {
-      if (m->status.count(p) != 0 && m->status.at(p) != cpi::vm::RunStatus::kOk) {
-        row.push_back("fails");
-      } else {
-        row.push_back(Table::FormatPercent(m->overhead_pct.at(p)));
-      }
+    for (Protection p : columns) {
+      row.push_back(Failed(m, p) ? "fails" : Table::FormatPercent(m.overhead_pct.at(p)));
     }
     table.AddRow(row);
   }
+  return table;
+}
+
+// Rows of percents plus an Average row of the column means.
+void PrintGrid(std::vector<std::string> header, const std::vector<std::string>& names,
+               const Grid& grid) {
+  Table table(std::move(header));
+  for (size_t wi = 0; wi < names.size(); ++wi) {
+    std::vector<std::string> row = {names[wi]};
+    for (double v : grid[wi]) {
+      row.push_back(Table::FormatPercent(v));
+    }
+    table.AddRow(row);
+  }
+  table.AddSeparator();
+  std::vector<std::string> avg = {"Average"};
+  for (double v : ColumnMeans(grid)) {
+    avg.push_back(Table::FormatPercent(v));
+  }
+  table.AddRow(avg);
   table.Print();
+}
+
+// Columns a0, b0, a1, b1, ...
+Grid Interleave(const Grid& a, const Grid& b) {
+  Grid out;
+  for (size_t wi = 0; wi < a.size(); ++wi) {
+    std::vector<double> row;
+    for (size_t c = 0; c < a[wi].size(); ++c) {
+      row.push_back(a[wi][c]);
+      row.push_back(b[wi][c]);
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// The tables. Each requests its cells, reduces them, and returns printers
+// over the reduced values.
+
+struct Printers {
+  std::function<void()> json;  // the table's value under "tables"
+  std::function<void()> text;  // its section of the human report
+};
+
+Printers Table1(Suite& s) {
+  const auto columns = cpi::workloads::OverheadProtections();
+  const auto ms = s.Overheads("table1_spec_overhead", cpi::workloads::SpecCpu2006(), columns);
+  return {[=] { JsonOverheadTable(ms, columns, /*lang=*/true, /*fails=*/false); },
+          [=] {
+            std::printf("Table 1 / Fig. 3 — SPEC CPU2006 performance overhead\n\n");
+            Table t = OverheadTable(ms, columns, /*lang=*/true);
+            t.AddSeparator();
+            // The paper's headline summary rows.
+            const auto median = +[](const std::vector<double>& xs) { return cpi::Median(xs); };
+            const struct {
+              const char* label;
+              const char* language;  // "" = all
+              double (*reduce)(const std::vector<double>&);
+            } summaries[] = {
+                {"Average (C/C++)", "", cpi::Mean},  {"Median (C/C++)", "", median},
+                {"Maximum (C/C++)", "", cpi::Max},   {"Average (C only)", "C", cpi::Mean},
+                {"Median (C only)", "C", median},    {"Maximum (C only)", "C", cpi::Max},
+            };
+            for (const auto& summary : summaries) {
+              std::vector<std::string> row = {summary.label, ""};
+              for (Protection p : columns) {
+                row.push_back(Table::FormatPercent(summary.reduce(
+                    summary.language[0] == '\0'
+                        ? cpi::workloads::OverheadColumn(ms, p)
+                        : cpi::workloads::OverheadColumnForLanguage(ms, p, summary.language))));
+              }
+              t.AddRow(row);
+            }
+            t.Print();
+            std::printf(
+                "\nPaper reference: SafeStack 0.0%% / CPS 1.9%% / CPI 8.4%% average (C/C++);\n"
+                "C-only averages -0.4%% / 1.2%% / 2.9%%. Expect the same ordering and the\n"
+                "C++ rows (omnetpp, xalancbmk, dealII) dominating CPI. PtrEnc has no paper\n"
+                "counterpart; expect it near CPS (same instrumented ops, PAC-style costs).\n\n");
+          }};
+}
+
+// Under --opt >= 1: CPI's instrumentation counts before/after the optimizer
+// and its per-pass breakdown aggregated over the SPEC set (compile only).
+void PrintCpiOptCounts(Suite& s) {
+  const auto& spec = cpi::workloads::SpecCpu2006();
+  std::printf("CPI instrumentation counts at --opt %d "
+              "(instructions: vanilla / instrumented / optimized)\n\n",
+              s.flags.opt);
+  Config config = s.Base(Protection::kCpi);
+  config.opt_level = s.flags.opt;
+  Table counts({"Benchmark", "Vanilla", "Instrumented", "Optimized", "Removed", "ChecksElim",
+                "StoreOpsElim"});
+  std::map<std::string, cpi::opt::PassStats> per_pass;
+  for (const Workload& w : spec) {
+    auto clone = cpi::ir::CloneModule(s.memo.Built(w));
+    const cpi::core::CompileOutput co = cpi::core::Compiler(config).Instrument(*clone);
+    uint64_t checks = 0;
+    uint64_t store_ops = 0;
+    for (const cpi::opt::PassStats& ps : co.opt.passes) {
+      checks += ps.eliminated_checks;
+      store_ops += ps.eliminated_safe_store_ops;
+      cpi::opt::PassStats& agg = per_pass[ps.pass];
+      agg.pass = ps.pass;
+      agg.removed_instructions += ps.removed_instructions;
+      agg.eliminated_checks += ps.eliminated_checks;
+      agg.eliminated_safe_store_ops += ps.eliminated_safe_store_ops;
+      agg.eliminated_seal_ops += ps.eliminated_seal_ops;
+      agg.forwarded_loads += ps.forwarded_loads;
+      agg.leaf_ret_elisions += ps.leaf_ret_elisions;
+    }
+    counts.AddRow({w.name, std::to_string(co.instructions_before),
+                   std::to_string(co.instructions_after),
+                   std::to_string(co.instructions_after_opt),
+                   std::to_string(co.opt.TotalRemoved()), std::to_string(checks),
+                   std::to_string(store_ops)});
+  }
+  counts.Print();
+  std::printf("\nPer-pass statistics (aggregated over the SPEC set):\n\n");
+  Table passes({"Pass", "Removed", "ChecksElim", "StoreOpsElim", "SealOpsElim",
+                "ForwardedLoads", "LeafRetElisions"});
+  for (const auto& [name, ps] : per_pass) {
+    passes.AddRow({name, std::to_string(ps.removed_instructions),
+                   std::to_string(ps.eliminated_checks),
+                   std::to_string(ps.eliminated_safe_store_ops),
+                   std::to_string(ps.eliminated_seal_ops), std::to_string(ps.forwarded_loads),
+                   std::to_string(ps.leaf_ret_elisions)});
+  }
+  passes.Print();
   std::printf("\n");
 }
+
+// Table 2: static compilation statistics of the vanilla cells.
+Printers Table2(Suite& s) {
+  const auto rows = Rows({&cpi::workloads::SpecCpu2006()});
+  const auto sweep = s.Sweep(rows, {s.Base()});
+  std::vector<std::pair<const Workload*, cpi::analysis::ModuleStats>> stats;
+  for (size_t wi = 0; wi < rows.size(); ++wi) {
+    stats.emplace_back(rows[wi], sweep[wi][0].stats);
+  }
+  return {[=] {
+            std::printf("{\"rows\":");
+            JsonArray(stats.size(), [&](size_t i) {
+              const auto& [w, st] = stats[i];
+              std::printf("{\"workload\":\"%s\",\"lang\":\"%s\",\"fnustack_pct\":%.3f,"
+                          "\"mocps_pct\":%.3f,\"mocpi_pct\":%.3f}",
+                          w->name.c_str(), w->language.c_str(), st.FnuStackPercent(),
+                          st.MoCpsPercent(), st.MoCpiPercent());
+            });
+            std::printf("}");
+          },
+          [=, &s] {
+            std::printf("Table 2 — Levee compilation statistics\n\n");
+            Table t({"Benchmark", "Lang", "FNUStack", "MOCPS", "MOCPI"});
+            for (const auto& [w, st] : stats) {
+              t.AddRow({w->name, w->language, Table::FormatPercent(st.FnuStackPercent()),
+                        Table::FormatPercent(st.MoCpsPercent()),
+                        Table::FormatPercent(st.MoCpiPercent())});
+            }
+            t.Print();
+            std::printf("\nPaper reference: FNUStack 6.9%%-75.8%%, MOCPS 0.1%%-17.5%%, "
+                        "MOCPI 0.1%%-36.6%%;\nMOCPS <= MOCPI on every row, C++ rows "
+                        "highest.\n\n");
+            if (s.flags.opt >= 1) {
+              PrintCpiOptCounts(s);
+            }
+          }};
+}
+
+Printers Table3(Suite& s) {
+  std::vector<Protection> columns = cpi::workloads::OverheadProtections();
+  columns.push_back(Protection::kSoftBound);  // the subject column
+  const auto ms = s.Overheads("table3_softbound", cpi::workloads::SpecCpu2006(), columns);
+  return {[=] { JsonOverheadTable(ms, columns, /*lang=*/false, /*fails=*/true); },
+          [=] {
+            std::printf("Table 3 — Levee vs SoftBound-style full memory safety\n\n");
+            OverheadTable(ms, columns, /*lang=*/false).Print();
+            const auto failures = std::count_if(ms.begin(), ms.end(), [](const Measurement& m) {
+              return Failed(m, Protection::kSoftBound);
+            });
+            std::printf("\nSoftBound failures: %d (the paper likewise reports that many SPEC\n"
+                        "benchmarks do not compile or run under SoftBound).\n"
+                        "Paper reference rows: bzip2 2.8%% CPI vs 90.2%% SoftBound; h264ref\n"
+                        "5.8%% vs 249.4%% — CPI should be an order of magnitude cheaper.\n\n",
+                        static_cast<int>(failures));
+          }};
+}
+
+// The table1-shaped overhead tables over their own workload sets.
+Printers SimpleOverheads(Suite& s, const char* name, const std::vector<Workload>& workloads,
+                         const char* title, const char* footnote) {
+  const auto columns = cpi::workloads::OverheadProtections();
+  const auto ms = s.Overheads(name, workloads, columns);
+  return {[=] { JsonOverheadTable(ms, columns, /*lang=*/false, /*fails=*/false); },
+          [=] {
+            std::printf("%s\n\n", title);
+            OverheadTable(ms, columns, /*lang=*/false).Print();
+            std::printf("\n%s\n", footnote);
+          }};
+}
+
+constexpr const char* kTable4Reference =
+    "Paper reference: static 1.7/8.9/16.9%, wsgi 1.0/4.0/15.3%, dynamic\n"
+    "1.4/15.9/138.8% (SafeStack/CPS/CPI) — expect the same ordering with the\n"
+    "dynamic page dominating CPI, single- and multi-threaded alike.\n";
+
+Printers Table4(Suite& s) {
+  return SimpleOverheads(s, "table4_webserver", cpi::workloads::WebServer(),
+                         "Table 4 — web-server stack throughput overhead", kTable4Reference);
+}
+
+// Table 4's scenarios as multi-worker servers on the VM's thread scheduler
+// (per-thread safe stacks, shared safe store), plus a producer/consumer
+// pair. Deterministic at any --jobs value and scheduler quantum.
+Printers Table4Concurrent(Suite& s) {
+  return SimpleOverheads(s, "table4_concurrent", cpi::workloads::ConcurrentServer(),
+                         "Table 4 (concurrent) — multi-worker servers, simulated threads",
+                         kTable4Reference);
+}
+
+Printers Fig4(Suite& s) {
+  return SimpleOverheads(s, "fig4_phoronix", cpi::workloads::Phoronix(),
+                         "Fig. 4 — Phoronix suite performance overhead",
+                         "Paper reference: most Phoronix overheads within measurement noise "
+                         "for\nSafeStack/CPS; pybench the clear CPI outlier.\n");
+}
+
+// Fig. 5: each defense row's matrix verdict plus its average overhead on
+// the Table-3 subset.
+Printers Fig5(Suite& s) {
+  struct Row {
+    const ProtectionScheme* scheme;
+    int hijacked = 0;
+    int attacks = 0;
+    bool some_fail = false;
+    bool has_overhead = false;
+    double avg_overhead_pct = 0;
+  };
+  std::vector<Workload> subset;  // in SPEC order
+  for (const Workload& w : cpi::workloads::SpecCpu2006()) {
+    for (const char* name : {"401.bzip2", "447.dealII", "458.sjeng", "464.h264ref"}) {
+      if (w.name == name) {
+        subset.push_back(w);
+      }
+    }
+  }
+  const auto defenses = SchemeRegistry::DefenseRows();
+  std::vector<Protection> columns;
+  for (const ProtectionScheme* d : defenses) {
+    columns.push_back(d->id());
+  }
+  const auto ms = s.Overheads("fig5_defense_matrix", subset, columns);
+  std::vector<Row> rows;
+  for (const ProtectionScheme* d : defenses) {
+    Row row{d};
+    for (const AttackResult& r : s.Matrix(d, /*cross_thread=*/false)) {
+      ++row.attacks;
+      row.hijacked += r.Hijacked() ? 1 : 0;
+    }
+    std::vector<double> overheads;
+    for (const Measurement& m : ms) {
+      if (Failed(m, d->id())) {
+        row.some_fail = true;
+      } else {
+        overheads.push_back(m.overhead_pct.at(d->id()));
+      }
+    }
+    row.has_overhead = !overheads.empty();
+    row.avg_overhead_pct = row.has_overhead ? cpi::Mean(overheads) : 0;
+    rows.push_back(row);
+  }
+  return {[=] {
+            std::printf("{\"rows\":");
+            JsonArray(rows.size(), [&](size_t i) {
+              const Row& r = rows[i];
+              std::printf("{\"name\":\"%s\",\"mechanism\":\"%s\",\"hijacked\":%d,"
+                          "\"attacks\":%d,\"stops_all\":%s,\"some_fail\":%s,"
+                          "\"avg_overhead_pct\":",
+                          r.scheme->name(), r.scheme->description(), r.hijacked, r.attacks,
+                          r.hijacked == 0 ? "true" : "false", r.some_fail ? "true" : "false");
+              if (r.has_overhead) {
+                std::printf("%.3f}", r.avg_overhead_pct);
+              } else {
+                std::printf("null}");
+              }
+            });
+            std::printf("}");
+          },
+          [=] {
+            std::printf("Fig. 5 — control-flow hijack defense mechanisms\n\n");
+            Table t({"Mechanism", "Stops all control-flow hijacks?", "Avg overhead"});
+            for (const Row& r : rows) {
+              std::string overhead = r.has_overhead ? Table::FormatPercent(r.avg_overhead_pct)
+                                                    : std::string("n/a");
+              if (r.some_fail) {
+                overhead += " (some fail)";
+              }
+              t.AddRow({r.scheme->description(),
+                        r.hijacked == 0 ? "Yes"
+                                        : "No: " + std::to_string(r.hijacked) + "/" +
+                                              std::to_string(r.attacks) +
+                                              " attacks still hijack",
+                        overhead});
+            }
+            t.Print();
+            std::printf(
+                "\nPaper reference (Fig. 5 avg overheads): memory safety 116%%, CPI 8.4%%,\n"
+                "CPS 1.9%%, SafeStack ~0%%, cookies ~2%%, CFI 20%%. Only memory safety and\n"
+                "CPI stop all hijacks; CPS stops all attacks in practice (all matrix\n"
+                "attacks here); cookies/CFI are bypassed.\n\n");
+          }};
+}
+
+// A per-workload ablation over SPEC: CPI under each variant config, as
+// overhead vs vanilla, with an "average" row.
+Printers SpecAblation(Suite& s, const std::vector<Config>& variants,
+                      const std::vector<std::string>& keys, bool nested, const char* title,
+                      const std::vector<std::string>& header, const char* footnote) {
+  const auto rows = Rows({&cpi::workloads::SpecCpu2006()});
+  std::vector<Config> configs = {s.Base()};
+  configs.insert(configs.end(), variants.begin(), variants.end());
+  const Grid grid = OverheadGrid(s.Sweep(rows, configs));
+  const auto names = Names(rows);
+  const auto fields = [=](const std::vector<double>& values) {
+    if (nested) {
+      std::printf("\"overhead_pct\":");
+      JsonMap(keys, values);
+    } else {
+      JsonFields(keys, values);
+    }
+  };
+  return {[=] {
+            std::printf("{\"rows\":");
+            JsonArray(names.size(), [&](size_t wi) {
+              std::printf("{\"workload\":\"%s\",", names[wi].c_str());
+              fields(grid[wi]);
+              std::printf("}");
+            });
+            std::printf(",\"average\":");
+            JsonMap(keys, ColumnMeans(grid));
+            std::printf("}");
+          },
+          [=] {
+            std::printf("%s\n\n", title);
+            PrintGrid(header, names, grid);
+            std::printf("\n%s\n", footnote);
+          }};
+}
+
+Printers AblationIsolation(Suite& s) {
+  std::vector<Config> variants;
+  for (auto isolation : {cpi::runtime::IsolationKind::kSegment,
+                         cpi::runtime::IsolationKind::kInfoHiding,
+                         cpi::runtime::IsolationKind::kSfi}) {
+    variants.push_back(s.Base(Protection::kCpi));
+    variants.back().isolation = isolation;
+  }
+  return SpecAblation(s, variants, {"segment", "info-hiding", "sfi"}, /*nested=*/true,
+                      "Ablation (§3.2.3) — isolation mechanism cost under CPI",
+                      {"Benchmark", "segment", "info-hiding", "sfi"},
+                      "Paper reference: \"the additional overhead introduced by SFI was less\n"
+                      "than 5%\"; segments and info-hiding are free per-access.\n");
+}
+
+Printers AblationMpx(Suite& s) {
+  Config assisted = s.Base(Protection::kCpi);
+  assisted.mpx_assist = true;
+  return SpecAblation(s, {s.Base(Protection::kCpi), assisted}, {"software_pct", "mpx_pct"},
+                      /*nested=*/false,
+                      "Ablation (§4) — projected hardware-assisted (MPX-style) CPI",
+                      {"Benchmark", "CPI (software)", "CPI (MPX-assisted)"},
+                      "The paper projects (no numbers available at the time) that MPX-style\n"
+                      "hardware \"can reduce the overhead of a software-only CPI\" the way\n"
+                      "HardBound/Watchdog reduced SoftBound's. Expect assisted <= software "
+                      "on\nevery row.\n");
+}
+
+// §5.1: one row per registry RipeRow scheme, or the cross-thread rows
+// (thread A corrupting thread B's saved return address and probing its
+// safe-stack home).
+Printers Ripe(Suite& s, bool cross_thread) {
+  struct Row {
+    const char* name;
+    int counts[4] = {0, 0, 0, 0};  // AttackOutcome order
+  };
+  std::vector<Row> rows;
+  for (const ProtectionScheme* scheme : SchemeRegistry::RipeRows()) {
+    Row row{scheme->name()};
+    for (const AttackResult& r : s.Matrix(scheme, cross_thread)) {
+      ++row.counts[static_cast<int>(r.outcome)];
+    }
+    rows.push_back(row);
+  }
+  const int attacks = static_cast<int>(cross_thread
+                                           ? cpi::attacks::GenerateCrossThreadMatrix().size()
+                                           : cpi::attacks::GenerateAttackMatrix().size());
+  std::vector<std::string> cfi_bypasses;
+  if (!cross_thread) {
+    for (const AttackResult& r : s.Matrix(&SchemeRegistry::Get(Protection::kCfi), false)) {
+      if (r.Hijacked()) {
+        cfi_bypasses.push_back(r.spec.Name());
+      }
+    }
+  }
+  return {[=] {
+            std::printf("{\"attacks\":%d,\"rows\":", attacks);
+            JsonArray(rows.size(), [&](size_t i) {
+              const Row& r = rows[i];
+              std::printf("{\"name\":\"%s\",\"hijacked\":%d,\"prevented\":%d,"
+                          "\"crashed\":%d,\"no_effect\":%d}",
+                          r.name, r.counts[0], r.counts[1], r.counts[2], r.counts[3]);
+            });
+            std::printf("}");
+          },
+          [=] {
+            if (cross_thread) {
+              std::printf("Cross-thread attack matrix: %d combinations (thread A vs thread "
+                          "B)\n\n",
+                          attacks);
+            } else {
+              std::printf("RIPE-style attack matrix (§5.1): %d attack combinations\n\n",
+                          attacks);
+            }
+            Table t({"Protection", "Hijacked", "Prevented", "Crashed", "No effect"});
+            for (const Row& r : rows) {
+              t.AddRow({r.name, std::to_string(r.counts[0]), std::to_string(r.counts[1]),
+                        std::to_string(r.counts[2]), std::to_string(r.counts[3])});
+            }
+            t.Print();
+            if (!cross_thread) {
+              std::printf("\nDetailed CFI bypasses (the [19,15,9]-style attacks):\n");
+              for (const std::string& name : cfi_bypasses) {
+                std::printf("  HIJACKED under CFI: %s\n", name.c_str());
+              }
+              std::printf("\nPaper reference: vanilla Ubuntu 6.06 833-848/850 exploits "
+                          "succeed;\nwith CPS or CPI, none do. Expect 0 hijacks for cps, cpi "
+                          "and ptrenc rows.\n");
+            }
+            std::printf("\n");
+          }};
+}
+
+Printers RipeEffectiveness(Suite& s) { return Ripe(s, /*cross_thread=*/false); }
+Printers RipeConcurrent(Suite& s) { return Ripe(s, /*cross_thread=*/true); }
+
+// Per-scheme SPEC overhead with the post-instrumentation optimizer off and
+// on, each level against its own vanilla baseline.
+Printers AblationOpt(Suite& s) {
+  const auto rows = Rows({&cpi::workloads::SpecCpu2006()});
+  const auto columns = cpi::workloads::OverheadProtections();
+  const auto overheads_at = [&](int level) {
+    std::vector<Config> configs = {s.Base()};
+    for (Protection p : columns) {
+      configs.push_back(s.Base(p));
+    }
+    for (Config& c : configs) {
+      c.opt_level = level;
+    }
+    return OverheadGrid(s.Sweep(rows, configs));
+  };
+  const Grid o0 = overheads_at(0);
+  const Grid on = overheads_at(s.flags.opt);
+  const std::vector<std::string> keys = SchemeNames(columns);
+  const Grid grid = Interleave(o0, on);  // [wi][2 * scheme + level]
+  const auto names = Names(rows);
+  const int opt = s.flags.opt;
+  const auto json_levels = [=](const std::vector<double>& values) {
+    std::printf("{");
+    for (size_t k = 0; k < keys.size(); ++k) {
+      std::printf("%s\"%s\":", k == 0 ? "" : ",", keys[k].c_str());
+      JsonMap({"o0", "o1"}, {values[2 * k], values[2 * k + 1]});
+    }
+    std::printf("}");
+  };
+  return {[=] {
+            std::printf("{\"opt_level\":%d,\"rows\":", opt);
+            JsonArray(names.size(), [&](size_t wi) {
+              std::printf("{\"workload\":\"%s\",\"overhead_pct\":", names[wi].c_str());
+              json_levels(grid[wi]);
+              std::printf("}");
+            });
+            std::printf(",\"average\":");
+            json_levels(ColumnMeans(grid));
+            std::printf("}");
+          },
+          [=] {
+            std::printf("Ablation — post-instrumentation optimizer (overhead at O0 vs O%d)\n\n",
+                        opt);
+            std::vector<std::string> header = {"Benchmark"};
+            for (const std::string& k : keys) {
+              header.push_back(k + " O0");
+              header.push_back(k + " O" + std::to_string(opt));
+            }
+            PrintGrid(header, names, grid);
+            std::printf("\nPaper reference (§5.2): the reported 8.4%% CPI / 1.9%% CPS averages\n"
+                        "assume post-instrumentation optimization; expect every protected\n"
+                        "column to drop from O0 to O%d, most for CPI (redundant safe-store\n"
+                        "gets and dominated bounds checks fold away).\n\n",
+                        opt);
+          }};
+}
+
+// §5.2: median memory overhead and resident safe-store bytes per store
+// organisation and overhead scheme.
+Printers MemOverhead(Suite& s) {
+  struct Row {
+    StoreKind store = StoreKind::kArray;
+    std::vector<double> median_overhead_pct;      // per scheme
+    std::vector<double> median_safe_store_bytes;  // per scheme
+  };
+  const auto rows = Rows({&cpi::workloads::SpecCpu2006()});
+  const auto columns = cpi::workloads::OverheadProtections();
+  const std::vector<std::string> keys = SchemeNames(columns);
+  std::vector<Row> stores;
+  for (StoreKind store : {StoreKind::kHash, StoreKind::kTwoLevel, StoreKind::kArray}) {
+    std::vector<Config> configs = {s.Base()};
+    for (Protection p : columns) {
+      configs.push_back(s.Base(p));
+      configs.back().store = store;
+    }
+    const auto sweep = s.Sweep(rows, configs);
+    Row row;
+    row.store = store;
+    for (size_t pi = 0; pi < columns.size(); ++pi) {
+      std::vector<double> overheads;
+      std::vector<double> bytes;
+      for (const auto& cells : sweep) {
+        overheads.push_back(cpi::OverheadPercent(static_cast<double>(cells[1 + pi].memory_bytes),
+                                                 static_cast<double>(cells[0].memory_bytes)));
+        bytes.push_back(static_cast<double>(cells[1 + pi].safe_store_bytes));
+      }
+      row.median_overhead_pct.push_back(cpi::Median(overheads));
+      row.median_safe_store_bytes.push_back(cpi::Median(bytes));
+    }
+    stores.push_back(row);
+  }
+  return {[=] {
+            std::printf("{\"stores\":");
+            JsonArray(stores.size(), [&](size_t i) {
+              std::printf("{\"store\":\"%s\",\"median_overhead_pct\":",
+                          cpi::runtime::StoreKindName(stores[i].store));
+              JsonMap(keys, stores[i].median_overhead_pct);
+              std::printf(",\"median_safe_store_bytes\":");
+              JsonMap(keys, stores[i].median_safe_store_bytes, "%.0f");
+              std::printf("}");
+            });
+            std::printf("}");
+          },
+          [=] {
+            std::printf("§5.2 — memory overhead of the safe region (median over SPEC "
+                        "models)\n\n");
+            std::vector<std::string> header = {"Configuration"};
+            header.insert(header.end(), keys.begin(), keys.end());
+            Table percents(header);
+            Table bytes(header);
+            for (const Row& row : stores) {
+              const std::string label =
+                  std::string("store = ") + cpi::runtime::StoreKindName(row.store);
+              std::vector<std::string> p = {label};
+              std::vector<std::string> b = {label};
+              for (size_t k = 0; k < keys.size(); ++k) {
+                p.push_back(Table::FormatPercent(row.median_overhead_pct[k]));
+                b.push_back(std::to_string(static_cast<uint64_t>(row.median_safe_store_bytes[k])));
+              }
+              percents.AddRow(p);
+              bytes.AddRow(b);
+            }
+            percents.Print();
+            std::printf("\nMedian resident safe-store bytes (runtime shape per scheme):\n\n");
+            bytes.Print();
+            std::printf(
+                "\nPaper reference (medians): safe stack 0.1%%; CPS 2.1%% hash / 5.6%% array;\n"
+                "CPI 13.9%% hash / 105%% array. Expect hash << array for CPI, CPS well below\n"
+                "CPI for every organisation, and ptrenc at exactly 0 safe-store bytes (its\n"
+                "MACs live in the pointers' own high bits).\n\n");
+          }};
+}
+
+const std::vector<uint32_t> kShardCounts = {1, 2, 4, 8, 16, 64};
+
+// A per-workload, per-shard-count value grid under its JSON key.
+struct ShardGrid {
+  const char* key;
+  Grid values;
+  const char* format = "%.3f";
+};
+
+// {"shard_counts":[...],"rows":[{"workload":W, key:{count:value,...},...}],
+//  "average":{key:{count:mean,...},...}}
+void JsonShardTable(const std::vector<std::string>& names, const std::vector<ShardGrid>& rows,
+                    const std::vector<ShardGrid>& averages) {
+  std::vector<std::string> keys;
+  for (uint32_t shards : kShardCounts) {
+    keys.push_back(std::to_string(shards));
+  }
+  std::printf("{\"shard_counts\":");
+  JsonArray(kShardCounts.size(), [](size_t si) { std::printf("%u", kShardCounts[si]); });
+  std::printf(",\"rows\":");
+  JsonArray(names.size(), [&](size_t wi) {
+    std::printf("{\"workload\":\"%s\"", names[wi].c_str());
+    for (const ShardGrid& g : rows) {
+      std::printf(",\"%s\":", g.key);
+      JsonMap(keys, g.values[wi], g.format);
+    }
+    std::printf("}");
+  });
+  std::printf(",\"average\":{");
+  for (size_t i = 0; i < averages.size(); ++i) {
+    std::printf("%s\"%s\":", i == 0 ? "" : ",", averages[i].key);
+    JsonMap(keys, ColumnMeans(averages[i].values));
+  }
+  std::printf("}}");
+}
+
+// ablation_shards: CPI at each safe-region shard count on the event-loop
+// server plus the concurrent scenarios. S=1 is the historical flat
+// contention model; sharding only re-prices accesses, so the safe-store op
+// count must not move.
+Printers AblationShards(Suite& s) {
+  const auto rows = Rows({&cpi::workloads::EventLoop(), &cpi::workloads::ConcurrentServer()});
+  std::vector<Config> configs = {s.Base()};
+  for (uint32_t shards : kShardCounts) {
+    configs.push_back(s.Base(Protection::kCpi));
+    configs.back().shards = shards;
+  }
+  const auto sweep = s.Sweep(rows, configs);
+  Grid contended;
+  for (const auto& cells : sweep) {
+    std::vector<double> row;
+    for (size_t si = 0; si < kShardCounts.size(); ++si) {
+      CPI_CHECK(cells[1 + si].safe_store_ops == cells[1].safe_store_ops);
+      row.push_back(ContendedPct(cells[1 + si]));
+    }
+    contended.push_back(std::move(row));
+  }
+  const Grid overhead = OverheadGrid(sweep);
+  const auto names = Names(rows);
+  return {[=] {
+            JsonShardTable(names, {{"overhead_pct", overhead}, {"contended_pct", contended}},
+                           {{"overhead_pct", overhead}, {"contended_pct", contended}});
+          },
+          [=] {
+            std::printf("Ablation — safe-region shard count (event-loop + concurrent "
+                        "servers)\n\n");
+            std::vector<std::string> header = {"Benchmark"};
+            for (uint32_t shards : kShardCounts) {
+              header.push_back("S=" + std::to_string(shards));
+            }
+            std::printf("CPI overhead vs vanilla at each shard count:\n\n");
+            PrintGrid(header, names, overhead);
+            std::printf("\nShare of safe-store ops paying the shard-crossing premium:\n\n");
+            PrintGrid(header, names, contended);
+            std::printf("\nS=1 is the historical flat model (every concurrent access pays the\n"
+                        "sync premium); the floor at high shard counts is the workload's true\n"
+                        "cross-thread share of safe-store traffic.\n\n");
+          }};
+}
+
+// ablation_churn: static vs epoch-versioned shard ownership
+// (Config::migrate). The churn server retires and respawns its worker pool
+// so connection cells outlive the generation that allocated them; the
+// ablation_shards workloads ride along to show migration never charges
+// more than the static table. Per shard count: identical safe-store op
+// counts, epoch contended ops <= static, no migrations with the flag off.
+Printers AblationChurn(Suite& s) {
+  const auto rows = Rows({&cpi::workloads::ChurnServer(), &cpi::workloads::EventLoop(),
+                          &cpi::workloads::ConcurrentServer()});
+  std::vector<Config> configs = {s.Base()};
+  for (uint32_t shards : kShardCounts) {
+    for (bool migrate : {false, true}) {
+      configs.push_back(s.Base(Protection::kCpi));
+      configs.back().shards = shards;
+      configs.back().migrate = migrate;
+    }
+  }
+  const auto sweep = s.Sweep(rows, configs);
+  const Grid both = OverheadGrid(sweep);  // [wi][2 * si + migrate]
+  Grid st_over(rows.size()), ep_over(rows.size()), st_cont(rows.size()), ep_cont(rows.size()),
+      migrations(rows.size());
+  uint64_t total_migrations = 0;
+  for (size_t wi = 0; wi < rows.size(); ++wi) {
+    for (size_t si = 0; si < kShardCounts.size(); ++si) {
+      const CellResult& st = sweep[wi][1 + 2 * si];
+      const CellResult& ep = sweep[wi][2 + 2 * si];
+      CPI_CHECK(st.safe_store_ops == sweep[wi][1].safe_store_ops);
+      CPI_CHECK(ep.safe_store_ops == st.safe_store_ops);
+      CPI_CHECK(ep.store_contended_ops <= st.store_contended_ops);
+      CPI_CHECK(st.shard_migrations == 0);
+      st_over[wi].push_back(both[wi][2 * si]);
+      ep_over[wi].push_back(both[wi][2 * si + 1]);
+      st_cont[wi].push_back(ContendedPct(st));
+      ep_cont[wi].push_back(ContendedPct(ep));
+      migrations[wi].push_back(static_cast<double>(ep.shard_migrations));
+      total_migrations += ep.shard_migrations;
+    }
+  }
+  const auto names = Names(rows);
+  return {[=] {
+            JsonShardTable(names,
+                           {{"static_overhead_pct", st_over},
+                            {"epoch_overhead_pct", ep_over},
+                            {"static_contended_pct", st_cont},
+                            {"epoch_contended_pct", ep_cont},
+                            {"migrations", migrations, "%.0f"}},
+                           {{"static_contended_pct", st_cont}, {"epoch_contended_pct", ep_cont}});
+          },
+          [=] {
+            std::printf("Ablation — static vs epoch shard ownership (worker churn)\n\n");
+            std::vector<std::string> header = {"Benchmark"};
+            for (uint32_t shards : kShardCounts) {
+              header.push_back("S=" + std::to_string(shards) + " st");
+              header.push_back("S=" + std::to_string(shards) + " ep");
+            }
+            std::printf("CPI overhead vs vanilla, static (st) vs epoch (ep) ownership:\n\n");
+            PrintGrid(header, names, Interleave(st_over, ep_over));
+            std::printf("\nShare of safe-store ops paying the shard-crossing premium:\n\n");
+            PrintGrid(header, names, Interleave(st_cont, ep_cont));
+            std::printf("\nEpoch publishes charged %llu shard-owner migrations in total\n"
+                        "(one OpCosts::sync each). The st columns reproduce the static\n"
+                        "ablation_shards pricing; the ep columns re-derive owners at every\n"
+                        "spawn/join so worker heirs stop paying for inherited connection\n"
+                        "cells and frozen read-mostly shards stop paying altogether.\n\n",
+                        static_cast<unsigned long long>(total_migrations));
+          }};
+}
+
+// table_composites: the composable schemes (SchemeRegistry::
+// CompositeTableRows) — SPEC overhead plus both attack matrices, with the
+// auth-abort count (kPointerAuthFailure verdicts) broken out; the ret-chain
+// schemes turn ret-hijacks into exactly these. Cells select by
+// Config::scheme, since a composite borrows its first component's
+// Protection id.
+Printers TableComposites(Suite& s) {
+  struct Matrix {
+    int counts[4] = {0, 0, 0, 0};  // AttackOutcome order
+    int auth_aborts = 0;
+  };
+  struct Row {
+    const ProtectionScheme* scheme = nullptr;
+    std::vector<double> overhead_pct;  // per SPEC workload
+    Matrix ripe;
+    Matrix ripe_concurrent;
+  };
+  const auto rows = Rows({&cpi::workloads::SpecCpu2006()});
+  const auto schemes = SchemeRegistry::CompositeTableRows();
+  std::vector<Config> configs = {s.Base()};
+  for (const ProtectionScheme* scheme : schemes) {
+    configs.push_back(s.Base(scheme->id()));
+    configs.back().scheme = scheme;
+  }
+  const Grid grid = OverheadGrid(s.Sweep(rows, configs));
+  std::vector<Row> out;
+  for (size_t si = 0; si < schemes.size(); ++si) {
+    Row row;
+    row.scheme = schemes[si];
+    for (const auto& per_workload : grid) {
+      row.overhead_pct.push_back(per_workload[si]);
+    }
+    for (bool cross_thread : {false, true}) {
+      Matrix& m = cross_thread ? row.ripe_concurrent : row.ripe;
+      for (const AttackResult& r : s.Matrix(schemes[si], cross_thread)) {
+        ++m.counts[static_cast<int>(r.outcome)];
+        m.auth_aborts += r.violation == cpi::runtime::Violation::kPointerAuthFailure ? 1 : 0;
+      }
+    }
+    out.push_back(std::move(row));
+  }
+  const auto names = Names(rows);
+  const int attacks = static_cast<int>(cpi::attacks::GenerateAttackMatrix().size());
+  const int concurrent_attacks =
+      static_cast<int>(cpi::attacks::GenerateCrossThreadMatrix().size());
+  return {[=] {
+            std::printf("{\"attacks\":%d,\"concurrent_attacks\":%d,\"rows\":", attacks,
+                        concurrent_attacks);
+            const auto json_matrix = [](const char* key, const Matrix& m) {
+              std::printf("\"%s\":{\"hijacked\":%d,\"prevented\":%d,\"crashed\":%d,"
+                          "\"no_effect\":%d,\"auth_aborts\":%d}",
+                          key, m.counts[0], m.counts[1], m.counts[2], m.counts[3],
+                          m.auth_aborts);
+            };
+            JsonArray(out.size(), [&](size_t ri) {
+              const Row& row = out[ri];
+              std::printf("{\"name\":\"%s\",\"mechanism\":\"%s\",\"avg_overhead_pct\":%.3f,"
+                          "\"overhead_pct\":",
+                          row.scheme->name(), row.scheme->description(),
+                          cpi::Mean(row.overhead_pct));
+              JsonMap(names, row.overhead_pct);
+              std::printf(",");
+              json_matrix("ripe", row.ripe);
+              std::printf(",");
+              json_matrix("ripe_concurrent", row.ripe_concurrent);
+              std::printf("}");
+            });
+            std::printf("}");
+          },
+          [=] {
+            std::printf("Composite schemes — stacked pipelines (overhead + both matrices)\n\n");
+            Table t({"Scheme", "Avg overhead", "RIPE hijacked", "RIPE auth-aborts",
+                     "X-thread hijacked", "X-thread auth-aborts"});
+            for (const Row& row : out) {
+              t.AddRow({row.scheme->name(), Table::FormatPercent(cpi::Mean(row.overhead_pct)),
+                        std::to_string(row.ripe.counts[0]) + "/" + std::to_string(attacks),
+                        std::to_string(row.ripe.auth_aborts),
+                        std::to_string(row.ripe_concurrent.counts[0]) + "/" +
+                            std::to_string(concurrent_attacks),
+                        std::to_string(row.ripe_concurrent.auth_aborts)});
+            }
+            t.Print();
+            std::printf("\nThe ret-chain rows convert saved-return corruption — including the\n"
+                        "cross-thread variants — into kPointerAuthFailure aborts "
+                        "(auth-aborts).\n\n");
+          }};
+}
+
+// ---------------------------------------------------------------------------
+// Every table, in report order. `run` is the execution order, which decides
+// which table a shared cell is charged to: table1 absorbs the SPEC sweep,
+// table4_concurrent the S=1 cells of ablation_shards, which in turn absorbs
+// most of ablation_churn's static column, and ripe_effectiveness the
+// matrices fig5 reads.
+struct TableDef {
+  const char* name;
+  int run;
+  bool opt_only;  // emitted only at --opt >= 1
+  Printers (*make)(Suite&);
+};
+
+const TableDef kTables[] = {
+    {"table1_spec_overhead", 0, false, Table1},
+    {"table2_compile_stats", 1, false, Table2},
+    {"table3_softbound", 2, false, Table3},
+    {"table4_webserver", 7, false, Table4},
+    {"table4_concurrent", 8, false, Table4Concurrent},
+    {"fig4_phoronix", 6, false, Fig4},
+    {"fig5_defense_matrix", 13, false, Fig5},
+    {"ablation_isolation", 3, false, AblationIsolation},
+    {"ablation_mpx", 4, false, AblationMpx},
+    {"ripe_effectiveness", 11, false, RipeEffectiveness},
+    {"ripe_concurrent", 12, false, RipeConcurrent},
+    {"ablation_opt", 15, true, AblationOpt},
+    {"mem_overhead", 5, false, MemOverhead},
+    {"ablation_shards", 9, false, AblationShards},
+    {"ablation_churn", 10, false, AblationChurn},
+    {"table_composites", 14, false, TableComposites},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const cpi::bench::Flags flags = cpi::bench::Parse(argc, argv);
   const Stopwatch total;
-  // Every measured cell honors --engine. The standard tables stay at O0
-  // regardless of --opt (see bench/flags.h), so this base carries only the
-  // engine knob; tables are bit-identical across engines anyway.
-  Config engine_base;
-  engine_base.engine = flags.engine;
+  Suite suite(flags);
+
+  constexpr size_t kCount = sizeof(kTables) / sizeof(kTables[0]);
+  std::vector<size_t> order;
+  for (size_t i = 0; i < kCount; ++i) {
+    if (!kTables[i].opt_only || flags.opt >= 1) {
+      order.push_back(i);
+    }
+  }
+  std::vector<size_t> run_order = order;
+  std::sort(run_order.begin(), run_order.end(),
+            [](size_t a, size_t b) { return kTables[a].run < kTables[b].run; });
+  std::vector<Printers> printers(kCount);
   std::map<std::string, double> table_wall_ms;
-
-  const std::vector<Protection> overhead_protections = cpi::workloads::OverheadProtections();
-
-  // -------------------------------------------------------------------------
-  // Shared builds + the SPEC sweep. One frontend build per SPEC workload
-  // serves Table 1, Table 2, Table 3, Fig. 5's subset, both ablations and
-  // the §5.2 memory sweep. The measurement adds the SoftBound column to the
-  // overhead schemes so Table 3 falls out of the same sweep.
-  Stopwatch spec_watch;
-  const auto& spec = cpi::workloads::SpecCpu2006();
-  const auto spec_built = cpi::workloads::BuildWorkloads(spec, flags.scale, flags.jobs);
-  const auto spec_views = cpi::workloads::ModuleViews(spec_built);
-
-  std::vector<Protection> spec_protections = overhead_protections;
-  spec_protections.push_back(Protection::kSoftBound);
-  const auto spec_ms = cpi::workloads::MeasureWorkloads(spec, spec_views,
-                                                        spec_protections, engine_base, flags.jobs);
-
-  OverheadTable table1;
-  table1.columns = overhead_protections;
-  for (const auto& m : spec_ms) {
-    table1.rows.push_back(&m);
+  for (size_t i : run_order) {
+    const Stopwatch watch;
+    printers[i] = kTables[i].make(suite);
+    table_wall_ms[kTables[i].name] = watch.Ms();
   }
-  table_wall_ms["table1_spec_overhead"] = spec_watch.Ms();
-
-  OverheadTable table3;
-  table3.columns = spec_protections;
-  table3.rows = table1.rows;
-
-  // -------------------------------------------------------------------------
-  // Table 2: static compilation statistics from the vanilla-cell stats of
-  // the shared sweep (the classification defaults match the standalone
-  // bench).
-  table_wall_ms["table2_compile_stats"] = 0;  // amortised into the SPEC sweep
-
-  // -------------------------------------------------------------------------
-  // Ablations on the shared builds. The "segment" / "software" columns are
-  // plain CPI, already measured by the SPEC sweep; only the variant
-  // configurations add cells.
-  Stopwatch iso_watch;
-  const std::vector<std::pair<std::string, Config>> iso_variants = [&flags] {
-    Config info;
-    info.protection = Protection::kCpi;
-    info.isolation = cpi::runtime::IsolationKind::kInfoHiding;
-    info.engine = flags.engine;
-    Config sfi;
-    sfi.protection = Protection::kCpi;
-    sfi.isolation = cpi::runtime::IsolationKind::kSfi;
-    sfi.engine = flags.engine;
-    return std::vector<std::pair<std::string, Config>>{{"info-hiding", info},
-                                                       {"sfi", sfi}};
-  }();
-  std::vector<MeasureCell> iso_cells;
-  iso_cells.reserve(spec.size() * iso_variants.size());
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    for (const auto& [name, config] : iso_variants) {
-      MeasureCell cell;
-      cell.workload = wi;
-      cell.config = config;
-      iso_cells.push_back(cell);
-    }
-  }
-  const auto iso_results = cpi::workloads::RunCells(spec, spec_views, iso_cells, flags.jobs);
-
-  AblationIsolation iso;
-  iso.columns = {{"segment", {}}, {"info-hiding", {}}, {"sfi", {}}};
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    iso.workloads.push_back(spec[wi].name);
-    iso.columns[0].second.push_back(spec_ms[wi].OverheadPct(Protection::kCpi));
-    for (size_t vi = 0; vi < iso_variants.size(); ++vi) {
-      const CellResult& r = iso_results[wi * iso_variants.size() + vi];
-      CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-      iso.columns[1 + vi].second.push_back(cpi::OverheadPercent(
-          static_cast<double>(r.cycles), static_cast<double>(spec_ms[wi].vanilla_cycles)));
-    }
-  }
-  table_wall_ms["ablation_isolation"] = iso_watch.Ms();
-
-  Stopwatch mpx_watch;
-  std::vector<MeasureCell> mpx_cells;
-  mpx_cells.reserve(spec.size());
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    MeasureCell cell;
-    cell.workload = wi;
-    cell.config.protection = Protection::kCpi;
-    cell.config.mpx_assist = true;
-    cell.config.engine = flags.engine;
-    mpx_cells.push_back(cell);
-  }
-  const auto mpx_results = cpi::workloads::RunCells(spec, spec_views, mpx_cells, flags.jobs);
-
-  AblationMpx mpx;
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    CPI_CHECK(mpx_results[wi].status == cpi::vm::RunStatus::kOk);
-    mpx.workloads.push_back(spec[wi].name);
-    mpx.software_pct.push_back(spec_ms[wi].OverheadPct(Protection::kCpi));
-    mpx.mpx_pct.push_back(
-        cpi::OverheadPercent(static_cast<double>(mpx_results[wi].cycles),
-                             static_cast<double>(spec_ms[wi].vanilla_cycles)));
-  }
-  table_wall_ms["ablation_mpx"] = mpx_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // §5.2 memory sweep on the shared builds (vanilla footprints come from
-  // the SPEC sweep's baseline cells).
-  Stopwatch mem_watch;
-  const std::vector<StoreKind> stores = {StoreKind::kHash, StoreKind::kTwoLevel,
-                                         StoreKind::kArray};
-  std::vector<MeasureCell> mem_cells;
-  mem_cells.reserve(stores.size() * spec.size() * overhead_protections.size());
-  for (StoreKind store : stores) {
-    for (size_t wi = 0; wi < spec.size(); ++wi) {
-      for (Protection p : overhead_protections) {
-        MeasureCell cell;
-        cell.workload = wi;
-        cell.config.protection = p;
-        cell.config.store = store;
-        cell.config.engine = flags.engine;
-        mem_cells.push_back(cell);
-      }
-    }
-  }
-  const auto mem_results = cpi::workloads::RunCells(spec, spec_views, mem_cells, flags.jobs);
-
-  std::vector<MemStoreRow> mem_rows;
-  {
-    size_t ci = 0;
-    for (StoreKind store : stores) {
-      std::map<Protection, std::vector<double>> overheads;
-      std::map<Protection, std::vector<double>> store_bytes;
-      for (size_t wi = 0; wi < spec.size(); ++wi) {
-        const double base_mem = static_cast<double>(spec_ms[wi].vanilla_memory_bytes);
-        for (Protection p : overhead_protections) {
-          const CellResult& r = mem_results[ci++];
-          CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-          overheads[p].push_back(
-              cpi::OverheadPercent(static_cast<double>(r.memory_bytes), base_mem));
-          store_bytes[p].push_back(static_cast<double>(r.safe_store_bytes));
-        }
-      }
-      MemStoreRow row;
-      row.store = store;
-      for (Protection p : overhead_protections) {
-        row.median_overhead_pct[p] = cpi::Median(overheads[p]);
-        row.median_safe_store_bytes[p] = cpi::Median(store_bytes[p]);
-      }
-      mem_rows.push_back(row);
-    }
-  }
-  table_wall_ms["mem_overhead"] = mem_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // Fig. 4 (Phoronix) and Table 4 (web server) — their own workload sets,
-  // built once each.
-  Stopwatch fig4_watch;
-  const auto phoronix_ms = cpi::workloads::MeasureWorkloads(
-      cpi::workloads::Phoronix(), overhead_protections, flags.scale, engine_base,
-      flags.jobs);
-  OverheadTable fig4;
-  fig4.columns = overhead_protections;
-  for (const auto& m : phoronix_ms) {
-    fig4.rows.push_back(&m);
-  }
-  table_wall_ms["fig4_phoronix"] = fig4_watch.Ms();
-
-  Stopwatch table4_watch;
-  const auto web_ms = cpi::workloads::MeasureWorkloads(
-      cpi::workloads::WebServer(), overhead_protections, flags.scale, engine_base,
-      flags.jobs);
-  OverheadTable table4;
-  table4.columns = overhead_protections;
-  for (const auto& m : web_ms) {
-    table4.rows.push_back(&m);
-  }
-  table_wall_ms["table4_webserver"] = table4_watch.Ms();
-
-  // Table 4 "concurrent": the same scenarios as multi-worker servers on the
-  // VM's thread scheduler (per-thread safe stacks, shared safe store), plus
-  // the producer/consumer pair. Deterministic at any --jobs value and any
-  // scheduler quantum — the differential tests enforce both.
-  Stopwatch table4c_watch;
-  const auto& mt_workloads = cpi::workloads::ConcurrentServer();
-  const auto mt_built =
-      cpi::workloads::BuildWorkloads(mt_workloads, flags.scale, flags.jobs);
-  const auto mt_views = cpi::workloads::ModuleViews(mt_built);
-  const auto mt_ms = cpi::workloads::MeasureWorkloads(
-      mt_workloads, mt_views, overhead_protections, engine_base, flags.jobs);
-  OverheadTable table4_concurrent;
-  table4_concurrent.columns = overhead_protections;
-  for (const auto& m : mt_ms) {
-    table4_concurrent.rows.push_back(&m);
-  }
-  table_wall_ms["table4_concurrent"] = table4c_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // ablation_shards: the safe-region shard sweep over the event-loop server
-  // plus the concurrent scenarios (the ConcurrentServer builds are shared
-  // with Table 4). S=1 is the historical flat contention model; the sweep
-  // cross-checks that sharding only re-prices accesses (identical
-  // safe-store op counts at every shard count).
-  Stopwatch shards_watch;
-  const std::vector<uint32_t> shard_counts = {1, 2, 4, 8, 16, 64};
-  const auto& ev_workloads = cpi::workloads::EventLoop();
-  const auto ev_built =
-      cpi::workloads::BuildWorkloads(ev_workloads, flags.scale, flags.jobs);
-  std::vector<Workload> shard_workloads = ev_workloads;
-  std::vector<const cpi::ir::Module*> shard_views =
-      cpi::workloads::ModuleViews(ev_built);
-  for (size_t wi = 0; wi < mt_workloads.size(); ++wi) {
-    shard_workloads.push_back(mt_workloads[wi]);
-    shard_views.push_back(mt_views[wi]);
-  }
-  std::vector<MeasureCell> shard_cells;
-  const size_t shard_stride = 1 + shard_counts.size();
-  shard_cells.reserve(shard_workloads.size() * shard_stride);
-  for (size_t wi = 0; wi < shard_workloads.size(); ++wi) {
-    MeasureCell vanilla;
-    vanilla.workload = wi;
-    vanilla.config = engine_base;
-    shard_cells.push_back(vanilla);
-    for (uint32_t shards : shard_counts) {
-      MeasureCell cell;
-      cell.workload = wi;
-      cell.config = engine_base;
-      cell.config.protection = Protection::kCpi;
-      cell.config.shards = shards;
-      shard_cells.push_back(cell);
-    }
-  }
-  const auto shard_results =
-      cpi::workloads::RunCells(shard_workloads, shard_views, shard_cells, flags.jobs);
-
-  AblationShards shard_ablation;
-  shard_ablation.shard_counts = shard_counts;
-  for (size_t wi = 0; wi < shard_workloads.size(); ++wi) {
-    const CellResult& base = shard_results[wi * shard_stride];
-    CPI_CHECK(base.status == cpi::vm::RunStatus::kOk);
-    shard_ablation.workloads.push_back(shard_workloads[wi].name);
-    std::vector<double> overheads;
-    std::vector<double> contended;
-    for (size_t si = 0; si < shard_counts.size(); ++si) {
-      const CellResult& r = shard_results[wi * shard_stride + 1 + si];
-      CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-      CPI_CHECK(r.safe_store_ops == shard_results[wi * shard_stride + 1].safe_store_ops);
-      overheads.push_back(cpi::OverheadPercent(static_cast<double>(r.cycles),
-                                               static_cast<double>(base.cycles)));
-      contended.push_back(r.safe_store_ops == 0
-                              ? 0.0
-                              : 100.0 * static_cast<double>(r.store_contended_ops) /
-                                    static_cast<double>(r.safe_store_ops));
-    }
-    shard_ablation.overhead_pct.push_back(std::move(overheads));
-    shard_ablation.contended_pct.push_back(std::move(contended));
-  }
-  table_wall_ms["ablation_shards"] = shards_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // ablation_churn: static vs epoch-versioned shard ownership. The churn
-  // server retires and respawns its worker pool so connection cells outlive
-  // the generation that allocated them; the event-loop and concurrent
-  // scenarios ride along (their builds are shared with ablation_shards) to
-  // show migration never charges more than the static table. Per shard
-  // count the sweep runs a static and an epoch (Config::migrate) CPI cell
-  // and cross-checks: identical safe-store op counts, epoch contended ops
-  // <= static, and zero migrations with the flag off.
-  Stopwatch churn_watch;
-  const auto& churn_only = cpi::workloads::ChurnServer();
-  const auto churn_built =
-      cpi::workloads::BuildWorkloads(churn_only, flags.scale, flags.jobs);
-  std::vector<Workload> churn_workloads = churn_only;
-  std::vector<const cpi::ir::Module*> churn_views =
-      cpi::workloads::ModuleViews(churn_built);
-  churn_workloads.reserve(churn_only.size() + shard_workloads.size());
-  churn_views.reserve(churn_only.size() + shard_workloads.size());
-  for (size_t wi = 0; wi < shard_workloads.size(); ++wi) {
-    churn_workloads.push_back(shard_workloads[wi]);
-    churn_views.push_back(shard_views[wi]);
-  }
-  std::vector<MeasureCell> churn_cells;
-  const size_t churn_stride = 1 + 2 * shard_counts.size();
-  churn_cells.reserve(churn_workloads.size() * churn_stride);
-  for (size_t wi = 0; wi < churn_workloads.size(); ++wi) {
-    MeasureCell vanilla;
-    vanilla.workload = wi;
-    vanilla.config = engine_base;
-    churn_cells.push_back(vanilla);
-    for (uint32_t shards : shard_counts) {
-      for (bool migrate : {false, true}) {
-        MeasureCell cell;
-        cell.workload = wi;
-        cell.config = engine_base;
-        cell.config.protection = Protection::kCpi;
-        cell.config.shards = shards;
-        cell.config.migrate = migrate;
-        churn_cells.push_back(cell);
-      }
-    }
-  }
-  const auto churn_results =
-      cpi::workloads::RunCells(churn_workloads, churn_views, churn_cells, flags.jobs);
-
-  AblationChurn churn_ablation;
-  churn_ablation.shard_counts = shard_counts;
-  for (size_t wi = 0; wi < churn_workloads.size(); ++wi) {
-    const CellResult& base = churn_results[wi * churn_stride];
-    CPI_CHECK(base.status == cpi::vm::RunStatus::kOk);
-    churn_ablation.workloads.push_back(churn_workloads[wi].name);
-    std::vector<double> st_over, ep_over, st_cont, ep_cont;
-    std::vector<uint64_t> migrations;
-    for (size_t si = 0; si < shard_counts.size(); ++si) {
-      const CellResult& st = churn_results[wi * churn_stride + 1 + 2 * si];
-      const CellResult& ep = churn_results[wi * churn_stride + 2 + 2 * si];
-      CPI_CHECK(st.status == cpi::vm::RunStatus::kOk);
-      CPI_CHECK(ep.status == cpi::vm::RunStatus::kOk);
-      CPI_CHECK(st.safe_store_ops == churn_results[wi * churn_stride + 1].safe_store_ops);
-      CPI_CHECK(ep.safe_store_ops == st.safe_store_ops);
-      CPI_CHECK(ep.store_contended_ops <= st.store_contended_ops);
-      CPI_CHECK(st.shard_migrations == 0);
-      const double base_cycles = static_cast<double>(base.cycles);
-      const auto contended_share = [](const CellResult& r) {
-        return r.safe_store_ops == 0
-                   ? 0.0
-                   : 100.0 * static_cast<double>(r.store_contended_ops) /
-                         static_cast<double>(r.safe_store_ops);
-      };
-      st_over.push_back(
-          cpi::OverheadPercent(static_cast<double>(st.cycles), base_cycles));
-      ep_over.push_back(
-          cpi::OverheadPercent(static_cast<double>(ep.cycles), base_cycles));
-      st_cont.push_back(contended_share(st));
-      ep_cont.push_back(contended_share(ep));
-      migrations.push_back(ep.shard_migrations);
-    }
-    churn_ablation.static_overhead_pct.push_back(std::move(st_over));
-    churn_ablation.epoch_overhead_pct.push_back(std::move(ep_over));
-    churn_ablation.static_contended_pct.push_back(std::move(st_cont));
-    churn_ablation.epoch_contended_pct.push_back(std::move(ep_cont));
-    churn_ablation.migrations.push_back(std::move(migrations));
-  }
-  table_wall_ms["ablation_churn"] = churn_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // §5.1 RIPE matrix (one row per registry RipeRow) and Fig. 5 (defense
-  // rows: matrix verdict + average overhead on the Table-3 subset).
-  // One row per registry RipeRow scheme; `attacks` reports the matrix size
-  // (the per-scheme result count — identical across schemes, since every
-  // scheme runs the same spec list).
-  const auto run_ripe_table = [&flags](
-      std::vector<cpi::attacks::AttackResult> (*run)(const Config&, int),
-      std::vector<RipeRow>* rows, int* attacks) {
-    for (const ProtectionScheme* s : cpi::core::SchemeRegistry::RipeRows()) {
-      Config config;
-      config.protection = s->id();
-      config.engine = flags.engine;
-      RipeRow row;
-      row.scheme = s;
-      *attacks = 0;
-      for (const auto& r : run(config, flags.jobs)) {
-        ++row.counts[static_cast<int>(r.outcome)];
-        ++*attacks;
-      }
-      rows->push_back(row);
-    }
-  };
-
-  Stopwatch ripe_watch;
-  std::vector<RipeRow> ripe_rows;
-  int ripe_attacks = 0;
-  run_ripe_table(&cpi::attacks::RunAttackMatrix, &ripe_rows, &ripe_attacks);
-  table_wall_ms["ripe_effectiveness"] = ripe_watch.Ms();
-
-  // Cross-thread rows: thread A corrupting thread B's saved return address
-  // (regular slot) and probing its safe-stack home. A separate table so the
-  // historical ripe_effectiveness payload stays byte-identical.
-  Stopwatch ripec_watch;
-  std::vector<RipeRow> ripe_concurrent_rows;
-  int ripe_concurrent_attacks = 0;
-  run_ripe_table(&cpi::attacks::RunCrossThreadMatrix, &ripe_concurrent_rows,
-                 &ripe_concurrent_attacks);
-  table_wall_ms["ripe_concurrent"] = ripec_watch.Ms();
-
-  Stopwatch fig5_watch;
-  const std::vector<std::string> fig5_subset = {"401.bzip2", "447.dealII", "458.sjeng",
-                                                "464.h264ref"};
-  std::vector<size_t> fig5_indices;
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    for (const auto& name : fig5_subset) {
-      if (spec[wi].name == name) {
-        fig5_indices.push_back(wi);
-      }
-    }
-  }
-  // Defense rows not covered by the SPEC sweep (cookies, CFI) get their own
-  // cells against the shared subset builds.
-  const auto defense_rows = cpi::core::SchemeRegistry::DefenseRows();
-  std::vector<Protection> extra_protections;
-  for (const ProtectionScheme* s : defense_rows) {
-    bool covered = false;
-    for (Protection p : spec_protections) {
-      covered = covered || p == s->id();
-    }
-    if (!covered) {
-      extra_protections.push_back(s->id());
-    }
-  }
-  std::vector<Workload> subset_workloads;
-  std::vector<const cpi::ir::Module*> subset_views;
-  for (size_t wi : fig5_indices) {
-    subset_workloads.push_back(spec[wi]);
-    subset_views.push_back(spec_views[wi]);
-  }
-  const auto subset_ms = cpi::workloads::MeasureWorkloads(
-      subset_workloads, subset_views, extra_protections, engine_base, flags.jobs);
-
-  std::vector<Fig5Row> fig5_rows;
-  for (const ProtectionScheme* s : defense_rows) {
-    Fig5Row row;
-    row.scheme = s;
-    // Matrix verdict: reuse the RIPE rows where possible (every built-in
-    // defense row is also a RIPE row), so the matrix runs once per scheme
-    // in the whole suite; a defense-only scheme gets its own matrix run
-    // rather than a silent hijacked=0 default.
-    bool have_matrix = false;
-    for (const RipeRow& r : ripe_rows) {
-      if (r.scheme->id() == s->id()) {
-        row.hijacked = r.counts[0];
-        row.attacks = r.counts[0] + r.counts[1] + r.counts[2] + r.counts[3];
-        have_matrix = true;
-      }
-    }
-    if (!have_matrix) {
-      Config config;
-      config.protection = s->id();
-      config.engine = flags.engine;
-      for (const auto& r : cpi::attacks::RunAttackMatrix(config, flags.jobs)) {
-        ++row.attacks;
-        if (r.Hijacked()) {
-          ++row.hijacked;
-        }
-      }
-    }
-    std::vector<double> overheads;
-    const bool from_spec =
-        std::count(spec_protections.begin(), spec_protections.end(), s->id()) > 0;
-    for (size_t k = 0; k < fig5_indices.size(); ++k) {
-      const Measurement& m = from_spec ? spec_ms[fig5_indices[k]] : subset_ms[k];
-      if (m.status.at(s->id()) != cpi::vm::RunStatus::kOk) {
-        row.some_fail = true;
-        continue;
-      }
-      overheads.push_back(m.overhead_pct.at(s->id()));
-    }
-    if (!overheads.empty()) {
-      row.has_overhead = true;
-      row.avg_overhead_pct = cpi::Mean(overheads);
-    }
-    fig5_rows.push_back(row);
-  }
-  table_wall_ms["fig5_defense_matrix"] = fig5_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // table_composites: the composable-scheme evaluation
-  // (SchemeRegistry::CompositeTableRows — ptrenc-ret-chain and the
-  // registered composites). Cells select by Config::scheme, since a
-  // composite has no Protection id of its own; overheads reuse the shared
-  // SPEC sweep's vanilla baselines, and both attack matrices run per row. A
-  // separate table so every frozen single-scheme table stays byte-identical
-  // (CI recovers the previous payload via del(.table_composites)).
-  Stopwatch comp_watch;
-  const auto composite_schemes = cpi::core::SchemeRegistry::CompositeTableRows();
-  std::vector<MeasureCell> comp_cells;
-  comp_cells.reserve(spec.size() * composite_schemes.size());
-  for (size_t wi = 0; wi < spec.size(); ++wi) {
-    for (const ProtectionScheme* s : composite_schemes) {
-      MeasureCell cell;
-      cell.workload = wi;
-      cell.config.protection = s->id();
-      cell.config.scheme = s;
-      cell.config.engine = flags.engine;
-      comp_cells.push_back(cell);
-    }
-  }
-  const auto comp_results = cpi::workloads::RunCells(spec, spec_views, comp_cells, flags.jobs);
-
-  std::vector<CompositeRow> composite_rows;
-  for (size_t si = 0; si < composite_schemes.size(); ++si) {
-    const ProtectionScheme* s = composite_schemes[si];
-    CompositeRow row;
-    row.scheme = s;
-    for (size_t wi = 0; wi < spec.size(); ++wi) {
-      const CellResult& r = comp_results[wi * composite_schemes.size() + si];
-      CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-      row.overhead_pct.push_back(cpi::OverheadPercent(
-          static_cast<double>(r.cycles), static_cast<double>(spec_ms[wi].vanilla_cycles)));
-    }
-    row.avg_overhead_pct = cpi::Mean(row.overhead_pct);
-
-    Config config;
-    config.protection = s->id();
-    config.scheme = s;
-    config.engine = flags.engine;
-    row.ripe.scheme = s;
-    for (const auto& r : cpi::attacks::RunAttackMatrix(config, flags.jobs)) {
-      ++row.ripe.counts[static_cast<int>(r.outcome)];
-      if (r.violation == cpi::runtime::Violation::kPointerAuthFailure) {
-        ++row.ripe_auth_aborts;
-      }
-    }
-    row.ripe_concurrent.scheme = s;
-    for (const auto& r : cpi::attacks::RunCrossThreadMatrix(config, flags.jobs)) {
-      ++row.ripe_concurrent.counts[static_cast<int>(r.outcome)];
-      if (r.violation == cpi::runtime::Violation::kPointerAuthFailure) {
-        ++row.ripec_auth_aborts;
-      }
-    }
-    composite_rows.push_back(std::move(row));
-  }
-  table_wall_ms["table_composites"] = comp_watch.Ms();
-
-  // -------------------------------------------------------------------------
-  // ablation_opt (--opt >= 1 only): per-scheme overhead with the
-  // post-instrumentation optimizer off and on. The standard tables above
-  // always run at O0 — they are the paper baselines and stay byte-identical
-  // at any --opt value; this table adds the O1 cells (overheads at each
-  // level are computed against the same-level vanilla baseline). The O0
-  // column is reused from the shared SPEC sweep.
-  AblationOpt opt_ablation;
-  if (flags.opt >= 1) {
-    Stopwatch opt_watch;
-    std::vector<MeasureCell> opt_cells;
-    const size_t opt_stride = 1 + overhead_protections.size();
-    opt_cells.reserve(spec.size() * opt_stride);
-    for (size_t wi = 0; wi < spec.size(); ++wi) {
-      MeasureCell vanilla;
-      vanilla.workload = wi;
-      vanilla.config.opt_level = flags.opt;
-      vanilla.config.engine = flags.engine;
-      opt_cells.push_back(vanilla);
-      for (Protection p : overhead_protections) {
-        MeasureCell cell;
-        cell.workload = wi;
-        cell.config.protection = p;
-        cell.config.opt_level = flags.opt;
-        cell.config.engine = flags.engine;
-        opt_cells.push_back(cell);
-      }
-    }
-    const auto opt_results =
-        cpi::workloads::RunCells(spec, spec_views, opt_cells, flags.jobs);
-    for (size_t wi = 0; wi < spec.size(); ++wi) {
-      opt_ablation.workloads.push_back(spec[wi].name);
-      const CellResult& vanilla = opt_results[wi * opt_stride];
-      CPI_CHECK(vanilla.status == cpi::vm::RunStatus::kOk);
-      for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
-        const Protection p = overhead_protections[pi];
-        const CellResult& r = opt_results[wi * opt_stride + 1 + pi];
-        CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
-        opt_ablation.overhead_pct[p].push_back(
-            {spec_ms[wi].OverheadPct(p),
-             cpi::OverheadPercent(static_cast<double>(r.cycles),
-                                  static_cast<double>(vanilla.cycles))});
-      }
-    }
-    table_wall_ms["ablation_opt"] = opt_watch.Ms();
-  }
-
   const double wall_ms = total.Ms();
 
-  // -------------------------------------------------------------------------
-  // Failure audit. The overhead tables tolerate failing cells (they surface
-  // in the JSON "fails" arrays) so one bad scheme cannot abort a long sweep,
-  // but the suite as a whole must not exit 0 when a cell silently failed.
-  // SoftBound is the documented exemption: the paper reports it breaking on
-  // unsafe pointer idioms (Table 3), and the recorded baselines carry those
-  // cells as fails:["softbound"].
-  int unexpected_failures = 0;
-  const auto audit = [&unexpected_failures](const char* table,
-                                            const std::vector<Measurement>& ms) {
-    for (const Measurement& m : ms) {
-      for (const auto& [p, st] : m.status) {
-        if (st == cpi::vm::RunStatus::kOk || p == Protection::kSoftBound) {
-          continue;
-        }
-        std::fprintf(stderr, "suite: FAILED cell %s/%s under %s: %s\n", table,
-                     m.workload.c_str(), SchemeName(p), cpi::vm::RunStatusName(st));
-        ++unexpected_failures;
-      }
-    }
-  };
-  audit("table1/table3", spec_ms);
-  audit("fig4_phoronix", phoronix_ms);
-  audit("table4_webserver", web_ms);
-  audit("table4_concurrent", mt_ms);
-  audit("fig5_subset", subset_ms);
-  if (unexpected_failures != 0) {
+  if (suite.failures != 0) {
     std::fprintf(stderr, "suite: %d unexpected cell failure(s); exiting non-zero\n",
-                 unexpected_failures);
+                 suite.failures);
   }
-  const int exit_code = unexpected_failures == 0 ? 0 : 1;
+  const int exit_code = suite.failures == 0 ? 0 : 1;
 
-  // -------------------------------------------------------------------------
-  // JSON report.
   if (flags.json) {
     std::printf("{\"bench\":\"suite\",\"scale\":%d,\"jobs\":%d,"
                 "\"hardware_concurrency\":%d,\"wall_ms\":%.1f,\"table_wall_ms\":{",
                 flags.scale, flags.jobs, cpi::ThreadPool::DefaultJobs(), wall_ms);
-    {
-      bool first = true;
-      for (const auto& [name, ms] : table_wall_ms) {
-        std::printf("%s\"%s\":%.1f", first ? "" : ",", name.c_str(), ms);
-        first = false;
-      }
+    bool first = true;
+    for (const auto& [name, ms] : table_wall_ms) {
+      std::printf("%s\"%s\":%.1f", first ? "" : ",", name.c_str(), ms);
+      first = false;
     }
     std::printf("},\"tables\":{");
-
-    std::printf("\"table1_spec_overhead\":");
-    JsonOverheadTable(table1, /*lang=*/true, /*fails=*/false);
-
-    std::printf(",\"table2_compile_stats\":{\"rows\":[");
-    for (size_t i = 0; i < spec_ms.size(); ++i) {
-      const Measurement& m = spec_ms[i];
-      std::printf("%s{\"workload\":\"%s\",\"lang\":\"%s\",\"fnustack_pct\":%.3f,"
-                  "\"mocps_pct\":%.3f,\"mocpi_pct\":%.3f}",
-                  i == 0 ? "" : ",", m.workload.c_str(), m.language.c_str(),
-                  m.stats.FnuStackPercent(), m.stats.MoCpsPercent(),
-                  m.stats.MoCpiPercent());
+    for (size_t k = 0; k < order.size(); ++k) {
+      std::printf("%s\"%s\":", k == 0 ? "" : ",", kTables[order[k]].name);
+      printers[order[k]].json();
     }
-    std::printf("]}");
-
-    std::printf(",\"table3_softbound\":");
-    JsonOverheadTable(table3, /*lang=*/false, /*fails=*/true);
-
-    std::printf(",\"table4_webserver\":");
-    JsonOverheadTable(table4, /*lang=*/false, /*fails=*/false);
-
-    std::printf(",\"table4_concurrent\":");
-    JsonOverheadTable(table4_concurrent, /*lang=*/false, /*fails=*/false);
-
-    std::printf(",\"fig4_phoronix\":");
-    JsonOverheadTable(fig4, /*lang=*/false, /*fails=*/false);
-
-    std::printf(",\"fig5_defense_matrix\":{\"rows\":[");
-    for (size_t i = 0; i < fig5_rows.size(); ++i) {
-      const Fig5Row& r = fig5_rows[i];
-      std::printf("%s{\"name\":\"%s\",\"mechanism\":\"%s\",\"hijacked\":%d,"
-                  "\"attacks\":%d,\"stops_all\":%s,\"some_fail\":%s,"
-                  "\"avg_overhead_pct\":",
-                  i == 0 ? "" : ",", r.scheme->name(), r.scheme->description(),
-                  r.hijacked, r.attacks, r.hijacked == 0 ? "true" : "false",
-                  r.some_fail ? "true" : "false");
-      if (r.has_overhead) {
-        std::printf("%.3f}", r.avg_overhead_pct);
-      } else {
-        std::printf("null}");
-      }
-    }
-    std::printf("]}");
-
-    std::printf(",\"ablation_isolation\":{\"rows\":[");
-    for (size_t wi = 0; wi < iso.workloads.size(); ++wi) {
-      std::printf("%s{\"workload\":\"%s\",\"overhead_pct\":{", wi == 0 ? "" : ",",
-                  iso.workloads[wi].c_str());
-      for (size_t c = 0; c < iso.columns.size(); ++c) {
-        std::printf("%s\"%s\":%.3f", c == 0 ? "" : ",", iso.columns[c].first.c_str(),
-                    iso.columns[c].second[wi]);
-      }
-      std::printf("}}");
-    }
-    std::printf("],\"average\":{");
-    for (size_t c = 0; c < iso.columns.size(); ++c) {
-      std::printf("%s\"%s\":%.3f", c == 0 ? "" : ",", iso.columns[c].first.c_str(),
-                  cpi::Mean(iso.columns[c].second));
-    }
-    std::printf("}}");
-
-    std::printf(",\"ablation_mpx\":{\"rows\":[");
-    for (size_t wi = 0; wi < mpx.workloads.size(); ++wi) {
-      std::printf("%s{\"workload\":\"%s\",\"software_pct\":%.3f,\"mpx_pct\":%.3f}",
-                  wi == 0 ? "" : ",", mpx.workloads[wi].c_str(), mpx.software_pct[wi],
-                  mpx.mpx_pct[wi]);
-    }
-    std::printf("],\"average\":{\"software_pct\":%.3f,\"mpx_pct\":%.3f}}",
-                cpi::Mean(mpx.software_pct), cpi::Mean(mpx.mpx_pct));
-
-    std::printf(",\"ripe_effectiveness\":{\"attacks\":%d,\"rows\":[", ripe_attacks);
-    for (size_t i = 0; i < ripe_rows.size(); ++i) {
-      const RipeRow& r = ripe_rows[i];
-      std::printf("%s{\"name\":\"%s\",\"hijacked\":%d,\"prevented\":%d,"
-                  "\"crashed\":%d,\"no_effect\":%d}",
-                  i == 0 ? "" : ",", r.scheme->name(), r.counts[0], r.counts[1],
-                  r.counts[2], r.counts[3]);
-    }
-    std::printf("]}");
-
-    std::printf(",\"ripe_concurrent\":{\"attacks\":%d,\"rows\":[",
-                ripe_concurrent_attacks);
-    for (size_t i = 0; i < ripe_concurrent_rows.size(); ++i) {
-      const RipeRow& r = ripe_concurrent_rows[i];
-      std::printf("%s{\"name\":\"%s\",\"hijacked\":%d,\"prevented\":%d,"
-                  "\"crashed\":%d,\"no_effect\":%d}",
-                  i == 0 ? "" : ",", r.scheme->name(), r.counts[0], r.counts[1],
-                  r.counts[2], r.counts[3]);
-    }
-    std::printf("]}");
-
-    if (flags.opt >= 1) {
-      std::printf(",\"ablation_opt\":{\"opt_level\":%d,\"rows\":[", flags.opt);
-      for (size_t wi = 0; wi < opt_ablation.workloads.size(); ++wi) {
-        std::printf("%s{\"workload\":\"%s\",\"overhead_pct\":{", wi == 0 ? "" : ",",
-                    opt_ablation.workloads[wi].c_str());
-        for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
-          const Protection p = overhead_protections[pi];
-          const auto& [o0, o1] = opt_ablation.overhead_pct.at(p)[wi];
-          std::printf("%s\"%s\":{\"o0\":%.3f,\"o1\":%.3f}", pi == 0 ? "" : ",",
-                      SchemeName(p), o0, o1);
-        }
-        std::printf("}}");
-      }
-      std::printf("],\"average\":{");
-      for (size_t pi = 0; pi < overhead_protections.size(); ++pi) {
-        const Protection p = overhead_protections[pi];
-        std::vector<double> o0s;
-        std::vector<double> o1s;
-        for (const auto& [o0, o1] : opt_ablation.overhead_pct.at(p)) {
-          o0s.push_back(o0);
-          o1s.push_back(o1);
-        }
-        std::printf("%s\"%s\":{\"o0\":%.3f,\"o1\":%.3f}", pi == 0 ? "" : ",",
-                    SchemeName(p), cpi::Mean(o0s), cpi::Mean(o1s));
-      }
-      std::printf("}}");
-    }
-
-    std::printf(",\"mem_overhead\":{\"stores\":[");
-    for (size_t i = 0; i < mem_rows.size(); ++i) {
-      std::printf("%s{\"store\":\"%s\",\"median_overhead_pct\":{", i == 0 ? "" : ",",
-                  cpi::runtime::StoreKindName(mem_rows[i].store));
-      for (size_t j = 0; j < overhead_protections.size(); ++j) {
-        const Protection p = overhead_protections[j];
-        std::printf("%s\"%s\":%.3f", j == 0 ? "" : ",", SchemeName(p),
-                    mem_rows[i].median_overhead_pct.at(p));
-      }
-      std::printf("},\"median_safe_store_bytes\":{");
-      for (size_t j = 0; j < overhead_protections.size(); ++j) {
-        const Protection p = overhead_protections[j];
-        std::printf("%s\"%s\":%.0f", j == 0 ? "" : ",", SchemeName(p),
-                    mem_rows[i].median_safe_store_bytes.at(p));
-      }
-      std::printf("}}");
-    }
-    std::printf("]}");
-
-    std::printf(",\"ablation_shards\":{\"shard_counts\":[");
-    for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-      std::printf("%s%u", si == 0 ? "" : ",", shard_ablation.shard_counts[si]);
-    }
-    std::printf("],\"rows\":[");
-    for (size_t wi = 0; wi < shard_ablation.workloads.size(); ++wi) {
-      std::printf("%s{\"workload\":\"%s\",\"overhead_pct\":{", wi == 0 ? "" : ",",
-                  shard_ablation.workloads[wi].c_str());
-      for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-        std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",",
-                    shard_ablation.shard_counts[si],
-                    shard_ablation.overhead_pct[wi][si]);
-      }
-      std::printf("},\"contended_pct\":{");
-      for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-        std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",",
-                    shard_ablation.shard_counts[si],
-                    shard_ablation.contended_pct[wi][si]);
-      }
-      std::printf("}}");
-    }
-    std::printf("],\"average\":{\"overhead_pct\":{");
-    const auto shard_column_mean = [&shard_ablation](
-        const std::vector<std::vector<double>>& rows, size_t si) {
-      std::vector<double> col;
-      for (size_t wi = 0; wi < shard_ablation.workloads.size(); ++wi) {
-        col.push_back(rows[wi][si]);
-      }
-      return cpi::Mean(col);
-    };
-    for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-      std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",", shard_ablation.shard_counts[si],
-                  shard_column_mean(shard_ablation.overhead_pct, si));
-    }
-    std::printf("},\"contended_pct\":{");
-    for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-      std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",", shard_ablation.shard_counts[si],
-                  shard_column_mean(shard_ablation.contended_pct, si));
-    }
-    std::printf("}}}");
-
-    std::printf(",\"ablation_churn\":{\"shard_counts\":[");
-    for (size_t si = 0; si < churn_ablation.shard_counts.size(); ++si) {
-      std::printf("%s%u", si == 0 ? "" : ",", churn_ablation.shard_counts[si]);
-    }
-    std::printf("],\"rows\":[");
-    const auto print_churn_map = [&](const char* key,
-                                     const std::vector<double>& vals) {
-      std::printf("\"%s\":{", key);
-      for (size_t si = 0; si < churn_ablation.shard_counts.size(); ++si) {
-        std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",",
-                    churn_ablation.shard_counts[si], vals[si]);
-      }
-      std::printf("}");
-    };
-    for (size_t wi = 0; wi < churn_ablation.workloads.size(); ++wi) {
-      std::printf("%s{\"workload\":\"%s\",", wi == 0 ? "" : ",",
-                  churn_ablation.workloads[wi].c_str());
-      print_churn_map("static_overhead_pct", churn_ablation.static_overhead_pct[wi]);
-      std::printf(",");
-      print_churn_map("epoch_overhead_pct", churn_ablation.epoch_overhead_pct[wi]);
-      std::printf(",");
-      print_churn_map("static_contended_pct", churn_ablation.static_contended_pct[wi]);
-      std::printf(",");
-      print_churn_map("epoch_contended_pct", churn_ablation.epoch_contended_pct[wi]);
-      std::printf(",\"migrations\":{");
-      for (size_t si = 0; si < churn_ablation.shard_counts.size(); ++si) {
-        std::printf("%s\"%u\":%llu", si == 0 ? "" : ",",
-                    churn_ablation.shard_counts[si],
-                    static_cast<unsigned long long>(churn_ablation.migrations[wi][si]));
-      }
-      std::printf("}}");
-    }
-    std::printf("],\"average\":{");
-    const auto churn_column_mean = [&churn_ablation](
-        const std::vector<std::vector<double>>& rows, size_t si) {
-      std::vector<double> col;
-      for (size_t wi = 0; wi < churn_ablation.workloads.size(); ++wi) {
-        col.push_back(rows[wi][si]);
-      }
-      return cpi::Mean(col);
-    };
-    const auto print_churn_avg = [&](const char* key,
-                                     const std::vector<std::vector<double>>& rows) {
-      std::printf("\"%s\":{", key);
-      for (size_t si = 0; si < churn_ablation.shard_counts.size(); ++si) {
-        std::printf("%s\"%u\":%.3f", si == 0 ? "" : ",",
-                    churn_ablation.shard_counts[si], churn_column_mean(rows, si));
-      }
-      std::printf("}");
-    };
-    print_churn_avg("static_contended_pct", churn_ablation.static_contended_pct);
-    std::printf(",");
-    print_churn_avg("epoch_contended_pct", churn_ablation.epoch_contended_pct);
-    std::printf("}}");
-
-    std::printf(",\"table_composites\":{\"attacks\":%d,\"concurrent_attacks\":%d,"
-                "\"rows\":[",
-                ripe_attacks, ripe_concurrent_attacks);
-    const auto print_composite_ripe = [](const char* key, const RipeRow& r,
-                                         int auth_aborts) {
-      std::printf("\"%s\":{\"hijacked\":%d,\"prevented\":%d,\"crashed\":%d,"
-                  "\"no_effect\":%d,\"auth_aborts\":%d}",
-                  key, r.counts[0], r.counts[1], r.counts[2], r.counts[3],
-                  auth_aborts);
-    };
-    for (size_t ri = 0; ri < composite_rows.size(); ++ri) {
-      const CompositeRow& row = composite_rows[ri];
-      std::printf("%s{\"name\":\"%s\",\"mechanism\":\"%s\",", ri == 0 ? "" : ",",
-                  row.scheme->name(), row.scheme->description());
-      std::printf("\"avg_overhead_pct\":%.3f,\"overhead_pct\":{",
-                  row.avg_overhead_pct);
-      for (size_t wi = 0; wi < spec.size(); ++wi) {
-        std::printf("%s\"%s\":%.3f", wi == 0 ? "" : ",", spec[wi].name.c_str(),
-                    row.overhead_pct[wi]);
-      }
-      std::printf("},");
-      print_composite_ripe("ripe", row.ripe, row.ripe_auth_aborts);
-      std::printf(",");
-      print_composite_ripe("ripe_concurrent", row.ripe_concurrent,
-                           row.ripec_auth_aborts);
-      std::printf("}");
-    }
-    std::printf("]}");
-
     std::printf("}");  // closes "tables" — byte-identical across engines
 
     // Fusion statistics live OUTSIDE .tables: they describe the execution
@@ -1115,332 +1206,31 @@ int main(int argc, char** argv) {
     // tables never do.
     const cpi::vm::FusionStats fusion = cpi::vm::GetFusionStats();
     std::printf(",\"engine\":\"%s\",\"fusion\":{\"modules\":%llu,"
-                "\"ops_before\":%llu,\"ops_after\":%llu,\"patterns\":[",
+                "\"ops_before\":%llu,\"ops_after\":%llu,\"patterns\":",
                 cpi::vm::EngineKindName(flags.engine),
                 static_cast<unsigned long long>(fusion.modules),
                 static_cast<unsigned long long>(fusion.ops_before),
                 static_cast<unsigned long long>(fusion.ops_after));
-    const size_t npat = std::min<size_t>(fusion.patterns.size(), 10);
-    for (size_t i = 0; i < npat; ++i) {
+    JsonArray(std::min<size_t>(fusion.patterns.size(), 10), [&](size_t i) {
       const cpi::vm::FusionPatternStat& ps = fusion.patterns[i];
-      std::printf("%s{\"name\":\"%s\",\"sites\":%llu,\"weight\":%llu,"
-                  "\"hits\":%llu}",
-                  i == 0 ? "" : ",", ps.name.c_str(),
-                  static_cast<unsigned long long>(ps.sites),
+      std::printf("{\"name\":\"%s\",\"sites\":%llu,\"weight\":%llu,\"hits\":%llu}",
+                  ps.name.c_str(), static_cast<unsigned long long>(ps.sites),
                   static_cast<unsigned long long>(ps.weight),
                   static_cast<unsigned long long>(ps.hits));
-    }
-    std::printf("]}}\n");
+    });
+    std::printf("}}\n");
     return exit_code;
   }
 
-  // -------------------------------------------------------------------------
-  // Human report.
   std::printf("Unified bench suite — all paper tables, one process "
               "(scale %d, jobs %d)\n\n",
               flags.scale, flags.jobs);
-
-  std::printf("Table 1 / Fig. 3 — SPEC CPU2006 performance overhead\n\n");
-  {
-    std::vector<std::string> header = {"Benchmark", "Lang"};
-    for (Protection p : table1.columns) {
-      header.push_back(SchemeName(p));
-    }
-    Table t(header);
-    for (const Measurement* m : table1.rows) {
-      std::vector<std::string> row = {m->workload, m->language};
-      for (Protection p : table1.columns) {
-        row.push_back(Table::FormatPercent(m->OverheadPct(p)));
-      }
-      t.AddRow(row);
-    }
-    t.AddSeparator();
-    // The paper's headline summary rows, matching the standalone binary.
-    const struct {
-      const char* label;
-      const char* language;  // "" = all
-      double (*reduce)(const std::vector<double>&);
-    } summaries[] = {
-        {"Average (C/C++)", "", +[](const std::vector<double>& xs) { return cpi::Mean(xs); }},
-        {"Median (C/C++)", "", +[](const std::vector<double>& xs) { return cpi::Median(xs); }},
-        {"Maximum (C/C++)", "", +[](const std::vector<double>& xs) { return cpi::Max(xs); }},
-        {"Average (C only)", "C", +[](const std::vector<double>& xs) { return cpi::Mean(xs); }},
-        {"Median (C only)", "C", +[](const std::vector<double>& xs) { return cpi::Median(xs); }},
-        {"Maximum (C only)", "C", +[](const std::vector<double>& xs) { return cpi::Max(xs); }},
-    };
-    for (const auto& s : summaries) {
-      std::vector<std::string> row = {s.label, ""};
-      for (Protection p : table1.columns) {
-        const std::vector<double> xs =
-            s.language[0] == '\0'
-                ? cpi::workloads::OverheadColumn(spec_ms, p)
-                : cpi::workloads::OverheadColumnForLanguage(spec_ms, p, s.language);
-        row.push_back(Table::FormatPercent(s.reduce(xs)));
-      }
-      t.AddRow(row);
-    }
-    t.Print();
-    std::printf("\n");
+  for (size_t i : order) {
+    printers[i].text();
   }
-
-  std::printf("Table 2 — Levee compilation statistics\n\n");
-  {
-    Table t({"Benchmark", "Lang", "FNUStack", "MOCPS", "MOCPI"});
-    for (const auto& m : spec_ms) {
-      t.AddRow({m.workload, m.language, Table::FormatPercent(m.stats.FnuStackPercent()),
-                Table::FormatPercent(m.stats.MoCpsPercent()),
-                Table::FormatPercent(m.stats.MoCpiPercent())});
-    }
-    t.Print();
-    std::printf("\n");
-  }
-
-  PrintOverheadTable("Table 3 — Levee vs SoftBound-style full memory safety", table3,
-                     /*lang=*/false);
-  PrintOverheadTable("Table 4 — web-server stack throughput overhead", table4,
-                     /*lang=*/false);
-  PrintOverheadTable("Table 4 (concurrent) — multi-worker servers, simulated threads",
-                     table4_concurrent, /*lang=*/false);
-  PrintOverheadTable("Fig. 4 — Phoronix suite performance overhead", fig4,
-                     /*lang=*/false);
-
-  std::printf("Fig. 5 — control-flow hijack defense mechanisms\n\n");
-  {
-    Table t({"Mechanism", "Stops all control-flow hijacks?", "Avg overhead"});
-    for (const Fig5Row& r : fig5_rows) {
-      std::string verdict = r.hijacked == 0
-                                ? "Yes"
-                                : "No: " + std::to_string(r.hijacked) + "/" +
-                                      std::to_string(r.attacks) + " attacks still hijack";
-      std::string overhead =
-          r.has_overhead ? Table::FormatPercent(r.avg_overhead_pct) : std::string("n/a");
-      if (r.some_fail) {
-        overhead += " (some fail)";
-      }
-      t.AddRow({r.scheme->description(), verdict, overhead});
-    }
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("Ablation (§3.2.3) — isolation mechanism cost under CPI\n\n");
-  {
-    Table t({"Benchmark", "segment", "info-hiding", "sfi"});
-    for (size_t wi = 0; wi < iso.workloads.size(); ++wi) {
-      t.AddRow({iso.workloads[wi], Table::FormatPercent(iso.columns[0].second[wi]),
-                Table::FormatPercent(iso.columns[1].second[wi]),
-                Table::FormatPercent(iso.columns[2].second[wi])});
-    }
-    t.AddSeparator();
-    t.AddRow({"Average", Table::FormatPercent(cpi::Mean(iso.columns[0].second)),
-              Table::FormatPercent(cpi::Mean(iso.columns[1].second)),
-              Table::FormatPercent(cpi::Mean(iso.columns[2].second))});
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("Ablation (§4) — projected hardware-assisted (MPX-style) CPI\n\n");
-  {
-    Table t({"Benchmark", "CPI (software)", "CPI (MPX-assisted)"});
-    for (size_t wi = 0; wi < mpx.workloads.size(); ++wi) {
-      t.AddRow({mpx.workloads[wi], Table::FormatPercent(mpx.software_pct[wi]),
-                Table::FormatPercent(mpx.mpx_pct[wi])});
-    }
-    t.AddSeparator();
-    t.AddRow({"Average", Table::FormatPercent(cpi::Mean(mpx.software_pct)),
-              Table::FormatPercent(cpi::Mean(mpx.mpx_pct))});
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("Ablation — safe-region shard count (event-loop + concurrent servers)\n\n");
-  {
-    std::vector<std::string> header = {"Benchmark"};
-    for (uint32_t shards : shard_ablation.shard_counts) {
-      header.push_back("S=" + std::to_string(shards));
-    }
-    const auto print_shard_table = [&](const std::vector<std::vector<double>>& rows) {
-      Table t(header);
-      for (size_t wi = 0; wi < shard_ablation.workloads.size(); ++wi) {
-        std::vector<std::string> row = {shard_ablation.workloads[wi]};
-        for (double v : rows[wi]) {
-          row.push_back(Table::FormatPercent(v));
-        }
-        t.AddRow(row);
-      }
-      t.AddSeparator();
-      std::vector<std::string> avg = {"Average"};
-      for (size_t si = 0; si < shard_ablation.shard_counts.size(); ++si) {
-        std::vector<double> col;
-        for (size_t wi = 0; wi < shard_ablation.workloads.size(); ++wi) {
-          col.push_back(rows[wi][si]);
-        }
-        avg.push_back(Table::FormatPercent(cpi::Mean(col)));
-      }
-      t.AddRow(avg);
-      t.Print();
-    };
-    std::printf("CPI overhead vs vanilla at each shard count:\n\n");
-    print_shard_table(shard_ablation.overhead_pct);
-    std::printf("\nShare of safe-store ops paying the shard-crossing premium:\n\n");
-    print_shard_table(shard_ablation.contended_pct);
-    std::printf("\n");
-  }
-
-  std::printf("Ablation — static vs epoch shard ownership (worker churn)\n\n");
-  {
-    std::vector<std::string> header = {"Benchmark"};
-    for (uint32_t shards : churn_ablation.shard_counts) {
-      header.push_back("S=" + std::to_string(shards) + " st");
-      header.push_back("S=" + std::to_string(shards) + " ep");
-    }
-    const auto print_churn_table = [&](const std::vector<std::vector<double>>& st,
-                                       const std::vector<std::vector<double>>& ep) {
-      Table t(header);
-      const size_t n_counts = churn_ablation.shard_counts.size();
-      for (size_t wi = 0; wi < churn_ablation.workloads.size(); ++wi) {
-        std::vector<std::string> row = {churn_ablation.workloads[wi]};
-        for (size_t si = 0; si < n_counts; ++si) {
-          row.push_back(Table::FormatPercent(st[wi][si]));
-          row.push_back(Table::FormatPercent(ep[wi][si]));
-        }
-        t.AddRow(row);
-      }
-      t.AddSeparator();
-      std::vector<std::string> avg = {"Average"};
-      for (size_t si = 0; si < n_counts; ++si) {
-        for (const auto* rows : {&st, &ep}) {
-          std::vector<double> col;
-          for (size_t wi = 0; wi < churn_ablation.workloads.size(); ++wi) {
-            col.push_back((*rows)[wi][si]);
-          }
-          avg.push_back(Table::FormatPercent(cpi::Mean(col)));
-        }
-      }
-      t.AddRow(avg);
-      t.Print();
-    };
-    std::printf("CPI overhead vs vanilla, static (st) vs epoch (ep) ownership:\n\n");
-    print_churn_table(churn_ablation.static_overhead_pct,
-                      churn_ablation.epoch_overhead_pct);
-    std::printf("\nShare of safe-store ops paying the shard-crossing premium:\n\n");
-    print_churn_table(churn_ablation.static_contended_pct,
-                      churn_ablation.epoch_contended_pct);
-    std::printf("\n");
-  }
-
-  std::printf("RIPE-style attack matrix (§5.1): %d attack combinations\n\n", ripe_attacks);
-  {
-    Table t({"Protection", "Hijacked", "Prevented", "Crashed", "No effect"});
-    for (const RipeRow& r : ripe_rows) {
-      t.AddRow({r.scheme->name(), std::to_string(r.counts[0]),
-                std::to_string(r.counts[1]), std::to_string(r.counts[2]),
-                std::to_string(r.counts[3])});
-    }
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("Cross-thread attack matrix: %d combinations (thread A vs thread B)\n\n",
-              ripe_concurrent_attacks);
-  {
-    Table t({"Protection", "Hijacked", "Prevented", "Crashed", "No effect"});
-    for (const RipeRow& r : ripe_concurrent_rows) {
-      t.AddRow({r.scheme->name(), std::to_string(r.counts[0]),
-                std::to_string(r.counts[1]), std::to_string(r.counts[2]),
-                std::to_string(r.counts[3])});
-    }
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("Composite schemes — stacked pipelines (overhead + both matrices)\n\n");
-  {
-    Table t({"Scheme", "Avg overhead", "RIPE hijacked", "RIPE auth-aborts",
-             "X-thread hijacked", "X-thread auth-aborts"});
-    for (const CompositeRow& row : composite_rows) {
-      t.AddRow({row.scheme->name(), Table::FormatPercent(row.avg_overhead_pct),
-                std::to_string(row.ripe.counts[0]) + "/" + std::to_string(ripe_attacks),
-                std::to_string(row.ripe_auth_aborts),
-                std::to_string(row.ripe_concurrent.counts[0]) + "/" +
-                    std::to_string(ripe_concurrent_attacks),
-                std::to_string(row.ripec_auth_aborts)});
-    }
-    t.Print();
-    std::printf("\nThe ret-chain rows convert saved-return corruption — including the\n"
-                "cross-thread variants — into kPointerAuthFailure aborts (auth-aborts).\n\n");
-  }
-
-  if (flags.opt >= 1) {
-    std::printf("Ablation — post-instrumentation optimizer (overhead at O0 vs O%d)\n\n",
-                flags.opt);
-    std::vector<std::string> header = {"Benchmark"};
-    for (Protection p : overhead_protections) {
-      header.push_back(std::string(SchemeName(p)) + " O0");
-      header.push_back(std::string(SchemeName(p)) + " O" + std::to_string(flags.opt));
-    }
-    Table t(header);
-    for (size_t wi = 0; wi < opt_ablation.workloads.size(); ++wi) {
-      std::vector<std::string> row = {opt_ablation.workloads[wi]};
-      for (Protection p : overhead_protections) {
-        const auto& [o0, o1] = opt_ablation.overhead_pct.at(p)[wi];
-        row.push_back(Table::FormatPercent(o0));
-        row.push_back(Table::FormatPercent(o1));
-      }
-      t.AddRow(row);
-    }
-    t.AddSeparator();
-    std::vector<std::string> avg = {"Average"};
-    for (Protection p : overhead_protections) {
-      std::vector<double> o0s;
-      std::vector<double> o1s;
-      for (const auto& [o0, o1] : opt_ablation.overhead_pct.at(p)) {
-        o0s.push_back(o0);
-        o1s.push_back(o1);
-      }
-      avg.push_back(Table::FormatPercent(cpi::Mean(o0s)));
-      avg.push_back(Table::FormatPercent(cpi::Mean(o1s)));
-    }
-    t.AddRow(avg);
-    t.Print();
-    std::printf("\n");
-  }
-
-  std::printf("§5.2 — memory overhead of the safe region (median over SPEC models)\n\n");
-  {
-    std::vector<std::string> header = {"Configuration"};
-    for (Protection p : overhead_protections) {
-      header.push_back(SchemeName(p));
-    }
-    Table t(header);
-    for (const auto& row : mem_rows) {
-      std::vector<std::string> cells = {std::string("store = ") +
-                                        cpi::runtime::StoreKindName(row.store)};
-      for (Protection p : overhead_protections) {
-        cells.push_back(Table::FormatPercent(row.median_overhead_pct.at(p)));
-      }
-      t.AddRow(cells);
-    }
-    t.Print();
-
-    std::printf("\nMedian resident safe-store bytes (runtime shape per scheme):\n\n");
-    Table bytes_table(header);
-    for (const auto& row : mem_rows) {
-      std::vector<std::string> cells = {std::string("store = ") +
-                                        cpi::runtime::StoreKindName(row.store)};
-      for (Protection p : overhead_protections) {
-        cells.push_back(std::to_string(
-            static_cast<uint64_t>(row.median_safe_store_bytes.at(p))));
-      }
-      bytes_table.AddRow(cells);
-    }
-    bytes_table.Print();
-    std::printf("\n");
-  }
-
   if (flags.timing) {
-    std::printf("wall-clock: %.1f ms total (scale %d, jobs %d)\n", wall_ms, flags.scale,
-                flags.jobs);
+    std::printf("wall-clock: %.1f ms total (scale %d, jobs %d, %zu distinct cells)\n", wall_ms,
+                flags.scale, flags.jobs, suite.memo.executed());
     for (const auto& [name, ms] : table_wall_ms) {
       std::printf("  %-22s %8.1f ms\n", name.c_str(), ms);
     }

@@ -94,7 +94,7 @@ struct RunOptions {
   // 1 — the default — is the legacy shared store with the flat concurrent
   // sync premium; every recorded table is at 1. Behaviour (status, output,
   // per-op entry state) is identical at any count; cycles/cache/memory
-  // legitimately vary with it (bench/ablation_shards sweeps it).
+  // legitimately vary with it (the suite's ablation_shards table sweeps it).
   uint32_t shards = 1;
   // Epoch-based shard-ownership migration. When false (the default) the
   // owner table is the static one precomputed from the layout — the PR 8

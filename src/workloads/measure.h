@@ -1,4 +1,4 @@
-// Measurement harness shared by the bench binaries: runs workloads under
+// Measurement harness behind the bench suite: runs workloads under
 // several protection configurations and reports relative overheads (in
 // simulated cycles) plus the static compilation statistics of Table 2.
 //
@@ -12,12 +12,17 @@
 // derived Measurement bit-identical at any `jobs` value. That invariant is
 // enforced by the serial-vs-parallel differential test in
 // tests/measure_test.cc.
+//
+// CellMemo is the suite's single entry point for cells: it keys every cell
+// on (workload name, canonical Config), so a cell several tables request
+// runs once and every later request is a lookup.
 #ifndef CPI_SRC_WORKLOADS_MEASURE_H_
 #define CPI_SRC_WORKLOADS_MEASURE_H_
 
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/levee.h"
@@ -84,7 +89,7 @@ std::vector<const ir::Module*> ModuleViews(
 
 // Runs one cell against the workload's pre-built base module.
 CellResult RunCell(const ir::Module& built, const Workload& workload,
-                   const MeasureCell& cell);
+                   const core::Config& config);
 
 // Executes `cells` across `jobs` threads. Results come back indexed like
 // `cells`, regardless of the execution interleaving.
@@ -99,12 +104,68 @@ std::vector<Measurement> MeasureWorkloads(const std::vector<Workload>& workloads
                                           int scale, const core::Config& base = {},
                                           int jobs = 1);
 
-// Same, against pre-built base modules (the suite driver shares one
-// BuildWorkloads result across every table).
+// Same, against pre-built base modules.
 std::vector<Measurement> MeasureWorkloads(const std::vector<Workload>& workloads,
                                           const std::vector<const ir::Module*>& built,
                                           const std::vector<core::Protection>& protections,
                                           const core::Config& base = {}, int jobs = 1);
+
+// The memo key of one cell: the workload name and every core::Config field,
+// canonicalised. The scheme is resolved (`config.scheme`, else the registry
+// built-in for `config.protection`), so a composite never shares a key with
+// its first component even though it borrows that component's Protection
+// id. Exactly two knobs are dropped, each proven not to change any
+// CellResult field by MeasureDifferentialTest: `migrate` at one shard and
+// `opt_level` on the vanilla scheme.
+using CellKey = std::tuple<std::string, const core::ProtectionScheme*, runtime::StoreKind,
+                           runtime::IsolationKind, uint32_t /*shards*/, bool /*migrate*/,
+                           bool /*debug_mode*/, bool /*temporal*/,
+                           bool /*char_star_heuristic*/, bool /*cast_dataflow*/,
+                           bool /*mpx_assist*/, vm::EngineKind,
+                           bool /*reference_interpreter*/, int /*opt_level*/,
+                           uint64_t /*thread_quantum*/, uint64_t /*max_steps*/,
+                           uint64_t /*seed*/>;
+
+// CPI_CHECKs that `config.faults` is null: a fault plan is not part of the
+// key, and the measurement cells never inject faults.
+CellKey CanonicalKey(const std::string& workload, const core::Config& config);
+
+// One cell as CellMemo takes it. `workload` need only stay alive for the
+// Run call: the memo keeps its own build of each workload, keyed by name.
+struct CellRequest {
+  const Workload* workload = nullptr;
+  core::Config config;
+};
+
+// Memoized cell execution. Workloads are frontend-built once per name, on
+// first request; a cell runs once per canonical key.
+class CellMemo {
+ public:
+  CellMemo(int scale, int jobs) : scale_(scale), jobs_(jobs) {}
+
+  // Results indexed like `cells`. The cells whose keys are new run as one
+  // batch across `jobs` threads; every other cell is a lookup.
+  std::vector<CellResult> Run(const std::vector<CellRequest>& cells);
+
+  // Vanilla plus each of `protections` on every workload, under `base`'s
+  // other knobs — MeasureWorkloads through the memo.
+  std::vector<Measurement> Measure(const std::vector<Workload>& workloads,
+                                   const std::vector<core::Protection>& protections,
+                                   const core::Config& base = {});
+
+  // The workload's base module (built now if no cell has needed it yet).
+  const ir::Module& Built(const Workload& workload);
+
+  // Cells executed so far (one per distinct key).
+  size_t executed() const { return executed_; }
+
+ private:
+  int scale_;
+  int jobs_;
+  size_t executed_ = 0;
+  std::map<std::string, std::unique_ptr<ir::Module>> built_;
+  std::map<CellKey, CellResult> results_;
+};
 
 // Column of overhead values for one protection, in workload order.
 std::vector<double> OverheadColumn(const std::vector<Measurement>& measurements,

@@ -1,12 +1,13 @@
 // Tests for the parallel measurement harness: the work-stealing thread pool
-// (src/support/pool.h) and the cell-based MeasureWorkloads
-// (src/workloads/measure.h).
+// (src/support/pool.h), the cell-based MeasureWorkloads and the suite's
+// cell memo (src/workloads/measure.h).
 //
 // The load-bearing property is the serial-vs-parallel differential: every
 // Measurement field must be bit-identical between --jobs 1 (strictly
-// serial, no worker threads) and --jobs N. The suite and all bench drivers
-// rely on it — parallelism may only change wall-clock, never a number.
+// serial, no worker threads) and --jobs N. The suite relies on it —
+// parallelism may only change wall-clock, never a number.
 #include <atomic>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@ namespace {
 
 using cpi::ThreadPool;
 using cpi::core::Protection;
+using cpi::workloads::CellResult;
 using cpi::workloads::Measurement;
 using cpi::workloads::Workload;
 
@@ -177,8 +179,8 @@ TEST(MeasureDifferentialTest, SerialAndParallelMeasurementsAreBitIdentical) {
 }
 
 TEST(MeasureDifferentialTest, SharedPrebuiltModulesMatchFreshBuilds) {
-  // The suite driver builds each workload once and feeds the same modules
-  // to several tables; results must match per-table fresh builds exactly.
+  // Cells that share one build of each workload must match per-call fresh
+  // builds exactly.
   std::vector<Workload> subset;
   subset = Subset();
   ASSERT_FALSE(subset.empty());
@@ -205,6 +207,135 @@ TEST(MeasureDifferentialTest, FailingColumnsAreReportedNotFatal) {
     const bool ok = m.status.at(Protection::kSoftBound) == cpi::vm::RunStatus::kOk;
     EXPECT_EQ(m.overhead_pct.count(Protection::kSoftBound), ok ? 1u : 0u);
     EXPECT_EQ(m.memory_bytes.count(Protection::kSoftBound), ok ? 1u : 0u);
+  }
+}
+
+// The memo's canonical key (CanonicalKey): a composite never aliases its
+// first component, whose Protection id it borrows, and a built-in keys the
+// same whether selected by id or by scheme pointer.
+TEST(MeasureDifferentialTest, CanonicalKeysResolveSchemesNotProtectionIds) {
+  using cpi::core::SchemeRegistry;
+  const auto key = [](Protection p, const char* scheme) {
+    cpi::core::Config config;
+    config.protection = p;
+    config.scheme = scheme == nullptr ? nullptr : SchemeRegistry::FindByName(scheme);
+    EXPECT_TRUE(scheme == nullptr || config.scheme != nullptr) << scheme;
+    return cpi::workloads::CanonicalKey("401.bzip2", config);
+  };
+  EXPECT_NE(key(Protection::kCpi, "cpi+ptrenc-ret-chain"), key(Protection::kCpi, nullptr));
+  EXPECT_NE(key(Protection::kPtrEnc, "ptrenc+safestack"), key(Protection::kPtrEnc, nullptr));
+  EXPECT_EQ(key(Protection::kCpi, nullptr), key(Protection::kNone, "cpi"));
+  EXPECT_EQ(key(Protection::kCpi, nullptr), key(Protection::kCpi, "cpi"));
+
+  // Every other knob is part of the key: changing any one of them from a
+  // CPI base gives a key no other variant shares.
+  using cpi::core::Config;
+  const std::vector<void (*)(Config&)> knobs = {
+      [](Config& c) { c.store = cpi::runtime::StoreKind::kHash; },
+      [](Config& c) { c.isolation = cpi::runtime::IsolationKind::kSfi; },
+      [](Config& c) { c.shards = 4; },
+      [](Config& c) {
+        c.shards = 4;
+        c.migrate = true;
+      },
+      [](Config& c) { c.debug_mode = true; },
+      [](Config& c) { c.temporal = true; },
+      [](Config& c) { c.char_star_heuristic = false; },
+      [](Config& c) { c.cast_dataflow = false; },
+      [](Config& c) { c.mpx_assist = true; },
+      [](Config& c) { c.engine = cpi::vm::EngineKind::kDecoded; },
+      [](Config& c) { c.reference_interpreter = true; },
+      [](Config& c) { c.opt_level = 1; },
+      [](Config& c) { c.thread_quantum = 7; },
+      [](Config& c) { c.max_steps = 1000; },
+      [](Config& c) { c.seed = 2; },
+  };
+  std::set<cpi::workloads::CellKey> keys = {key(Protection::kCpi, nullptr)};
+  for (const auto& knob : knobs) {
+    Config config;
+    config.protection = Protection::kCpi;
+    knob(config);
+    EXPECT_TRUE(keys.insert(cpi::workloads::CanonicalKey("401.bzip2", config)).second)
+        << "knob " << keys.size();
+  }
+}
+
+void ExpectSameCell(const CellResult& a, const CellResult& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
+  EXPECT_EQ(a.safe_store_bytes, b.safe_store_bytes);
+  EXPECT_EQ(a.safe_store_ops, b.safe_store_ops);
+  EXPECT_EQ(a.store_contended_ops, b.store_contended_ops);
+  EXPECT_EQ(a.shard_migrations, b.shard_migrations);
+  EXPECT_EQ(a.stats.total_functions, b.stats.total_functions);
+  EXPECT_EQ(a.stats.unsafe_frame_functions, b.stats.unsafe_frame_functions);
+  EXPECT_EQ(a.stats.total_mem_ops, b.stats.total_mem_ops);
+  EXPECT_EQ(a.stats.instrumented_cpi, b.stats.instrumented_cpi);
+  EXPECT_EQ(a.stats.instrumented_cps, b.stats.instrumented_cps);
+}
+
+// The two knobs CanonicalKey drops — opt_level on vanilla, migrate at one
+// shard — leave every CellResult field unchanged, on single-threaded SPEC
+// models and on threaded servers.
+TEST(MeasureDifferentialTest, DroppedKnobsLeaveTheFullCellResultUnchanged) {
+  const std::vector<const Workload*> workloads = {
+      cpi::workloads::FindWorkload("400.perlbench"), cpi::workloads::FindWorkload("447.dealII"),
+      &cpi::workloads::ConcurrentServer().front(), &cpi::workloads::ChurnServer().front()};
+  for (const Workload* w : workloads) {
+    ASSERT_NE(w, nullptr);
+    SCOPED_TRACE(w->name);
+    const auto built = w->build(/*scale=*/1);
+    cpi::core::Config o0;
+    cpi::core::Config o1;
+    o1.opt_level = 1;
+    cpi::core::Config fixed;
+    fixed.protection = Protection::kCpi;
+    cpi::core::Config migrating = fixed;
+    migrating.migrate = true;
+    for (const auto& [a, b] : {std::pair(o0, o1), std::pair(fixed, migrating)}) {
+      EXPECT_EQ(cpi::workloads::CanonicalKey(w->name, a),
+                cpi::workloads::CanonicalKey(w->name, b));
+      ExpectSameCell(cpi::workloads::RunCell(*built, *w, a),
+                     cpi::workloads::RunCell(*built, *w, b));
+    }
+  }
+}
+
+// A memoized cell equals a fresh RunCells execution of the same cell, at any
+// jobs value; a repeated request (exact or under the canonical key) runs
+// nothing new.
+TEST(MeasureDifferentialTest, MemoizedCellsMatchFreshRunCells) {
+  const std::vector<Workload> subset = Subset();
+  ASSERT_FALSE(subset.empty());
+  std::vector<cpi::workloads::MeasureCell> cells;
+  for (size_t wi = 0; wi < subset.size(); ++wi) {
+    for (Protection p : {Protection::kNone, Protection::kCpi, Protection::kPtrEnc}) {
+      cpi::workloads::MeasureCell cell{wi, {}};
+      cell.config.protection = p;
+      cells.push_back(cell);
+      cell.config.opt_level = 1;  // a repeat of the O0 cell on vanilla only
+      cells.push_back(cell);
+    }
+  }
+  const auto built = cpi::workloads::BuildWorkloads(subset, /*scale=*/1, /*jobs=*/1);
+  const auto fresh =
+      cpi::workloads::RunCells(subset, cpi::workloads::ModuleViews(built), cells, /*jobs=*/1);
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    cpi::workloads::CellMemo memo(/*scale=*/1, jobs);
+    std::vector<cpi::workloads::CellRequest> requests;
+    for (const auto& cell : cells) {
+      requests.push_back({&subset[cell.workload], cell.config});
+    }
+    const auto memoized = memo.Run(requests);
+    ASSERT_EQ(memoized.size(), fresh.size());
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      ExpectSameCell(memoized[i], fresh[i]);
+    }
+    EXPECT_EQ(memo.executed(), subset.size() * 5);  // 6 requests per workload, 5 keys
+    memo.Run(requests);
+    EXPECT_EQ(memo.executed(), subset.size() * 5);
   }
 }
 

@@ -96,8 +96,8 @@ TEST(SchemeRegistryTest, OutOfTreeSchemeRunsThroughTheFacade) {
   EXPECT_EQ(r.output, base.output);
 }
 
-// Reporting names are the registry's lookup key (FindByName, --scheme,
-// composite specs), so a second scheme under a taken name would shadow or be
+// Reporting names are the registry's lookup key (FindByName, composite
+// specs), so a second scheme under a taken name would shadow or be
 // shadowed silently. Registration must die instead.
 class NameSquatterScheme final : public ProtectionScheme {
  public:
