@@ -324,6 +324,7 @@ class AttackProgramBuilder {
     IRBuilder& b = *b_;
     switch (spec_.target) {
       case Target::kReturnAddress:
+      case Target::kSafeStackSlot:
         break;  // the use is the vulnerable function's own return
       case Target::kFunctionPointer: {
         Value* fp = b.Load(target_holder, "fp");

@@ -29,22 +29,32 @@ class CacheModel {
   // Defined in the header so the execution loops can inline it — with tens
   // of millions of calls per benchmark cell this is the hottest leaf of the
   // whole cost model.
-  uint64_t Access(uint64_t addr) {
+  uint64_t Access(uint64_t addr) { return AccessRepeated(addr, 1); }
+
+  // `n` back-to-back accesses to `addr` (n >= 1), charged at once: the
+  // first may miss, the other n - 1 hit, and the line ends with the LRU tick
+  // the last of them leaves — exactly what n Access(addr) calls do. Lets a
+  // bulk transfer charge a cache line once instead of once per word.
+  __attribute__((always_inline)) uint64_t AccessRepeated(uint64_t addr, uint64_t n) {
     const uint64_t line_addr = addr >> line_shift_;
     const uint64_t set = line_addr & set_mask_;
-    const uint64_t tick = ++set_tick_[set];
+    const uint64_t tick = set_tick_[set] += n;
     Line* set_lines = &lines_[set * config_.ways];
 
     for (uint64_t w = 0; w < config_.ways; ++w) {
       if (set_lines[w].valid && set_lines[w].tag == line_addr) {
         set_lines[w].lru = tick;
-        ++hits_;
-        return config_.hit_cycles;
+        hits_ += n;
+        return n * config_.hit_cycles;
       }
     }
-    return Miss(set_lines, line_addr, tick);
+    // Victim choice compares the other lines' ticks only, so filling with
+    // the last tick picks the way the first access would have.
+    hits_ += n - 1;
+    return Miss(set_lines, line_addr, tick) + (n - 1) * config_.hit_cycles;
   }
 
+  uint64_t line_bytes() const { return config_.line_bytes; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
 

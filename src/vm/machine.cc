@@ -286,18 +286,38 @@ class Machine {
   };
 
   // --- routed memory access ------------------------------------------------
-  // Returns the backing memory for `addr`, enforcing safe-region isolation:
-  // only accesses whose provenance (`meta`) proves a compiler-generated
-  // safe-stack object may touch the safe region. Returns nullptr after
-  // trapping.
-  ByteMemory* Route(uint64_t addr, const RegMeta& meta, bool for_write);
+  // Resolve returns the backing memory for `addr` and the address to use in
+  // it, enforcing safe-region isolation: only accesses whose provenance
+  // (`meta`) proves a compiler-generated safe-stack object may touch the
+  // safe region. Under SFI any other safe-region address is masked back
+  // into the regular region. Resolve has no side effects and returns nullptr
+  // when the isolation mechanism would fault; Route traps in that case.
+  ByteMemory* Resolve(uint64_t addr, const RegMeta& meta, uint64_t* effective);
+  ByteMemory* Route(uint64_t addr, const RegMeta& meta, uint64_t* effective);
   bool DataRead(uint64_t addr, uint64_t size, const RegMeta& addr_meta, uint64_t* out);
   bool DataWrite(uint64_t addr, uint64_t size, const RegMeta& addr_meta, uint64_t value);
 
-  // Byte-granular helpers for the libc-style routines; charge per 8-byte
-  // chunk.
+  // One routed byte; false after trapping on a fault.
   bool ReadByteRouted(uint64_t addr, const RegMeta& meta, uint8_t* out);
   bool WriteByteRouted(uint64_t addr, const RegMeta& meta, uint8_t value);
+  // The libc-style routines' byte movers. Each works one page run at a time
+  // (ByteMemory::ReadView): a run never crosses a page of any operand, so it
+  // resolves and translates once. A run whose route or page would fault
+  // replays its first byte through the byte helpers, which trap there with
+  // the message a byte loop gives. Each returns false after trapping.
+  // memcpy/memmove order: forward, or backward from the last byte. Keeps a
+  // byte loop's result when the operands overlap, including the pattern a
+  // forward copy replicates when dst is just above src.
+  bool CopyBytes(uint64_t dst, const RegMeta& dm, uint64_t src, const RegMeta& sm, uint64_t n,
+                 bool backward);
+  // Stores `data[0..n)`, or n copies of `fill` when data is null.
+  bool StoreBytes(uint64_t dst, const RegMeta& dm, uint64_t n, const uint8_t* data, uint8_t fill);
+  bool ScanStrlen(uint64_t addr, const RegMeta& meta, uint64_t* len);
+  // strcmp: *at is the index of the first differing byte or of the NUL.
+  bool CompareStrings(uint64_t a, const RegMeta& ma, uint64_t b, const RegMeta& mb, uint64_t* at,
+                      int64_t* result);
+  // Charges a transfer: one cache access per touched 8-byte chunk, issued a
+  // cache line at a time.
   void ChargeChunked(uint64_t addr, uint64_t len);
 
   // --- frames ---------------------------------------------------------------
@@ -803,7 +823,8 @@ RegMeta Machine::EvalMeta(const Frame& f, const Value* v) const {
 // ---------------------------------------------------------------------------
 // Routed memory access: the isolation mechanism of §3.2.3.
 
-ByteMemory* Machine::Route(uint64_t addr, const RegMeta& meta, bool for_write) {
+ByteMemory* Machine::Resolve(uint64_t addr, const RegMeta& meta, uint64_t* effective) {
+  *effective = addr;
   if (!IsInSafeRegion(addr)) {
     return &regular_;
   }
@@ -825,33 +846,32 @@ ByteMemory* Machine::Route(uint64_t addr, const RegMeta& meta, bool for_write) {
     }
     return owner < threads_.size() ? &threads_[owner]->safe_stack : &cur_->safe_stack;
   }
-  switch (options_.isolation) {
-    case IsolationKind::kSegment:
-      // Segment limits: the hardware faults immediately.
-      Crash("segment violation: regular access to the safe region");
-      return nullptr;
-    case IsolationKind::kInfoHiding:
-      // The safe region base is randomised in a 48-bit space and its address
-      // never leaks to the regular region; a guessed address is unmapped.
-      Crash("fault: access to unmapped address (safe region is hidden)");
-      return nullptr;
-    case IsolationKind::kSfi: {
-      // The masked address falls back into the regular region.
-      (void)for_write;
-      return &regular_;
-    }
+  if (options_.isolation != IsolationKind::kSfi) {
+    return nullptr;
   }
-  CPI_UNREACHABLE();
+  // SFI: the masked address falls back into the regular region.
+  *effective = addr & (kSafeRegionBase - 1);
+  return &regular_;
+}
+
+ByteMemory* Machine::Route(uint64_t addr, const RegMeta& meta, uint64_t* effective) {
+  ByteMemory* mem = Resolve(addr, meta, effective);
+  if (mem == nullptr) {
+    // Segment limits fault immediately. Under information hiding the safe
+    // region base is randomised in a 48-bit space and its address never
+    // leaks to the regular region, so a guessed address is unmapped.
+    Crash(options_.isolation == IsolationKind::kSegment
+              ? "segment violation: regular access to the safe region"
+              : "fault: access to unmapped address (safe region is hidden)");
+  }
+  return mem;
 }
 
 bool Machine::DataRead(uint64_t addr, uint64_t size, const RegMeta& addr_meta, uint64_t* out) {
-  ByteMemory* mem = Route(addr, addr_meta, /*for_write=*/false);
+  uint64_t effective = 0;
+  ByteMemory* mem = Route(addr, addr_meta, &effective);
   if (mem == nullptr) {
     return false;
-  }
-  uint64_t effective = addr;
-  if (mem == &regular_ && IsInSafeRegion(addr)) {
-    effective = addr & (kSafeRegionBase - 1);  // SFI mask
   }
   uint64_t raw = 0;
   const MemFault fault = mem->Read(effective, &raw, size);
@@ -869,13 +889,10 @@ bool Machine::DataRead(uint64_t addr, uint64_t size, const RegMeta& addr_meta, u
 }
 
 bool Machine::DataWrite(uint64_t addr, uint64_t size, const RegMeta& addr_meta, uint64_t value) {
-  ByteMemory* mem = Route(addr, addr_meta, /*for_write=*/true);
+  uint64_t effective = 0;
+  ByteMemory* mem = Route(addr, addr_meta, &effective);
   if (mem == nullptr) {
     return false;
-  }
-  uint64_t effective = addr;
-  if (mem == &regular_ && IsInSafeRegion(addr)) {
-    effective = addr & (kSafeRegionBase - 1);
   }
   const MemFault fault = mem->Write(effective, &value, size);
   if (fault == MemFault::kUnmapped) {
@@ -895,11 +912,12 @@ bool Machine::DataWrite(uint64_t addr, uint64_t size, const RegMeta& addr_meta, 
 }
 
 bool Machine::ReadByteRouted(uint64_t addr, const RegMeta& meta, uint8_t* out) {
-  ByteMemory* mem = Route(addr, meta, /*for_write=*/false);
+  uint64_t effective = 0;
+  ByteMemory* mem = Route(addr, meta, &effective);
   if (mem == nullptr) {
     return false;
   }
-  if (mem->ReadByte(addr, out) != MemFault::kNone) {
+  if (mem->ReadByte(effective, out) != MemFault::kNone) {
     Crash("fault: read of unmapped address");
     return false;
   }
@@ -907,11 +925,12 @@ bool Machine::ReadByteRouted(uint64_t addr, const RegMeta& meta, uint8_t* out) {
 }
 
 bool Machine::WriteByteRouted(uint64_t addr, const RegMeta& meta, uint8_t value) {
-  ByteMemory* mem = Route(addr, meta, /*for_write=*/true);
+  uint64_t effective = 0;
+  ByteMemory* mem = Route(addr, meta, &effective);
   if (mem == nullptr) {
     return false;
   }
-  const MemFault fault = mem->WriteByte(addr, value);
+  const MemFault fault = mem->WriteByte(effective, value);
   if (fault != MemFault::kNone) {
     Crash(fault == MemFault::kReadOnly ? "fault: write to read-only memory"
                                        : "fault: write to unmapped address");
@@ -920,11 +939,139 @@ bool Machine::WriteByteRouted(uint64_t addr, const RegMeta& meta, uint8_t value)
   return true;
 }
 
+bool Machine::CopyBytes(uint64_t dst, const RegMeta& dm, uint64_t src, const RegMeta& sm,
+                        uint64_t n, bool backward) {
+  auto page_head = [](uint64_t addr) { return (addr & (ByteMemory::kPageBytes - 1)) + 1; };
+  for (uint64_t done = 0; done < n;) {
+    // Forward runs start at offset `done`; backward ones end where the
+    // remaining `left` bytes end.
+    const uint64_t left = n - done;
+    uint64_t len = backward ? std::min({left, page_head(src + left - 1), page_head(dst + left - 1)})
+                            : std::min({left, ByteMemory::PageRest(src + done),
+                                        ByteMemory::PageRest(dst + done)});
+    const uint64_t off = backward ? left - len : done;
+    uint64_t from_addr = 0;
+    uint64_t to_addr = 0;
+    ByteMemory* from_mem = Resolve(src + off, sm, &from_addr);
+    ByteMemory* to_mem = Resolve(dst + off, dm, &to_addr);
+    // A forward byte loop reads each source byte just before writing its
+    // destination. When the destination lies k bytes above the source in
+    // the same memory, a run longer than k would read bytes it writes
+    // itself; cut to k, it reads them from earlier runs, which is how a
+    // forward copy with dst just above src replicates a pattern. A backward
+    // copy (memmove with dst above src) never reads a byte it wrote; the SFI
+    // mask could only invert that over a span too large to complete.
+    if (!backward && from_mem == to_mem && to_addr > from_addr) {
+      len = std::min(len, to_addr - from_addr);
+    }
+    const uint8_t* from = from_mem == nullptr ? nullptr : from_mem->ReadView(from_addr);
+    uint8_t* to = from == nullptr || to_mem == nullptr ? nullptr : to_mem->WriteView(to_addr);
+    if (to == nullptr) {
+      // The failed check traps on the run's first byte, as in a byte loop.
+      const uint64_t first = backward ? off + len - 1 : off;
+      uint8_t b = 0;
+      if (!ReadByteRouted(src + first, sm, &b) || !WriteByteRouted(dst + first, dm, b)) {
+        return false;
+      }
+      CPI_UNREACHABLE();
+    }
+    std::memmove(to, from, len);
+    done += len;
+  }
+  return true;
+}
+
+bool Machine::StoreBytes(uint64_t dst, const RegMeta& dm, uint64_t n, const uint8_t* data,
+                         uint8_t fill) {
+  for (uint64_t off = 0; off < n;) {
+    const uint64_t len = std::min(n - off, ByteMemory::PageRest(dst + off));
+    uint64_t to_addr = 0;
+    ByteMemory* to_mem = Resolve(dst + off, dm, &to_addr);
+    uint8_t* to = to_mem == nullptr ? nullptr : to_mem->WriteView(to_addr);
+    if (to == nullptr) {
+      if (!WriteByteRouted(dst + off, dm, data == nullptr ? fill : data[off])) {
+        return false;
+      }
+      CPI_UNREACHABLE();  // the failed check traps on the run's first byte
+    }
+    if (data == nullptr) {
+      std::memset(to, fill, len);
+    } else {
+      std::memcpy(to, data + off, len);
+    }
+    off += len;
+  }
+  return true;
+}
+
+bool Machine::ScanStrlen(uint64_t addr, const RegMeta& meta, uint64_t* len) {
+  // Unbounded, so a missing NUL faults eventually.
+  for (uint64_t off = 0;;) {
+    const uint64_t run = ByteMemory::PageRest(addr + off);
+    uint64_t from_addr = 0;
+    ByteMemory* from_mem = Resolve(addr + off, meta, &from_addr);
+    const uint8_t* from = from_mem == nullptr ? nullptr : from_mem->ReadView(from_addr);
+    if (from == nullptr) {
+      uint8_t b = 0;
+      if (!ReadByteRouted(addr + off, meta, &b)) {
+        return false;
+      }
+      CPI_UNREACHABLE();  // the failed check traps on the run's first byte
+    }
+    if (const void* nul = std::memchr(from, 0, run); nul != nullptr) {
+      *len = off + static_cast<uint64_t>(static_cast<const uint8_t*>(nul) - from);
+      return true;
+    }
+    off += run;
+  }
+}
+
+bool Machine::CompareStrings(uint64_t a, const RegMeta& ma, uint64_t b, const RegMeta& mb,
+                             uint64_t* at, int64_t* result) {
+  for (uint64_t off = 0;;) {
+    const uint64_t run = std::min(ByteMemory::PageRest(a + off), ByteMemory::PageRest(b + off));
+    uint64_t a_addr = 0;
+    uint64_t b_addr = 0;
+    ByteMemory* a_mem = Resolve(a + off, ma, &a_addr);
+    ByteMemory* b_mem = Resolve(b + off, mb, &b_addr);
+    const uint8_t* va = a_mem == nullptr ? nullptr : a_mem->ReadView(a_addr);
+    const uint8_t* vb = va == nullptr || b_mem == nullptr ? nullptr : b_mem->ReadView(b_addr);
+    if (vb == nullptr) {
+      uint8_t ca = 0;
+      uint8_t cb = 0;
+      if (!ReadByteRouted(a + off, ma, &ca) || !ReadByteRouted(b + off, mb, &cb)) {
+        return false;
+      }
+      CPI_UNREACHABLE();  // the failed check traps on the run's first byte
+    }
+    for (uint64_t i = 0; i < run; ++i) {
+      if (va[i] != vb[i] || va[i] == 0) {
+        *at = off + i;
+        *result = va[i] == vb[i] ? 0 : va[i] < vb[i] ? -1 : 1;
+        return true;
+      }
+    }
+    off += run;
+  }
+}
+
 void Machine::ChargeChunked(uint64_t addr, uint64_t len) {
   // One cache access per touched 8-byte chunk plus a cycle per 16 bytes of
-  // work — the cost of a tuned memcpy loop.
-  for (uint64_t a = addr & ~7ULL; a < addr + len; a += 8) {
-    ChargeRegularAccess(a);
+  // work — the cost of a tuned memcpy loop. The chunks on one cache line are
+  // back-to-back accesses to it, so they are charged together.
+  const uint64_t end = addr + len;
+  const uint64_t line = cur_->cache.line_bytes();
+  uint64_t chunks = 0;
+  for (uint64_t a = addr & ~7ULL; a < end;) {
+    const uint64_t line_end = (a & ~(line - 1)) + line;
+    const uint64_t n = (std::min(line_end, end) - a + 7) / 8;
+    result_.counters.mem_accesses += n;
+    Cycles(cur_->cache.AccessRepeated(a, n));
+    chunks += n;
+    a += 8 * n;
+  }
+  if (options_.isolation == IsolationKind::kSfi) {
+    Cycles(chunks * kSfiMaskCycles);  // the SFI mask on every chunk
   }
   Cycles(len / 16 + 1);
 }
@@ -1888,20 +2035,6 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
   auto value_of = [&](size_t i) { return ops.value(i); };
   auto meta_of = [&](size_t i) { return ops.meta(i); };
 
-  // C-string length helper (bounded scan so a missing NUL faults eventually).
-  auto scan_strlen = [&](uint64_t addr, const RegMeta& meta, uint64_t* len) {
-    for (uint64_t i = 0;; ++i) {
-      uint8_t b = 0;
-      if (!ReadByteRouted(addr + i, meta, &b)) {
-        return false;
-      }
-      if (b == 0) {
-        *len = i;
-        return true;
-      }
-    }
-  };
-
   // SoftBound baseline: a checked libcall validates the whole touched range
   // against the pointer's bounds before a single byte moves.
   auto sb_range_check = [&](const RegMeta& meta, uint64_t addr, uint64_t n) {
@@ -1966,12 +2099,8 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
 
   auto copy_bytes = [&](uint64_t dst, const RegMeta& dm, uint64_t src, const RegMeta& sm,
                         uint64_t n, bool backward) -> bool {
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint64_t off = backward ? n - 1 - i : i;
-      uint8_t b = 0;
-      if (!ReadByteRouted(src + off, sm, &b) || !WriteByteRouted(dst + off, dm, b)) {
-        return false;
-      }
+    if (!CopyBytes(dst, dm, src, sm, n, backward)) {
+      return false;
     }
     ChargeChunked(src, n);
     ChargeChunked(dst, n);
@@ -1981,7 +2110,7 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
   switch (func) {
     case LibFunc::kStrlen: {
       uint64_t len = 0;
-      if (!scan_strlen(value_of(0), meta_of(0), &len)) {
+      if (!ScanStrlen(value_of(0), meta_of(0), &len)) {
         return;
       }
       ChargeChunked(value_of(0), len + 1);
@@ -1995,19 +2124,8 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
       const RegMeta mb = meta_of(1);
       uint64_t i = 0;
       int64_t r = 0;
-      for (;; ++i) {
-        uint8_t ca = 0;
-        uint8_t cb = 0;
-        if (!ReadByteRouted(a + i, ma, &ca) || !ReadByteRouted(b + i, mb, &cb)) {
-          return;
-        }
-        if (ca != cb) {
-          r = ca < cb ? -1 : 1;
-          break;
-        }
-        if (ca == 0) {
-          break;
-        }
+      if (!CompareStrings(a, ma, b, mb, &i, &r)) {
+        return;
       }
       ChargeChunked(a, i + 1);
       ChargeChunked(b, i + 1);
@@ -2018,7 +2136,7 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
       const uint64_t dst = value_of(0);
       const uint64_t src = value_of(1);
       uint64_t len = 0;
-      if (!scan_strlen(src, meta_of(1), &len)) {
+      if (!ScanStrlen(src, meta_of(1), &len)) {
         return;
       }
       if (!sb_range_check(meta_of(0), dst, len + 1) ||
@@ -2040,17 +2158,15 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
         return;
       }
       uint64_t len = 0;
-      if (!scan_strlen(src, meta_of(1), &len)) {
+      if (!ScanStrlen(src, meta_of(1), &len)) {
         return;
       }
       const uint64_t copy = std::min(len, n);
       if (!copy_bytes(dst, meta_of(0), src, meta_of(1), copy, /*backward=*/false)) {
         return;
       }
-      for (uint64_t i = copy; i < n; ++i) {
-        if (!WriteByteRouted(dst + i, meta_of(0), 0)) {
-          return;
-        }
+      if (!StoreBytes(dst + copy, meta_of(0), n - copy, nullptr, 0)) {
+        return;
       }
       clear_entries(dst, n);
       ops.set(dst, meta_of(0));
@@ -2061,7 +2177,7 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
       const uint64_t src = value_of(1);
       uint64_t dst_len = 0;
       uint64_t src_len = 0;
-      if (!scan_strlen(dst, meta_of(0), &dst_len) || !scan_strlen(src, meta_of(1), &src_len)) {
+      if (!ScanStrlen(dst, meta_of(0), &dst_len) || !ScanStrlen(src, meta_of(1), &src_len)) {
         return;
       }
       if (!sb_range_check(meta_of(0), dst, dst_len + src_len + 1)) {
@@ -2099,10 +2215,8 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
       if (!sb_range_check(meta_of(0), dst, n)) {
         return;
       }
-      for (uint64_t i = 0; i < n; ++i) {
-        if (!WriteByteRouted(dst + i, meta_of(0), byte)) {
-          return;
-        }
+      if (!StoreBytes(dst, meta_of(0), n, nullptr, byte)) {
+        return;
       }
       ChargeChunked(dst, n);
       clear_entries(dst, n);
@@ -2117,10 +2231,8 @@ void Machine::DoLibCall(Frame& f, LibFunc func, bool checked, const Ops& ops) {
       if (!sb_range_check(meta_of(0), dst, n)) {
         return;
       }
-      for (uint64_t i = 0; i < n; ++i) {
-        if (!WriteByteRouted(dst + i, meta_of(0), options_.input_bytes[input_byte_pos_ + i])) {
-          return;
-        }
+      if (!StoreBytes(dst, meta_of(0), n, options_.input_bytes.data() + input_byte_pos_, 0)) {
+        return;
       }
       input_byte_pos_ += n;
       ChargeChunked(dst, n);

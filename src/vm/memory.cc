@@ -17,6 +17,8 @@ uint64_t BitRange(uint64_t begin, uint64_t end) {
 
 }  // namespace
 
+const uint8_t ByteMemory::kZeroPage[ByteMemory::kPageBytes] = {};
+
 ByteMemory::Chunk& ByteMemory::ChunkFor(uint64_t chunk_id) {
   std::unique_ptr<Chunk>& chunk = chunks_[chunk_id];
   if (chunk == nullptr) {

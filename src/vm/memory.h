@@ -41,9 +41,9 @@ class ByteMemory {
   bool IsMapped(uint64_t addr) const { return Translate(addr).bytes != nullptr; }
   bool IsWritable(uint64_t addr) const { return Translate(addr).writable; }
 
-  // Single-page accesses (virtually all of them: the VM reads/writes 1-8
-  // byte scalars) take the inline fast path; page-straddling accesses fall
-  // back to the chunked loop in memory.cc.
+  // Scalar accesses. Single-page ones (virtually all of them: the VM
+  // reads/writes 1-8 byte scalars) take the inline fast path;
+  // page-straddling accesses fall back to the chunked loop in memory.cc.
   MemFault Read(uint64_t addr, void* out, uint64_t size) const {
     if ((addr & (kPageBytes - 1)) + size <= kPageBytes) {
       const PageRef& page = Translate(addr);
@@ -74,6 +74,33 @@ class ByteMemory {
     return WriteSlow(addr, data, size);
   }
 
+  // Page runs: the library calls (memcpy, strlen, ...) move bytes one run
+  // at a time, a run being the longest stretch that stays on one page of
+  // every operand. A view points at `addr`'s byte and is valid up to the end
+  // of its page. ReadView is null when the page is unmapped (a page never
+  // written reads from a shared zero page); WriteView is null when the page
+  // is unmapped or read-only, and materialises it otherwise. A null view
+  // sends the caller back to the byte path, so a faulting transfer traps at
+  // the same byte, with the same message, as a byte loop would. The VM
+  // charges the moved bytes a cache line at a time (Machine::ChargeChunked).
+  const uint8_t* ReadView(uint64_t addr) const {
+    const PageRef& page = Translate(addr);
+    if (page.bytes == nullptr) {
+      return nullptr;
+    }
+    const uint8_t* bytes = *page.bytes == nullptr ? kZeroPage : page.bytes->get();
+    return bytes + (addr & (kPageBytes - 1));
+  }
+  uint8_t* WriteView(uint64_t addr) {
+    const PageRef& page = Translate(addr);
+    if (page.bytes == nullptr || !page.writable) {
+      return nullptr;
+    }
+    return PageBytes(*page.bytes) + (addr & (kPageBytes - 1));
+  }
+  // Bytes from `addr` to the end of its page.
+  static uint64_t PageRest(uint64_t addr) { return kPageBytes - (addr & (kPageBytes - 1)); }
+
   MemFault ReadU64(uint64_t addr, uint64_t* out) const { return Read(addr, out, 8); }
   MemFault WriteU64(uint64_t addr, uint64_t value) { return Write(addr, &value, 8); }
   MemFault ReadByte(uint64_t addr, uint8_t* out) const { return Read(addr, out, 1); }
@@ -95,6 +122,7 @@ class ByteMemory {
 
  private:
   using PageBytesPtr = std::unique_ptr<uint8_t[]>;
+  static const uint8_t kZeroPage[kPageBytes];
   static constexpr uint64_t kChunkWords = kChunkPages / 64;
 
   struct Chunk {

@@ -1,12 +1,16 @@
 // VM tests: memory semantics, cache model, execution semantics (arithmetic
-// widths, control flow, calls, heap), trap taxonomy, and the isolation
-// invariant (no safe-region address ever stored in regular memory).
+// widths, control flow, calls, heap), trap taxonomy, the isolation
+// invariant (no safe-region address ever stored in regular memory), and
+// golden library-call runs.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "src/core/levee.h"
 #include "src/frontend/compile.h"
 #include "src/ir/builder.h"
 #include "src/support/oom.h"
+#include "src/support/rng.h"
 #include "src/vm/cache.h"
 #include "src/vm/layout.h"
 #include "src/vm/machine.h"
@@ -180,6 +184,36 @@ TEST(CacheTest, CapacityEviction) {
   cache.Access(2 * set_stride);
   cache.Access(0);  // evicted by LRU
   EXPECT_EQ(cache.misses(), 4u);
+}
+
+// AccessRepeated(addr, n) must be indistinguishable from n back-to-back
+// Access(addr) calls: same cycles, same hit/miss counts, and the same result
+// for every access after it (replacement state included). Small caches keep
+// the random streams evicting.
+TEST(CacheTest, RepeatedAccessEqualsBackToBackAccesses) {
+  for (uint64_t line : {4, 8, 64, 128}) {
+    for (uint64_t ways : {1, 2, 4}) {
+      CacheModel::Config config;
+      config.line_bytes = line;
+      config.ways = ways;
+      config.size_bytes = line * ways * 8;  // 8 sets
+      CacheModel batched(config);
+      CacheModel single(config);
+      Rng rng(line * 131 + ways);
+      for (int step = 0; step < 4000; ++step) {
+        const uint64_t addr = rng.NextU64() % (line * 64);
+        const uint64_t n = rng.NextU64() % 3 == 0 ? 1 : 1 + rng.NextU64() % 12;
+        uint64_t cycles = 0;
+        for (uint64_t i = 0; i < n; ++i) {
+          cycles += single.Access(addr);
+        }
+        ASSERT_EQ(batched.AccessRepeated(addr, n), cycles)
+            << "line " << line << " ways " << ways << " step " << step;
+        ASSERT_EQ(batched.hits(), single.hits());
+        ASSERT_EQ(batched.misses(), single.misses());
+      }
+    }
+  }
 }
 
 // --- execution semantics via the C frontend ------------------------------------
@@ -395,6 +429,503 @@ TEST(LayoutTest, ProgramLayoutIsDeterministic) {
   const uint64_t main_addr = a.CodeAddress(cr.module->FindFunction("main"));
   EXPECT_NE(f_addr, main_addr);
   EXPECT_EQ((f_addr - kCodeBase) % kCodeStride, 0u);
+}
+
+// --- library calls: every observable pinned --------------------------------------
+//
+// The libc-style routines move bytes through the routed memory path and
+// charge them through the cache model. These golden runs pin, on all three
+// engines, each case's status, violation, message, output and every Counters
+// field, so any change to how lib-call bytes are moved or charged must keep
+// them bit for bit.
+
+// Every observable of a run on one line.
+std::string Fingerprint(const RunResult& r) {
+  std::ostringstream s;
+  s << RunStatusName(r.status) << '|' << runtime::ViolationName(r.violation) << '|' << r.message
+    << "|out";
+  for (uint64_t v : r.output) {
+    s << ' ' << v;
+  }
+  const Counters& c = r.counters;
+  s << "|ins " << c.instructions << " cyc " << c.cycles << " mem " << c.mem_accesses << " store "
+    << c.safe_store_ops << " contended " << c.store_contended_ops << " migrations "
+    << c.shard_migrations << " seal " << c.seal_ops << " checks " << c.checks << " calls "
+    << c.calls << " hijacks " << c.hijack_transfers << " hits " << c.cache_hits << " misses "
+    << c.cache_misses << " spawns " << c.thread_spawns;
+  return s.str();
+}
+
+struct LibCallCase {
+  const char* name;
+  core::Protection protection;
+  runtime::IsolationKind isolation;
+  // Run without instrumentation but with the safe stack on, so every local
+  // (including arrays handed to lib calls) lives on the safe stack and lib
+  // calls see safe-stack operands with safe provenance.
+  bool raw_safe_stack;
+  const char* source;
+  const char* golden;
+};
+
+RunResult RunLibCallCase(const LibCallCase& c, EngineKind engine) {
+  auto cr = frontend::CompileC(c.source);
+  EXPECT_TRUE(cr.ok()) << c.name << ": " << cr.error;
+  core::Config config;
+  config.protection = c.protection;
+  config.isolation = c.isolation;
+  config.engine = engine;
+  core::Compiler(config).Instrument(*cr.module);
+  if (c.raw_safe_stack) {
+    cr.module->protection().safe_stack = true;
+  }
+  core::Input input;
+  for (uint8_t i = 0; i < 40; ++i) {
+    input.bytes.push_back(static_cast<uint8_t>(i * 13 + 1));
+  }
+  return core::Run(*cr.module, config, input);
+}
+
+// Heap blocks from the first mallocs are page aligned (kHeapBase), so the
+// offsets below place each transfer across a known number of page
+// boundaries: src = page 0 of the first block, dst starts 3616 bytes into a
+// page.
+constexpr const char* kCopyAcrossPages = R"(
+  int hash(char* p, int n) {
+    int h = 0;
+    for (int i = 0; i < n; i = i + 1) { h = h * 31 + p[i]; }
+    return h;
+  }
+  int main() {
+    char* src = (char*)malloc(20000);
+    char* dst = (char*)malloc(20000);
+    for (int i = 0; i < 20000; i = i + 1) { src[i] = i * 7 + 3; }
+    memcpy(dst + 10, src + 20, 100);
+    output(hash(dst, 20000));
+    memcpy(dst + 400, src + 4050, 200);
+    output(hash(dst, 20000));
+    memmove(dst + 480, src + 100, 12300);
+    output(hash(dst, 20000));
+    output(input_bytes(dst + 470, 64));
+    strncpy(dst + 4000, src + 1, 300);
+    output(hash(dst, 20000));
+    memset(dst + 300, 90, 9000);
+    output(hash(dst, 20000));
+    return 0;
+  }
+)";
+
+constexpr const char* kOverlap = R"(
+  int hash(char* p, int n) {
+    int h = 0;
+    for (int i = 0; i < n; i = i + 1) { h = h * 31 + p[i]; }
+    return h;
+  }
+  int main() {
+    char* p = (char*)malloc(16000);
+    for (int i = 0; i < 16000; i = i + 1) { p[i] = i % 251; }
+    memcpy(p + 3, p, 5000);
+    output(hash(p, 16000));
+    memcpy(p + 4093, p + 4000, 300);
+    output(hash(p, 16000));
+    memmove(p + 4100, p + 4090, 6000);
+    output(hash(p, 16000));
+    memmove(p + 10, p + 4000, 5000);
+    output(hash(p, 16000));
+    memcpy(p + 20, p + 8000, 5000);
+    output(hash(p, 16000));
+    return 0;
+  }
+)";
+
+constexpr const char* kZeroLength = R"(
+  int main() {
+    char* wild = (char*)8;
+    char* p = (char*)malloc(16);
+    memcpy(wild, wild, 0);
+    memmove(wild, p, 0);
+    memset(wild, 1, 0);
+    output(input_bytes(wild, 0));
+    strncpy(p, "abc", 0);
+    output(p[0]);
+    return 0;
+  }
+)";
+
+constexpr const char* kCopyIntoUnmapped = R"(
+  char g[300];
+  int main() {
+    char* p = (char*)malloc(4096);
+    for (int i = 0; i < 300; i = i + 1) { g[i] = i + 1; }
+    output(7);
+    memcpy(p + 4000, g, 200);
+    output(8);
+    return 0;
+  }
+)";
+
+constexpr const char* kMemsetIntoUnmapped = R"(
+  int main() {
+    char* p = (char*)malloc(4096);
+    memset(p + 10, 3, 100);
+    output(p[50]);
+    memset(p + 4000, 9, 500);
+    output(p[4000]);
+    return 0;
+  }
+)";
+
+// The only read-only data is `big`, which ends exactly where the writable
+// globals begin: `rw` sits on a writable page right above a read-only one.
+constexpr const char* kMoveIntoReadOnly = R"(
+  const char big[268435456];
+  char rw[64];
+  int main() {
+    char* d = rw;
+    for (int i = 0; i < 64; i = i + 1) { rw[i] = i + 1; }
+    memmove(d + 8, d, 32);
+    output(rw[8] + rw[39] * 256);
+    memmove(d - 16, d - 24, 40);
+    output(rw[0]);
+    return 0;
+  }
+)";
+
+constexpr const char* kStringsAcrossPages = R"(
+  int hash(char* p, int n) {
+    int h = 0;
+    for (int i = 0; i < n; i = i + 1) { h = h * 31 + p[i]; }
+    return h;
+  }
+  int main() {
+    char* a = (char*)malloc(8192);
+    char* b = (char*)malloc(8192);
+    memset(a, 97, 5000);
+    memset(b, 97, 5000);
+    b[4500] = 98;
+    output(strlen(a + 4000));
+    output(strcmp(a + 4000, b + 4000) + 2);
+    output(strcmp(b + 4000, a + 4000) + 2);
+    output(strcmp(a + 4600, b + 4600) + 2);
+    a[4990] = 99;
+    strcpy(b + 4090, a + 4980);
+    output(strlen(b + 4000));
+    strcat(b + 4000, a + 4900);
+    output(strlen(b));
+    strncpy(b + 4080, a + 4995, 40);
+    output(hash(b, 8192));
+    a[5200] = 0;
+    strcat(a + 4950, a + 4950);
+    output(hash(a, 8192));
+    return 0;
+  }
+)";
+
+// NULs and mismatches on the last byte of a page and the first of the next.
+constexpr const char* kStringsAtPageEnd = R"(
+  int main() {
+    char* a = (char*)malloc(8192);
+    char* b = (char*)malloc(8192);
+    memset(a, 97, 8192);
+    memset(b, 97, 8192);
+    a[4095] = 0;
+    b[4095] = 0;
+    output(strlen(a + 4000));
+    output(strcmp(a + 4000, b + 4000) + 2);
+    output(strcmp(a + 4001, b + 4000) + 2);
+    b[4095] = 98;
+    output(strcmp(a + 4000, b + 4000) + 2);
+    a[4095] = 97;
+    b[4095] = 97;
+    a[4096] = 0;
+    b[4096] = 0;
+    output(strcmp(a + 4000, b + 4000) + 2);
+    output(strlen(a + 4000));
+    a[8191] = 0;
+    output(strlen(a + 4097));
+    strcpy(b + 10, a + 4090);
+    output(strlen(b));
+    output(strcmp(b + 8000, a + 8000) + 2);
+    return 0;
+  }
+)";
+
+constexpr const char* kUnterminatedStrlen = R"(
+  int main() {
+    char* p = (char*)malloc(4096);
+    memset(p, 120, 4096);
+    output(1);
+    output(strlen(p + 100));
+    return 0;
+  }
+)";
+
+constexpr const char* kUnterminatedStrcmp = R"(
+  int main() {
+    char* p = (char*)malloc(4096);
+    memset(p, 120, 4096);
+    output(1);
+    output(strcmp(p + 3000, p + 2000));
+    return 0;
+  }
+)";
+
+// Locals large enough to straddle safe-stack pages, mixed with a heap block.
+constexpr const char* kSafeStackOperands = R"(
+  int hash(char* p, int n) {
+    int h = 0;
+    for (int i = 0; i < n; i = i + 1) { h = h * 31 + p[i]; }
+    return h;
+  }
+  int main() {
+    char a[6000];
+    char b[6000];
+    memset(a, 65, 5999);
+    a[5999] = 0;
+    memcpy(b, a, 6000);
+    output(strlen(b));
+    output(strcmp(a, b) + 2);
+    b[3000] = 66;
+    output(strcmp(a, b) + 2);
+    memmove(b + 7, b, 5000);
+    strcpy(a + 100, b + 4000);
+    char* h = (char*)malloc(12000);
+    memcpy(h, a, 6000);
+    memcpy(h + 6000, b, 6000);
+    output(hash(h, 12000));
+    memcpy(b + 4000, h + 20, 100);
+    b[4100] = 0;
+    a[5500] = 0;
+    strcat(a + 5000, b + 4050);
+    memset(b + 4090, 67, 30);
+    strncpy(a + 4080, b + 4085, 60);
+    output(input_bytes(b + 4070, 64));
+    memcpy(h, a, 6000);
+    memcpy(h + 6000, b, 6000);
+    output(strlen(a) + hash(h, 12000));
+    return 0;
+  }
+)";
+
+// An address forged into the safe region, without safe provenance.
+constexpr const char* kForgedSafeRead = R"(
+  char buf[16];
+  int main() {
+    char* f = (char*)105553116270592;
+    output(1);
+    memcpy(buf, f, 8);
+    output(2);
+    return 0;
+  }
+)";
+
+constexpr const char* kForgedSafeWrite = R"(
+  int main() {
+    char* f = (char*)105553116270592;
+    output(1);
+    memset(f, 0, 8);
+    output(2);
+    return 0;
+  }
+)";
+
+// Code pointers moved, overlapped and cleared by the checked variants.
+constexpr const char* kCheckedCopies = R"(
+  struct rec { int id; int (*fn)(int); char pad[40]; };
+  int twice(int x) { return x * 2; }
+  int thrice(int x) { return x * 3; }
+  int sum(struct rec* r, int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i = i + 1) {
+      struct rec* e = r + i;
+      int (*f)(int) = e->fn;
+      acc = acc * 7 + f(e->id);
+    }
+    return acc;
+  }
+  int main() {
+    struct rec* a = (struct rec*)malloc(sizeof(struct rec) * 200);
+    struct rec* b = (struct rec*)malloc(sizeof(struct rec) * 200);
+    for (int i = 0; i < 200; i = i + 1) {
+      struct rec* e = a + i;
+      e->id = i;
+      if (i % 2) { e->fn = twice; } else { e->fn = thrice; }
+    }
+    memcpy(b, a, sizeof(struct rec) * 200);
+    output(sum(b, 200));
+    memmove(a + 1, a, sizeof(struct rec) * 150);
+    output(sum(a, 151));
+    memmove(b, b + 3, sizeof(struct rec) * 120);
+    output(sum(b, 120));
+    memset(b, 0, sizeof(struct rec) * 100);
+    output(sum(b + 100, 100));
+    return 0;
+  }
+)";
+
+using runtime::IsolationKind;
+using core::Protection;
+
+const LibCallCase kLibCallCases[] = {
+    {"copy_across_pages", Protection::kNone, IsolationKind::kSegment, false, kCopyAcrossPages,
+     "ok|none||"
+     "out 10412540591154445726 1106589371946173914 7281249670652355872 40"
+     " 14480753968107840249 3880936565176174002|"
+     "ins 2120138 cyc 4229510 mem 1044407 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 6 hijacks 0 hits 1043577 misses 830 spawns 0"},
+    {"overlap", Protection::kNone, IsolationKind::kSegment, false, kOverlap,
+     "ok|none||"
+     "out 16838733034482969040 16838733034482969040 8376585877827565325"
+     " 508191502214902725 12657476726514261239|"
+     "ins 1680131 cyc 3555229 mem 837397 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 6 hijacks 0 hits 837145 misses 252 spawns 0"},
+    {"zero_length", Protection::kNone, IsolationKind::kSegment, false, kZeroLength,
+     "ok|none||out 0 0|"
+     "ins 29 cyc 174 mem 13 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 11 misses 2 spawns 0"},
+    {"copy_into_unmapped", Protection::kNone, IsolationKind::kSegment, false, kCopyIntoUnmapped,
+     "crash|none|fault: write to unmapped address|out 7|"
+     "ins 4518 cyc 8297 mem 1805 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 1799 misses 6 spawns 0"},
+    {"memset_into_unmapped", Protection::kNone, IsolationKind::kSegment, false, kMemsetIntoUnmapped,
+     "crash|none|fault: write to unmapped address|out 3|"
+     "ins 16 cyc 172 mem 19 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 16 misses 3 spawns 0"},
+    {"move_into_read_only", Protection::kNone, IsolationKind::kSegment, false, kMoveIntoReadOnly,
+     "crash|none|fault: write to read-only memory|out 8193|"
+     "ins 993 cyc 1868 mem 402 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 400 misses 2 spawns 0"},
+    {"strings_across_pages", Protection::kNone, IsolationKind::kSegment, false, kStringsAcrossPages,
+     "ok|none||out 1000 1 3 2 110 4210 10749562815130003741 16521723004769056731|"
+     "ins 295028 cyc 601697 mem 149828 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 3 hijacks 0 hits 149570 misses 258 spawns 0"},
+    {"strings_at_page_end", Protection::kNone, IsolationKind::kSegment, false, kStringsAtPageEnd,
+     "ok|none||out 95 2 1 1 2 96 4094 16 3|"
+     "ins 101 cyc 12852 mem 2776 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 2519 misses 257 spawns 0"},
+    {"unterminated_strlen", Protection::kNone, IsolationKind::kSegment, false, kUnterminatedStrlen,
+     "crash|none|fault: read of unmapped address|out 1|"
+     "ins 11 cyc 2775 mem 516 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 451 misses 65 spawns 0"},
+    {"unterminated_strcmp", Protection::kNone, IsolationKind::kSegment, false, kUnterminatedStrcmp,
+     "crash|none|fault: read of unmapped address|out 1|"
+     "ins 13 cyc 2779 mem 517 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 452 misses 65 spawns 0"},
+    {"safe_stack_segment", Protection::kNone, IsolationKind::kSegment, true, kSafeStackOperands,
+     "ok|none||out 5999 2 1 6158982671528956606 40 6218634745796487830|"
+     "ins 432138 cyc 906029 mem 229366 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 3 hijacks 0 hits 228989 misses 377 spawns 0"},
+    {"safe_stack_info_hiding", Protection::kNone, IsolationKind::kInfoHiding, true,
+     kSafeStackOperands,
+     "ok|none||out 5999 2 1 6158982671528956606 40 6218634745796487830|"
+     "ins 432138 cyc 906029 mem 229366 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 3 hijacks 0 hits 228989 misses 377 spawns 0"},
+    {"safe_stack_sfi", Protection::kNone, IsolationKind::kSfi, true, kSafeStackOperands,
+     "ok|none||out 5999 2 1 6158982671528956606 40 6218634745796487830|"
+     "ins 432138 cyc 943363 mem 229366 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 3 hijacks 0 hits 228989 misses 377 spawns 0"},
+    {"forged_read_segment", Protection::kNone, IsolationKind::kSegment, false, kForgedSafeRead,
+     "crash|none|segment violation: regular access to the safe region|out 1|"
+     "ins 10 cyc 51 mem 3 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 2 misses 1 spawns 0"},
+    {"forged_read_info_hiding", Protection::kNone, IsolationKind::kInfoHiding, false,
+     kForgedSafeRead,
+     "crash|none|fault: access to unmapped address (safe region is hidden)|out 1|"
+     "ins 10 cyc 51 mem 3 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 2 misses 1 spawns 0"},
+    {"forged_read_sfi", Protection::kNone, IsolationKind::kSfi, false, kForgedSafeRead,
+     "crash|none|fault: read of unmapped address|out 1|"
+     "ins 10 cyc 54 mem 3 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 2 misses 1 spawns 0"},
+    {"forged_write_sfi", Protection::kNone, IsolationKind::kSfi, false, kForgedSafeWrite,
+     "crash|none|fault: write to unmapped address|out 1|"
+     "ins 7 cyc 51 mem 3 store 0 contended 0 migrations 0 seal 0"
+     " checks 0 calls 1 hijacks 0 hits 2 misses 1 spawns 0"},
+    {"checked_cpi", Protection::kCpi, IsolationKind::kSegment, false, kCheckedCopies,
+     "ok|none||"
+     "out 8016295336952370940 1883973579097500920 13568365769917087612 10621492968322541846|"
+     "ins 25506 cyc 114404 mem 20782 store 9008 contended 0 migrations 0 seal 0"
+     " checks 2113 calls 576 hijacks 0 hits 19447 misses 1335 spawns 0"},
+    {"checked_cpi_sfi", Protection::kCpi, IsolationKind::kSfi, false, kCheckedCopies,
+     "ok|none||"
+     "out 8016295336952370940 1883973579097500920 13568365769917087612 10621492968322541846|"
+     "ins 25506 cyc 122455 mem 20782 store 9008 contended 0 migrations 0 seal 0"
+     " checks 2113 calls 576 hijacks 0 hits 19447 misses 1335 spawns 0"},
+    {"checked_cps", Protection::kCps, IsolationKind::kSegment, false, kCheckedCopies,
+     "ok|none||"
+     "out 8016295336952370940 1883973579097500920 13568365769917087612 10621492968322541846|"
+     "ins 23964 cyc 111188 mem 20782 store 5907 contended 0 migrations 0 seal 0"
+     " checks 571 calls 576 hijacks 0 hits 19453 misses 1329 spawns 0"},
+    {"checked_ptrenc", Protection::kPtrEnc, IsolationKind::kSegment, false, kCheckedCopies,
+     "ok|none||"
+     "out 8016295336952370940 1883973579097500920 13568365769917087612 10621492968322541846|"
+     "ins 23964 cyc 118239 mem 24542 store 0 contended 0 migrations 0 seal 7396"
+     " checks 571 calls 576 hijacks 0 hits 24190 misses 352 spawns 0"},
+    {"checked_softbound", Protection::kSoftBound, IsolationKind::kSegment, false, kCheckedCopies,
+     "ok|none||"
+     "out 8016295336952370940 1883973579097500920 13568365769917087612 10621492968322541846|"
+     "ins 24935 cyc 137181 mem 32352 store 0 contended 0 migrations 0 seal 0"
+     " checks 1549 calls 576 hijacks 0 hits 30759 misses 1593 spawns 0"},
+};
+
+TEST(LibCallTest, GoldenResultsOnEveryEngine) {
+  for (const LibCallCase& c : kLibCallCases) {
+    for (EngineKind engine : {EngineKind::kReference, EngineKind::kDecoded, EngineKind::kFused}) {
+      EXPECT_EQ(Fingerprint(RunLibCallCase(c, engine)), c.golden)
+          << c.name << " on " << EngineKindName(engine);
+    }
+  }
+}
+
+// Under SFI a safe-region address without safe provenance is masked back
+// into the regular region. Lib-call bytes take the same mask as a scalar
+// access: the forged address below reads and writes the heap block it masks
+// to, through a load, a memcpy and a memset alike. A forged operand can
+// also overlap the other one only after masking; copies then still match a
+// forward byte loop (the loops in C below), pattern replication included.
+TEST(LibCallTest, SfiMasksForgedAddressesLikeScalarAccesses) {
+  constexpr uint64_t kForgeBit = 1ULL << 47;  // in the safe region, cleared by the mask
+  static_assert(kForgeBit >= kSafeRegionBase && ((kSafeRegionBase - 1) & kForgeBit) == 0);
+  const char* source = R"(
+    int memcmp_loop(char* x, char* y, int n) {
+      int same = 0;
+      for (int i = 0; i < n; i = i + 1) { same = same + (x[i] == y[i]); }
+      return same;
+    }
+    int main() {
+      int* h = (int*)malloc(16);
+      *h = 4242;
+      char* forged = (char*)((int)h + 140737488355328);
+      output(*(int*)forged);
+      int* d = (int*)malloc(16);
+      memcpy((char*)d, forged, 8);
+      output(*d);
+      memset(forged, 0, 8);
+      output(*h);
+
+      char* a = (char*)malloc(64);
+      char* b = (char*)malloc(64);
+      for (int i = 0; i < 64; i = i + 1) { a[i] = i + 1; b[i] = i + 1; }
+      char* fa = (char*)((int)a + 140737488355328);
+      memcpy(a + 3, fa, 40);
+      for (int i = 0; i < 40; i = i + 1) { b[i + 3] = b[i]; }
+      output(memcmp_loop(a, b, 64));
+      memmove(fa, a + 5, 40);
+      for (int i = 0; i < 40; i = i + 1) { b[i] = b[i + 5]; }
+      output(memcmp_loop(a, b, 64));
+      return 0;
+    }
+  )";
+  for (EngineKind engine : {EngineKind::kReference, EngineKind::kDecoded, EngineKind::kFused}) {
+    auto cr = frontend::CompileC(source);
+    ASSERT_TRUE(cr.ok()) << cr.error;
+    core::Config config;
+    config.isolation = runtime::IsolationKind::kSfi;
+    config.engine = engine;
+    const RunResult r = core::InstrumentAndRun(*cr.module, config);
+    ASSERT_EQ(r.status, RunStatus::kOk) << r.message << " on " << EngineKindName(engine);
+    EXPECT_EQ(r.output, (std::vector<uint64_t>{4242, 4242, 0, 64, 64})) << EngineKindName(engine);
+  }
 }
 
 TEST(CountersTest, InstrumentationAddsSafeStoreTraffic) {
