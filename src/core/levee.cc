@@ -69,7 +69,9 @@ CompileOutput Compiler::Instrument(ir::Module& module) const {
   return out;
 }
 
-vm::RunResult Run(const ir::Module& module, const Config& config, const Input& input) {
+namespace {
+
+vm::RunOptions RunOptionsFor(const Config& config, const Input& input) {
   vm::RunOptions options;
   SchemeFor(config).ConfigureRun(options);
   options.store = config.store;
@@ -85,7 +87,17 @@ vm::RunResult Run(const ir::Module& module, const Config& config, const Input& i
   options.input_words = input.words;
   options.input_bytes = input.bytes;
   options.faults = config.faults;
-  return vm::Execute(module, options);
+  return options;
+}
+
+}  // namespace
+
+vm::RunResult Run(const ir::Module& module, const Config& config, const Input& input) {
+  return vm::Execute(module, RunOptionsFor(config, input));
+}
+
+vm::RunResult Run(const vm::DecodedModule& decoded, const Config& config, const Input& input) {
+  return vm::Execute(decoded, RunOptionsFor(config, input));
 }
 
 vm::RunResult InstrumentAndRun(ir::Module& module, const Config& config, const Input& input) {

@@ -136,6 +136,13 @@ struct Input {
 // settings.
 vm::RunResult Run(const ir::Module& module, const Config& config, const Input& input = {});
 
+// The same run on a module decoded once for the config's engine
+// (vm::DecodedModule; the decode's tier must be the run's, CPI_CHECKed).
+// Callers that run one module under many runtime settings decode it once
+// per tier and pass it here.
+vm::RunResult Run(const vm::DecodedModule& decoded, const Config& config,
+                  const Input& input = {});
+
 // Convenience used throughout benches/tests: instrument a freshly built
 // module and run it.
 vm::RunResult InstrumentAndRun(ir::Module& module, const Config& config,

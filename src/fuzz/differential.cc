@@ -9,6 +9,7 @@
 
 #include "src/core/levee.h"
 #include "src/core/scheme.h"
+#include "src/vm/decode.h"
 #include "src/vm/fault.h"
 
 namespace cpi::fuzz {
@@ -26,42 +27,58 @@ struct Cell {
 // and temporal modes, classification flags; RunCase always sets
 // Config::scheme, so the Protection id adds nothing). Engine, quantum, store, shard
 // count, migration and fault plan are runtime settings; vm::Execute takes
-// the module const, so every cell of a key can run on the same module.
+// the module and its decode const, so every cell of a key runs on the same
+// module, and every decoded or fused cell of a key on the same decode.
 class SharedModules {
  public:
   explicit SharedModules(const Plan& plan) : plan_(plan) {}
 
-  // Compiles on the key's first use; a compile that throws leaves nothing
-  // behind, so the exception reaches the cell that asked.
-  const ir::Module& For(const core::Config& config) {
-    std::unique_ptr<ir::Module>& module =
-        modules_[std::make_tuple(config.scheme, config.opt_level, config.debug_mode,
-                                 config.temporal, config.char_star_heuristic,
-                                 config.cast_dataflow)];
-    if (module == nullptr) {
+  // Runs `config` on its key's module, compiling it on the key's first use
+  // and decoding it on the first use of each predecoded tier. A compile or
+  // decode that throws leaves nothing behind, so the exception reaches the
+  // cell that asked.
+  vm::RunResult Run(const core::Config& config) {
+    Compiled& c = compiled_[std::make_tuple(config.scheme, config.opt_level, config.debug_mode,
+                                            config.temporal, config.char_star_heuristic,
+                                            config.cast_dataflow)];
+    if (c.module == nullptr) {
       auto fresh = Materialize(plan_);
       core::Compiler(config).Instrument(*fresh);
-      module = std::move(fresh);
+      c.module = std::move(fresh);
     }
-    return *module;
+    if (config.engine == vm::EngineKind::kReference) {
+      return core::Run(*c.module, config);
+    }
+    const bool fuse = config.engine == vm::EngineKind::kFused;
+    std::unique_ptr<vm::DecodedModule>& decoded = c.decoded[fuse];
+    if (decoded == nullptr) {
+      decoded = std::make_unique<vm::DecodedModule>(*c.module,
+                                                    vm::ComputeProgramLayout(*c.module), fuse);
+    }
+    return core::Run(*decoded, config);
   }
 
  private:
   using Key = std::tuple<const core::ProtectionScheme*, int, bool, bool, bool, bool>;
+  struct Compiled {
+    std::unique_ptr<ir::Module> module;
+    std::unique_ptr<vm::DecodedModule> decoded[2];  // [fuse]: decoded, fused
+  };
   const Plan& plan_;
-  std::map<Key, std::unique_ptr<ir::Module>> modules_;
+  std::map<Key, Compiled> compiled_;
 };
 
 // Runs one cell and traps any host-level exception: a cell can fail, the
 // campaign cannot. With `shared`, the cell runs on its compile key's shared
-// module. Without it, the cell materializes and instruments a module of its
-// own: RunCase does that for the first reference-engine cell of each key,
-// so every counter-identity comparison has one independently compiled side.
+// module and decode. Without it, the cell materializes and instruments a
+// module of its own: RunCase does that for the first reference-engine cell
+// of each key, so every counter-identity comparison has one independently
+// compiled side.
 Cell RunCell(const Plan& plan, const core::Config& config, SharedModules* shared = nullptr) {
   Cell cell;
   try {
     if (shared != nullptr) {
-      cell.result = core::Run(shared->For(config), config);
+      cell.result = shared->Run(config);
     } else {
       auto module = Materialize(plan);
       cell.result = core::InstrumentAndRun(*module, config);

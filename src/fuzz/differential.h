@@ -30,9 +30,10 @@
 //     cannot observe scheduling). Coverage of (scheme × kind) pairs that
 //     actually injected is reported for the campaign-level assertion.
 //
-// Cells that differ only in runtime settings share one instrumented module;
-// the first reference-engine cell of each compile key compiles its own, so
-// every counter-identity comparison has an independently compiled side
+// Cells that differ only in runtime settings share one instrumented module,
+// and their decoded and fused cells one decode per tier; the first
+// reference-engine cell of each compile key compiles its own, so every
+// counter-identity comparison has an independently compiled side
 // (docs/FUZZING.md, "Compile sharing").
 //
 // Every cell is wrapped in a catch-all: a host-level exception becomes

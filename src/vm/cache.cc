@@ -32,30 +32,18 @@ CacheModel::CacheModel(const Config& config) : config_(config) {
 }
 
 uint64_t CacheModel::Miss(Line* set_lines, uint64_t line_addr, uint64_t tick) {
-  // Fill the LRU way.
+  // Fill the way with the smallest tick: an invalid way (tick 0) if there is
+  // one, else the least recently used. Ways are interchangeable, so which of
+  // several invalid ways fills never changes a later hit or miss.
   uint64_t victim = 0;
-  for (uint64_t w = 1; w < config_.ways; ++w) {
-    if (!set_lines[w].valid ||
-        (set_lines[victim].valid && set_lines[w].lru < set_lines[victim].lru)) {
+  for (uint64_t w = 1; w < config_.ways && set_lines[victim].lru != 0; ++w) {
+    if (set_lines[w].lru < set_lines[victim].lru) {
       victim = w;
     }
-    if (!set_lines[victim].valid) {
-      break;
-    }
   }
-  set_lines[victim] = Line{line_addr, tick, true};
+  set_lines[victim] = Line{line_addr, tick};
   ++misses_;
   return config_.miss_cycles;
-}
-
-void CacheModel::Reset() {
-  hits_ = misses_ = 0;
-  for (Line& l : lines_) {
-    l = Line{};
-  }
-  for (uint64_t& t : set_tick_) {
-    t = 0;
-  }
 }
 
 }  // namespace cpi::vm

@@ -42,7 +42,7 @@ class CacheModel {
     Line* set_lines = &lines_[set * config_.ways];
 
     for (uint64_t w = 0; w < config_.ways; ++w) {
-      if (set_lines[w].valid && set_lines[w].tag == line_addr) {
+      if (set_lines[w].tag == line_addr && set_lines[w].lru != 0) {
         set_lines[w].lru = tick;
         hits_ += n;
         return n * config_.hit_cycles;
@@ -58,14 +58,14 @@ class CacheModel {
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
 
-  void Reset();
-
  private:
+  // 16 bytes: a line is valid exactly when its tick is nonzero, since every
+  // fill stores a set tick >= 1.
   struct Line {
     uint64_t tag = 0;
-    uint64_t lru = 0;
-    bool valid = false;
+    uint64_t lru = 0;  // last-use tick; 0 = invalid
   };
+  static_assert(sizeof(Line) == 16, "CacheModel::Line must stay 16 bytes");
 
   // Miss path: fill the LRU way. Out of line — misses are the rare case and
   // keeping the fill loop out of the inlined probe keeps the hot path small.

@@ -487,12 +487,15 @@ void FuseFunction(DecodedFunction& df, std::map<std::string, PatternAccum>& patt
 }  // namespace
 
 DecodedModule::DecodedModule(const ir::Module& module, const ProgramLayout& layout,
-                             bool fuse) {
+                             bool fuse)
+    : module_(module),
+      layout_(layout),
+      engine_(fuse ? EngineKind::kFused : EngineKind::kDecoded) {
   functions_.reserve(module.functions().size());
   for (size_t i = 0; i < module.functions().size(); ++i) {
     const Function* fn = module.functions()[i].get();
     CPI_CHECK(fn->ordinal() == i);
-    functions_.push_back(DecodeFunction(*fn, module, layout));
+    functions_.push_back(DecodeFunction(*fn, module, layout_));
     ops_before_ += functions_.back()->ops.size();
   }
   ops_after_ = ops_before_;

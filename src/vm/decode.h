@@ -250,15 +250,26 @@ struct FusePattern {
   uint64_t weight = 0;   // sum of loop-nesting weights of those sites
 };
 
-// All functions of a module, decoded once per Execute call and cached for
-// its lifetime. Indexed by ir::Function::ordinal(), which also underlies
-// code addresses — so an indirect-call target address resolves to its
-// decoded body with pure arithmetic. With `fuse` set, the profile-guided
-// fusion pass runs over every function after decoding.
+// All functions of a module, decoded for one tier. Indexed by
+// ir::Function::ordinal(), which also underlies code addresses — so an
+// indirect-call target address resolves to its decoded body with pure
+// arithmetic. With `fuse` set, the profile-guided fusion pass runs over every
+// function after decoding.
+//
+// A decode depends only on the module, its layout and `fuse` — never on
+// RunOptions — and no run mutates it, so one DecodedModule serves any number
+// of vm::Execute calls, concurrent ones included. It keeps a reference to the
+// module (which must outlive it) and its own copy of the layout, so a run on
+// it recomputes neither.
 class DecodedModule {
  public:
   DecodedModule(const ir::Module& module, const ProgramLayout& layout,
                 bool fuse = false);
+
+  const ir::Module& module() const { return module_; }
+  const ProgramLayout& layout() const { return layout_; }
+  // The tier this decode serves: kFused when built with `fuse`, else kDecoded.
+  EngineKind engine() const { return engine_; }
 
   const DecodedFunction& ForFunction(const ir::Function* f) const {
     CPI_CHECK(f->ordinal() < functions_.size());
@@ -271,6 +282,9 @@ class DecodedModule {
   uint64_t ops_after_fusion() const { return ops_after_; }
 
  private:
+  const ir::Module& module_;
+  const ProgramLayout layout_;
+  const EngineKind engine_;
   std::vector<std::unique_ptr<DecodedFunction>> functions_;
   std::vector<FusePattern> patterns_;
   uint64_t ops_before_ = 0;

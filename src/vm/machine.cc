@@ -79,9 +79,14 @@ struct HeapBlock {
 
 class Machine {
  public:
-  Machine(const ir::Module& module, const RunOptions& options)
+  // `decoded` is null on the reference tier; otherwise it is a decode of
+  // `module` under `layout` for options.engine.
+  Machine(const ir::Module& module, const ProgramLayout& layout, const DecodedModule* decoded,
+          const RunOptions& options)
       : module_(module),
         options_(options),
+        layout_(layout),
+        decoded_(decoded),
         store_(options.use_safe_store
                    ? runtime::CreateSafeStore(options.store,
                                               std::max<uint32_t>(options.shards, 1),
@@ -369,7 +374,6 @@ class Machine {
   using Handler = void (*)(Machine&, Frame&, const DecodedOp&);
   static const Handler kDispatch[kNumOpcodes];
   void RunDecodedLoop();
-  void RunFusedLoop();
   // Charges the dispatch-loop costs (fuel check, instruction count, base
   // cycles, quantum tick) for the next constituent of a fused sequence —
   // exactly what RunDecodedLoop's header would have charged had the
@@ -697,6 +701,8 @@ class Machine {
   // --- state ----------------------------------------------------------------
   const ir::Module& module_;
   RunOptions options_;
+  const ProgramLayout& layout_;           // flat per-ordinal address vectors
+  const DecodedModule* const decoded_;    // null when running the reference
   RunResult result_;
   bool done_ = false;
 
@@ -736,8 +742,6 @@ class Machine {
   std::deque<std::vector<uint8_t>> retired_homes_;
   std::vector<EpochTable> epochs_;
 
-  ProgramLayout layout_;  // flat per-ordinal address vectors
-  std::unique_ptr<DecodedModule> decoded_;  // null when running the reference
   // Dynamic executions per fused pattern (indexed like decoded_->patterns());
   // flushed into the process-wide fusion stats when the run finishes.
   std::vector<uint64_t> fuse_hits_;
@@ -760,7 +764,6 @@ class Machine {
 // Setup
 
 void Machine::LoadProgram() {
-  layout_ = ComputeProgramLayout(module_);
   for (const auto& g : module_.globals()) {
     const uint64_t addr = layout_.GlobalAddress(g.get());
     const uint64_t size = g->type()->SizeInBytes();
@@ -1247,12 +1250,7 @@ void Machine::RunToCompletion() {
                      });
     fault_at_ = fault_events_.front().at_instruction;
   }
-  if (options_.engine != EngineKind::kReference) {
-    // One-time translation to the flat micro-op form — plus the fusion pass
-    // on the fused tier — cached for the whole run (the decoded module
-    // outlives every frame pushed below).
-    decoded_ = std::make_unique<DecodedModule>(module_, layout_,
-                                               options_.engine == EngineKind::kFused);
+  if (decoded_ != nullptr) {
     fuse_hits_.assign(decoded_->patterns().size(), 0);
   }
 
@@ -1279,10 +1277,8 @@ void Machine::RunToCompletion() {
       }
       break;
     case EngineKind::kDecoded:
-      RunDecodedLoop();
-      break;
     case EngineKind::kFused:
-      RunFusedLoop();
+      RunDecodedLoop();
       break;
   }
 }
@@ -2902,7 +2898,9 @@ const Machine::Handler Machine::kDispatch[kNumOpcodes] = {
 #undef CPI_PAIR_ENTRY
 #undef CPI_TRIPLE_ENTRY
 
-
+// The dispatch loop of both predecoded tiers. A fused decode differs only in
+// the macro-op heads it installed, whose handlers charge their tail
+// constituents through PrechargeTails/FusedStep.
 void Machine::RunDecodedLoop() {
   while (!done_) {
     if (result_.counters.instructions >= options_.max_steps) {
@@ -2927,36 +2925,21 @@ void Machine::RunDecodedLoop() {
   }
 }
 
-// The fused tier's loop: identical charging structure to RunDecodedLoop
-// (the macro handlers charge their tails through FusedStep), with the
-// hottest handlers dispatched through a switch so the compiler can inline
-// them into the loop body instead of an indirect call per op.
-void Machine::RunFusedLoop() {
-  while (!done_) {
-    if (result_.counters.instructions >= options_.max_steps) {
-      Trap(RunStatus::kOutOfFuel, Violation::kNone, "step budget exhausted");
-      break;
-    }
-    if (result_.counters.instructions >= fault_at_) {
-      ApplyPendingFaults();
-    }
-    Frame& f = cur_->frames.back();
-    CPI_CHECK(f.ip < f.dfunc->ops.size());
-    const DecodedOp& op = f.dfunc->ops[f.ip];
-    ++result_.counters.instructions;
-    Cycles(kBaseCycles);
-    kDispatch[static_cast<size_t>(op.op)](*this, f, op);
-    if ((resched_ || --quantum_left_ == 0) && !done_) {
-      Reschedule();
-    }
-  }
-}
-
 }  // namespace
 
 RunResult Execute(const ir::Module& module, const RunOptions& options) {
-  Machine machine(module, options);
-  return machine.Run();
+  if (options.engine == EngineKind::kReference) {
+    const ProgramLayout layout = ComputeProgramLayout(module);
+    return Machine(module, layout, nullptr, options).Run();
+  }
+  const DecodedModule decoded(module, ComputeProgramLayout(module),
+                              options.engine == EngineKind::kFused);
+  return Execute(decoded, options);
+}
+
+RunResult Execute(const DecodedModule& decoded, const RunOptions& options) {
+  CPI_CHECK(decoded.engine() == options.engine);
+  return Machine(decoded.module(), decoded.layout(), &decoded, options).Run();
 }
 
 ProgramLayout ComputeProgramLayout(const ir::Module& module) {

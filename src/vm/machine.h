@@ -178,10 +178,19 @@ struct RunResult {
   }
 };
 
+class DecodedModule;  // src/vm/decode.h
+
 // Executes module's main() under the given options. The module must verify
 // (ir::VerifyModule) and have had RenumberValues() run by the caller — the
-// core::Compiler facade takes care of both.
+// core::Compiler facade takes care of both. On the decoded and fused tiers
+// this decodes the module for the one run; callers that run a module many
+// times decode it once and use the overload below.
 RunResult Execute(const ir::Module& module, const RunOptions& options);
+
+// Executes a module already decoded for `options.engine` (CPI_CHECKed: the
+// decode's tier must be the run's). The result is bit-identical to
+// Execute(decoded.module(), options).
+RunResult Execute(const DecodedModule& decoded, const RunOptions& options);
 
 // The (deterministic) addresses the loader will assign. Attack drivers use
 // this the way real exploits use known binary layouts: to embed target

@@ -37,14 +37,19 @@ void ByteMemory::MapRange(uint64_t start, uint64_t size, bool writable) {
   InvalidateTranslationCache();
   const uint64_t first = start / kPageBytes;
   const uint64_t last = (start + size + kPageBytes - 1) / kPageBytes;
-  // One bitmap word (up to 64 pages) per step; a step never crosses a chunk.
+  // One bitmap word (up to 64 pages) per step; a step never crosses a chunk,
+  // so the directory is consulted once per chunk, not once per word.
+  Chunk* current = nullptr;
   for (uint64_t p = first; p < last;) {
     const uint64_t in_chunk = p % kChunkPages;
     const uint64_t word = in_chunk / 64;
     const uint64_t bit = in_chunk % 64;
     const uint64_t n = std::min(last - p, 64 - bit);
     const uint64_t mask = BitRange(bit, bit + n);
-    Chunk& chunk = ChunkFor(p / kChunkPages);
+    if (current == nullptr || in_chunk == 0) {
+      current = &ChunkFor(p / kChunkPages);
+    }
+    Chunk& chunk = *current;
     mapped_pages_ += static_cast<uint64_t>(__builtin_popcountll(mask & ~chunk.mapped[word]));
     chunk.mapped[word] |= mask;
     // Remap semantics: the most recent mapping wins, exactly like mprotect.
@@ -74,7 +79,7 @@ void ByteMemory::TranslateSlow(uint64_t id) const {
   }
 }
 
-uint8_t* ByteMemory::MaterializePage(PageBytesPtr& bytes) {
+uint8_t* ByteMemory::MaterializePage(PageSlot& slot) {
   if (alloc_failure_countdown_ != kAllocFailureDisarmed) {
     if (alloc_failure_countdown_ == 0) {
       alloc_failure_countdown_ = kAllocFailureDisarmed;
@@ -82,9 +87,9 @@ uint8_t* ByteMemory::MaterializePage(PageBytesPtr& bytes) {
     }
     --alloc_failure_countdown_;
   }
-  bytes = std::make_unique<uint8_t[]>(kPageBytes);
-  std::memset(bytes.get(), 0, kPageBytes);
-  return bytes.get();
+  pages_.push_back(std::make_unique<uint8_t[]>(kPageBytes));  // zero-filled
+  slot = pages_.back().get();
+  return slot;
 }
 
 MemFault ByteMemory::ReadSlow(uint64_t addr, void* out, uint64_t size) const {
@@ -101,7 +106,7 @@ MemFault ByteMemory::ReadSlow(uint64_t addr, void* out, uint64_t size) const {
     if (*page.bytes == nullptr) {
       std::memset(dst + done, 0, chunk);
     } else {
-      std::memcpy(dst + done, page.bytes->get() + in_page, chunk);
+      std::memcpy(dst + done, *page.bytes + in_page, chunk);
     }
     done += chunk;
   }
@@ -123,10 +128,10 @@ MemFault ByteMemory::WriteSlow(uint64_t addr, const void* data, uint64_t size) {
   uint64_t done = 0;
   while (done < size) {
     const uint64_t a = addr + done;
-    PageBytesPtr& bytes = *Translate(a).bytes;
+    PageSlot& slot = *Translate(a).bytes;
     const uint64_t in_page = a % kPageBytes;
     const uint64_t chunk = std::min(size - done, kPageBytes - in_page);
-    std::memcpy(PageBytes(bytes) + in_page, src + done, chunk);
+    std::memcpy(PageBytes(slot) + in_page, src + done, chunk);
     done += chunk;
   }
   return MemFault::kNone;

@@ -10,6 +10,9 @@
 // each a flat array of page slots with per-page mapped/writable bitmaps.
 // Mapping a range sets bitmap words, so its cost grows with the chunks it
 // covers, not the pages; a page's bytes are allocated only on first write.
+// Slots are raw pointers into one per-memory list that owns the materialised
+// pages, so tearing a memory down costs O(chunks + materialised pages), not
+// a walk of every slot of every chunk.
 #ifndef CPI_SRC_VM_MEMORY_H_
 #define CPI_SRC_VM_MEMORY_H_
 
@@ -17,6 +20,7 @@
 #include <cstring>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 namespace cpi::vm {
 
@@ -53,7 +57,7 @@ class ByteMemory {
       if (*page.bytes == nullptr) {
         std::memset(out, 0, size);
       } else {
-        std::memcpy(out, page.bytes->get() + (addr & (kPageBytes - 1)), size);
+        std::memcpy(out, *page.bytes + (addr & (kPageBytes - 1)), size);
       }
       return MemFault::kNone;
     }
@@ -88,7 +92,7 @@ class ByteMemory {
     if (page.bytes == nullptr) {
       return nullptr;
     }
-    const uint8_t* bytes = *page.bytes == nullptr ? kZeroPage : page.bytes->get();
+    const uint8_t* bytes = *page.bytes == nullptr ? kZeroPage : *page.bytes;
     return bytes + (addr & (kPageBytes - 1));
   }
   uint8_t* WriteView(uint64_t addr) {
@@ -121,12 +125,15 @@ class ByteMemory {
   void ArmAllocFailure(uint64_t countdown) { alloc_failure_countdown_ = countdown; }
 
  private:
-  using PageBytesPtr = std::unique_ptr<uint8_t[]>;
+  // A page slot: null until the page is first written, then a page owned
+  // by pages_.
+  using PageSlot = uint8_t*;
   static const uint8_t kZeroPage[kPageBytes];
   static constexpr uint64_t kChunkWords = kChunkPages / 64;
 
+  // Trivially destructible: freeing a chunk never visits its slots.
   struct Chunk {
-    PageBytesPtr pages[kChunkPages];  // null until the page is first written
+    PageSlot pages[kChunkPages] = {};
     uint64_t mapped[kChunkWords] = {};
     uint64_t writable[kChunkWords] = {};
   };
@@ -134,7 +141,7 @@ class ByteMemory {
   // One page's translation: its byte slot (null when the page is unmapped)
   // and whether it is writable.
   struct PageRef {
-    PageBytesPtr* bytes = nullptr;
+    PageSlot* bytes = nullptr;
     bool writable = false;
   };
 
@@ -147,13 +154,15 @@ class ByteMemory {
   }
   void TranslateSlow(uint64_t id) const;
   Chunk& ChunkFor(uint64_t chunk_id);
-  uint8_t* PageBytes(PageBytesPtr& bytes) {
-    if (bytes == nullptr) {
-      return MaterializePage(bytes);
+  uint8_t* PageBytes(PageSlot& slot) {
+    if (slot == nullptr) {
+      return MaterializePage(slot);
     }
-    return bytes.get();
+    return slot;
   }
-  uint8_t* MaterializePage(PageBytesPtr& bytes);
+  // Allocates a zero-filled page into `slot`. When it throws (an armed
+  // allocation failure, or a real one), `slot` stays null.
+  uint8_t* MaterializePage(PageSlot& slot);
   MemFault ReadSlow(uint64_t addr, void* out, uint64_t size) const;
   MemFault WriteSlow(uint64_t addr, const void* data, uint64_t size);
   void InvalidateTranslationCache() const {
@@ -162,6 +171,8 @@ class ByteMemory {
   }
 
   std::unordered_map<uint64_t, std::unique_ptr<Chunk>> chunks_;
+  // Every materialised page, in materialisation order; the slots point in.
+  std::vector<std::unique_ptr<uint8_t[]>> pages_;
   uint64_t mapped_pages_ = 0;
   // Armed by ArmAllocFailure; kDisarmed means allocations always succeed.
   static constexpr uint64_t kAllocFailureDisarmed = ~0ULL;

@@ -4,7 +4,9 @@
 // golden library-call runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "src/core/levee.h"
 #include "src/frontend/compile.h"
@@ -154,6 +156,36 @@ TEST(ByteMemoryTest, AllocFailureCountsPagesNotChunks) {
   EXPECT_THROW(mem.WriteByte(2 * kChunkBytes, 1), SimulatedOom);
 }
 
+// An armed allocation failure that fires mid-run throws before the page's
+// slot is filled: the page still reads as the shared zero page, the pages
+// written before it keep their bytes, and the memory takes further writes
+// (the failure is one-shot) — including to the page that failed.
+TEST(ByteMemoryTest, AllocFailureLeavesSlotUnmaterialised) {
+  constexpr uint64_t kPage = ByteMemory::kPageBytes;
+  ByteMemory mem;
+  mem.MapRange(0, 8 * kPage, /*writable=*/true);
+  mem.ArmAllocFailure(2);
+  ASSERT_EQ(mem.WriteU64(0, 11), MemFault::kNone);
+  ASSERT_EQ(mem.WriteU64(kPage, 22), MemFault::kNone);
+  EXPECT_THROW(mem.WriteU64(2 * kPage + 8, 33), SimulatedOom);
+  // Unmaterialised: reads see zeros through the same shared zero page as a
+  // page never written.
+  EXPECT_EQ(mem.ReadView(2 * kPage), mem.ReadView(5 * kPage));
+  uint64_t v = 1;
+  ASSERT_EQ(mem.ReadU64(2 * kPage + 8, &v), MemFault::kNone);
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(mem.mapped_bytes(), 8 * kPage);
+
+  ASSERT_EQ(mem.WriteU64(2 * kPage + 8, 33), MemFault::kNone);
+  EXPECT_NE(mem.ReadView(2 * kPage), mem.ReadView(5 * kPage));
+  ASSERT_EQ(mem.WriteU64(3 * kPage, 44), MemFault::kNone);
+  for (auto [addr, want] : {std::pair<uint64_t, uint64_t>{0, 11}, {kPage, 22},
+                            {2 * kPage + 8, 33}, {3 * kPage, 44}}) {
+    ASSERT_EQ(mem.ReadU64(addr, &v), MemFault::kNone);
+    EXPECT_EQ(v, want) << addr;
+  }
+}
+
 TEST(CacheTest, RepeatAccessHits) {
   CacheModel cache;
   const uint64_t miss = cache.Access(0x1000);
@@ -212,6 +244,66 @@ TEST(CacheTest, RepeatedAccessEqualsBackToBackAccesses) {
         ASSERT_EQ(batched.hits(), single.hits());
         ASSERT_EQ(batched.misses(), single.misses());
       }
+    }
+  }
+}
+
+// An independent model of a set-associative LRU cache: each set keeps its
+// lines in recency order, most recent first. The packed CacheModel (ticks,
+// tick 0 meaning invalid) must agree with it on every access.
+class NaiveLru {
+ public:
+  explicit NaiveLru(const CacheModel::Config& c)
+      : config_(c), sets_(c.size_bytes / (c.line_bytes * c.ways)) {}
+
+  uint64_t Access(uint64_t addr) {
+    const uint64_t line = addr / config_.line_bytes;
+    std::vector<uint64_t>& set = sets_[line % sets_.size()];
+    const auto it = std::find(set.begin(), set.end(), line);
+    const bool hit = it != set.end();
+    if (hit) {
+      set.erase(it);
+    } else if (set.size() == config_.ways) {
+      set.pop_back();
+    }
+    set.insert(set.begin(), line);
+    ++(hit ? hits : misses);
+    return hit ? config_.hit_cycles : config_.miss_cycles;
+  }
+
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+
+ private:
+  CacheModel::Config config_;
+  std::vector<std::vector<uint64_t>> sets_;
+};
+
+TEST(CacheTest, MatchesNaiveLruModel) {
+  for (uint64_t line : {4, 64, 128}) {
+    for (uint64_t ways : {1, 2, 4, 8}) {
+      CacheModel::Config config;
+      config.line_bytes = line;
+      config.ways = ways;
+      config.size_bytes = line * ways * 16;  // 16 sets
+      CacheModel cache(config);
+      NaiveLru naive(config);
+      Rng rng(line * 977 + ways);
+      for (int step = 0; step < 20000; ++step) {
+        // A footprint a few times the cache keeps every set evicting.
+        const uint64_t addr = rng.NextU64() % (config.size_bytes * 3);
+        const uint64_t n = rng.NextU64() % 4 == 0 ? 1 + rng.NextU64() % 6 : 1;
+        uint64_t want = 0;
+        for (uint64_t i = 0; i < n; ++i) {
+          want += naive.Access(addr);
+        }
+        const uint64_t got = n == 1 ? cache.Access(addr) : cache.AccessRepeated(addr, n);
+        ASSERT_EQ(got, want) << "line " << line << " ways " << ways << " step " << step;
+        ASSERT_EQ(cache.hits(), naive.hits);
+        ASSERT_EQ(cache.misses(), naive.misses);
+      }
+      EXPECT_GT(naive.hits, 0u);
+      EXPECT_GT(naive.misses, 16 * ways);  // well past the compulsory fills
     }
   }
 }
