@@ -1206,19 +1206,11 @@ int main(int argc, char** argv) {
     // tables never do.
     const cpi::vm::FusionStats fusion = cpi::vm::GetFusionStats();
     std::printf(",\"engine\":\"%s\",\"fusion\":{\"modules\":%llu,"
-                "\"ops_before\":%llu,\"ops_after\":%llu,\"patterns\":",
+                "\"ops_before\":%llu,\"ops_after\":%llu}}\n",
                 cpi::vm::EngineKindName(flags.engine),
                 static_cast<unsigned long long>(fusion.modules),
                 static_cast<unsigned long long>(fusion.ops_before),
                 static_cast<unsigned long long>(fusion.ops_after));
-    JsonArray(std::min<size_t>(fusion.patterns.size(), 10), [&](size_t i) {
-      const cpi::vm::FusionPatternStat& ps = fusion.patterns[i];
-      std::printf("{\"name\":\"%s\",\"sites\":%llu,\"weight\":%llu,\"hits\":%llu}",
-                  ps.name.c_str(), static_cast<unsigned long long>(ps.sites),
-                  static_cast<unsigned long long>(ps.weight),
-                  static_cast<unsigned long long>(ps.hits));
-    });
-    std::printf("}}\n");
     return exit_code;
   }
 

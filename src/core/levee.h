@@ -75,7 +75,7 @@ struct Config {
   bool mpx_assist = false;          // §4 MPX projection: free bounds checks
   // Which VM execution tier runs the program (all tiers produce
   // bit-identical results; tier 3, the fused superinstruction engine, is the
-  // default and fastest). Bench drivers expose this as `--engine`.
+  // default, see vm::EngineKind). Bench drivers expose this as `--engine`.
   vm::EngineKind engine = vm::EngineKind::kFused;
   // Legacy switch for the tree-walking oracle: when set it overrides
   // `engine` with vm::EngineKind::kReference (kept because the differential

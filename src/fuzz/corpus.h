@@ -23,7 +23,9 @@ namespace cpi::fuzz {
 std::string SerializePlan(const Plan& plan);
 
 // Parses SerializePlan's format. Returns false (and leaves *out untouched)
-// on a malformed header; unknown or trailing lines are ignored.
+// on a malformed header or a seed/pools/op line whose fields are missing,
+// non-numeric, out of range for their field, or followed by extra fields.
+// Lines with unknown tags are skipped.
 bool ParsePlan(const std::string& text, Plan* out);
 
 // File convenience wrappers; return false on I/O failure.

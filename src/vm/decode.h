@@ -19,25 +19,24 @@
 //   * instrumentation intrinsics decode like any other op, so instrumented
 //     and vanilla runs share the same dispatch loop.
 //
-// The fused tier (engine kFused) then runs a profile-guided fusion pass over
-// the decoded ops: a static profiler weights every op by its loop-nesting
-// depth (back edges are branches whose target op index precedes them), and
-// hot straight-line pairs/triples are rewritten into macro-ops. Fusion only
-// replaces the *head* op's opcode; the constituent tail ops stay in the
-// array with their original opcodes and payloads, so branch targets never
-// need remapping — a jump into the middle of a fused sequence simply
-// executes the tail as the plain micro-op it still is. A macro handler
-// charges each constituent exactly what the dispatch loop would have
-// (base cycles, fuel, cache traffic), which keeps the simulated Counters of
-// all three tiers bit-for-bit identical (see tests/decode_test.cc and
-// tests/fuse_test.cc); only wall-clock changes.
+// The fused tier (engine kFused) then rewrites straight-line sequences inside
+// each basic block into macro-ops (superinstructions). The plan is fixed and
+// purely structural: per block, the specialised triple shapes below are
+// claimed in op-index order, then head x tail pairs in op-index order over
+// the ops still free. Fusion only replaces the *head* op's opcode; the
+// constituent tail ops stay in the array with their original opcodes and
+// payloads, so branch targets never need remapping — a jump into the middle
+// of a fused sequence simply executes the tail as the plain micro-op it still
+// is. A macro handler charges each constituent exactly what the dispatch loop
+// would have (base cycles, fuel, cache traffic), which keeps the simulated
+// Counters of all three tiers bit-for-bit identical (see
+// tests/decode_test.cc and tests/fuse_test.cc); only wall-clock changes.
 #ifndef CPI_SRC_VM_DECODE_H_
 #define CPI_SRC_VM_DECODE_H_
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/ir/module.h"
@@ -105,15 +104,17 @@ enum class MicroOp : uint8_t {
 //
 // Every macro opcode names its constituents *statically*, so the handler
 // reaches each constituent with a direct (predictable) call. That is the
-// entire win: a generic "dispatch fuse_head at run time" handler would
+// entire win: a handler that dispatched its constituents at run time would
 // re-introduce exactly the data-dependent indirect jump that fusion exists
 // to remove, and measures slower than not fusing at all. Pairs get a full
 // head x tail opcode matrix; triples only the hand-specialised shapes below
 // (anything else is planned as a pair plus a standalone op).
 
-// Pair matrix vocabulary, in opcode-matrix order: every fusible inner op
-// (decode.cc FusibleInner) may head a pair; tails additionally admit the
-// block-terminating branches.
+// The fusion vocabulary, in opcode-matrix order: these ops may head a pair
+// or sit inside a triple; tails additionally admit the block-terminating
+// branches. Anything that can transfer control to another frame or thread,
+// block, reschedule, or touch scheduler-visible machine state (calls,
+// libcalls, spawn/join/yield, ret, malloc/free, I/O, alloca) never fuses.
 constexpr MicroOp kFuseHeadOps[] = {
     MicroOp::kLoad,      MicroOp::kStore,    MicroOp::kFieldAddr,
     MicroOp::kIndexAddr, MicroOp::kBinOp,    MicroOp::kCast,
@@ -124,9 +125,9 @@ constexpr size_t kNumFuseHeads = sizeof(kFuseHeadOps) / sizeof(kFuseHeadOps[0]);
 constexpr size_t kNumFuseTails = kNumFuseHeads + 2;  // + kBr, kCondBr
 
 // Specialised triple shapes: the hottest three-op sequences by dynamic hit
-// count across the bench suite (all workloads x all schemes). A triple saves
-// two dispatches instead of one, so the top shapes earn their own opcodes;
-// the long tail decomposes into pairs.
+// count across the bench suite (all workloads x all schemes), measured when
+// the tier was built. A triple saves two dispatches instead of one, so the
+// top shapes earn their own opcodes; the long tail decomposes into pairs.
 struct TripleShape {
   MicroOp a, b, c;
 };
@@ -146,8 +147,6 @@ constexpr size_t kNumTripleShapes = sizeof(kTripleShapes) / sizeof(kTripleShapes
 enum class MacroOp : uint8_t {
   kCmpBr = static_cast<uint8_t>(MicroOp::kCount),  // int compare + cond-branch,
                                                    // branch consumes the result
-  kFuse2,      // generic pair fallback (vocabulary gaps; none today)
-  kFuse3,      // generic triple fallback (never planned; kept defensively)
   kPairBase,   // head x tail matrix: kPairBase + head_index * kNumFuseTails + tail_index
   kTripleBase = kPairBase + kNumFuseHeads * kNumFuseTails,  // kTripleShapes order
   kEnd = kTripleBase + kNumTripleShapes,
@@ -163,7 +162,8 @@ inline bool IsMacroOp(MicroOp op) {
 }
 
 // Matrix coordinates <-> opcodes. Index helpers return -1 for ops outside
-// the vocabulary.
+// the vocabulary, so `FuseHeadIndex(op) >= 0` is "op may head a pair" and
+// `FuseTailIndex(op) >= 0` is "op may end one".
 constexpr int FuseHeadIndex(MicroOp op) {
   for (size_t i = 0; i < kNumFuseHeads; ++i) {
     if (kFuseHeadOps[i] == op) return static_cast<int>(i);
@@ -181,16 +181,24 @@ constexpr MicroOp PairMacro(int head, int tail) {
                               static_cast<size_t>(tail));
 }
 
+// A triple's first two constituents must be able to head a pair and its last
+// to end one, so the planner needs no check beyond the shape match.
+constexpr bool TripleShapesInVocabulary() {
+  for (const TripleShape& t : kTripleShapes) {
+    if (FuseHeadIndex(t.a) < 0 || FuseHeadIndex(t.b) < 0 || FuseTailIndex(t.c) < 0) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(TripleShapesInVocabulary(), "a triple shape uses a non-fusible op");
+
 // Number of constituent micro-ops a fused opcode covers (1 for plain
 // micro-ops).
 inline uint32_t FusedLength(MicroOp op) {
   if (!IsMacroOp(op)) return 1;
   const auto v = static_cast<uint8_t>(op);
-  if (v == static_cast<uint8_t>(MacroOp::kFuse3) ||
-      v >= static_cast<uint8_t>(MacroOp::kTripleBase)) {
-    return 3;
-  }
-  return 2;
+  return v >= static_cast<uint8_t>(MacroOp::kTripleBase) ? 3 : 2;
 }
 
 struct DecodedOp {
@@ -205,10 +213,6 @@ struct DecodedOp {
   uint32_t dest = 0xffffffffu;
   // Up to three pre-resolved operands (every opcode except calls has <= 3).
   OperandSlot a, b, c;
-  // Fused head only: index into DecodedModule::patterns() (dynamic hit
-  // stats) and the head's original micro opcode (generic macro dispatch).
-  uint16_t fuse_id = 0;
-  uint8_t fuse_head = 0;
   // kAlloca: safe-stack placement; kLibCall: checked variant; kRet: has a
   // return value.
   bool flag = false;
@@ -242,19 +246,11 @@ struct DecodedFunction {
   std::vector<uint32_t> block_starts;
 };
 
-// One distinct fused shape discovered in a module, e.g.
-// "binop(slt)+condbr" or "intrinsic(cpi_load)+intrinsic(cpi_assert_code)".
-struct FusePattern {
-  std::string name;
-  uint64_t sites = 0;    // static fusion sites rewritten to this shape
-  uint64_t weight = 0;   // sum of loop-nesting weights of those sites
-};
-
 // All functions of a module, decoded for one tier. Indexed by
 // ir::Function::ordinal(), which also underlies code addresses — so an
 // indirect-call target address resolves to its decoded body with pure
-// arithmetic. With `fuse` set, the profile-guided fusion pass runs over every
-// function after decoding.
+// arithmetic. With `fuse` set, the fusion plan runs over every function after
+// decoding.
 //
 // A decode depends only on the module, its layout and `fuse` — never on
 // RunOptions — and no run mutates it, so one DecodedModule serves any number
@@ -276,8 +272,8 @@ class DecodedModule {
     return *functions_[f->ordinal()];
   }
 
-  // Fusion metadata (empty when decoded without fusion).
-  const std::vector<FusePattern>& patterns() const { return patterns_; }
+  // Decoded ops before and dispatched ops after fusion (equal when decoded
+  // without fusion).
   uint64_t ops_before_fusion() const { return ops_before_; }
   uint64_t ops_after_fusion() const { return ops_after_; }
 
@@ -286,36 +282,19 @@ class DecodedModule {
   const ProgramLayout layout_;
   const EngineKind engine_;
   std::vector<std::unique_ptr<DecodedFunction>> functions_;
-  std::vector<FusePattern> patterns_;
   uint64_t ops_before_ = 0;
   uint64_t ops_after_ = 0;
 };
 
-// Process-wide fusion statistics, aggregated across every fused
-// DecodedModule built and every fused execution since the last reset (the
-// bench drivers run many cells; the suite reports the aggregate). Static
-// site/weight numbers accumulate at decode time, dynamic hit counts when a
-// Machine finishes running. Thread-safe.
-struct FusionPatternStat {
-  std::string name;
-  uint64_t sites = 0;
-  uint64_t weight = 0;
-  uint64_t hits = 0;  // dynamic executions of the fused form
-};
-
+// Process-wide fusion statistics, summed over every fused DecodedModule
+// built in this process (the suite reports the aggregate). Thread-safe.
 struct FusionStats {
   uint64_t modules = 0;      // fused DecodedModules built
   uint64_t ops_before = 0;   // decoded ops before fusion, summed
   uint64_t ops_after = 0;    // dispatched ops after fusion, summed
-  std::vector<FusionPatternStat> patterns;  // sorted by hits, descending
 };
 
-void ResetFusionStats();
 FusionStats GetFusionStats();
-// Internal: called by DecodedModule / Machine to accumulate.
-void AccumulateFusionDecode(const DecodedModule& m);
-void AccumulateFusionHits(const std::vector<FusePattern>& patterns,
-                          const std::vector<uint64_t>& hits);
 
 }  // namespace cpi::vm
 

@@ -462,7 +462,6 @@ class Machine {
   static void OpCmpBr(Machine& m, Frame& f, const DecodedOp& op);
   template <Handler A, Handler B, bool kTrapsA>
   static void FusePair(Machine& m, Frame& f, const DecodedOp& op) {
-    ++m.fuse_hits_[op.fuse_id];
     if (!m.PrechargeTails(1)) {  // out-of-fuel boundary: exact per-op charging
       A(m, f, op);
       if (!m.FusedStep()) return;
@@ -478,7 +477,6 @@ class Machine {
   }
   template <Handler A, Handler B, Handler C, bool kTrapsA, bool kTrapsB>
   static void FuseTriple(Machine& m, Frame& f, const DecodedOp& op) {
-    ++m.fuse_hits_[op.fuse_id];
     if (!m.PrechargeTails(2)) {  // out-of-fuel boundary: exact per-op charging
       A(m, f, op);
       if (!m.FusedStep()) return;
@@ -498,30 +496,6 @@ class Machine {
       return;
     }
     C(m, f, *(&op + 2));
-  }
-  static void OpFuse2(Machine& m, Frame& f, const DecodedOp& op);
-  static void OpFuse3(Machine& m, Frame& f, const DecodedOp& op);
-  // Dispatches one constituent of a generic fused sequence. The switch
-  // covers exactly the fusible micro-op set (decode.cc: FusibleInner /
-  // FusibleTail), so the generic macro handlers inline their constituents
-  // instead of bouncing through kDispatch — the whole point of fusing.
-  __attribute__((always_inline)) static void DispatchConstituent(
-      Machine& m, Frame& f, const DecodedOp& op, MicroOp opcode) {
-    switch (opcode) {
-      case MicroOp::kLoad: OpLoad(m, f, op); break;
-      case MicroOp::kStore: OpStore(m, f, op); break;
-      case MicroOp::kFieldAddr: OpFieldAddr(m, f, op); break;
-      case MicroOp::kIndexAddr: OpIndexAddr(m, f, op); break;
-      case MicroOp::kBinOp: OpBinOp(m, f, op); break;
-      case MicroOp::kCast: OpCast(m, f, op); break;
-      case MicroOp::kSelect: OpSelect(m, f, op); break;
-      case MicroOp::kFuncAddr: OpFuncAddr(m, f, op); break;
-      case MicroOp::kGlobalAddr: OpGlobalAddr(m, f, op); break;
-      case MicroOp::kBr: OpBr(m, f, op); break;
-      case MicroOp::kCondBr: OpCondBr(m, f, op); break;
-      case MicroOp::kIntrinsic: OpIntrinsic(m, f, op); break;
-      default: kDispatch[static_cast<size_t>(opcode)](m, f, op); break;
-    }
   }
 
   // --- scheduler ------------------------------------------------------------
@@ -741,10 +715,6 @@ class Machine {
   int32_t home_owner_[kMaxThreads] = {};
   std::deque<std::vector<uint8_t>> retired_homes_;
   std::vector<EpochTable> epochs_;
-
-  // Dynamic executions per fused pattern (indexed like decoded_->patterns());
-  // flushed into the process-wide fusion stats when the run finishes.
-  std::vector<uint64_t> fuse_hits_;
 
   // Heap block table (shared; arenas and free lists are per-thread).
   std::map<uint64_t, HeapBlock> heap_blocks_;
@@ -1223,9 +1193,6 @@ RunResult Machine::Run() {
     // crashed *run*; the host process (and a fuzzing campaign) carries on.
     Trap(RunStatus::kCrash, Violation::kNone, std::string("out of memory: ") + e.what());
   }
-  if (decoded_ != nullptr && !decoded_->patterns().empty()) {
-    AccumulateFusionHits(decoded_->patterns(), fuse_hits_);
-  }
 
   // Per-thread caches and safe stacks aggregate into the run totals; the
   // sums are order-independent, so they stay deterministic at any quantum.
@@ -1249,9 +1216,6 @@ void Machine::RunToCompletion() {
                        return a.at_instruction < b.at_instruction;
                      });
     fault_at_ = fault_events_.front().at_instruction;
-  }
-  if (decoded_ != nullptr) {
-    fuse_hits_.assign(decoded_->patterns().size(), 0);
   }
 
   const Function* main_fn = module_.FindFunction("main");
@@ -2764,11 +2728,9 @@ void Machine::OpYield(Machine& m, Frame& f, const DecodedOp&) { m.DoYield(f); }
 // micro opcodes and payloads. Almost every macro is a FusePair/FuseTriple
 // template instantiation (declared in the class body): the pair matrix and
 // the specialised triple shapes are expanded directly into the dispatch
-// table below. OpCmpBr additionally inlines both constituent bodies;
-// OpFuse2/OpFuse3 are the generic fallbacks driven by fuse_head.
+// table below. OpCmpBr additionally inlines both constituent bodies.
 
 void Machine::OpCmpBr(Machine& m, Frame& f, const DecodedOp& op) {
-  ++m.fuse_hits_[op.fuse_id];
   // Head: integer compare (the planner only picks kCmpBr for these, and
   // only when the branch consumes the compare's destination register).
   const uint64_t x = SlotVal(f, op.a);
@@ -2797,53 +2759,6 @@ void Machine::OpCmpBr(Machine& m, Frame& f, const DecodedOp& op) {
   }
   const DecodedOp& t = *(&op + 1);
   f.ip = r != 0 ? t.target : t.target2;
-}
-
-void Machine::OpFuse2(Machine& m, Frame& f, const DecodedOp& op) {
-  ++m.fuse_hits_[op.fuse_id];
-  if (!m.PrechargeTails(1)) {
-    DispatchConstituent(m, f, op, static_cast<MicroOp>(op.fuse_head));
-    if (!m.FusedStep()) return;
-    const DecodedOp& t = f.dfunc->ops[f.ip];
-    DispatchConstituent(m, f, t, t.op);
-    return;
-  }
-  DispatchConstituent(m, f, op, static_cast<MicroOp>(op.fuse_head));
-  if (m.done_) {
-    m.UnchargeTails(1);
-    return;
-  }
-  // Straight-line constituents sit right after the head (every fusible
-  // inner op advances f.ip by exactly one), so tails are *(&op + k).
-  const DecodedOp& t = *(&op + 1);
-  DispatchConstituent(m, f, t, t.op);
-}
-
-void Machine::OpFuse3(Machine& m, Frame& f, const DecodedOp& op) {
-  ++m.fuse_hits_[op.fuse_id];
-  if (!m.PrechargeTails(2)) {
-    DispatchConstituent(m, f, op, static_cast<MicroOp>(op.fuse_head));
-    if (!m.FusedStep()) return;
-    const DecodedOp& t1 = f.dfunc->ops[f.ip];
-    DispatchConstituent(m, f, t1, t1.op);
-    if (!m.FusedStep()) return;
-    const DecodedOp& t2 = f.dfunc->ops[f.ip];
-    DispatchConstituent(m, f, t2, t2.op);
-    return;
-  }
-  DispatchConstituent(m, f, op, static_cast<MicroOp>(op.fuse_head));
-  if (m.done_) {
-    m.UnchargeTails(2);
-    return;
-  }
-  const DecodedOp& t1 = *(&op + 1);
-  DispatchConstituent(m, f, t1, t1.op);
-  if (m.done_) {
-    m.UnchargeTails(1);
-    return;
-  }
-  const DecodedOp& t2 = *(&op + 2);
-  DispatchConstituent(m, f, t2, t2.op);
 }
 
 // The pair matrix and triple shapes, expanded into FusePair/FuseTriple
@@ -2878,8 +2793,6 @@ const Machine::Handler Machine::kDispatch[kNumOpcodes] = {
     &Machine::OpSpawn,    &Machine::OpJoin,         &Machine::OpYield,
     // Macro-ops (fused tier only; the decoded tier never emits them).
     &Machine::OpCmpBr,
-    &Machine::OpFuse2,
-    &Machine::OpFuse3,
     // kPairBase: the head x tail matrix.
     CPI_FUSE_PAIRS(CPI_PAIR_ENTRY)
     // kTripleBase: kTripleShapes order.

@@ -44,12 +44,14 @@ const char* RunStatusName(RunStatus s);
 // Execution tiers. All three produce bit-identical RunResults — simulated
 // counters, output, memory footprint, violations — and differ only in
 // wall-clock (tests/decode_test.cc and tests/fuse_test.cc enforce the
-// equivalence). kFused is the default everywhere; the slower tiers exist as
-// oracles and escape hatches (`--engine` in the bench drivers).
+// equivalence). kFused is the default everywhere; its wall-clock edge over
+// kDecoded is small (docs/ARCHITECTURE.md, "What fusion buys"). The other
+// tiers exist as oracles and escape hatches (`--engine` in the bench
+// drivers).
 enum class EngineKind : uint8_t {
   kReference,  // tier 1: tree-walking evaluator over the IR object graph
   kDecoded,    // tier 2: predecoded micro-op dispatch
-  kFused,      // tier 3: predecoded + profile-guided superinstructions
+  kFused,      // tier 3: predecoded + superinstructions
 };
 
 const char* EngineKindName(EngineKind e);

@@ -25,6 +25,7 @@
 #include "src/vm/decode.h"
 #include "src/workloads/measure.h"
 #include "src/workloads/workloads.h"
+#include "tests/run_identity.h"
 
 namespace cpi {
 namespace {
@@ -32,39 +33,7 @@ namespace {
 using core::Config;
 using core::ProtectionScheme;
 using vm::RunResult;
-
-void ExpectIdentical(const RunResult& decoded, const RunResult& reference,
-                     const std::string& label) {
-  EXPECT_EQ(decoded.status, reference.status) << label;
-  EXPECT_EQ(decoded.violation, reference.violation) << label;
-  EXPECT_EQ(decoded.message, reference.message) << label;
-  EXPECT_EQ(decoded.exit_code, reference.exit_code) << label;
-  EXPECT_EQ(decoded.output, reference.output) << label;
-  EXPECT_EQ(decoded.faults_injected, reference.faults_injected) << label;
-
-  const vm::Counters& dc = decoded.counters;
-  const vm::Counters& rc = reference.counters;
-  EXPECT_EQ(dc.instructions, rc.instructions) << label;
-  EXPECT_EQ(dc.cycles, rc.cycles) << label;
-  EXPECT_EQ(dc.mem_accesses, rc.mem_accesses) << label;
-  EXPECT_EQ(dc.safe_store_ops, rc.safe_store_ops) << label;
-  EXPECT_EQ(dc.store_contended_ops, rc.store_contended_ops) << label;
-  EXPECT_EQ(dc.shard_migrations, rc.shard_migrations) << label;
-  EXPECT_EQ(dc.seal_ops, rc.seal_ops) << label;
-  EXPECT_EQ(dc.checks, rc.checks) << label;
-  EXPECT_EQ(dc.calls, rc.calls) << label;
-  EXPECT_EQ(dc.hijack_transfers, rc.hijack_transfers) << label;
-  EXPECT_EQ(dc.cache_hits, rc.cache_hits) << label;
-  EXPECT_EQ(dc.cache_misses, rc.cache_misses) << label;
-  EXPECT_EQ(dc.thread_spawns, rc.thread_spawns) << label;
-
-  const vm::MemoryFootprint& dm = decoded.memory;
-  const vm::MemoryFootprint& rm = reference.memory;
-  EXPECT_EQ(dm.regular_bytes, rm.regular_bytes) << label;
-  EXPECT_EQ(dm.safe_store_bytes, rm.safe_store_bytes) << label;
-  EXPECT_EQ(dm.safe_stack_bytes, rm.safe_stack_bytes) << label;
-  EXPECT_EQ(dm.safe_store_entries, rm.safe_store_entries) << label;
-}
+using test::ExpectIdentical;
 
 // Instrument + run one clone of `built` per engine and compare.
 void RunBothEngines(const ir::Module& built, Config config, const core::Input& input,

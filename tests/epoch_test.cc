@@ -21,6 +21,7 @@
 #include "src/ir/builder.h"
 #include "src/ir/clone.h"
 #include "src/workloads/workloads.h"
+#include "tests/run_identity.h"
 
 namespace cpi {
 namespace {
@@ -29,44 +30,8 @@ using core::Config;
 using core::Protection;
 using core::ProtectionScheme;
 using vm::RunResult;
-
-// Everything the program computes plus every engine-invariant counter;
-// cycles and contended ops are ownership-model-dependent by design.
-void ExpectSameBehaviour(const RunResult& a, const RunResult& b,
-                         const std::string& label) {
-  EXPECT_EQ(a.status, b.status) << label;
-  EXPECT_EQ(a.violation, b.violation) << label;
-  EXPECT_EQ(a.message, b.message) << label;
-  EXPECT_EQ(a.exit_code, b.exit_code) << label;
-  EXPECT_EQ(a.output, b.output) << label;
-
-  const vm::Counters& ac = a.counters;
-  const vm::Counters& bc = b.counters;
-  EXPECT_EQ(ac.instructions, bc.instructions) << label;
-  EXPECT_EQ(ac.mem_accesses, bc.mem_accesses) << label;
-  EXPECT_EQ(ac.safe_store_ops, bc.safe_store_ops) << label;
-  EXPECT_EQ(ac.seal_ops, bc.seal_ops) << label;
-  EXPECT_EQ(ac.checks, bc.checks) << label;
-  EXPECT_EQ(ac.calls, bc.calls) << label;
-  EXPECT_EQ(ac.hijack_transfers, bc.hijack_transfers) << label;
-  EXPECT_EQ(ac.thread_spawns, bc.thread_spawns) << label;
-}
-
-// Full bit-identity, cycles, contention, migrations, and footprint included.
-void ExpectIdentical(const RunResult& a, const RunResult& b, const std::string& label) {
-  ExpectSameBehaviour(a, b, label);
-  const vm::Counters& ac = a.counters;
-  const vm::Counters& bc = b.counters;
-  EXPECT_EQ(ac.cycles, bc.cycles) << label;
-  EXPECT_EQ(ac.store_contended_ops, bc.store_contended_ops) << label;
-  EXPECT_EQ(ac.shard_migrations, bc.shard_migrations) << label;
-  EXPECT_EQ(ac.cache_hits, bc.cache_hits) << label;
-  EXPECT_EQ(ac.cache_misses, bc.cache_misses) << label;
-  EXPECT_EQ(a.memory.regular_bytes, b.memory.regular_bytes) << label;
-  EXPECT_EQ(a.memory.safe_store_bytes, b.memory.safe_store_bytes) << label;
-  EXPECT_EQ(a.memory.safe_stack_bytes, b.memory.safe_stack_bytes) << label;
-  EXPECT_EQ(a.memory.safe_store_entries, b.memory.safe_store_entries) << label;
-}
+using test::ExpectSameBehaviour;
+using test::ExpectIdentical;
 
 RunResult RunFresh(const workloads::Workload& w, const Config& config) {
   auto module = w.build(1);

@@ -403,6 +403,20 @@ TEST(FuzzCorpusTest, SerializeParseRoundTrip) {
     EXPECT_EQ(back.ops[i].d, plan.ops[i].d);
   }
   EXPECT_FALSE(fuzz::ParsePlan("not a corpus entry", &back));
+
+  // A known tag with a bad field is rejected, not truncated, dropped,
+  // zeroed or half-applied; an unknown tag is skipped.
+  const std::string magic = "cpi-fuzz-plan v1\n";
+  for (const char* bad : {"op 264 1 2 3 4", "op 8 1 2", "op 8 1 2 3 x", "op 8 1 2 3 4294967296",
+                          "op -1 1 2 3 4", "seed abc", "seed", "seed 7 junk",
+                          "seed 18446744073709551616", "pools 4 3", "pools 4 3 2 1 0 9"}) {
+    EXPECT_FALSE(fuzz::ParsePlan(magic + bad + "\n", &back)) << bad;
+  }
+  ASSERT_TRUE(fuzz::ParsePlan(magic + "note hand-edited\nseed 7\nop 255 1 2 3 4294967295\n", &back));
+  EXPECT_EQ(back.seed, 7u);
+  ASSERT_EQ(back.ops.size(), 1u);
+  EXPECT_EQ(back.ops[0].kind, 255u);
+  EXPECT_EQ(back.ops[0].d, 4294967295u);
 }
 
 // Replays the checked-in regression corpus: programs that exercised

@@ -23,6 +23,7 @@
 #include "src/opt/pass_manager.h"
 #include "src/workloads/measure.h"
 #include "src/workloads/workloads.h"
+#include "tests/run_identity.h"
 
 namespace cpi {
 namespace {
@@ -39,6 +40,7 @@ using ir::Module;
 using ir::Opcode;
 using ir::Value;
 using vm::RunResult;
+using test::ExpectIdentical;
 
 size_t CountOps(const Function& f, Opcode op) {
   size_t n = 0;
@@ -512,24 +514,6 @@ void ExpectSameSemantics(const RunResult& o1, const RunResult& o0, const std::st
   EXPECT_EQ(o1.violation, o0.violation) << label;
   EXPECT_EQ(o1.exit_code, o0.exit_code) << label;
   EXPECT_EQ(o1.output, o0.output) << label;
-}
-
-void ExpectIdentical(const RunResult& a, const RunResult& b, const std::string& label) {
-  ExpectSameSemantics(a, b, label);
-  EXPECT_EQ(a.message, b.message) << label;
-  const vm::Counters& x = a.counters;
-  const vm::Counters& y = b.counters;
-  EXPECT_EQ(x.instructions, y.instructions) << label;
-  EXPECT_EQ(x.cycles, y.cycles) << label;
-  EXPECT_EQ(x.mem_accesses, y.mem_accesses) << label;
-  EXPECT_EQ(x.safe_store_ops, y.safe_store_ops) << label;
-  EXPECT_EQ(x.store_contended_ops, y.store_contended_ops) << label;
-  EXPECT_EQ(x.seal_ops, y.seal_ops) << label;
-  EXPECT_EQ(x.checks, y.checks) << label;
-  EXPECT_EQ(x.calls, y.calls) << label;
-  EXPECT_EQ(x.hijack_transfers, y.hijack_transfers) << label;
-  EXPECT_EQ(x.cache_hits, y.cache_hits) << label;
-  EXPECT_EQ(x.cache_misses, y.cache_misses) << label;
 }
 
 RunResult InstrumentCloneAndRun(const Module& built, const Config& config,
