@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bench/flags.h"
+#include "src/analysis/classify.h"
 #include "src/attacks/ripe.h"
 #include "src/core/scheme.h"
 #include "src/ir/clone.h"
@@ -439,13 +440,18 @@ void PrintCpiOptCounts(Suite& s) {
   std::printf("\n");
 }
 
-// Table 2: static compilation statistics of the vanilla cells.
+// Table 2: static compilation statistics of each SPEC workload's
+// unprotected module, once per workload and outside any compile. The base
+// config gives the classification flags; ComputeModuleStats sets the
+// protection.
 Printers Table2(Suite& s) {
-  const auto rows = Rows({&cpi::workloads::SpecCpu2006()});
-  const auto sweep = s.Sweep(rows, {s.Base()});
+  const Config base = s.Base();
+  cpi::analysis::ClassifyOptions options;
+  options.char_star_heuristic = base.char_star_heuristic;
+  options.cast_dataflow = base.cast_dataflow;
   std::vector<std::pair<const Workload*, cpi::analysis::ModuleStats>> stats;
-  for (size_t wi = 0; wi < rows.size(); ++wi) {
-    stats.emplace_back(rows[wi], sweep[wi][0].stats);
+  for (const Workload& w : cpi::workloads::SpecCpu2006()) {
+    stats.emplace_back(&w, cpi::analysis::ComputeModuleStats(s.memo.Built(w), options));
   }
   return {[=] {
             std::printf("{\"rows\":");

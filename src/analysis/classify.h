@@ -91,8 +91,10 @@ class Classifier {
   std::map<const ir::Function*, FunctionClassification> per_function_;
 };
 
-// Computes Table 2 statistics for a module under both protections.
-// `classifier` must have been built with the wanted options.
+// Computes Table 2 statistics for a module under both protections: one
+// classification with `base_options`' flags and kCpi, one with kCps
+// (`base_options.protection` is ignored). Compiles do not call this; the
+// suite's Table 2 calls it once per workload on the unprotected module.
 ModuleStats ComputeModuleStats(const ir::Module& module, const ClassifyOptions& base_options);
 
 }  // namespace cpi::analysis

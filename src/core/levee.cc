@@ -16,31 +16,13 @@ const ProtectionScheme& SchemeFor(const Config& config) {
 
 const char* ProtectionName(Protection p) { return SchemeRegistry::Get(p).name(); }
 
-namespace {
-
-void VerifyOrDie(const ir::Module& module, const char* when) {
-  const std::vector<std::string> errors = ir::VerifyModule(module);
-  for (const std::string& e : errors) {
-    std::fprintf(stderr, "module %s (%s): %s\n", module.name().c_str(), when, e.c_str());
-  }
-  CPI_CHECK(errors.empty());
-}
-
-}  // namespace
-
 CompileOutput Compiler::Instrument(ir::Module& module) const {
-  VerifyOrDie(module, "before instrumentation");
+  ir::VerifyOrDie(module, "module " + module.name() + " (before instrumentation)");
 
   const ProtectionScheme& scheme = SchemeFor(config_);
 
   CompileOutput out;
   out.instructions_before = module.InstructionCount();
-
-  analysis::ClassifyOptions copts;
-  copts.char_star_heuristic = config_.char_star_heuristic;
-  copts.cast_dataflow = config_.cast_dataflow;
-  scheme.ConfigureClassification(copts);
-  out.stats = analysis::ComputeModuleStats(module, copts);
 
   instrument::PassOptions popts;
   popts.char_star_heuristic = config_.char_star_heuristic;
@@ -49,7 +31,7 @@ CompileOutput Compiler::Instrument(ir::Module& module) const {
   popts.temporal = config_.temporal;
 
   scheme.Instrument(module, popts);
-  VerifyOrDie(module, "after instrumentation");
+  ir::VerifyOrDie(module, "module " + module.name() + " (after instrumentation)");
 
   out.instructions_after = module.InstructionCount();
   out.instructions_after_opt = out.instructions_after;

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/classify.h"
 #include "src/instrument/passes.h"
 #include "src/ir/module.h"
 #include "src/opt/pass_manager.h"
@@ -102,10 +101,11 @@ struct Config {
   const vm::FaultPlan* faults = nullptr;
 };
 
-// Static compilation statistics — Table 2's columns for this module, plus
-// the optimizer's per-pass report when opt_level > 0.
+// Instruction counts around instrumentation and optimization, plus the
+// optimizer's per-pass report when opt_level > 0. Table 2's static
+// statistics are not part of a compile: analysis::ComputeModuleStats
+// computes them on the unprotected module.
 struct CompileOutput {
-  analysis::ModuleStats stats;
   size_t instructions_before = 0;
   size_t instructions_after = 0;        // after instrumentation
   size_t instructions_after_opt = 0;    // after optimization (== after at O0)
@@ -116,9 +116,9 @@ class Compiler {
  public:
   explicit Compiler(const Config& config) : config_(config) {}
 
-  // Instruments `module` in place according to the configuration; the module
-  // must verify cleanly. Returns static statistics gathered before
-  // instrumentation.
+  // Instruments (and, at opt_level >= 1, optimizes) `module` in place
+  // according to the configuration; the module must verify cleanly before
+  // and after. Returns the instruction counts and the optimizer's report.
   CompileOutput Instrument(ir::Module& module) const;
 
   const Config& config() const { return config_; }

@@ -1,7 +1,10 @@
 #include "src/ir/verifier.h"
 
-#include <set>
+#include <algorithm>
+#include <cstdio>
 #include <sstream>
+
+#include "src/support/check.h"
 
 namespace cpi::ir {
 namespace {
@@ -25,8 +28,19 @@ class Verifier {
   }
 
  private:
+  // The block an error is reported in; its "function/block" text is built
+  // only when an error is reported.
+  struct Where {
+    const Function& f;
+    const BasicBlock& bb;
+  };
+
   void Error(const std::string& where, const std::string& what) {
     errors_.push_back(where + ": " + what);
+  }
+
+  void Error(const Where& where, const std::string& what) {
+    Error(where.f.name() + "/" + where.bb.name(), what);
   }
 
   void VerifyFunction(const Function& f) {
@@ -35,24 +49,24 @@ class Verifier {
       return;
     }
 
-    // Collect all values defined in this function so operand ownership can be
-    // validated.
-    std::set<const Value*> defined;
+    // Collect all values and blocks defined in this function so operand and
+    // successor ownership can be validated.
+    defined_.clear();
+    blocks_.clear();
     for (const auto& arg : f.args()) {
-      defined.insert(arg.get());
+      defined_.push_back(arg.get());
     }
     for (const auto& bb : f.blocks()) {
+      blocks_.push_back(bb.get());
       for (const Instruction* inst : bb->instructions()) {
-        defined.insert(inst);
+        defined_.push_back(inst);
       }
     }
-    std::set<const BasicBlock*> blocks;
-    for (const auto& bb : f.blocks()) {
-      blocks.insert(bb.get());
-    }
+    std::sort(defined_.begin(), defined_.end());
+    std::sort(blocks_.begin(), blocks_.end());
 
     for (const auto& bb : f.blocks()) {
-      const std::string where = f.name() + "/" + bb->name();
+      const Where where{f, *bb};
       if (bb->instructions().empty()) {
         Error(where, "empty block");
         continue;
@@ -66,17 +80,17 @@ class Verifier {
           Error(where, "terminator in the middle of a block");
         }
         for (const Value* op : inst->operands()) {
-          if (!op->IsConstant() && defined.count(op) == 0) {
+          if (!op->IsConstant() && !std::binary_search(defined_.begin(), defined_.end(), op)) {
             Error(where, std::string(OpcodeName(inst->op())) +
                              " uses a value from another function");
           }
         }
         for (size_t s = 0; s < inst->successor_count(); ++s) {
-          if (blocks.count(inst->successor(s)) == 0) {
+          if (!std::binary_search(blocks_.begin(), blocks_.end(), inst->successor(s))) {
             Error(where, "branch to a block of another function");
           }
         }
-        VerifyInstruction(where, f, *inst);
+        VerifyInstruction(where, *inst);
       }
     }
   }
@@ -85,7 +99,7 @@ class Verifier {
     return static_cast<const PointerType*>(v->type())->pointee();
   }
 
-  void VerifyInstruction(const std::string& where, const Function& f, const Instruction& inst) {
+  void VerifyInstruction(const Where& where, const Instruction& inst) {
     auto expect_operands = [&](size_t n) {
       if (inst.operands().size() != n) {
         std::ostringstream os;
@@ -349,7 +363,7 @@ class Verifier {
         }
         break;
       case Opcode::kRet: {
-        const Type* ret = f.type()->return_type();
+        const Type* ret = where.f.type()->return_type();
         if (ret->IsVoid()) {
           expect_operands(0);
         } else if (expect_operands(1)) {
@@ -429,11 +443,23 @@ class Verifier {
 
   const Module& module_;
   std::vector<std::string> errors_;
+  // The function being verified: its arguments and instructions, and its
+  // blocks, each sorted for std::binary_search. Reused across functions.
+  std::vector<const Value*> defined_;
+  std::vector<const BasicBlock*> blocks_;
 };
 
 }  // namespace
 
 std::vector<std::string> VerifyModule(const Module& module) { return Verifier(module).Run(); }
+
+void VerifyOrDie(const Module& module, const std::string& context) {
+  const std::vector<std::string> errors = VerifyModule(module);
+  for (const std::string& e : errors) {
+    std::fprintf(stderr, "%s: %s\n", context.c_str(), e.c_str());
+  }
+  CPI_CHECK(errors.empty());
+}
 
 bool IsValid(const Module& module) { return VerifyModule(module).empty(); }
 

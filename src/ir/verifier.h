@@ -15,6 +15,10 @@ namespace cpi::ir {
 
 std::vector<std::string> VerifyModule(const Module& module);
 
+// Verifies `module`; on errors prints each to stderr as "<context>: <error>"
+// and aborts (CPI_CHECK). For pipelines whose input must already be valid.
+void VerifyOrDie(const Module& module, const std::string& context);
+
 // Convenience for tests: true iff VerifyModule returns no errors.
 bool IsValid(const Module& module);
 

@@ -1,7 +1,5 @@
 #include "src/opt/pass_manager.h"
 
-#include <cstdio>
-
 #include "src/ir/verifier.h"
 
 namespace cpi::opt {
@@ -27,11 +25,7 @@ OptReport PassManager::Run(ir::Module& module) {
         f->RenumberValues();
       }
     }
-    const std::vector<std::string> errors = ir::VerifyModule(module);
-    for (const std::string& e : errors) {
-      std::fprintf(stderr, "after pass %s: %s\n", pass->name(), e.c_str());
-    }
-    CPI_CHECK(errors.empty());
+    ir::VerifyOrDie(module, std::string("after pass ") + pass->name());
     report.passes.push_back(std::move(stats));
   }
   return report;

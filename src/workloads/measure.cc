@@ -44,8 +44,7 @@ std::vector<const ir::Module*> ModuleViews(
 CellResult RunCell(const ir::Module& built, const Workload& workload,
                    const core::Config& config) {
   auto module = ir::CloneModule(built);
-  core::Compiler compiler(config);
-  const core::CompileOutput co = compiler.Instrument(*module);
+  core::Compiler(config).Instrument(*module);
   const vm::RunResult r = core::Run(*module, config, workload.input);
   CellResult out;
   out.status = r.status;
@@ -55,7 +54,6 @@ CellResult RunCell(const ir::Module& built, const Workload& workload,
   out.safe_store_ops = r.counters.safe_store_ops;
   out.store_contended_ops = r.counters.store_contended_ops;
   out.shard_migrations = r.counters.shard_migrations;
-  out.stats = co.stats;
   return out;
 }
 
@@ -104,7 +102,6 @@ std::vector<Measurement> ReduceMeasurements(const std::vector<Workload>& workloa
     Measurement m;
     m.workload = workloads[wi].name;
     m.language = workloads[wi].language;
-    m.stats = vanilla.stats;
     m.vanilla_cycles = vanilla.cycles;
     m.vanilla_memory_bytes = vanilla.memory_bytes;
     for (size_t pi = 0; pi < protections.size(); ++pi) {

@@ -1,6 +1,6 @@
 // Measurement harness behind the bench suite: runs workloads under
 // several protection configurations and reports relative overheads (in
-// simulated cycles) plus the static compilation statistics of Table 2.
+// simulated cycles) and memory footprints.
 //
 // The harness is organised around *cells*. A MeasureCell is one
 // (workload × configuration) execution: clone the workload's pre-built
@@ -45,8 +45,6 @@ struct Measurement {
   // reports); such columns are recorded here instead of aborting the sweep.
   std::map<core::Protection, vm::RunStatus> status;
   uint64_t vanilla_memory_bytes = 0;
-  // Static statistics (FNUStack / MOCPS / MOCPI).
-  analysis::ModuleStats stats;
 
   // Overhead for `p`, CPI_CHECKed to have been measured and completed — for
   // drivers whose columns must always succeed (Table 1 / Fig. 4 / Table 4).
@@ -75,7 +73,6 @@ struct CellResult {
   // Shards whose owner changed at an epoch publish (Config::migrate; 0 with
   // migration off).
   uint64_t shard_migrations = 0;
-  analysis::ModuleStats stats;    // static stats under the cell's config
 };
 
 // Frontend-builds every workload once, in parallel across `jobs` threads

@@ -4,6 +4,7 @@
 // (attacks hijack vanilla runs and never hijack CPI/CPS runs).
 #include <gtest/gtest.h>
 
+#include "src/analysis/classify.h"
 #include "src/attacks/ripe.h"
 #include "src/core/levee.h"
 #include "src/ir/builder.h"
@@ -161,12 +162,25 @@ TEST(IntegrationTest, DebugModeWorksOnBenignProgram) {
 
 TEST(IntegrationTest, CpiInstrumentsFewerOpsThanItsTotal) {
   auto module = BuildBenignKitchenSink();
-  core::Compiler compiler(Config{});
-  core::CompileOutput out = compiler.Instrument(*module);
-  EXPECT_GT(out.stats.total_mem_ops, 0u);
-  EXPECT_GT(out.stats.instrumented_cpi, 0u);
-  EXPECT_LE(out.stats.instrumented_cps, out.stats.instrumented_cpi);
-  EXPECT_LT(out.stats.instrumented_cpi, out.stats.total_mem_ops);
+  const analysis::ModuleStats stats =
+      analysis::ComputeModuleStats(*module, analysis::ClassifyOptions{});
+  EXPECT_GT(stats.total_mem_ops, 0u);
+  EXPECT_GT(stats.instrumented_cpi, 0u);
+  EXPECT_LE(stats.instrumented_cps, stats.instrumented_cpi);
+  EXPECT_LT(stats.instrumented_cpi, stats.total_mem_ops);
+}
+
+// The facade verifies its input and names the module and the stage when it
+// is not valid.
+TEST(IntegrationTest, InstrumentRejectsAnInvalidModuleWithContext) {
+  ir::Module m("nomain");
+  auto& types = m.types();
+  ir::Function* f = m.CreateFunction("helper", types.FunctionTy(types.VoidTy(), {}));
+  ir::IRBuilder b(&m);
+  b.SetInsertPoint(f->CreateBlock("entry"));
+  b.Ret();
+  EXPECT_DEATH(core::Compiler(Config{}).Instrument(m),
+               "module nomain \\(before instrumentation\\): module: no main function");
 }
 
 // --- attack behaviour ---------------------------------------------------------

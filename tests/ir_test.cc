@@ -1,6 +1,9 @@
 // Unit tests for the IR: type interning and layout, universal-pointer
 // classification, builder-produced structure, verifier diagnostics, and the
 // printer.
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/ir/builder.h"
@@ -224,6 +227,111 @@ TEST(VerifierTest, DetectsCrossFunctionValueUse) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// The verifier's per-function ownership sets hold only the function being
+// verified: a use of another function's argument is rejected too.
+TEST(VerifierTest, DetectsUseOfAnotherFunctionsArgument) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* helper = m.CreateFunction("helper", types.FunctionTy(types.I64(), {types.I64()}));
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(helper->CreateBlock("entry"));
+  b.Ret(helper->arg(0));
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  b.Ret(helper->arg(0));
+  EXPECT_EQ(VerifyModule(m),
+            std::vector<std::string>{"main/entry: ret uses a value from another function"});
+}
+
+// A value defined in a function verified *after* its user is rejected, and
+// the defining function's own uses stay valid: the sets neither leak forward
+// nor start out holding later functions' values.
+TEST(VerifierTest, DetectsUseOfAValueDefinedInALaterFunction) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  Function* g = m.CreateFunction("g", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(g->CreateBlock("entry"));
+  Value* v = b.Load(b.Alloca(types.I64()));
+  b.Ret(v);
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  b.Ret(v);
+  EXPECT_EQ(VerifyModule(m),
+            std::vector<std::string>{"main/entry: ret uses a value from another function"});
+}
+
+TEST(VerifierTest, DetectsBranchToAnotherFunctionsBlock) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  Function* g = m.CreateFunction("g", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  BasicBlock* g_entry = g->CreateBlock("entry");
+  b.SetInsertPoint(g_entry);
+  b.Ret(b.I64(0));
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  b.Br(g_entry);
+  EXPECT_EQ(VerifyModule(m),
+            std::vector<std::string>{"main/entry: branch to a block of another function"});
+}
+
+// Golden diagnostics: every error of a module with faults in several blocks
+// of two functions, with the exact text and in the exact order (functions,
+// then blocks, then instructions, then the per-instruction checks in
+// operand / successor / opcode order; the missing main last).
+TEST(VerifierTest, ReportsEveryErrorInOrder) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* f = m.CreateFunction("f", types.FunctionTy(types.I64(), {types.I64()}));
+  m.CreateFunction("empty", types.FunctionTy(types.VoidTy(), {}));
+  Function* work = m.CreateFunction("work", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+
+  BasicBlock* f_entry = f->CreateBlock("entry");
+  BasicBlock* f_next = f->CreateBlock("next");
+  f->CreateBlock("hole");
+  b.SetInsertPoint(f_entry);
+  Value* slot = b.Alloca(types.I32());
+  b.Store(b.I64(1), slot);
+  b.Cast(CastKind::kBitcast, b.I64(1), types.PointerTo(types.I64()));
+  b.Br(f_next);
+  b.SetInsertPoint(f_next);
+  b.Ret(b.I64(0));
+  b.Alloca(types.I64());
+
+  BasicBlock* work_entry = work->CreateBlock("entry");
+  BasicBlock* work_exit = work->CreateBlock("exit");
+  b.SetInsertPoint(work_entry);
+  b.Load(slot);
+  b.Br(f_next);
+  b.SetInsertPoint(work_exit);
+  b.Ret(f->arg(0));
+
+  EXPECT_EQ(VerifyModule(m), (std::vector<std::string>{
+                                 "f/entry: store value type does not match pointee",
+                                 "f/entry: bitcast requires pointer types",
+                                 "f/next: block does not end in a terminator",
+                                 "f/next: terminator in the middle of a block",
+                                 "f/hole: empty block",
+                                 "empty: function has no blocks",
+                                 "work/entry: load uses a value from another function",
+                                 "work/entry: branch to a block of another function",
+                                 "work/exit: ret uses a value from another function",
+                                 "module: no main function",
+                             }));
+}
+
+TEST(VerifierTest, VerifyOrDiePrintsEveryErrorAfterItsContext) {
+  Module m("nomain");
+  auto& types = m.types();
+  Function* f = m.CreateFunction("helper", types.FunctionTy(types.VoidTy(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(f->CreateBlock("entry"));
+  b.Ret();
+  EXPECT_DEATH(VerifyOrDie(m, "after pass dce"), "after pass dce: module: no main function");
 }
 
 TEST(VerifierTest, DetectsBadCast) {

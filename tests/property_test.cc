@@ -8,6 +8,7 @@
 // the differential harness (tests/fuzz_harness_test.cc and bench/fuzz).
 #include <gtest/gtest.h>
 
+#include "src/analysis/classify.h"
 #include "src/core/levee.h"
 #include "src/fuzz/generator.h"
 #include "src/ir/verifier.h"
