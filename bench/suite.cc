@@ -14,7 +14,8 @@
 //
 // Each table is declared once, in kTables: its name and a function that
 // requests the cells it needs, reduces them, and returns its JSON and text
-// printers. Every cell goes through one workloads::CellMemo keyed on
+// printers. Every column is a scheme (core::ProtectionScheme*), composite
+// or not. Every cell goes through one workloads::CellMemo keyed on
 // (workload, canonical Config), and every attack matrix through a memo keyed
 // the same way, so a table asks for its own baselines and a cell another
 // table already ran costs a lookup. Tables run in a fixed order (`run`);
@@ -22,9 +23,10 @@
 //
 // Table values are bit-identical at any --jobs value (the cost model is
 // simulated; the pool only changes wall-clock). The JSON keeps everything
-// that varies between runs (wall_ms, table_wall_ms, jobs, host concurrency,
-// fusion counts) outside "tables", so `jq .tables` is byte-stable; CI diffs
-// it against the committed BENCH_pr10.json baseline (recorded at --opt 1).
+// that describes the run rather than the tables (wall_ms, table_wall_ms,
+// jobs, host concurrency, the distinct cell count, fusion counts) outside
+// "tables", so `jq .tables` is byte-stable; CI diffs it against the
+// committed BENCH_pr10.json baseline (recorded at --opt 1).
 //
 // docs/PAPER_MAP.md maps each table emitted here back to the paper.
 #include <algorithm>
@@ -73,18 +75,11 @@ class Stopwatch {
   Clock::time_point start_ = Clock::now();
 };
 
-const char* SchemeName(Protection p) { return SchemeRegistry::Get(p).name(); }
+// A registry built-in, as the suite's columns take it.
+const ProtectionScheme* Builtin(Protection p) { return &SchemeRegistry::Get(p); }
 
-std::vector<std::string> SchemeNames(const std::vector<Protection>& columns) {
-  std::vector<std::string> names;
-  for (Protection p : columns) {
-    names.push_back(SchemeName(p));
-  }
-  return names;
-}
-
-bool Failed(const Measurement& m, Protection p) {
-  return m.status.count(p) != 0 && m.status.at(p) != cpi::vm::RunStatus::kOk;
+bool Failed(const Measurement& m, const ProtectionScheme* scheme) {
+  return m.status.count(scheme) != 0 && m.status.at(scheme) != cpi::vm::RunStatus::kOk;
 }
 
 std::vector<double> ColumnMeans(const Grid& grid) {
@@ -103,6 +98,14 @@ std::vector<std::string> Names(const std::vector<const Workload*>& workloads) {
   std::vector<std::string> names;
   for (const Workload* w : workloads) {
     names.push_back(w->name);
+  }
+  return names;
+}
+
+std::vector<std::string> Names(const std::vector<const ProtectionScheme*>& schemes) {
+  std::vector<std::string> names;
+  for (const ProtectionScheme* scheme : schemes) {
+    names.push_back(scheme->name());
   }
   return names;
 }
@@ -130,27 +133,28 @@ class Suite {
   int failures = 0;  // unexpected failing cells (see Overheads)
 
   // The standard tables' base configuration: O0, every knob at its default
-  // except the engine.
-  Config Base(Protection p = Protection::kNone) const {
+  // except the engine, under `scheme` (null: vanilla).
+  Config Base(const ProtectionScheme* scheme = nullptr) const {
     Config config;
-    config.protection = p;
+    config.scheme = scheme;
     config.engine = flags.engine;
     return config;
   }
 
-  // Vanilla plus each of `protections` per workload. Failing columns are
+  // Vanilla plus each of `schemes` per workload. Failing columns are
   // tolerated (they surface in the JSON "fails" arrays) so one bad scheme
-  // cannot abort a long sweep, but each is reported and makes the suite
-  // exit non-zero — except SoftBound, which the paper reports breaking on
-  // unsafe pointer idioms (Table 3).
+  // cannot abort a long sweep, but each is reported, in workload then
+  // request order, and makes the suite exit non-zero — except SoftBound,
+  // which the paper reports breaking on unsafe pointer idioms (Table 3).
   std::vector<Measurement> Overheads(const char* table, const std::vector<Workload>& workloads,
-                                     const std::vector<Protection>& protections) {
-    std::vector<Measurement> ms = memo.Measure(workloads, protections, Base());
+                                     const std::vector<const ProtectionScheme*>& schemes) {
+    std::vector<Measurement> ms = memo.Measure(workloads, schemes, Base());
     for (const Measurement& m : ms) {
-      for (const auto& [p, status] : m.status) {
-        if (status != cpi::vm::RunStatus::kOk && p != Protection::kSoftBound) {
+      for (const ProtectionScheme* scheme : schemes) {
+        if (Failed(m, scheme) && scheme != Builtin(Protection::kSoftBound)) {
           std::fprintf(stderr, "suite: FAILED cell %s/%s under %s: %s\n", table,
-                       m.workload.c_str(), SchemeName(p), cpi::vm::RunStatusName(status));
+                       m.workload.c_str(), scheme->name(),
+                       cpi::vm::RunStatusName(m.status.at(scheme)));
           ++failures;
         }
       }
@@ -182,8 +186,7 @@ class Suite {
 
   // The RIPE-style matrix (or its cross-thread rows) under `scheme`.
   const std::vector<AttackResult>& Matrix(const ProtectionScheme* scheme, bool cross_thread) {
-    Config config = Base(scheme->id());
-    config.scheme = scheme;
+    const Config config = Base(scheme);
     const auto key = cpi::workloads::CanonicalKey(cross_thread ? "ripe_concurrent" : "ripe",
                                                   config);
     auto it = matrices_.find(key);
@@ -252,8 +255,8 @@ void JsonArray(size_t n, const std::function<void(size_t)>& row) {
 }
 
 // The table1 / table3 / table4 / fig4 shape.
-void JsonOverheadTable(const std::vector<Measurement>& ms, const std::vector<Protection>& columns,
-                       bool lang, bool fails) {
+void JsonOverheadTable(const std::vector<Measurement>& ms,
+                       const std::vector<const ProtectionScheme*>& columns, bool lang, bool fails) {
   std::printf("{\"rows\":");
   JsonArray(ms.size(), [&](size_t i) {
     const Measurement& m = ms[i];
@@ -264,12 +267,12 @@ void JsonOverheadTable(const std::vector<Measurement>& ms, const std::vector<Pro
     std::vector<std::string> keys;
     std::vector<double> values;
     std::vector<std::string> failed;
-    for (Protection p : columns) {
-      if (Failed(m, p)) {
-        failed.push_back(std::string("\"") + SchemeName(p) + "\"");
+    for (const ProtectionScheme* scheme : columns) {
+      if (Failed(m, scheme)) {
+        failed.push_back(std::string("\"") + scheme->name() + "\"");
       } else {
-        keys.push_back(SchemeName(p));
-        values.push_back(m.overhead_pct.at(p));
+        keys.push_back(scheme->name());
+        values.push_back(m.overhead_pct.at(scheme));
       }
     }
     std::printf("\"overhead_pct\":");
@@ -286,14 +289,14 @@ void JsonOverheadTable(const std::vector<Measurement>& ms, const std::vector<Pro
 // ---------------------------------------------------------------------------
 // Human rendering.
 
-Table OverheadTable(const std::vector<Measurement>& ms, const std::vector<Protection>& columns,
-                    bool lang) {
+Table OverheadTable(const std::vector<Measurement>& ms,
+                    const std::vector<const ProtectionScheme*>& columns, bool lang) {
   std::vector<std::string> header = {"Benchmark"};
   if (lang) {
     header.push_back("Lang");
   }
-  for (Protection p : columns) {
-    header.push_back(SchemeName(p));
+  for (const ProtectionScheme* scheme : columns) {
+    header.push_back(scheme->name());
   }
   Table table(header);
   for (const Measurement& m : ms) {
@@ -301,8 +304,9 @@ Table OverheadTable(const std::vector<Measurement>& ms, const std::vector<Protec
     if (lang) {
       row.push_back(m.language);
     }
-    for (Protection p : columns) {
-      row.push_back(Failed(m, p) ? "fails" : Table::FormatPercent(m.overhead_pct.at(p)));
+    for (const ProtectionScheme* scheme : columns) {
+      row.push_back(Failed(m, scheme) ? "fails"
+                                      : Table::FormatPercent(m.overhead_pct.at(scheme)));
     }
     table.AddRow(row);
   }
@@ -353,7 +357,7 @@ struct Printers {
 };
 
 Printers Table1(Suite& s) {
-  const auto columns = cpi::workloads::OverheadProtections();
+  const auto columns = SchemeRegistry::OverheadColumns();
   const auto ms = s.Overheads("table1_spec_overhead", cpi::workloads::SpecCpu2006(), columns);
   return {[=] { JsonOverheadTable(ms, columns, /*lang=*/true, /*fails=*/false); },
           [=] {
@@ -373,11 +377,9 @@ Printers Table1(Suite& s) {
             };
             for (const auto& summary : summaries) {
               std::vector<std::string> row = {summary.label, ""};
-              for (Protection p : columns) {
+              for (const ProtectionScheme* scheme : columns) {
                 row.push_back(Table::FormatPercent(summary.reduce(
-                    summary.language[0] == '\0'
-                        ? cpi::workloads::OverheadColumn(ms, p)
-                        : cpi::workloads::OverheadColumnForLanguage(ms, p, summary.language))));
+                    cpi::workloads::OverheadColumn(ms, scheme, summary.language))));
               }
               t.AddRow(row);
             }
@@ -397,7 +399,7 @@ void PrintCpiOptCounts(Suite& s) {
   std::printf("CPI instrumentation counts at --opt %d "
               "(instructions: vanilla / instrumented / optimized)\n\n",
               s.flags.opt);
-  Config config = s.Base(Protection::kCpi);
+  Config config = s.Base(Builtin(Protection::kCpi));
   config.opt_level = s.flags.opt;
   Table counts({"Benchmark", "Vanilla", "Instrumented", "Optimized", "Removed", "ChecksElim",
                 "StoreOpsElim"});
@@ -483,15 +485,15 @@ Printers Table2(Suite& s) {
 }
 
 Printers Table3(Suite& s) {
-  std::vector<Protection> columns = cpi::workloads::OverheadProtections();
-  columns.push_back(Protection::kSoftBound);  // the subject column
+  std::vector<const ProtectionScheme*> columns = SchemeRegistry::OverheadColumns();
+  columns.push_back(Builtin(Protection::kSoftBound));  // the subject column
   const auto ms = s.Overheads("table3_softbound", cpi::workloads::SpecCpu2006(), columns);
   return {[=] { JsonOverheadTable(ms, columns, /*lang=*/false, /*fails=*/true); },
           [=] {
             std::printf("Table 3 — Levee vs SoftBound-style full memory safety\n\n");
             OverheadTable(ms, columns, /*lang=*/false).Print();
             const auto failures = std::count_if(ms.begin(), ms.end(), [](const Measurement& m) {
-              return Failed(m, Protection::kSoftBound);
+              return Failed(m, Builtin(Protection::kSoftBound));
             });
             std::printf("\nSoftBound failures: %d (the paper likewise reports that many SPEC\n"
                         "benchmarks do not compile or run under SoftBound).\n"
@@ -504,7 +506,7 @@ Printers Table3(Suite& s) {
 // The table1-shaped overhead tables over their own workload sets.
 Printers SimpleOverheads(Suite& s, const char* name, const std::vector<Workload>& workloads,
                          const char* title, const char* footnote) {
-  const auto columns = cpi::workloads::OverheadProtections();
+  const auto columns = SchemeRegistry::OverheadColumns();
   const auto ms = s.Overheads(name, workloads, columns);
   return {[=] { JsonOverheadTable(ms, columns, /*lang=*/false, /*fails=*/false); },
           [=] {
@@ -560,11 +562,7 @@ Printers Fig5(Suite& s) {
     }
   }
   const auto defenses = SchemeRegistry::DefenseRows();
-  std::vector<Protection> columns;
-  for (const ProtectionScheme* d : defenses) {
-    columns.push_back(d->id());
-  }
-  const auto ms = s.Overheads("fig5_defense_matrix", subset, columns);
+  const auto ms = s.Overheads("fig5_defense_matrix", subset, defenses);
   std::vector<Row> rows;
   for (const ProtectionScheme* d : defenses) {
     Row row{d};
@@ -574,10 +572,10 @@ Printers Fig5(Suite& s) {
     }
     std::vector<double> overheads;
     for (const Measurement& m : ms) {
-      if (Failed(m, d->id())) {
+      if (Failed(m, d)) {
         row.some_fail = true;
       } else {
-        overheads.push_back(m.overhead_pct.at(d->id()));
+        overheads.push_back(m.overhead_pct.at(d));
       }
     }
     row.has_overhead = !overheads.empty();
@@ -667,7 +665,7 @@ Printers AblationIsolation(Suite& s) {
   for (auto isolation : {cpi::runtime::IsolationKind::kSegment,
                          cpi::runtime::IsolationKind::kInfoHiding,
                          cpi::runtime::IsolationKind::kSfi}) {
-    variants.push_back(s.Base(Protection::kCpi));
+    variants.push_back(s.Base(Builtin(Protection::kCpi)));
     variants.back().isolation = isolation;
   }
   return SpecAblation(s, variants, {"segment", "info-hiding", "sfi"}, /*nested=*/true,
@@ -678,10 +676,10 @@ Printers AblationIsolation(Suite& s) {
 }
 
 Printers AblationMpx(Suite& s) {
-  Config assisted = s.Base(Protection::kCpi);
+  const Config software = s.Base(Builtin(Protection::kCpi));
+  Config assisted = software;
   assisted.mpx_assist = true;
-  return SpecAblation(s, {s.Base(Protection::kCpi), assisted}, {"software_pct", "mpx_pct"},
-                      /*nested=*/false,
+  return SpecAblation(s, {software, assisted}, {"software_pct", "mpx_pct"}, /*nested=*/false,
                       "Ablation (§4) — projected hardware-assisted (MPX-style) CPI",
                       {"Benchmark", "CPI (software)", "CPI (MPX-assisted)"},
                       "The paper projects (no numbers available at the time) that MPX-style\n"
@@ -711,7 +709,7 @@ Printers Ripe(Suite& s, bool cross_thread) {
                                            : cpi::attacks::GenerateAttackMatrix().size());
   std::vector<std::string> cfi_bypasses;
   if (!cross_thread) {
-    for (const AttackResult& r : s.Matrix(&SchemeRegistry::Get(Protection::kCfi), false)) {
+    for (const AttackResult& r : s.Matrix(Builtin(Protection::kCfi), false)) {
       if (r.Hijacked()) {
         cfi_bypasses.push_back(r.spec.Name());
       }
@@ -762,11 +760,11 @@ Printers RipeConcurrent(Suite& s) { return Ripe(s, /*cross_thread=*/true); }
 // on, each level against its own vanilla baseline.
 Printers AblationOpt(Suite& s) {
   const auto rows = Rows({&cpi::workloads::SpecCpu2006()});
-  const auto columns = cpi::workloads::OverheadProtections();
+  const auto columns = SchemeRegistry::OverheadColumns();
   const auto overheads_at = [&](int level) {
     std::vector<Config> configs = {s.Base()};
-    for (Protection p : columns) {
-      configs.push_back(s.Base(p));
+    for (const ProtectionScheme* scheme : columns) {
+      configs.push_back(s.Base(scheme));
     }
     for (Config& c : configs) {
       c.opt_level = level;
@@ -775,7 +773,7 @@ Printers AblationOpt(Suite& s) {
   };
   const Grid o0 = overheads_at(0);
   const Grid on = overheads_at(s.flags.opt);
-  const std::vector<std::string> keys = SchemeNames(columns);
+  const std::vector<std::string> keys = Names(columns);
   const Grid grid = Interleave(o0, on);  // [wi][2 * scheme + level]
   const auto names = Names(rows);
   const int opt = s.flags.opt;
@@ -824,13 +822,13 @@ Printers MemOverhead(Suite& s) {
     std::vector<double> median_safe_store_bytes;  // per scheme
   };
   const auto rows = Rows({&cpi::workloads::SpecCpu2006()});
-  const auto columns = cpi::workloads::OverheadProtections();
-  const std::vector<std::string> keys = SchemeNames(columns);
+  const auto columns = SchemeRegistry::OverheadColumns();
+  const std::vector<std::string> keys = Names(columns);
   std::vector<Row> stores;
   for (StoreKind store : {StoreKind::kHash, StoreKind::kTwoLevel, StoreKind::kArray}) {
     std::vector<Config> configs = {s.Base()};
-    for (Protection p : columns) {
-      configs.push_back(s.Base(p));
+    for (const ProtectionScheme* scheme : columns) {
+      configs.push_back(s.Base(scheme));
       configs.back().store = store;
     }
     const auto sweep = s.Sweep(rows, configs);
@@ -935,7 +933,7 @@ Printers AblationShards(Suite& s) {
   const auto rows = Rows({&cpi::workloads::EventLoop(), &cpi::workloads::ConcurrentServer()});
   std::vector<Config> configs = {s.Base()};
   for (uint32_t shards : kShardCounts) {
-    configs.push_back(s.Base(Protection::kCpi));
+    configs.push_back(s.Base(Builtin(Protection::kCpi)));
     configs.back().shards = shards;
   }
   const auto sweep = s.Sweep(rows, configs);
@@ -983,7 +981,7 @@ Printers AblationChurn(Suite& s) {
   std::vector<Config> configs = {s.Base()};
   for (uint32_t shards : kShardCounts) {
     for (bool migrate : {false, true}) {
-      configs.push_back(s.Base(Protection::kCpi));
+      configs.push_back(s.Base(Builtin(Protection::kCpi)));
       configs.back().shards = shards;
       configs.back().migrate = migrate;
     }
@@ -1042,9 +1040,8 @@ Printers AblationChurn(Suite& s) {
 // table_composites: the composable schemes (SchemeRegistry::
 // CompositeTableRows) — SPEC overhead plus both attack matrices, with the
 // auth-abort count (kPointerAuthFailure verdicts) broken out; the ret-chain
-// schemes turn ret-hijacks into exactly these. Cells select by
-// Config::scheme, since a composite borrows its first component's
-// Protection id.
+// schemes turn ret-hijacks into exactly these. Each scheme, composite or
+// not, is its own column.
 Printers TableComposites(Suite& s) {
   struct Matrix {
     int counts[4] = {0, 0, 0, 0};  // AttackOutcome order
@@ -1056,31 +1053,24 @@ Printers TableComposites(Suite& s) {
     Matrix ripe;
     Matrix ripe_concurrent;
   };
-  const auto rows = Rows({&cpi::workloads::SpecCpu2006()});
+  const auto& spec = cpi::workloads::SpecCpu2006();
   const auto schemes = SchemeRegistry::CompositeTableRows();
-  std::vector<Config> configs = {s.Base()};
-  for (const ProtectionScheme* scheme : schemes) {
-    configs.push_back(s.Base(scheme->id()));
-    configs.back().scheme = scheme;
-  }
-  const Grid grid = OverheadGrid(s.Sweep(rows, configs));
+  const auto ms = s.Overheads("table_composites", spec, schemes);
   std::vector<Row> out;
-  for (size_t si = 0; si < schemes.size(); ++si) {
+  for (const ProtectionScheme* scheme : schemes) {
     Row row;
-    row.scheme = schemes[si];
-    for (const auto& per_workload : grid) {
-      row.overhead_pct.push_back(per_workload[si]);
-    }
+    row.scheme = scheme;
+    row.overhead_pct = cpi::workloads::OverheadColumn(ms, scheme);
     for (bool cross_thread : {false, true}) {
       Matrix& m = cross_thread ? row.ripe_concurrent : row.ripe;
-      for (const AttackResult& r : s.Matrix(schemes[si], cross_thread)) {
+      for (const AttackResult& r : s.Matrix(scheme, cross_thread)) {
         ++m.counts[static_cast<int>(r.outcome)];
         m.auth_aborts += r.violation == cpi::runtime::Violation::kPointerAuthFailure ? 1 : 0;
       }
     }
     out.push_back(std::move(row));
   }
-  const auto names = Names(rows);
+  const auto names = Names(Rows({&spec}));
   const int attacks = static_cast<int>(cpi::attacks::GenerateAttackMatrix().size());
   const int concurrent_attacks =
       static_cast<int>(cpi::attacks::GenerateCrossThreadMatrix().size());
@@ -1207,13 +1197,14 @@ int main(int argc, char** argv) {
     }
     std::printf("}");  // closes "tables" — byte-identical across engines
 
-    // Fusion statistics live OUTSIDE .tables: they describe the execution
-    // tier, not the measured program, and vary with --engine while the
-    // tables never do.
+    // The distinct cell count and the fusion statistics live OUTSIDE
+    // .tables: they describe the harness and the execution tier, not the
+    // measured program; fusion varies with --engine while the tables never
+    // do.
     const cpi::vm::FusionStats fusion = cpi::vm::GetFusionStats();
-    std::printf(",\"engine\":\"%s\",\"fusion\":{\"modules\":%llu,"
+    std::printf(",\"engine\":\"%s\",\"cells\":%zu,\"fusion\":{\"modules\":%llu,"
                 "\"ops_before\":%llu,\"ops_after\":%llu}}\n",
-                cpi::vm::EngineKindName(flags.engine),
+                cpi::vm::EngineKindName(flags.engine), suite.memo.executed(),
                 static_cast<unsigned long long>(fusion.modules),
                 static_cast<unsigned long long>(fusion.ops_before),
                 static_cast<unsigned long long>(fusion.ops_after));

@@ -529,19 +529,17 @@ void AppendWordBytes(std::vector<uint8_t>* bytes, uint64_t word) {
   }
 }
 
-// Crafts the payload for one attack, given the built module's layout and the
-// protection configuration (a real attacker adapts the exploit to the target
-// build: e.g. the return-address offset shifts when cookies are enabled).
+// Crafts the payload for one attack, given the built module's layout and
+// whether the instrumented build carries stack cookies (a real attacker
+// adapts the exploit to the target build: the return-address offset shifts
+// past the canary slot).
 core::Input CraftPayload(const AttackSpec& spec, const TargetOffsets& off,
-                         uint64_t gadget_addr, const core::Config& config) {
+                         uint64_t gadget_addr, bool stack_cookies) {
+  const uint64_t target_offset =
+      off.target_offset + (spec.target == Target::kReturnAddress && stack_cookies ? 8 : 0);
   core::Input input;
   switch (spec.technique) {
     case Technique::kDirectOverflow: {
-      uint64_t target_offset = off.target_offset;
-      if (spec.target == Target::kReturnAddress &&
-          config.protection == core::Protection::kStackCookies) {
-        target_offset += 8;  // skip over the canary slot
-      }
       std::vector<uint8_t> bytes(target_offset, 0x41);  // 'A' filler
       if (spec.target == Target::kVtablePointer) {
         // The buffer itself doubles as the fake vtable: its first word is
@@ -557,11 +555,6 @@ core::Input CraftPayload(const AttackSpec& spec, const TargetOffsets& off,
       break;
     }
     case Technique::kIndexedWrite: {
-      uint64_t target_offset = off.target_offset;
-      if (spec.target == Target::kReturnAddress &&
-          config.protection == core::Protection::kStackCookies) {
-        target_offset += 8;
-      }
       std::vector<uint8_t> bytes(target_offset, 0x41);
       if (spec.target == Target::kVtablePointer) {
         for (int i = 0; i < 8; ++i) {
@@ -608,10 +601,10 @@ AttackResult RunAttack(const AttackSpec& spec, const core::Config& config) {
   const vm::ProgramLayout layout = vm::ComputeProgramLayout(*module);
   const TargetOffsets offsets = builder.Offsets(layout);
   const uint64_t gadget_addr = layout.CodeAddress(builder.gadget());
-  const core::Input payload = CraftPayload(spec, offsets, gadget_addr, config);
 
-  core::Compiler compiler(config);
-  compiler.Instrument(*module);
+  core::Compiler(config).Instrument(*module);
+  const core::Input payload =
+      CraftPayload(spec, offsets, gadget_addr, module->protection().stack_cookies);
   const vm::RunResult run = core::Run(*module, config, payload);
 
   AttackResult result;

@@ -5,21 +5,17 @@
 
 namespace cpi::core {
 
-namespace {
-
-const ProtectionScheme& SchemeFor(const Config& config) {
+const ProtectionScheme& SchemeOf(const Config& config) {
   return config.scheme != nullptr ? *config.scheme
                                   : SchemeRegistry::Get(config.protection);
 }
-
-}  // namespace
 
 const char* ProtectionName(Protection p) { return SchemeRegistry::Get(p).name(); }
 
 CompileOutput Compiler::Instrument(ir::Module& module) const {
   ir::VerifyOrDie(module, "module " + module.name() + " (before instrumentation)");
 
-  const ProtectionScheme& scheme = SchemeFor(config_);
+  const ProtectionScheme& scheme = SchemeOf(config_);
 
   CompileOutput out;
   out.instructions_before = module.InstructionCount();
@@ -55,7 +51,7 @@ namespace {
 
 vm::RunOptions RunOptionsFor(const Config& config, const Input& input) {
   vm::RunOptions options;
-  SchemeFor(config).ConfigureRun(options);
+  SchemeOf(config).ConfigureRun(options);
   options.store = config.store;
   options.isolation = config.isolation;
   options.shards = config.shards;

@@ -52,6 +52,7 @@ struct Config {
   Protection protection = Protection::kNone;
   // When set, overrides `protection`: compilation and execution are driven
   // by this (possibly out-of-tree) scheme instead of a registry built-in.
+  // Read both through SchemeOf.
   const ProtectionScheme* scheme = nullptr;
   runtime::StoreKind store = runtime::StoreKind::kArray;
   runtime::IsolationKind isolation = runtime::IsolationKind::kSegment;
@@ -100,6 +101,11 @@ struct Config {
   // host.
   const vm::FaultPlan* faults = nullptr;
 };
+
+// The scheme a configuration selects: `config.scheme`, else the registry
+// built-in for `config.protection`. Below this facade a scheme's identity is
+// this pointer; a composite never shares it with its first component.
+const ProtectionScheme& SchemeOf(const Config& config);
 
 // Instruction counts around instrumentation and optimization, plus the
 // optimizer's per-pass report when opt_level > 0. Table 2's static

@@ -157,8 +157,8 @@ class CompositeScheme final : public ProtectionScheme {
   static std::unique_ptr<CompositeScheme> Make(
       std::vector<const ProtectionScheme*> parts, std::string* error);
 
-  // The composite inherits the first component's id for Protection-keyed
-  // consumers; name() is the canonical "a+b" spec string.
+  // The first component's id. Only SchemeRegistry::Get and perfbench read
+  // ids; everything else identifies a scheme by its pointer (SchemeOf). name() is the canonical "a+b" spec string.
   Protection id() const override { return parts_.front()->id(); }
   const char* name() const override { return name_.c_str(); }
   const char* description() const override { return description_.c_str(); }

@@ -23,12 +23,13 @@ struct Cell {
 };
 
 // The instrumented modules of one case, one per compile key: everything
-// core::Compiler::Instrument reads from a Config (scheme, opt level, debug
-// and temporal modes, classification flags; RunCase always sets
-// Config::scheme, so the Protection id adds nothing). Engine, quantum, store, shard
-// count, migration and fault plan are runtime settings; vm::Execute takes
-// the module and its decode const, so every cell of a key runs on the same
-// module, and every decoded or fused cell of a key on the same decode.
+// core::Compiler::Instrument reads from a Config (the resolved scheme,
+// core::SchemeOf, so a composite never shares its first component's module;
+// opt level, debug and temporal modes, classification flags). Engine,
+// quantum, store, shard count, migration and fault plan are runtime
+// settings; vm::Execute takes the module and its decode const, so every cell
+// of a key runs on the same module, and every decoded or fused cell of a key
+// on the same decode.
 class SharedModules {
  public:
   explicit SharedModules(const Plan& plan) : plan_(plan) {}
@@ -38,9 +39,9 @@ class SharedModules {
   // decode that throws leaves nothing behind, so the exception reaches the
   // cell that asked.
   vm::RunResult Run(const core::Config& config) {
-    Compiled& c = compiled_[std::make_tuple(config.scheme, config.opt_level, config.debug_mode,
-                                            config.temporal, config.char_star_heuristic,
-                                            config.cast_dataflow)];
+    Compiled& c = compiled_[std::make_tuple(&core::SchemeOf(config), config.opt_level,
+                                            config.debug_mode, config.temporal,
+                                            config.char_star_heuristic, config.cast_dataflow)];
     if (c.module == nullptr) {
       auto fresh = Materialize(plan_);
       core::Compiler(config).Instrument(*fresh);
@@ -184,11 +185,9 @@ CaseResult RunCase(const Plan& plan, const DiffOptions& options) {
 
   // The scheme axis is the registry itself, so the ret-chain variant and the
   // registered composites (ptrenc+safestack, cpi+ptrenc-ret-chain) join the
-  // sweep automatically. Cells select by Config::scheme — the composite
-  // pointer, not just its Protection id.
+  // sweep automatically. Cells select by Config::scheme.
   auto base_config = [&options](const core::ProtectionScheme* s) {
     core::Config c;
-    c.protection = s->id();
     c.scheme = s;
     c.max_steps = options.max_steps;
     return c;

@@ -6,7 +6,6 @@
 #include "src/analysis/classify.h"
 #include "src/instrument/passes.h"
 #include "src/instrument/rewrite.h"
-#include "src/ir/verifier.h"
 
 namespace cpi::instrument {
 namespace {
@@ -103,12 +102,6 @@ void ApplySoftBoundRewrites(ir::Module& module) {
   module.protection().softbound = true;
 }
 
-void ApplySoftBound(ir::Module& module) {
-  ApplySoftBoundRewrites(module);
-  FinalizeModule(module);
-  CPI_CHECK(ir::IsValid(module));
-}
-
 void ApplyCfiRewrites(ir::Module& module) {
   module.ComputeAddressTaken();
   for (const auto& f : module.functions()) {
@@ -132,12 +125,6 @@ void ApplyCfiRewrites(ir::Module& module) {
   module.protection().cfi = true;
 }
 
-void ApplyCfi(ir::Module& module) {
-  ApplyCfiRewrites(module);
-  FinalizeModule(module);
-  CPI_CHECK(ir::IsValid(module));
-}
-
 void ApplyStackCookiesRewrites(ir::Module& module) {
   // The compiler heuristic of -fstack-protector: protect functions with
   // character-array locals of at least 8 bytes.
@@ -159,11 +146,6 @@ void ApplyStackCookiesRewrites(ir::Module& module) {
     f->set_has_stack_cookie(needs_cookie);
   }
   module.protection().stack_cookies = true;
-}
-
-void ApplyStackCookies(ir::Module& module) {
-  ApplyStackCookiesRewrites(module);
-  FinalizeModule(module);
 }
 
 }  // namespace cpi::instrument

@@ -10,7 +10,6 @@
 #include "src/analysis/classify.h"
 #include "src/instrument/passes.h"
 #include "src/instrument/rewrite.h"
-#include "src/ir/verifier.h"
 
 namespace cpi::instrument {
 namespace {
@@ -150,21 +149,6 @@ void ApplyCpiRewrites(ir::Module& module, const PassOptions& options) {
 
 void ApplyCpsRewrites(ir::Module& module, const PassOptions& options) {
   InstrumentModule(module, analysis::Protection::kCps, options, kCpsIntrinsics);
-}
-
-void ApplyCpi(ir::Module& module, const PassOptions& options) {
-  ApplyCpiRewrites(module, options);
-  // CPI/CPS deployments include the safe stack (§3.2.4).
-  ApplySafeStack(module);
-  FinalizeModule(module);
-  CPI_CHECK(ir::IsValid(module));
-}
-
-void ApplyCps(ir::Module& module, const PassOptions& options) {
-  ApplyCpsRewrites(module, options);
-  ApplySafeStack(module);
-  FinalizeModule(module);
-  CPI_CHECK(ir::IsValid(module));
 }
 
 }  // namespace cpi::instrument

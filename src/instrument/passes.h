@@ -1,8 +1,10 @@
 // The instrumentation passes of the Levee prototype (§4), plus the baselines
 // the paper compares against.
 //
-// Every pass rewrites the module in place, re-numbers values, and records
-// itself in Module::protection(). Composition rules follow the paper: the
+// Every pass rewrites the module in place and records itself in
+// Module::protection(); the scheme layer composes them into pipelines
+// (core::ProtectionScheme::Stages) and re-numbers values once at the end
+// (FinalizeModule). Composition rules follow the paper: the
 // SafeStack pass is part of both CPI and CPS deployments and also works
 // stand-alone (-fstack-protector-safe); the baselines are mutually exclusive
 // with CPI/CPS.
@@ -24,33 +26,6 @@ struct PassOptions {
 // an unsafe frame, and enables the dual-stack runtime.
 void ApplySafeStack(ir::Module& module);
 
-// §3.2.2: rewrites sensitive loads/stores into safe-pointer-store intrinsics,
-// adds bounds checks on sensitive dereferences and code-pointer assertions on
-// indirect calls. Includes the safe stack.
-void ApplyCpi(ir::Module& module, const PassOptions& options = {});
-
-// §3.3: code-pointer-only protection, no bounds metadata. Includes the safe
-// stack.
-void ApplyCps(ir::Module& module, const PassOptions& options = {});
-
-// Baseline: SoftBound-style full spatial memory safety — every pointer-typed
-// load/store maintains shadow metadata and every non-trivial dereference is
-// checked.
-void ApplySoftBound(ir::Module& module);
-
-// Baseline: coarse-grained CFI — indirect calls may only target
-// address-taken functions.
-void ApplyCfi(ir::Module& module);
-
-// Baseline: stack cookies for functions with character-array locals.
-void ApplyStackCookies(ir::Module& module);
-
-// PACTight/LIPPEN-style in-place pointer sealing: code pointers are stored
-// sealed (keyed MAC over value+location in their high bits) in regular
-// memory, loads authenticate, indirect calls assert authentication. Needs no
-// safe region at all; the VM also seals saved return tokens in place.
-void ApplyPtrEnc(ir::Module& module, const PassOptions& options = {});
-
 // PACStack-style chained return MACs (ProtectionFlags::ret_chain): the VM
 // seals every saved return token over its predecessor and keeps a per-thread
 // chain head, so a return authenticates the whole chain suffix. Pure flag
@@ -58,16 +33,30 @@ void ApplyPtrEnc(ir::Module& module, const PassOptions& options = {});
 // which owns the plain sealed-return-slot format.
 void ApplyRetChain(ir::Module& module);
 
-// Rewrite-only stage entry points, as the scheme layer's staged pipeline
+// The schemes' rewrite stages, as the scheme layer's staged pipeline
 // (core::PipelineStage) consumes them: each applies one scheme's IR rewrites
 // and records its protection flags, but leaves the final module re-numbering
-// to the pipeline runner. The ApplyX wrappers above remain byte-identical
-// compositions of these stages (rewrites, then FinalizeModule).
+// to the pipeline runner (core::RunStagePipeline).
+//
+// §3.2.2 CPI: rewrites sensitive loads/stores into safe-pointer-store
+// intrinsics, adds bounds checks on sensitive dereferences and code-pointer
+// assertions on indirect calls. §3.3 CPS: code-pointer-only protection, no
+// bounds metadata. Both deploy with the safe stack (a separate stage).
 void ApplyCpiRewrites(ir::Module& module, const PassOptions& options = {});
 void ApplyCpsRewrites(ir::Module& module, const PassOptions& options = {});
+// PACTight/LIPPEN-style in-place pointer sealing: code pointers are stored
+// sealed (keyed MAC over value+location in their high bits) in regular
+// memory, loads authenticate, indirect calls assert authentication. Needs no
+// safe region at all; the VM also seals saved return tokens in place.
 void ApplyPtrEncRewrites(ir::Module& module, const PassOptions& options = {});
+// Baseline: SoftBound-style full spatial memory safety — every pointer-typed
+// load/store maintains shadow metadata and every non-trivial dereference is
+// checked.
 void ApplySoftBoundRewrites(ir::Module& module);
+// Baseline: coarse-grained CFI — indirect calls may only target
+// address-taken functions.
 void ApplyCfiRewrites(ir::Module& module);
+// Baseline: stack cookies for functions with character-array locals.
 void ApplyStackCookiesRewrites(ir::Module& module);
 
 // Re-numbers all functions; needed before execution even when no pass ran.

@@ -15,7 +15,6 @@
 #include "src/analysis/classify.h"
 #include "src/instrument/passes.h"
 #include "src/instrument/rewrite.h"
-#include "src/ir/verifier.h"
 
 namespace cpi::instrument {
 
@@ -110,12 +109,6 @@ void ApplyPtrEncRewrites(ir::Module& module, const PassOptions& options) {
   }
 
   module.protection().ptrenc = true;
-}
-
-void ApplyPtrEnc(ir::Module& module, const PassOptions& options) {
-  ApplyPtrEncRewrites(module, options);
-  FinalizeModule(module);
-  CPI_CHECK(ir::IsValid(module));
 }
 
 }  // namespace cpi::instrument

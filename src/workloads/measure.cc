@@ -10,12 +10,12 @@
 
 namespace cpi::workloads {
 
-double Measurement::OverheadPct(core::Protection p) const {
-  const auto it = overhead_pct.find(p);
+double Measurement::OverheadPct(const core::ProtectionScheme* scheme) const {
+  const auto it = overhead_pct.find(scheme);
   if (it == overhead_pct.end()) {
-    const auto st = status.find(p);
-    std::fprintf(stderr, "workload %s: no overhead for protection %s (status: %s)\n",
-                 workload.c_str(), core::ProtectionName(p),
+    const auto st = status.find(scheme);
+    std::fprintf(stderr, "workload %s: no overhead for scheme %s (status: %s)\n",
+                 workload.c_str(), scheme->name(),
                  st == status.end() ? "not measured" : vm::RunStatusName(st->second));
     CPI_CHECK(it != overhead_pct.end());
   }
@@ -29,16 +29,6 @@ std::vector<std::unique_ptr<ir::Module>> BuildWorkloads(
   pool.ParallelFor(workloads.size(),
                    [&](size_t i) { built[i] = workloads[i].build(scale); });
   return built;
-}
-
-std::vector<const ir::Module*> ModuleViews(
-    const std::vector<std::unique_ptr<ir::Module>>& built) {
-  std::vector<const ir::Module*> views;
-  views.reserve(built.size());
-  for (const auto& m : built) {
-    views.push_back(m.get());
-  }
-  return views;
 }
 
 CellResult RunCell(const ir::Module& built, const Workload& workload,
@@ -57,101 +47,14 @@ CellResult RunCell(const ir::Module& built, const Workload& workload,
   return out;
 }
 
-std::vector<CellResult> RunCells(const std::vector<Workload>& workloads,
-                                 const std::vector<const ir::Module*>& built,
-                                 const std::vector<MeasureCell>& cells, int jobs) {
-  CPI_CHECK(workloads.size() == built.size());
-  std::vector<CellResult> results(cells.size());
-  ThreadPool pool(jobs);
-  pool.ParallelFor(cells.size(), [&](size_t i) {
-    const MeasureCell& cell = cells[i];
-    CPI_CHECK(cell.workload < built.size());
-    results[i] = RunCell(*built[cell.workload], workloads[cell.workload], cell.config);
-  });
-  return results;
-}
-
-namespace {
-
-// The configurations MeasureWorkloads runs per workload, in reduction
-// order: the vanilla baseline, then each protection column.
-std::vector<core::Config> OverheadConfigs(const std::vector<core::Protection>& protections,
-                                          const core::Config& base) {
-  std::vector<core::Config> configs(1 + protections.size(), base);
-  configs[0].protection = core::Protection::kNone;
-  for (size_t pi = 0; pi < protections.size(); ++pi) {
-    configs[1 + pi].protection = protections[pi];
-  }
-  return configs;
-}
-
-// Reduces `results` (OverheadConfigs order per workload, workloads in
-// order) into one Measurement per workload. Consuming results in this fixed
-// order makes the Measurement vector independent of how the pool
-// interleaved the cells.
-std::vector<Measurement> ReduceMeasurements(const std::vector<Workload>& workloads,
-                                            const std::vector<core::Protection>& protections,
-                                            const std::vector<CellResult>& results) {
-  const size_t stride = 1 + protections.size();
-  CPI_CHECK(results.size() == workloads.size() * stride);
-  std::vector<Measurement> out;
-  out.reserve(workloads.size());
-  for (size_t wi = 0; wi < workloads.size(); ++wi) {
-    const CellResult& vanilla = results[wi * stride];
-    CPI_CHECK(vanilla.status == vm::RunStatus::kOk);
-    Measurement m;
-    m.workload = workloads[wi].name;
-    m.language = workloads[wi].language;
-    m.vanilla_cycles = vanilla.cycles;
-    m.vanilla_memory_bytes = vanilla.memory_bytes;
-    for (size_t pi = 0; pi < protections.size(); ++pi) {
-      const core::Protection p = protections[pi];
-      const CellResult& r = results[wi * stride + 1 + pi];
-      m.status[p] = r.status;
-      if (r.status != vm::RunStatus::kOk) {
-        continue;
-      }
-      m.overhead_pct[p] = OverheadPercent(static_cast<double>(r.cycles),
-                                          static_cast<double>(m.vanilla_cycles));
-      m.memory_bytes[p] = r.memory_bytes;
-    }
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<Measurement> MeasureWorkloads(const std::vector<Workload>& workloads,
-                                          const std::vector<const ir::Module*>& built,
-                                          const std::vector<core::Protection>& protections,
-                                          const core::Config& base, int jobs) {
-  const std::vector<core::Config> configs = OverheadConfigs(protections, base);
-  std::vector<MeasureCell> cells;
-  cells.reserve(workloads.size() * configs.size());
-  for (size_t wi = 0; wi < workloads.size(); ++wi) {
-    for (const core::Config& config : configs) {
-      cells.push_back({wi, config});
-    }
-  }
-  return ReduceMeasurements(workloads, protections, RunCells(workloads, built, cells, jobs));
-}
-
-std::vector<Measurement> MeasureWorkloads(const std::vector<Workload>& workloads,
-                                          const std::vector<core::Protection>& protections,
-                                          int scale, const core::Config& base, int jobs) {
-  CellMemo memo(scale, jobs);
-  return memo.Measure(workloads, protections, base);
-}
-
 CellKey CanonicalKey(const std::string& workload, const core::Config& config) {
   CPI_CHECK(config.faults == nullptr);
-  const core::ProtectionScheme* scheme =
-      config.scheme != nullptr ? config.scheme : &core::SchemeRegistry::Get(config.protection);
+  const core::ProtectionScheme* scheme = &core::SchemeOf(config);
   const bool vanilla = scheme == &core::SchemeRegistry::Get(core::Protection::kNone);
   // Every Config field except `protection` (subsumed by the resolved
-  // scheme) and `faults` (checked null above) appears here; a new Config
-  // field must be added too, or two configurations would alias.
+  // scheme), `reference_interpreter` (subsumed by the engine) and `faults`
+  // (checked null above) appears here; a new Config field must be added
+  // too, or two configurations would alias.
   return {workload,
           scheme,
           config.store,
@@ -163,8 +66,7 @@ CellKey CanonicalKey(const std::string& workload, const core::Config& config) {
           config.char_star_heuristic,
           config.cast_dataflow,
           config.mpx_assist,
-          config.engine,
-          config.reference_interpreter,
+          config.reference_interpreter ? vm::EngineKind::kReference : config.engine,
           vanilla ? 0 : config.opt_level,
           config.thread_quantum,
           config.max_steps,
@@ -217,10 +119,15 @@ std::vector<CellResult> CellMemo::Run(const std::vector<CellRequest>& cells) {
   return out;
 }
 
-std::vector<Measurement> CellMemo::Measure(const std::vector<Workload>& workloads,
-                                           const std::vector<core::Protection>& protections,
-                                           const core::Config& base) {
-  const std::vector<core::Config> configs = OverheadConfigs(protections, base);
+std::vector<Measurement> CellMemo::Measure(
+    const std::vector<Workload>& workloads,
+    const std::vector<const core::ProtectionScheme*>& schemes, const core::Config& base) {
+  // Per workload: the vanilla baseline, then each scheme's column.
+  std::vector<core::Config> configs(1 + schemes.size(), base);
+  configs[0].scheme = &core::SchemeRegistry::Get(core::Protection::kNone);
+  for (size_t si = 0; si < schemes.size(); ++si) {
+    configs[1 + si].scheme = schemes[si];
+  }
   std::vector<CellRequest> cells;
   cells.reserve(workloads.size() * configs.size());
   for (const Workload& w : workloads) {
@@ -228,7 +135,28 @@ std::vector<Measurement> CellMemo::Measure(const std::vector<Workload>& workload
       cells.push_back({&w, config});
     }
   }
-  return ReduceMeasurements(workloads, protections, Run(cells));
+  const std::vector<CellResult> results = Run(cells);
+
+  std::vector<Measurement> out;
+  out.reserve(workloads.size());
+  for (size_t wi = 0; wi < workloads.size(); ++wi) {
+    const CellResult* row = &results[wi * configs.size()];
+    CPI_CHECK(row[0].status == vm::RunStatus::kOk);
+    Measurement m;
+    m.workload = workloads[wi].name;
+    m.language = workloads[wi].language;
+    m.vanilla_cycles = row[0].cycles;
+    for (size_t si = 0; si < schemes.size(); ++si) {
+      const CellResult& r = row[1 + si];
+      m.status[schemes[si]] = r.status;
+      if (r.status == vm::RunStatus::kOk) {
+        m.overhead_pct[schemes[si]] = OverheadPercent(static_cast<double>(r.cycles),
+                                                      static_cast<double>(m.vanilla_cycles));
+      }
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
 }
 
 const ir::Module& CellMemo::Built(const Workload& workload) {
@@ -240,29 +168,12 @@ const ir::Module& CellMemo::Built(const Workload& workload) {
 }
 
 std::vector<double> OverheadColumn(const std::vector<Measurement>& measurements,
-                                   core::Protection protection) {
+                                   const core::ProtectionScheme* scheme,
+                                   const std::string& language) {
   std::vector<double> column;
   for (const auto& m : measurements) {
-    column.push_back(m.OverheadPct(protection));
-  }
-  return column;
-}
-
-std::vector<core::Protection> OverheadProtections() {
-  std::vector<core::Protection> out;
-  for (const core::ProtectionScheme* s : core::SchemeRegistry::OverheadColumns()) {
-    out.push_back(s->id());
-  }
-  return out;
-}
-
-std::vector<double> OverheadColumnForLanguage(const std::vector<Measurement>& measurements,
-                                              core::Protection protection,
-                                              const std::string& language) {
-  std::vector<double> column;
-  for (const auto& m : measurements) {
-    if (m.language == language) {
-      column.push_back(m.OverheadPct(protection));
+    if (language.empty() || m.language == language) {
+      column.push_back(m.OverheadPct(scheme));
     }
   }
   return column;

@@ -1,21 +1,19 @@
 // Measurement harness behind the bench suite: runs workloads under
-// several protection configurations and reports relative overheads (in
-// simulated cycles) and memory footprints.
+// several protection schemes and reports relative overheads (in simulated
+// cycles).
 //
-// The harness is organised around *cells*. A MeasureCell is one
-// (workload × configuration) execution: clone the workload's pre-built
-// module, instrument the clone under the cell's Config, run it. Cells are
-// independent by construction (ir::CloneModule gives every cell its own
-// module and VM), so RunCells executes them across a work-stealing thread
-// pool (src/support/pool.h) and writes each result into its own slot — the
-// reduction that follows consumes results in cell order, which makes every
-// derived Measurement bit-identical at any `jobs` value. That invariant is
-// enforced by the serial-vs-parallel differential test in
-// tests/measure_test.cc.
-//
-// CellMemo is the suite's single entry point for cells: it keys every cell
-// on (workload name, canonical Config), so a cell several tables request
-// runs once and every later request is a lookup.
+// The harness is organised around *cells*. A cell is one (workload ×
+// configuration) execution: clone the workload's pre-built module,
+// instrument the clone under the cell's Config, run it (RunCell). CellMemo
+// is the only way cells run: it keys every cell on (workload name,
+// canonical Config), so a cell several tables request runs once and every
+// later request is a lookup. Cells are independent by construction
+// (ir::CloneModule gives every cell its own module and VM), so the memo runs
+// each batch of new cells across a work-stealing thread pool
+// (src/support/pool.h) and writes each result into its own slot. Results
+// come back in request order, which makes every derived Measurement
+// bit-identical at any `jobs` value; tests/measure_test.cc checks that
+// serial and parallel memos agree.
 #ifndef CPI_SRC_WORKLOADS_MEASURE_H_
 #define CPI_SRC_WORKLOADS_MEASURE_H_
 
@@ -31,32 +29,25 @@
 
 namespace cpi::workloads {
 
+// Overheads are keyed on the resolved scheme (core::SchemeOf), so a
+// composite is its own column, never its first component's.
 struct Measurement {
   std::string workload;
   std::string language;
   uint64_t vanilla_cycles = 0;
-  // protection -> overhead percent vs the vanilla run. Entries exist only
-  // for protections whose run completed (see `status`).
-  std::map<core::Protection, double> overhead_pct;
-  // protection -> total memory footprint in bytes (for §5.2 memory numbers).
-  std::map<core::Protection, uint64_t> memory_bytes;
-  // protection -> run status. SoftBound legitimately fails some workloads
+  // scheme -> overhead percent vs the vanilla run. Entries exist only for
+  // schemes whose run completed (see `status`).
+  std::map<const core::ProtectionScheme*, double> overhead_pct;
+  // scheme -> run status. SoftBound legitimately fails some workloads
   // (unsafe pointer idioms produce false violations, like the paper
   // reports); such columns are recorded here instead of aborting the sweep.
-  std::map<core::Protection, vm::RunStatus> status;
-  uint64_t vanilla_memory_bytes = 0;
+  std::map<const core::ProtectionScheme*, vm::RunStatus> status;
 
-  // Overhead for `p`, CPI_CHECKed to have been measured and completed — for
-  // drivers whose columns must always succeed (Table 1 / Fig. 4 / Table 4).
-  // Drivers that tolerate failing columns (Table 3 / Fig. 5) consult
-  // `status` instead.
-  double OverheadPct(core::Protection p) const;
-};
-
-// One (workload × configuration) execution unit of the measurement layer.
-struct MeasureCell {
-  size_t workload = 0;  // index into the parallel workload/built vectors
-  core::Config config;  // full configuration this cell runs under
+  // Overhead for `scheme`, CPI_CHECKed to have been measured and completed —
+  // for drivers whose columns must always succeed (Table 1 / Fig. 4 /
+  // Table 4). Drivers that tolerate failing columns (Table 3 / Fig. 5)
+  // consult `status` instead.
+  double OverheadPct(const core::ProtectionScheme* scheme) const;
 };
 
 // Raw observations from one cell; the harnesses reduce these in cell order.
@@ -80,46 +71,22 @@ struct CellResult {
 std::vector<std::unique_ptr<ir::Module>> BuildWorkloads(
     const std::vector<Workload>& workloads, int scale, int jobs = 1);
 
-// Non-owning view of a BuildWorkloads result, as RunCells consumes it.
-std::vector<const ir::Module*> ModuleViews(
-    const std::vector<std::unique_ptr<ir::Module>>& built);
-
 // Runs one cell against the workload's pre-built base module.
 CellResult RunCell(const ir::Module& built, const Workload& workload,
                    const core::Config& config);
 
-// Executes `cells` across `jobs` threads. Results come back indexed like
-// `cells`, regardless of the execution interleaving.
-std::vector<CellResult> RunCells(const std::vector<Workload>& workloads,
-                                 const std::vector<const ir::Module*>& built,
-                                 const std::vector<MeasureCell>& cells, int jobs = 1);
-
-// Runs every workload under vanilla plus each protection in `protections`,
-// using `base` for all other configuration knobs, across `jobs` threads.
-std::vector<Measurement> MeasureWorkloads(const std::vector<Workload>& workloads,
-                                          const std::vector<core::Protection>& protections,
-                                          int scale, const core::Config& base = {},
-                                          int jobs = 1);
-
-// Same, against pre-built base modules.
-std::vector<Measurement> MeasureWorkloads(const std::vector<Workload>& workloads,
-                                          const std::vector<const ir::Module*>& built,
-                                          const std::vector<core::Protection>& protections,
-                                          const core::Config& base = {}, int jobs = 1);
-
 // The memo key of one cell: the workload name and every core::Config field,
-// canonicalised. The scheme is resolved (`config.scheme`, else the registry
-// built-in for `config.protection`), so a composite never shares a key with
-// its first component even though it borrows that component's Protection
-// id. Exactly two knobs are dropped, each proven not to change any
-// CellResult field by MeasureDifferentialTest: `migrate` at one shard and
-// `opt_level` on the vanilla scheme.
+// canonicalised. The scheme is resolved (core::SchemeOf), so a composite
+// never shares a key with its first component, and the engine is the one
+// that runs (`reference_interpreter` selects vm::EngineKind::kReference).
+// Exactly two knobs are dropped, each proven not to change any CellResult
+// field by MeasureDifferentialTest: `migrate` at one shard and `opt_level`
+// on the vanilla scheme.
 using CellKey = std::tuple<std::string, const core::ProtectionScheme*, runtime::StoreKind,
                            runtime::IsolationKind, uint32_t /*shards*/, bool /*migrate*/,
                            bool /*debug_mode*/, bool /*temporal*/,
                            bool /*char_star_heuristic*/, bool /*cast_dataflow*/,
-                           bool /*mpx_assist*/, vm::EngineKind,
-                           bool /*reference_interpreter*/, int /*opt_level*/,
+                           bool /*mpx_assist*/, vm::EngineKind, int /*opt_level*/,
                            uint64_t /*thread_quantum*/, uint64_t /*max_steps*/,
                            uint64_t /*seed*/>;
 
@@ -144,10 +111,10 @@ class CellMemo {
   // batch across `jobs` threads; every other cell is a lookup.
   std::vector<CellResult> Run(const std::vector<CellRequest>& cells);
 
-  // Vanilla plus each of `protections` on every workload, under `base`'s
-  // other knobs — MeasureWorkloads through the memo.
+  // Vanilla plus each of `schemes` on every workload, under `base`'s other
+  // knobs (its scheme is replaced).
   std::vector<Measurement> Measure(const std::vector<Workload>& workloads,
-                                   const std::vector<core::Protection>& protections,
+                                   const std::vector<const core::ProtectionScheme*>& schemes,
                                    const core::Config& base = {});
 
   // The workload's base module (built now if no cell has needed it yet).
@@ -164,18 +131,11 @@ class CellMemo {
   std::map<CellKey, CellResult> results_;
 };
 
-// Column of overhead values for one protection, in workload order.
+// Column of overhead values for one scheme, in workload order, restricted
+// to one language ("C" / "C++") unless `language` is empty.
 std::vector<double> OverheadColumn(const std::vector<Measurement>& measurements,
-                                   core::Protection protection);
-
-// Same, restricted to one language ("C" / "C++").
-std::vector<double> OverheadColumnForLanguage(const std::vector<Measurement>& measurements,
-                                              core::Protection protection,
-                                              const std::string& language);
-
-// The registry schemes that report an overhead column (Table 1 / Fig. 4 /
-// Table 4 / §5.2 shape), as the protection list MeasureWorkloads consumes.
-std::vector<core::Protection> OverheadProtections();
+                                   const core::ProtectionScheme* scheme,
+                                   const std::string& language = "");
 
 }  // namespace cpi::workloads
 

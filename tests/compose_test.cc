@@ -115,6 +115,39 @@ TEST(CompositeTest, CompositionIsOrderIndependent) {
   }
 }
 
+// RIPE payloads adapt to the instrumented build, not to a Protection id: a
+// cfi+cookies stack (which borrows cfi's id) and cookies+cfi give the same
+// result on every attack, and the cookies scheme gives the same results
+// whether a Config selects it by pointer or by id.
+TEST(CompositeTest, AttackResultsFollowTheResolvedScheme) {
+  const ProtectionScheme* cfi = SchemeRegistry::FindByName("cfi");
+  const ProtectionScheme* cookies = SchemeRegistry::FindByName("cookies");
+  ASSERT_TRUE(cfi && cookies);
+  const auto cfi_cookies = MustMake({cfi, cookies});
+  const auto cookies_cfi = MustMake({cookies, cfi});
+  const auto expect_same = [](const ProtectionScheme* a, const Config& b,
+                              const std::string& label) {
+    Config config;
+    config.scheme = a;
+    const auto ra = attacks::RunAttackMatrix(config);
+    const auto rb = attacks::RunAttackMatrix(b);
+    ASSERT_EQ(ra.size(), rb.size());
+    for (size_t i = 0; i < ra.size(); ++i) {
+      SCOPED_TRACE(label + ": " + ra[i].spec.Name());
+      EXPECT_EQ(ra[i].outcome, rb[i].outcome);
+      EXPECT_EQ(ra[i].status, rb[i].status);
+      EXPECT_EQ(ra[i].violation, rb[i].violation);
+      EXPECT_EQ(ra[i].message, rb[i].message);
+    }
+  };
+  Config reversed;
+  reversed.scheme = cookies_cfi.get();
+  expect_same(cfi_cookies.get(), reversed, "cfi+cookies vs cookies+cfi");
+  Config by_id;
+  by_id.protection = Protection::kStackCookies;
+  expect_same(cookies, by_id, "cookies by pointer vs by id");
+}
+
 // Overlapping write tags have no order-independent meaning; Make must refuse
 // them (and repeated components) with a diagnostic naming the clash.
 TEST(CompositeTest, ConflictingStacksAreRejected) {

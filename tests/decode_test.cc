@@ -38,11 +38,10 @@ using test::ExpectIdentical;
 // Instrument + run one clone of `built` per engine and compare.
 void RunBothEngines(const ir::Module& built, Config config, const core::Input& input,
                     const std::string& label) {
-  config.reference_interpreter = false;
   auto decoded_module = ir::CloneModule(built);
   const RunResult decoded = core::InstrumentAndRun(*decoded_module, config, input);
 
-  config.reference_interpreter = true;
+  config.engine = vm::EngineKind::kReference;
   auto reference_module = ir::CloneModule(built);
   const RunResult reference = core::InstrumentAndRun(*reference_module, config, input);
 
@@ -94,10 +93,9 @@ TEST(DecodeDifferentialTest, AttackMatrixAllSchemes) {
       config.protection = s->id();
       config.scheme = s;
 
-      config.reference_interpreter = false;
       const attacks::AttackResult decoded = attacks::RunAttack(spec, config);
 
-      config.reference_interpreter = true;
+      config.engine = vm::EngineKind::kReference;
       const attacks::AttackResult reference = attacks::RunAttack(spec, config);
 
       const std::string label = spec.Name() + " / " + s->name();

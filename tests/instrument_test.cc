@@ -4,6 +4,7 @@
 // heuristics).
 #include <gtest/gtest.h>
 
+#include "src/core/levee.h"
 #include "src/frontend/compile.h"
 #include "src/instrument/passes.h"
 #include "src/ir/printer.h"
@@ -16,6 +17,14 @@ std::unique_ptr<ir::Module> CompileOrDie(const std::string& source) {
   auto r = frontend::CompileC(source);
   CPI_CHECK(r.ok());
   return std::move(r.module);
+}
+
+// Instruments `m` as every build does: through core::Compiler, which runs
+// the scheme's stage pipeline and verifies the module before and after.
+void Instrument(ir::Module& m, core::Protection protection) {
+  core::Config config;
+  config.protection = protection;
+  core::Compiler(config).Instrument(m);
 }
 
 int CountIntrinsics(const ir::Module& m, std::initializer_list<ir::IntrinsicId> ids) {
@@ -48,7 +57,7 @@ const char* kFnPtrProgram = R"(
 
 TEST(CpiPassTest, RewritesFunctionPointerOps) {
   auto m = CompileOrDie(kFnPtrProgram);
-  ApplyCpi(*m);
+  Instrument(*m, core::Protection::kCpi);
   EXPECT_TRUE(m->protection().cpi);
   EXPECT_TRUE(m->protection().safe_stack);  // CPI includes the safe stack
   EXPECT_EQ(CountIntrinsics(*m, {ir::IntrinsicId::kCpiStore}), 1);  // handler = twice
@@ -59,7 +68,7 @@ TEST(CpiPassTest, RewritesFunctionPointerOps) {
 
 TEST(CpsPassTest, EmitsCpsIntrinsics) {
   auto m = CompileOrDie(kFnPtrProgram);
-  ApplyCps(*m);
+  Instrument(*m, core::Protection::kCps);
   EXPECT_TRUE(m->protection().cps);
   EXPECT_FALSE(m->protection().cpi);
   EXPECT_EQ(CountIntrinsics(*m, {ir::IntrinsicId::kCpsStore}), 1);
@@ -80,7 +89,7 @@ TEST(CpiPassTest, VanillaDataCodeUntouched) {
     }
   )");
   const size_t before = m->InstructionCount();
-  ApplyCpi(*m);
+  Instrument(*m, core::Protection::kCpi);
   // Only plain integer ops: nothing to instrument.
   EXPECT_EQ(CountIntrinsics(*m, {ir::IntrinsicId::kCpiStore, ir::IntrinsicId::kCpiLoad,
                                  ir::IntrinsicId::kCpiStoreUni, ir::IntrinsicId::kCpiLoadUni}),
@@ -98,7 +107,7 @@ TEST(CpiPassTest, UniversalPointersUseUniVariants) {
       return *back;
     }
   )");
-  ApplyCpi(*m);
+  Instrument(*m, core::Protection::kCpi);
   EXPECT_GE(CountIntrinsics(*m, {ir::IntrinsicId::kCpiStoreUni}), 1);
   EXPECT_GE(CountIntrinsics(*m, {ir::IntrinsicId::kCpiLoadUni}), 1);
 }
@@ -138,7 +147,7 @@ TEST(SoftBoundPassTest, InstrumentsAllPointerTraffic) {
       return q[2];
     }
   )");
-  ApplySoftBound(*m);
+  Instrument(*m, core::Protection::kSoftBound);
   EXPECT_TRUE(m->protection().softbound);
   EXPECT_GE(CountIntrinsics(*m, {ir::IntrinsicId::kSbStore}), 2);  // p and q slots
   EXPECT_GE(CountIntrinsics(*m, {ir::IntrinsicId::kSbCheck}), 2);  // q[2] accesses
@@ -147,7 +156,7 @@ TEST(SoftBoundPassTest, InstrumentsAllPointerTraffic) {
 
 TEST(CfiPassTest, WrapsIndirectCallsAndComputesTargets) {
   auto m = CompileOrDie(kFnPtrProgram);
-  ApplyCfi(*m);
+  Instrument(*m, core::Protection::kCfi);
   EXPECT_TRUE(m->protection().cfi);
   EXPECT_EQ(CountIntrinsics(*m, {ir::IntrinsicId::kCfiCheck}), 1);
   EXPECT_TRUE(m->FindFunction("twice")->address_taken());
@@ -161,7 +170,7 @@ TEST(CookiePassTest, OnlyBufferFunctionsGetCookies) {
     int big_buffer() { char b[64]; b[0] = 1; return b[0]; }
     int main() { return no_buffer(0) + tiny_buffer() + big_buffer(); }
   )");
-  ApplyStackCookies(*m);
+  Instrument(*m, core::Protection::kStackCookies);
   EXPECT_TRUE(m->protection().stack_cookies);
   EXPECT_FALSE(m->FindFunction("no_buffer")->has_stack_cookie());
   EXPECT_FALSE(m->FindFunction("tiny_buffer")->has_stack_cookie());  // < 8 bytes
@@ -170,13 +179,13 @@ TEST(CookiePassTest, OnlyBufferFunctionsGetCookies) {
 
 TEST(PassCompositionTest, CpiAfterCpsIsRejected) {
   auto m = CompileOrDie(kFnPtrProgram);
-  ApplyCps(*m);
-  EXPECT_DEATH(ApplyCpi(*m), "CPI_CHECK");
+  Instrument(*m, core::Protection::kCps);
+  EXPECT_DEATH(Instrument(*m, core::Protection::kCpi), "CPI_CHECK");
 }
 
 TEST(PassTest, InstrumentedModulePrintsIntrinsics) {
   auto m = CompileOrDie(kFnPtrProgram);
-  ApplyCpi(*m);
+  Instrument(*m, core::Protection::kCpi);
   const std::string text = ir::PrintModule(*m);
   EXPECT_NE(text.find("cpi_store"), std::string::npos);
   EXPECT_NE(text.find("cpi_assert_code"), std::string::npos);

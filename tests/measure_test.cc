@@ -1,6 +1,6 @@
 // Tests for the parallel measurement harness: the work-stealing thread pool
-// (src/support/pool.h), the cell-based MeasureWorkloads and the suite's
-// cell memo (src/workloads/measure.h).
+// (src/support/pool.h) and the cell memo every measurement runs through
+// (src/workloads/measure.h).
 //
 // The load-bearing property is the serial-vs-parallel differential: every
 // Measurement field must be bit-identical between --jobs 1 (strictly
@@ -18,12 +18,17 @@
 #include "src/attacks/ripe.h"
 #include "src/ir/clone.h"
 #include "src/support/pool.h"
+#include "src/support/stats.h"
 #include "src/workloads/measure.h"
 
 namespace {
 
 using cpi::ThreadPool;
+using cpi::core::Config;
 using cpi::core::Protection;
+using cpi::core::ProtectionScheme;
+using cpi::core::SchemeRegistry;
+using cpi::workloads::CellMemo;
 using cpi::workloads::CellResult;
 using cpi::workloads::Measurement;
 using cpi::workloads::Workload;
@@ -147,6 +152,34 @@ std::vector<Workload> Subset() {
   return subset;
 }
 
+// What CellMemo::Measure must produce, from direct RunCell calls on a fresh
+// build of the workload per cell: no memo, no shared build, no pool.
+std::vector<Measurement> MeasureDirect(const std::vector<Workload>& workloads,
+                                       const std::vector<const ProtectionScheme*>& schemes) {
+  std::vector<Measurement> out;
+  for (const Workload& w : workloads) {
+    const auto run = [&w](const ProtectionScheme* scheme) {
+      Config config;
+      config.scheme = scheme;
+      return cpi::workloads::RunCell(*w.build(/*scale=*/1), w, config);
+    };
+    Measurement m;
+    m.workload = w.name;
+    m.language = w.language;
+    m.vanilla_cycles = run(&SchemeRegistry::Get(Protection::kNone)).cycles;
+    for (const ProtectionScheme* scheme : schemes) {
+      const CellResult r = run(scheme);
+      m.status[scheme] = r.status;
+      if (r.status == cpi::vm::RunStatus::kOk) {
+        m.overhead_pct[scheme] = cpi::OverheadPercent(static_cast<double>(r.cycles),
+                                                      static_cast<double>(m.vanilla_cycles));
+      }
+    }
+    out.push_back(std::move(m));
+  }
+  return out;
+}
+
 void ExpectIdentical(const std::vector<Measurement>& a, const std::vector<Measurement>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -154,66 +187,86 @@ void ExpectIdentical(const std::vector<Measurement>& a, const std::vector<Measur
     EXPECT_EQ(a[i].workload, b[i].workload);
     EXPECT_EQ(a[i].language, b[i].language);
     EXPECT_EQ(a[i].vanilla_cycles, b[i].vanilla_cycles);
-    EXPECT_EQ(a[i].vanilla_memory_bytes, b[i].vanilla_memory_bytes);
     // Bit-identical, not approximately equal: the cells are deterministic
     // and the reduction order is fixed, so the doubles must match exactly.
     EXPECT_EQ(a[i].overhead_pct, b[i].overhead_pct);
-    EXPECT_EQ(a[i].memory_bytes, b[i].memory_bytes);
     EXPECT_EQ(a[i].status, b[i].status);
   }
 }
 
 TEST(MeasureDifferentialTest, SerialAndParallelMeasurementsAreBitIdentical) {
-  std::vector<Workload> subset;
-  subset = Subset();
+  const std::vector<Workload> subset = Subset();
   ASSERT_FALSE(subset.empty());
-  const auto protections = cpi::workloads::OverheadProtections();
-  const auto serial = cpi::workloads::MeasureWorkloads(subset, protections, /*scale=*/1,
-                                                       {}, /*jobs=*/1);
-  const auto parallel = cpi::workloads::MeasureWorkloads(subset, protections, /*scale=*/1,
-                                                         {}, /*jobs=*/4);
+  const auto schemes = SchemeRegistry::OverheadColumns();
+  const auto serial = CellMemo(/*scale=*/1, /*jobs=*/1).Measure(subset, schemes);
+  const auto parallel = CellMemo(/*scale=*/1, /*jobs=*/4).Measure(subset, schemes);
   ExpectIdentical(serial, parallel);
 }
 
 TEST(MeasureDifferentialTest, SharedPrebuiltModulesMatchFreshBuilds) {
-  // Cells that share one build of each workload must match per-call fresh
-  // builds exactly.
-  std::vector<Workload> subset;
-  subset = Subset();
+  // The memo's cells share one build of each workload; they must match
+  // cells that each build the workload afresh, exactly.
+  const std::vector<Workload> subset = Subset();
   ASSERT_FALSE(subset.empty());
-  const auto protections = cpi::workloads::OverheadProtections();
-  const auto built = cpi::workloads::BuildWorkloads(subset, /*scale=*/1, /*jobs=*/4);
-  const auto shared = cpi::workloads::MeasureWorkloads(
-      subset, cpi::workloads::ModuleViews(built), protections, {}, /*jobs=*/4);
-  const auto fresh = cpi::workloads::MeasureWorkloads(subset, protections, /*scale=*/1,
-                                                      {}, /*jobs=*/1);
-  ExpectIdentical(shared, fresh);
+  const auto schemes = SchemeRegistry::OverheadColumns();
+  const auto shared = CellMemo(/*scale=*/1, /*jobs=*/4).Measure(subset, schemes);
+  ExpectIdentical(shared, MeasureDirect(subset, schemes));
+}
+
+// A composite is its own column, never its first component's: CPI and the
+// PACStack-style cpi+ptrenc-ret-chain, PtrEnc and ptrenc+safestack measure
+// side by side, as four memo keys per workload besides vanilla, and each
+// column equals the overhead of direct RunCell executions.
+TEST(MeasureDifferentialTest, CompositesAreTheirOwnColumns) {
+  const std::vector<Workload> subset = Subset();
+  ASSERT_FALSE(subset.empty());
+  std::vector<const ProtectionScheme*> schemes;
+  for (const char* name : {"cpi", "cpi+ptrenc-ret-chain", "ptrenc", "ptrenc+safestack"}) {
+    schemes.push_back(SchemeRegistry::FindByName(name));
+    ASSERT_NE(schemes.back(), nullptr) << name;
+  }
+  CellMemo memo(/*scale=*/1, /*jobs=*/2);
+  const auto ms = memo.Measure(subset, schemes);
+  EXPECT_EQ(memo.executed(), subset.size() * (1 + schemes.size()));
+  for (const Measurement& m : ms) {
+    SCOPED_TRACE(m.workload);
+    EXPECT_EQ(m.overhead_pct.size(), schemes.size());
+    EXPECT_NE(m.OverheadPct(schemes[0]), m.OverheadPct(schemes[1]));
+  }
+  ExpectIdentical(ms, MeasureDirect(subset, schemes));
 }
 
 TEST(MeasureDifferentialTest, FailingColumnsAreReportedNotFatal) {
   // Table 3 depends on this: a SoftBound run that does not complete leaves a
   // status entry and no overhead entry instead of aborting the whole sweep.
-  std::vector<Workload> subset;
-  subset = Subset();
+  const std::vector<Workload> subset = Subset();
   ASSERT_FALSE(subset.empty());
-  const std::vector<Protection> protections = {Protection::kSoftBound};
-  const auto ms =
-      cpi::workloads::MeasureWorkloads(subset, protections, /*scale=*/1, {}, /*jobs=*/2);
+  const ProtectionScheme* softbound = &SchemeRegistry::Get(Protection::kSoftBound);
+  const auto ms = CellMemo(/*scale=*/1, /*jobs=*/2).Measure(subset, {softbound});
   for (const auto& m : ms) {
-    ASSERT_EQ(m.status.count(Protection::kSoftBound), 1u);
-    const bool ok = m.status.at(Protection::kSoftBound) == cpi::vm::RunStatus::kOk;
-    EXPECT_EQ(m.overhead_pct.count(Protection::kSoftBound), ok ? 1u : 0u);
-    EXPECT_EQ(m.memory_bytes.count(Protection::kSoftBound), ok ? 1u : 0u);
+    ASSERT_EQ(m.status.count(softbound), 1u);
+    const bool ok = m.status.at(softbound) == cpi::vm::RunStatus::kOk;
+    EXPECT_EQ(m.overhead_pct.count(softbound), ok ? 1u : 0u);
   }
 }
 
+void ExpectSameCell(const CellResult& a, const CellResult& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
+  EXPECT_EQ(a.safe_store_bytes, b.safe_store_bytes);
+  EXPECT_EQ(a.safe_store_ops, b.safe_store_ops);
+  EXPECT_EQ(a.store_contended_ops, b.store_contended_ops);
+  EXPECT_EQ(a.shard_migrations, b.shard_migrations);
+}
+
 // The memo's canonical key (CanonicalKey): a composite never aliases its
-// first component, whose Protection id it borrows, and a built-in keys the
-// same whether selected by id or by scheme pointer.
+// first component, whose Protection id it borrows, a built-in keys the same
+// whether selected by id or by scheme pointer, and the reference oracle
+// keys the same whether selected by `reference_interpreter` or by engine.
 TEST(MeasureDifferentialTest, CanonicalKeysResolveSchemesNotProtectionIds) {
-  using cpi::core::SchemeRegistry;
   const auto key = [](Protection p, const char* scheme) {
-    cpi::core::Config config;
+    Config config;
     config.protection = p;
     config.scheme = scheme == nullptr ? nullptr : SchemeRegistry::FindByName(scheme);
     EXPECT_TRUE(scheme == nullptr || config.scheme != nullptr) << scheme;
@@ -224,9 +277,25 @@ TEST(MeasureDifferentialTest, CanonicalKeysResolveSchemesNotProtectionIds) {
   EXPECT_EQ(key(Protection::kCpi, nullptr), key(Protection::kNone, "cpi"));
   EXPECT_EQ(key(Protection::kCpi, nullptr), key(Protection::kCpi, "cpi"));
 
+  // The legacy oracle switch is the reference engine, key and result.
+  {
+    const Workload* w = cpi::workloads::FindWorkload("429.mcf");
+    ASSERT_NE(w, nullptr);
+    Config legacy;
+    legacy.protection = Protection::kCpi;
+    legacy.reference_interpreter = true;
+    Config engine;
+    engine.protection = Protection::kCpi;
+    engine.engine = cpi::vm::EngineKind::kReference;
+    EXPECT_EQ(cpi::workloads::CanonicalKey(w->name, legacy),
+              cpi::workloads::CanonicalKey(w->name, engine));
+    const auto built = w->build(/*scale=*/1);
+    ExpectSameCell(cpi::workloads::RunCell(*built, *w, legacy),
+                   cpi::workloads::RunCell(*built, *w, engine));
+  }
+
   // Every other knob is part of the key: changing any one of them from a
   // CPI base gives a key no other variant shares.
-  using cpi::core::Config;
   const std::vector<void (*)(Config&)> knobs = {
       [](Config& c) { c.store = cpi::runtime::StoreKind::kHash; },
       [](Config& c) { c.isolation = cpi::runtime::IsolationKind::kSfi; },
@@ -257,16 +326,6 @@ TEST(MeasureDifferentialTest, CanonicalKeysResolveSchemesNotProtectionIds) {
   }
 }
 
-void ExpectSameCell(const CellResult& a, const CellResult& b) {
-  EXPECT_EQ(a.status, b.status);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
-  EXPECT_EQ(a.safe_store_bytes, b.safe_store_bytes);
-  EXPECT_EQ(a.safe_store_ops, b.safe_store_ops);
-  EXPECT_EQ(a.store_contended_ops, b.store_contended_ops);
-  EXPECT_EQ(a.shard_migrations, b.shard_migrations);
-}
-
 // The two knobs CanonicalKey drops — opt_level on vanilla, migrate at one
 // shard — leave every CellResult field unchanged, on single-threaded SPEC
 // models and on threaded servers.
@@ -278,12 +337,12 @@ TEST(MeasureDifferentialTest, DroppedKnobsLeaveTheFullCellResultUnchanged) {
     ASSERT_NE(w, nullptr);
     SCOPED_TRACE(w->name);
     const auto built = w->build(/*scale=*/1);
-    cpi::core::Config o0;
-    cpi::core::Config o1;
+    Config o0;
+    Config o1;
     o1.opt_level = 1;
-    cpi::core::Config fixed;
+    Config fixed;
     fixed.protection = Protection::kCpi;
-    cpi::core::Config migrating = fixed;
+    Config migrating = fixed;
     migrating.migrate = true;
     for (const auto& [a, b] : {std::pair(o0, o1), std::pair(fixed, migrating)}) {
       EXPECT_EQ(cpi::workloads::CanonicalKey(w->name, a),
@@ -294,32 +353,31 @@ TEST(MeasureDifferentialTest, DroppedKnobsLeaveTheFullCellResultUnchanged) {
   }
 }
 
-// A memoized cell equals a fresh RunCells execution of the same cell, at any
-// jobs value; a repeated request (exact or under the canonical key) runs
-// nothing new.
+// A memoized cell equals a fresh RunCell execution of the same cell on a
+// separate build, at any jobs value; a repeated request (exact or under the
+// canonical key) runs nothing new.
 TEST(MeasureDifferentialTest, MemoizedCellsMatchFreshRunCells) {
   const std::vector<Workload> subset = Subset();
   ASSERT_FALSE(subset.empty());
-  std::vector<cpi::workloads::MeasureCell> cells;
-  for (size_t wi = 0; wi < subset.size(); ++wi) {
+  std::vector<cpi::workloads::CellRequest> requests;
+  for (const Workload& w : subset) {
     for (Protection p : {Protection::kNone, Protection::kCpi, Protection::kPtrEnc}) {
-      cpi::workloads::MeasureCell cell{wi, {}};
-      cell.config.protection = p;
-      cells.push_back(cell);
+      cpi::workloads::CellRequest cell{&w, {}};
+      cell.config.scheme = &SchemeRegistry::Get(p);
+      requests.push_back(cell);
       cell.config.opt_level = 1;  // a repeat of the O0 cell on vanilla only
-      cells.push_back(cell);
+      requests.push_back(cell);
     }
   }
   const auto built = cpi::workloads::BuildWorkloads(subset, /*scale=*/1, /*jobs=*/1);
-  const auto fresh =
-      cpi::workloads::RunCells(subset, cpi::workloads::ModuleViews(built), cells, /*jobs=*/1);
+  std::vector<CellResult> fresh;
+  for (const auto& cell : requests) {
+    const size_t wi = static_cast<size_t>(cell.workload - subset.data());
+    fresh.push_back(cpi::workloads::RunCell(*built[wi], *cell.workload, cell.config));
+  }
   for (int jobs : {1, 4}) {
     SCOPED_TRACE(jobs);
-    cpi::workloads::CellMemo memo(/*scale=*/1, jobs);
-    std::vector<cpi::workloads::CellRequest> requests;
-    for (const auto& cell : cells) {
-      requests.push_back({&subset[cell.workload], cell.config});
-    }
+    CellMemo memo(/*scale=*/1, jobs);
     const auto memoized = memo.Run(requests);
     ASSERT_EQ(memoized.size(), fresh.size());
     for (size_t i = 0; i < fresh.size(); ++i) {
@@ -336,7 +394,7 @@ TEST(MeasureDifferentialTest, MemoizedCellsMatchFreshRunCells) {
 // must agree field for field, and the counts must be ordered as the paper's
 // columns imply (MOCPS <= MOCPI <= 100%).
 TEST(MeasureDifferentialTest, ModuleStatsOfTheBuiltModuleEqualThoseOfAClone) {
-  cpi::workloads::CellMemo memo(/*scale=*/1, /*jobs=*/1);
+  CellMemo memo(/*scale=*/1, /*jobs=*/1);
   const cpi::analysis::ClassifyOptions options;
   for (const Workload& w : cpi::workloads::SpecCpu2006()) {
     SCOPED_TRACE(w.name);
@@ -355,7 +413,7 @@ TEST(MeasureDifferentialTest, ModuleStatsOfTheBuiltModuleEqualThoseOfAClone) {
 }
 
 TEST(AttackMatrixDifferentialTest, SerialAndParallelMatrixAgree) {
-  cpi::core::Config config;
+  Config config;
   config.protection = Protection::kCpi;
   const auto serial = cpi::attacks::RunAttackMatrix(config);
   const auto parallel = cpi::attacks::RunAttackMatrix(config, 4);

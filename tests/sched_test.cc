@@ -57,7 +57,9 @@ TEST(SchedulerTest, SpawnJoinYieldBasics) {
   for (bool ref : {false, true}) {
     auto clone = ir::CloneModule(*m);
     Config config;
-    config.reference_interpreter = ref;
+    if (ref) {
+      config.engine = vm::EngineKind::kReference;
+    }
     const RunResult r = core::InstrumentAndRun(*clone, config, {});
     ASSERT_EQ(r.status, vm::RunStatus::kOk) << r.message;
     ASSERT_EQ(r.output.size(), 4u);
@@ -202,11 +204,10 @@ TEST(SchedulerDeterminismTest, EnginesAndOptLevels) {
         config.scheme = s;  // composites run as composites, not their first part
         config.opt_level = opt;
 
-        config.reference_interpreter = false;
         auto decoded_module = ir::CloneModule(*built);
         const RunResult decoded = core::InstrumentAndRun(*decoded_module, config, w.input);
 
-        config.reference_interpreter = true;
+        config.engine = vm::EngineKind::kReference;
         auto reference_module = ir::CloneModule(*built);
         const RunResult reference =
             core::InstrumentAndRun(*reference_module, config, w.input);
@@ -352,10 +353,9 @@ TEST(CrossThreadAttackTest, EngineDifferential) {
       config.protection = s->id();
       config.scheme = s;
 
-      config.reference_interpreter = false;
       const attacks::AttackResult decoded = attacks::RunAttack(spec, config);
 
-      config.reference_interpreter = true;
+      config.engine = vm::EngineKind::kReference;
       const attacks::AttackResult reference = attacks::RunAttack(spec, config);
 
       const std::string label = spec.Name() + " / " + s->name();
