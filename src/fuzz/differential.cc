@@ -110,49 +110,56 @@ std::string DiffBehaviour(const vm::RunResult& a, const vm::RunResult& b) {
   return out.str();
 }
 
-// Full identity: behaviour plus every counter, the memory footprint and the
-// trap message. This is the contract between engines and across quanta.
+// Full identity: behaviour plus the trap message, every counter, the fault
+// count and every memory-footprint field. This is the contract between
+// engines and across quanta.
 std::string DiffCounters(const vm::RunResult& a, const vm::RunResult& b) {
+  // A new Counters or MemoryFootprint field must be compared below too.
+  static_assert(sizeof(vm::Counters) == 13 * sizeof(uint64_t), "add the field to kCounters");
+  static_assert(sizeof(vm::MemoryFootprint) == 4 * sizeof(uint64_t),
+                "compare the new field below");
+  static constexpr struct {
+    const char* name;
+    uint64_t vm::Counters::*field;
+  } kCounters[] = {
+      {"instructions", &vm::Counters::instructions},
+      {"cycles", &vm::Counters::cycles},
+      {"mem_accesses", &vm::Counters::mem_accesses},
+      {"safe_store_ops", &vm::Counters::safe_store_ops},
+      {"store_contended_ops", &vm::Counters::store_contended_ops},
+      {"shard_migrations", &vm::Counters::shard_migrations},
+      {"seal_ops", &vm::Counters::seal_ops},
+      {"checks", &vm::Counters::checks},
+      {"calls", &vm::Counters::calls},
+      {"hijack_transfers", &vm::Counters::hijack_transfers},
+      {"cache_hits", &vm::Counters::cache_hits},
+      {"cache_misses", &vm::Counters::cache_misses},
+      {"thread_spawns", &vm::Counters::thread_spawns},
+  };
   std::string d = DiffBehaviour(a, b);
   if (!d.empty()) {
     return d;
   }
-  std::ostringstream out;
-  const vm::Counters& x = a.counters;
-  const vm::Counters& y = b.counters;
   if (a.message != b.message) {
-    out << "trap message differs";
-  } else if (x.instructions != y.instructions) {
-    out << "instructions " << x.instructions << " vs " << y.instructions;
-  } else if (x.cycles != y.cycles) {
-    out << "cycles " << x.cycles << " vs " << y.cycles;
-  } else if (x.mem_accesses != y.mem_accesses) {
-    out << "mem_accesses " << x.mem_accesses << " vs " << y.mem_accesses;
-  } else if (x.safe_store_ops != y.safe_store_ops) {
-    out << "safe_store_ops " << x.safe_store_ops << " vs " << y.safe_store_ops;
-  } else if (x.store_contended_ops != y.store_contended_ops) {
-    out << "store_contended_ops " << x.store_contended_ops << " vs " << y.store_contended_ops;
-  } else if (x.shard_migrations != y.shard_migrations) {
-    out << "shard_migrations " << x.shard_migrations << " vs " << y.shard_migrations;
-  } else if (x.seal_ops != y.seal_ops) {
-    out << "seal_ops " << x.seal_ops << " vs " << y.seal_ops;
-  } else if (x.checks != y.checks) {
-    out << "checks " << x.checks << " vs " << y.checks;
-  } else if (x.calls != y.calls) {
-    out << "calls " << x.calls << " vs " << y.calls;
-  } else if (x.hijack_transfers != y.hijack_transfers) {
-    out << "hijack_transfers " << x.hijack_transfers << " vs " << y.hijack_transfers;
-  } else if (x.cache_hits != y.cache_hits) {
-    out << "cache_hits " << x.cache_hits << " vs " << y.cache_hits;
-  } else if (x.cache_misses != y.cache_misses) {
-    out << "cache_misses " << x.cache_misses << " vs " << y.cache_misses;
-  } else if (x.thread_spawns != y.thread_spawns) {
-    out << "thread_spawns " << x.thread_spawns << " vs " << y.thread_spawns;
-  } else if (a.memory.TotalBytes() != b.memory.TotalBytes() ||
-             a.memory.safe_store_entries != b.memory.safe_store_entries) {
-    out << "memory footprint differs";
+    return "trap message differs";
   }
-  return out.str();
+  for (const auto& [name, field] : kCounters) {
+    if (a.counters.*field != b.counters.*field) {
+      return std::string(name) + " " + std::to_string(a.counters.*field) + " vs " +
+             std::to_string(b.counters.*field);
+    }
+  }
+  const vm::MemoryFootprint& x = a.memory;
+  const vm::MemoryFootprint& y = b.memory;
+  if (x.regular_bytes != y.regular_bytes || x.safe_store_bytes != y.safe_store_bytes ||
+      x.safe_stack_bytes != y.safe_stack_bytes || x.safe_store_entries != y.safe_store_entries) {
+    return "memory footprint differs";
+  }
+  if (a.faults_injected != b.faults_injected) {
+    return "faults_injected " + std::to_string(a.faults_injected) + " vs " +
+           std::to_string(b.faults_injected);
+  }
+  return "";
 }
 
 uint64_t Mix(uint64_t seed, uint64_t salt) {
@@ -160,6 +167,96 @@ uint64_t Mix(uint64_t seed, uint64_t salt) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+// One cell of a scheme's matrix. RunCase runs a scheme's rows in order after
+// its oracle, so adding a cell means adding a row to SchemeRows.
+struct Row {
+  enum Kind {
+    kIdentity,     // full counter identity with the oracle
+    kBehaviour,    // behaviour identity with the oracle; skipped if fuel-capped
+    kPair,         // `config` on the reference and fused engines at full counter
+                   // identity, and the reference's behaviour vs the oracle;
+                   // skipped if the reference is fuel-capped
+    kCrossScheme,  // the oracle's behaviour vs the vanilla oracle (runs no cell)
+    kFault,        // `fault` injected mid-run must be contained; forced
+                   // preemption must also keep the oracle's behaviour
+  };
+  Kind kind;
+  std::string label;
+  core::Config config;
+  // kPair in a compile mode the oracle lacks (CPI's debug and temporal modes):
+  // the reference half compiles its own module, so the pair has an
+  // independently compiled side, and behaviour is not compared with the
+  // oracle (temporal checks legitimately turn stale reads into violations).
+  bool own_mode = false;
+  vm::FaultKind fault = vm::FaultKind::kNone;  // kFault
+};
+
+// Scheme `s`'s cells, in the order RunCase runs them.
+std::vector<Row> SchemeRows(const core::ProtectionScheme* s, const DiffOptions& options) {
+  core::Config base;
+  base.scheme = s;
+  base.max_steps = options.max_steps;
+  const std::string name = s->name();
+  std::vector<Row> rows;
+
+  // Counter identity: the three engines and the fused quantum sweep.
+  static const std::tuple<const char*, vm::EngineKind, uint64_t> kEngines[] = {
+      {"decoded/O0", vm::EngineKind::kDecoded, 64},
+      {"fused/O0", vm::EngineKind::kFused, 64},
+      {"fused/O0/q1", vm::EngineKind::kFused, 1},
+      {"fused/O0/q4096", vm::EngineKind::kFused, 4096},
+  };
+  for (const auto& [label, engine, quantum] : kEngines) {
+    rows.push_back({Row::kIdentity, label, base});
+    rows.back().config.engine = engine;
+    rows.back().config.thread_quantum = quantum;
+  }
+  // Behaviour: the optimizer and the other store organisations.
+  static const std::tuple<const char*, int, runtime::StoreKind> kBehaviours[] = {
+      {"fused/O1", 1, runtime::StoreKind::kArray},
+      {"fused/O0/hash", 0, runtime::StoreKind::kHash},
+      {"fused/O0/two-level", 0, runtime::StoreKind::kTwoLevel},
+  };
+  for (const auto& [label, opt, store] : kBehaviours) {
+    rows.push_back({Row::kBehaviour, label, base});
+    rows.back().config.opt_level = opt;
+    rows.back().config.store = store;
+  }
+  // Sharded store, then epoch migration (Config::migrate): the shard count
+  // must be invisible to behaviour, and the engines agree on the
+  // shard-crossing premium, publish charges and shard_migrations.
+  for (uint32_t shards : {2u, 64u}) {
+    rows.push_back({Row::kPair, "shards" + std::to_string(shards), base});
+    rows.back().config.shards = shards;
+  }
+  rows.push_back({Row::kPair, "migrate", base});
+  rows.back().config.shards = 8;
+  rows.back().config.migrate = true;
+  if (name != "vanilla") {
+    rows.push_back({Row::kCrossScheme, "cross-scheme", base});
+  }
+  // CPI extras: debug (mirror-and-compare) and the temporal extension.
+  if (name == "cpi") {
+    for (bool debug : {true, false}) {
+      rows.push_back({Row::kPair, debug ? "debug" : "temporal", base, /*own_mode=*/true});
+      rows.back().config.debug_mode = debug;
+      rows.back().config.temporal = !debug;
+    }
+  }
+  // Fault campaign: every kind (kNone excepted), mid-run, on the fused tier.
+  if (options.fault_campaign) {
+    for (int k = 1; k < vm::kNumFaultKinds; ++k) {
+      const auto kind = static_cast<vm::FaultKind>(k);
+      rows.push_back({Row::kFault, std::string("fault/") + vm::FaultKindName(kind), base});
+      rows.back().fault = kind;
+      if (kind == vm::FaultKind::kCorruptShard || kind == vm::FaultKind::kOomShard) {
+        rows.back().config.shards = 8;  // per-shard containment needs real shards
+      }
+    }
+  }
+  return rows;
 }
 
 }  // namespace
@@ -181,34 +278,28 @@ CaseResult RunCase(const Plan& plan, const DiffOptions& options) {
   auto fail = [&out](CaseStatus status, const std::string& where, const std::string& what) {
     out.status = status;
     out.detail = where + ": " + what;
-  };
-
-  // The scheme axis is the registry itself, so the ret-chain variant and the
-  // registered composites (ptrenc+safestack, cpi+ptrenc-ret-chain) join the
-  // sweep automatically. Cells select by Config::scheme.
-  auto base_config = [&options](const core::ProtectionScheme* s) {
-    core::Config c;
-    c.scheme = s;
-    c.max_steps = options.max_steps;
-    return c;
+    return out;
   };
 
   vm::RunResult vanilla_oracle;
   bool have_vanilla = false;
   SharedModules shared(plan);
 
+  // The scheme axis is the registry itself, so the ret-chain variant and the
+  // registered composites join the sweep automatically.
   for (const core::ProtectionScheme* s : core::SchemeRegistry::All()) {
     const std::string scheme = s->name();
 
     // In-scheme oracle: the reference tree-walker at O0, array store, the
-    // default quantum.
-    core::Config oracle_config = base_config(s);
+    // default quantum, on a module of its own.
+    core::Config oracle_config;
+    oracle_config.scheme = s;
+    oracle_config.max_steps = options.max_steps;
     oracle_config.engine = vm::EngineKind::kReference;
-    Cell oracle = RunCell(plan, oracle_config);
+    const Cell oracle = RunCell(plan, oracle_config);
     ++out.cells_run;
     if (!oracle.ok) {
-      fail(CaseStatus::kHostError, scheme + "/oracle", oracle.host_error);
-      return out;
+      return fail(CaseStatus::kHostError, scheme + "/oracle", oracle.host_error);
     }
     if (oracle.result.status == vm::RunStatus::kOutOfFuel) {
       // The budget edge is not comparable across configurations
@@ -216,235 +307,100 @@ CaseResult RunCase(const Plan& plan, const DiffOptions& options) {
       ++out.fuel_skips;
       continue;
     }
-
-    // Counter-identity cells: engines and the quantum sweep.
-    struct IdCell {
-      const char* label;
-      vm::EngineKind engine;
-      uint64_t quantum;
-    };
-    static const IdCell kIdCells[] = {
-        {"decoded/O0", vm::EngineKind::kDecoded, 64},
-        {"fused/O0", vm::EngineKind::kFused, 64},
-        {"fused/O0/q1", vm::EngineKind::kFused, 1},
-        {"fused/O0/q4096", vm::EngineKind::kFused, 4096},
-    };
-    for (const IdCell& spec : kIdCells) {
-      core::Config config = base_config(s);
-      config.engine = spec.engine;
-      config.thread_quantum = spec.quantum;
-      Cell c = RunCell(plan, config, &shared);
-      ++out.cells_run;
-      if (!c.ok) {
-        fail(CaseStatus::kHostError, scheme + "/" + spec.label, c.host_error);
-        return out;
-      }
-      std::string diff = DiffCounters(oracle.result, c.result);
-      // Self-test: deliberately misreport this one cell so the harness's
-      // detect -> minimize -> replay machinery is exercised end to end.
-      if (diff.empty() && options.inject_divergence_at != 0 &&
-          scheme == "cpi" && std::string(spec.label) == "fused/O0" &&
-          oracle.result.counters.instructions >= options.inject_divergence_at) {
-        std::ostringstream msg;
-        msg << "self-test injected divergence (oracle instructions "
-            << oracle.result.counters.instructions << " >= " << options.inject_divergence_at
-            << ")";
-        diff = msg.str();
-      }
-      if (!diff.empty()) {
-        fail(CaseStatus::kDivergence, scheme + "/" + spec.label, diff);
-        return out;
-      }
-    }
-
-    // Behaviour cells: the optimizer and the other store organisations.
-    struct BehCell {
-      const char* label;
-      int opt;
-      runtime::StoreKind store;
-    };
-    static const BehCell kBehCells[] = {
-        {"fused/O1", 1, runtime::StoreKind::kArray},
-        {"fused/O0/hash", 0, runtime::StoreKind::kHash},
-        {"fused/O0/two-level", 0, runtime::StoreKind::kTwoLevel},
-    };
-    for (const BehCell& spec : kBehCells) {
-      core::Config config = base_config(s);
-      config.opt_level = spec.opt;
-      config.store = spec.store;
-      Cell c = RunCell(plan, config, &shared);
-      ++out.cells_run;
-      if (!c.ok) {
-        fail(CaseStatus::kHostError, scheme + "/" + spec.label, c.host_error);
-        return out;
-      }
-      if (c.result.status == vm::RunStatus::kOutOfFuel) {
-        ++out.fuel_skips;
-        continue;
-      }
-      const std::string diff = DiffBehaviour(oracle.result, c.result);
-      if (!diff.empty()) {
-        fail(CaseStatus::kDivergence, scheme + "/" + spec.label, diff);
-        return out;
-      }
-    }
-
-    // Sharded-store cells: the shard count must be invisible to behaviour,
-    // and at any fixed count the engines must stay at full counter identity
-    // (the shard-crossing premium is part of the deterministic cost model,
-    // so reference and fused have to agree on it cycle for cycle).
-    static const uint32_t kShardCounts[] = {2, 64};
-    for (uint32_t shards : kShardCounts) {
-      core::Config ref = base_config(s);
-      ref.shards = shards;
-      ref.engine = vm::EngineKind::kReference;
-      core::Config fused = ref;
-      fused.engine = vm::EngineKind::kFused;
-      Cell cr = RunCell(plan, ref, &shared);
-      Cell cf = RunCell(plan, fused, &shared);
-      out.cells_run += 2;
-      const std::string label = "shards" + std::to_string(shards);
-      if (!cr.ok || !cf.ok) {
-        fail(CaseStatus::kHostError, scheme + "/" + label,
-             !cr.ok ? cr.host_error : cf.host_error);
-        return out;
-      }
-      if (cr.result.status == vm::RunStatus::kOutOfFuel) {
-        ++out.fuel_skips;
-        continue;
-      }
-      std::string diff = DiffCounters(cr.result, cf.result);
-      if (diff.empty()) {
-        diff = DiffBehaviour(oracle.result, cr.result);
-      }
-      if (!diff.empty()) {
-        fail(CaseStatus::kDivergence, scheme + "/" + label, diff);
-        return out;
-      }
-    }
-
-    // Epoch-migration cell: with ownership re-derived at every spawn/join
-    // boundary (Config::migrate), the engines must still agree at full
-    // counter identity — publish charges and shard_migrations included —
-    // and behaviour must match the flat oracle exactly.
-    {
-      core::Config ref = base_config(s);
-      ref.shards = 8;
-      ref.migrate = true;
-      ref.engine = vm::EngineKind::kReference;
-      core::Config fused = ref;
-      fused.engine = vm::EngineKind::kFused;
-      Cell cr = RunCell(plan, ref, &shared);
-      Cell cf = RunCell(plan, fused, &shared);
-      out.cells_run += 2;
-      if (!cr.ok || !cf.ok) {
-        fail(CaseStatus::kHostError, scheme + "/migrate",
-             !cr.ok ? cr.host_error : cf.host_error);
-        return out;
-      }
-      if (cr.result.status != vm::RunStatus::kOutOfFuel) {
-        std::string diff = DiffCounters(cr.result, cf.result);
-        if (diff.empty()) {
-          diff = DiffBehaviour(oracle.result, cr.result);
-        }
-        if (!diff.empty()) {
-          fail(CaseStatus::kDivergence, scheme + "/migrate", diff);
-          return out;
-        }
-      } else {
-        ++out.fuel_skips;
-      }
-    }
-
-    // Cross-scheme: instrumentation must preserve behaviour against vanilla.
     if (scheme == "vanilla") {
       vanilla_oracle = oracle.result;
       have_vanilla = true;
-    } else if (have_vanilla) {
-      const std::string diff = DiffBehaviour(vanilla_oracle, oracle.result);
-      if (!diff.empty()) {
-        fail(CaseStatus::kDivergence, scheme + "/cross-scheme", diff);
-        return out;
-      }
     }
 
-    // CPI extras: debug (mirror-and-compare) and the temporal extension,
-    // each at full reference-vs-fused counter identity. (Not compared to
-    // the plain oracle: temporal checks legitimately turn a hazardous
-    // program's stale reads into violations.)
-    if (scheme == "cpi") {
-      for (int mode = 0; mode < 2; ++mode) {
-        const char* label = mode == 0 ? "debug" : "temporal";
-        core::Config ref = base_config(s);
-        ref.debug_mode = mode == 0;
-        ref.temporal = mode == 1;
-        ref.engine = vm::EngineKind::kReference;
-        core::Config fused = ref;
-        fused.engine = vm::EngineKind::kFused;
-        Cell cr = RunCell(plan, ref);
-        Cell cf = RunCell(plan, fused, &shared);
-        out.cells_run += 2;
-        if (!cr.ok || !cf.ok) {
-          fail(CaseStatus::kHostError, scheme + std::string("/") + label,
-               !cr.ok ? cr.host_error : cf.host_error);
-          return out;
-        }
-        if (cr.result.status == vm::RunStatus::kOutOfFuel) {
-          ++out.fuel_skips;
-          continue;
-        }
-        const std::string diff = DiffCounters(cr.result, cf.result);
-        if (!diff.empty()) {
-          fail(CaseStatus::kDivergence, scheme + std::string("/") + label, diff);
-          return out;
-        }
-      }
-    }
-
-    // Fault campaign: inject every kind mid-run on the fused tier and
-    // require graceful containment. Firing points derive from the oracle's
-    // instruction count so they land inside the program, not after it.
-    if (options.fault_campaign) {
-      const uint64_t span = oracle.result.counters.instructions;
-      static const vm::FaultKind kKinds[] = {
-          vm::FaultKind::kCorruptSafeStack, vm::FaultKind::kCorruptSafeStore,
-          vm::FaultKind::kOomSafeStore,     vm::FaultKind::kOomHeapArena,
-          vm::FaultKind::kOomPageAlloc,     vm::FaultKind::kForcePreempt,
-          vm::FaultKind::kCorruptShard,     vm::FaultKind::kOomShard,
-      };
-      for (vm::FaultKind kind : kKinds) {
-        vm::FaultPlan fplan;
-        fplan.events.push_back(
-            {kind, std::max<uint64_t>(1, span / 3), Mix(plan.seed, static_cast<uint64_t>(kind))});
-        fplan.events.push_back({kind, std::max<uint64_t>(2, 2 * span / 3),
-                                Mix(plan.seed, 16 + static_cast<uint64_t>(kind))});
-        core::Config config = base_config(s);
-        if (kind == vm::FaultKind::kCorruptShard || kind == vm::FaultKind::kOomShard) {
-          config.shards = 8;  // per-shard containment needs real shards
-        }
-        config.faults = &fplan;
-        Cell c = RunCell(plan, config, &shared);
-        ++out.cells_run;
-        const char* kind_name = vm::FaultKindName(kind);
-        if (!c.ok) {
-          // The whole point: an injected fault must surface as a reported
-          // RunResult, never as an escaped exception.
-          fail(CaseStatus::kHostError, scheme + "/fault/" + kind_name, c.host_error);
-          return out;
-        }
-        if (kind == vm::FaultKind::kForcePreempt &&
-            c.result.status != vm::RunStatus::kOutOfFuel) {
-          // Scheduling is unobservable for race-free programs, so forced
-          // preemption must leave behaviour intact.
-          const std::string diff = DiffBehaviour(oracle.result, c.result);
-          if (!diff.empty()) {
-            fail(CaseStatus::kDivergence, scheme + "/fault/" + kind_name, diff);
-            return out;
+    for (const Row& row : SchemeRows(s, options)) {
+      const std::string where = scheme + "/" + row.label;
+      std::string diff;
+      switch (row.kind) {
+        case Row::kIdentity:
+        case Row::kBehaviour: {
+          const Cell c = RunCell(plan, row.config, &shared);
+          ++out.cells_run;
+          if (!c.ok) {
+            return fail(CaseStatus::kHostError, where, c.host_error);
           }
+          if (row.kind == Row::kBehaviour) {
+            if (c.result.status == vm::RunStatus::kOutOfFuel) {
+              ++out.fuel_skips;
+              continue;
+            }
+            diff = DiffBehaviour(oracle.result, c.result);
+            break;
+          }
+          diff = DiffCounters(oracle.result, c.result);
+          // Self-test: deliberately misreport this one cell so the harness's
+          // detect -> minimize -> replay machinery is exercised end to end.
+          if (diff.empty() && options.inject_divergence_at != 0 && where == "cpi/fused/O0" &&
+              oracle.result.counters.instructions >= options.inject_divergence_at) {
+            diff = "self-test injected divergence (oracle instructions " +
+                   std::to_string(oracle.result.counters.instructions) +
+                   " >= " + std::to_string(options.inject_divergence_at) + ")";
+          }
+          break;
         }
-        if (c.result.faults_injected > 0) {
-          out.fault_coverage.emplace_back(scheme, kind_name);
+        case Row::kPair: {
+          core::Config ref = row.config;
+          ref.engine = vm::EngineKind::kReference;
+          core::Config fused = row.config;
+          fused.engine = vm::EngineKind::kFused;
+          const Cell cr = RunCell(plan, ref, row.own_mode ? nullptr : &shared);
+          const Cell cf = RunCell(plan, fused, &shared);
+          out.cells_run += 2;
+          if (!cr.ok || !cf.ok) {
+            return fail(CaseStatus::kHostError, where, !cr.ok ? cr.host_error : cf.host_error);
+          }
+          if (cr.result.status == vm::RunStatus::kOutOfFuel) {
+            ++out.fuel_skips;
+            continue;
+          }
+          diff = DiffCounters(cr.result, cf.result);
+          if (diff.empty() && !row.own_mode) {
+            diff = DiffBehaviour(oracle.result, cr.result);
+          }
+          break;
         }
+        case Row::kCrossScheme:
+          // Instrumentation must preserve behaviour against vanilla.
+          if (have_vanilla) {
+            diff = DiffBehaviour(vanilla_oracle, oracle.result);
+          }
+          break;
+        case Row::kFault: {
+          // Two firings, a third and two thirds into the oracle's run, so
+          // they land inside the program rather than after it.
+          const uint64_t span = oracle.result.counters.instructions;
+          const auto salt = static_cast<uint64_t>(row.fault);
+          vm::FaultPlan fplan;
+          fplan.events.push_back(
+              {row.fault, std::max<uint64_t>(1, span / 3), Mix(plan.seed, salt)});
+          fplan.events.push_back(
+              {row.fault, std::max<uint64_t>(2, 2 * span / 3), Mix(plan.seed, 16 + salt)});
+          core::Config config = row.config;
+          config.faults = &fplan;
+          const Cell c = RunCell(plan, config, &shared);
+          ++out.cells_run;
+          if (!c.ok) {
+            // The whole point: an injected fault must surface as a reported
+            // RunResult, never as an escaped exception.
+            return fail(CaseStatus::kHostError, where, c.host_error);
+          }
+          if (row.fault == vm::FaultKind::kForcePreempt &&
+              c.result.status != vm::RunStatus::kOutOfFuel) {
+            // Scheduling is unobservable for race-free programs.
+            diff = DiffBehaviour(oracle.result, c.result);
+          }
+          if (diff.empty() && c.result.faults_injected > 0) {
+            out.fault_coverage.emplace_back(scheme, vm::FaultKindName(row.fault));
+          }
+          break;
+        }
+      }
+      if (!diff.empty()) {
+        return fail(CaseStatus::kDivergence, where, diff);
       }
     }
   }

@@ -2,33 +2,36 @@
 // configuration matrix and flags any disagreement.
 //
 // Per scheme (every registry entry — the eight classic schemes, the
-// ret-chain variant and the registered composites, vanilla included), with
-// the scheme's reference-engine run as the in-scheme oracle:
+// ret-chain variant and the registered composites, vanilla included), the
+// scheme's reference-engine run is the in-scheme oracle. The cells after it
+// are one declared row list per scheme (SchemeRows in differential.cc),
+// run in order by one loop; adding a cell means adding a row. The row kinds:
 //
-//   counter-identity cells  — decoded and fused engines at O0, plus a fused
+//   counter identity — decoded and fused engines at O0, plus a fused
 //     quantum sweep (1, 64, 4096). Every simulated observable must match the
-//     oracle bit for bit: status, violation, output, exit code, all
-//     counters, memory footprint. This is the three-tier equivalence and
-//     scheduler-determinism contract, checked on arbitrary programs.
-//   behaviour cells — O1, and the hash/two-level store organisations.
-//     Status, violation, output and exit must match; counters legitimately
-//     differ (O1 removes work; store organisations have different touch
-//     sequences, and the hash store's probe order is even
-//     interleaving-dependent for threaded programs).
-//   cross-scheme — each scheme's behaviour (status, output, exit) must match
-//     the vanilla oracle: instrumentation must be behaviour-preserving even
-//     on hazardous programs (a double free crashes identically everywhere;
-//     stale reads are scheme-neutral while temporal checks are off).
-//     Skipped when either side ran out of fuel (instrumentation changes
-//     instruction counts, so the budget edge is not comparable).
-//   CPI extras — debug (mirror-and-compare) and temporal modes, each
-//     compared reference-vs-fused at full counter identity.
-//   fault campaign — every FaultKind injected mid-run (firing points derived
-//     from the oracle's instruction count). The contract is graceful
-//     containment: the run reports a status, the host survives. Forced
-//     preemption additionally keeps behaviour identical (race-free programs
-//     cannot observe scheduling). Coverage of (scheme × kind) pairs that
-//     actually injected is reported for the campaign-level assertion.
+//     oracle bit for bit: status, violation, output, exit code, trap message,
+//     every counter, the fault count and every memory-footprint field. This
+//     is the three-tier equivalence and scheduler-determinism contract,
+//     checked on arbitrary programs.
+//   behaviour — O1, and the hash/two-level store organisations. Status,
+//     violation, output and exit must match; counters legitimately differ
+//     (O1 removes work; store organisations have different touch sequences,
+//     and the hash store's probe order is even interleaving-dependent for
+//     threaded programs).
+//   reference/fused pair — shard counts 2 and 64, epoch migration at 8
+//     shards, and CPI's debug (mirror-and-compare) and temporal modes, each
+//     at full counter identity between the engines; the shard and migration
+//     pairs must also keep the oracle's behaviour.
+//   cross-scheme — each scheme's oracle behaviour must match the vanilla
+//     oracle: instrumentation must be behaviour-preserving even on hazardous
+//     programs (a double free crashes identically everywhere; stale reads
+//     are scheme-neutral while temporal checks are off).
+//   fault — every FaultKind injected mid-run (firing points derived from the
+//     oracle's instruction count). The contract is graceful containment: the
+//     run reports a status, the host survives. Forced preemption
+//     additionally keeps behaviour identical (race-free programs cannot
+//     observe scheduling). Coverage of (scheme × kind) pairs that actually
+//     injected is reported for the campaign-level assertion.
 //
 // Cells that differ only in runtime settings share one instrumented module,
 // and their decoded and fused cells one decode per tier; the first

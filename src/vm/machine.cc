@@ -6,6 +6,7 @@
 #include <map>
 #include <new>
 #include <unordered_map>
+#include <utility>
 
 #include "src/runtime/seal.h"
 #include "src/support/rng.h"
@@ -366,6 +367,9 @@ class Machine {
   // threads mint from a private namespace so ids are schedule-independent.
   // Returns false (after trapping) if the minted id failed to register.
   bool AllocateTemporalId(uint64_t* id);
+  // The argument slots of a decoded call or spawn: values and metadata.
+  static std::pair<std::vector<uint64_t>, std::vector<RegMeta>> ReadArgSlots(
+      const Frame& f, const DecodedOp& op);
   // Argument marshalling + frame push shared by direct and indirect decoded
   // calls.
   void DoCallSlots(Frame& f, const DecodedOp& op, const Function* callee);
@@ -2231,33 +2235,28 @@ void Machine::DoIntrinsic(Frame& f, IntrinsicId id, const Ops& ops) {
         entry = SafeEntry::Invalid(value);  // e.g. storing NULL
       }
       StoreSet(addr, entry);
-      if (prot.debug_mode) {
-        // Debug mode (§3.2.2): mirror into the regular region too.
-        if (!DataWrite(addr, 8, ops.meta(0), value)) {
-          return;
-        }
-      }
+      // Debug mode (§3.2.2): mirror into the regular region too.
+      if (prot.debug_mode && !DataWrite(addr, 8, ops.meta(0), value)) return;
       break;
     }
-    case IntrinsicId::kCpiLoad: {
+    case IntrinsicId::kCpiLoad:
+    case IntrinsicId::kCpiLoadUni:
+    case IntrinsicId::kCpsLoad: {
+      // The safe entry if there is one; in debug mode (§3.2.2) its regular
+      // mirror must still agree. A slot never stored through the safe store
+      // yields its regular word, whose use in any checked context aborts.
       const uint64_t addr = ops.value(0);
       const SafeEntry e = StoreGet(addr);
-      if (!e.IsPresent()) {
-        // Never stored through the safe store: yields a regular value, whose
-        // use in any checked context aborts.
+      if (!e.IsPresent() || prot.debug_mode) {
         uint64_t raw = 0;
         if (!DataRead(addr, 8, ops.meta(0), &raw)) {
           return;
         }
-        ops.set(raw, RegMeta::None());
-        break;
-      }
-      if (prot.debug_mode) {
-        uint64_t mirror = 0;
-        if (!DataRead(addr, 8, ops.meta(0), &mirror)) {
-          return;
+        if (!e.IsPresent()) {
+          ops.set(raw, RegMeta::None());
+          break;
         }
-        if (mirror != e.value) {
+        if (raw != e.value) {
           Abort(Violation::kDebugModeMismatch,
                 "debug mode: regular copy of a protected pointer diverged");
           return;
@@ -2278,11 +2277,7 @@ void Machine::DoIntrinsic(Frame& f, IntrinsicId id, const Ops& ops) {
                               : SafeEntry{value, vm.lower, vm.upper, vm.temporal_id,
                                           EntryKind::kData};
         StoreSet(addr, entry);
-        if (prot.debug_mode) {
-          if (!DataWrite(addr, 8, ops.meta(0), value)) {
-            return;
-          }
-        }
+        if (prot.debug_mode && !DataWrite(addr, 8, ops.meta(0), value)) return;
       } else {
         // A regular value: store to the regular region and kill any stale
         // protected entry for this slot.
@@ -2290,31 +2285,6 @@ void Machine::DoIntrinsic(Frame& f, IntrinsicId id, const Ops& ops) {
         if (!DataWrite(addr, 8, ops.meta(0), value)) {
           return;
         }
-      }
-      break;
-    }
-    case IntrinsicId::kCpiLoadUni: {
-      const uint64_t addr = ops.value(0);
-      const SafeEntry e = StoreGet(addr);
-      if (e.IsPresent()) {
-        if (prot.debug_mode) {
-          uint64_t mirror = 0;
-          if (!DataRead(addr, 8, ops.meta(0), &mirror)) {
-            return;
-          }
-          if (mirror != e.value) {
-            Abort(Violation::kDebugModeMismatch,
-                  "debug mode: regular copy of a protected pointer diverged");
-            return;
-          }
-        }
-        ops.set(e.value, RegMeta::FromEntry(e));
-      } else {
-        uint64_t raw = 0;
-        if (!DataRead(addr, 8, ops.meta(0), &raw)) {
-          return;
-        }
-        ops.set(raw, RegMeta::None());
       }
       break;
     }
@@ -2352,36 +2322,7 @@ void Machine::DoIntrinsic(Frame& f, IntrinsicId id, const Ops& ops) {
       const RegMeta vm = ops.meta(1);
       StoreSet(addr, vm.kind == EntryKind::kCode ? SafeEntry::Code(value)
                                                  : SafeEntry::Invalid(value));
-      if (prot.debug_mode) {
-        if (!DataWrite(addr, 8, ops.meta(0), value)) {
-          return;
-        }
-      }
-      break;
-    }
-    case IntrinsicId::kCpsLoad: {
-      const uint64_t addr = ops.value(0);
-      const SafeEntry e = StoreGet(addr);
-      if (e.IsPresent()) {
-        if (prot.debug_mode) {
-          uint64_t mirror = 0;
-          if (!DataRead(addr, 8, ops.meta(0), &mirror)) {
-            return;
-          }
-          if (mirror != e.value) {
-            Abort(Violation::kDebugModeMismatch,
-                  "debug mode: regular copy of a protected pointer diverged");
-            return;
-          }
-        }
-        ops.set(e.value, RegMeta::FromEntry(e));
-      } else {
-        uint64_t raw = 0;
-        if (!DataRead(addr, 8, ops.meta(0), &raw)) {
-          return;
-        }
-        ops.set(raw, RegMeta::None());
-      }
+      if (prot.debug_mode && !DataWrite(addr, 8, ops.meta(0), value)) return;
       break;
     }
     case IntrinsicId::kCpsStoreUni: {
@@ -2613,7 +2554,8 @@ void Machine::OpSelect(Machine& m, Frame& f, const DecodedOp& op) {
   ++f.ip;
 }
 
-void Machine::DoCallSlots(Frame& f, const DecodedOp& op, const Function* callee) {
+std::pair<std::vector<uint64_t>, std::vector<RegMeta>> Machine::ReadArgSlots(
+    const Frame& f, const DecodedOp& op) {
   std::vector<uint64_t> args(op.arg_count);
   std::vector<RegMeta> metas(op.arg_count);
   const OperandSlot* slots = f.dfunc->args.data() + op.arg_begin;
@@ -2621,6 +2563,11 @@ void Machine::DoCallSlots(Frame& f, const DecodedOp& op, const Function* callee)
     args[i] = SlotVal(f, slots[i]);
     metas[i] = SlotMeta(f, slots[i]);
   }
+  return {std::move(args), std::move(metas)};
+}
+
+void Machine::DoCallSlots(Frame& f, const DecodedOp& op, const Function* callee) {
+  auto [args, metas] = ReadArgSlots(f, op);
   // The call instruction's identity lives in the cold side table, parallel
   // to the op array (return-value plumbing needs the ir::Instruction).
   f.pending_call = f.dfunc->insts[&op - f.dfunc->ops.data()];
@@ -2705,13 +2652,7 @@ void Machine::OpIntrinsic(Machine& m, Frame& f, const DecodedOp& op) {
 }
 
 void Machine::OpSpawn(Machine& m, Frame& f, const DecodedOp& op) {
-  std::vector<uint64_t> args(op.arg_count);
-  std::vector<RegMeta> metas(op.arg_count);
-  const OperandSlot* slots = f.dfunc->args.data() + op.arg_begin;
-  for (uint32_t i = 0; i < op.arg_count; ++i) {
-    args[i] = SlotVal(f, slots[i]);
-    metas[i] = SlotMeta(f, slots[i]);
-  }
+  auto [args, metas] = ReadArgSlots(f, op);
   m.DoSpawn(f, m.module_.functions()[op.imm].get(), std::move(args), std::move(metas),
             op.dest);
 }

@@ -25,10 +25,14 @@ using ir::Value;
 
 constexpr uint64_t kWorkers = 4;
 
-// Folds the workers' partial checksums into the checksum global, in spawn
-// order, and emits the standard epilogue.
-void JoinWorkersAndFinish(IRBuilder& b, GlobalVariable* checksum,
-                          const std::vector<Value*>& tids) {
+// Spawns worker(shard) for shards 0 .. kWorkers-1, folds their partial
+// checksums into the checksum global in spawn order, and emits the standard
+// epilogue.
+void RunWorkersAndFinish(IRBuilder& b, Function* worker, GlobalVariable* checksum) {
+  std::vector<Value*> tids;
+  for (uint64_t w = 0; w < kWorkers; ++w) {
+    tids.push_back(b.Spawn(worker, {b.I64(w)}, "w" + std::to_string(w)));
+  }
   for (Value* tid : tids) {
     AccumulateChecksum(b, checksum, b.Join(tid));
   }
@@ -46,17 +50,7 @@ std::unique_ptr<Module> BuildMtStaticPage(int scale) {
   IRBuilder b(m.get());
   GlobalVariable* checksum = MakeChecksumGlobal(*m);
 
-  const uint64_t page_size = 2048;
-  GlobalVariable* page =
-      m->CreateGlobal("page", t.ArrayOf(t.CharTy(), page_size), /*is_const=*/true);
-  {
-    std::vector<uint8_t> content(page_size);
-    for (uint64_t i = 0; i < page_size - 1; ++i) {
-      content[i] = static_cast<uint8_t>('a' + (i * 17) % 25);
-    }
-    content[page_size - 1] = 0;
-    page->set_initializer(std::move(content));
-  }
+  GlobalVariable* page = MakeStaticPage(*m);
 
   Function* worker = m->CreateFunction("worker", t.FunctionTy(t.I64(), {t.I64()}));
   {
@@ -65,7 +59,7 @@ std::unique_ptr<Module> BuildMtStaticPage(int scale) {
     Value* r_slot = b.Alloca(t.I64(), "req");
     Value* acc_slot = b.Alloca(t.I64(), "acc");
     b.Store(shard, acc_slot);
-    Value* resp = b.Malloc(b.I64(page_size + 128), t.PointerTo(t.CharTy()), "resp");
+    Value* resp = b.Malloc(b.I64(kStaticPageBytes + 128), t.PointerTo(t.CharTy()), "resp");
 
     LoopBlocks reqs = BeginLoop(b, worker, r_slot, b.I64(0), b.I64(100 * scale), "req");
     Value* page0 = b.IndexAddr(b.GlobalAddr(page), b.I64(0));
@@ -81,11 +75,7 @@ std::unique_ptr<Module> BuildMtStaticPage(int scale) {
 
   Function* main = m->CreateFunction("main", t.FunctionTy(t.I64(), {}));
   b.SetInsertPoint(main->CreateBlock("entry"));
-  std::vector<Value*> tids;
-  for (uint64_t w = 0; w < kWorkers; ++w) {
-    tids.push_back(b.Spawn(worker, {b.I64(w)}, "w" + std::to_string(w)));
-  }
-  JoinWorkersAndFinish(b, checksum, tids);
+  RunWorkersAndFinish(b, worker, checksum);
   return m;
 }
 
@@ -107,23 +97,8 @@ std::unique_ptr<Module> BuildMtWsgiPage(int scale) {
   const uint64_t n_routes = 8;
   GlobalVariable* routes = m->CreateGlobal("routes", t.ArrayOf(route, n_routes));
 
-  std::vector<Function*> handlers;
-  for (int k = 0; k < 4; ++k) {
-    Function* h = m->CreateFunction("handler_" + std::to_string(k), handler_ty);
-    b.SetInsertPoint(h->CreateBlock("entry"));
-    Value* buf = h->arg(0);
-    Value* req = h->arg(1);
-    Value* i_slot = b.Alloca(t.I64(), "i");
-    LoopBlocks body = BeginLoop(b, h, i_slot, b.I64(0), b.I64(64), "fmt");
-    Value* c = b.Binary(ir::BinOp::kAnd,
-                        b.Add(b.Mul(body.index, b.I64(k + 3)), req), b.I64(63));
-    b.Store(b.Cast(ir::CastKind::kTrunc, b.Add(c, b.I64('0')), t.CharTy()),
-            b.IndexAddr(buf, body.index));
-    EndLoop(b, body);
-    b.Store(b.Char(0), b.IndexAddr(buf, b.I64(64)));
-    b.Ret(b.LibCall(ir::LibFunc::kStrlen, {buf}));
-    handlers.push_back(h);
-  }
+  const std::vector<Function*> handlers =
+      EmitFormatHandlers(*m, b, handler_ty, "handler_", 64, 1, 3);
 
   // worker(shard): each request picks its route from the shared table and
   // runs the handler against the worker's own buffer.
@@ -158,20 +133,11 @@ std::unique_ptr<Module> BuildMtWsgiPage(int scale) {
   // then on.
   LoopBlocks reg = BeginLoop(b, main, i_slot, b.I64(0), b.I64(n_routes), "reg");
   Value* entry = b.IndexAddr(b.GlobalAddr(routes), reg.index);
-  Value* which = b.Binary(ir::BinOp::kAnd, reg.index, b.I64(3));
-  Value* h01 = b.Select(b.ICmpEq(which, b.I64(0)), b.FuncAddr(handlers[0]),
-                        b.FuncAddr(handlers[1]));
-  Value* h23 = b.Select(b.ICmpEq(which, b.I64(2)), b.FuncAddr(handlers[2]),
-                        b.FuncAddr(handlers[3]));
-  Value* h = b.Select(b.ICmpSLt(which, b.I64(2)), h01, h23);
+  Value* h = SelectOfFour(b, reg.index, handlers);
   b.Store(h, b.FieldAddr(entry, "handler"));
   EndLoop(b, reg);
 
-  std::vector<Value*> tids;
-  for (uint64_t w = 0; w < kWorkers; ++w) {
-    tids.push_back(b.Spawn(worker, {b.I64(w)}, "w" + std::to_string(w)));
-  }
-  JoinWorkersAndFinish(b, checksum, tids);
+  RunWorkersAndFinish(b, worker, checksum);
   return m;
 }
 
@@ -185,69 +151,11 @@ std::unique_ptr<Module> BuildMtDynamicPage(int scale) {
   IRBuilder b(m.get());
   GlobalVariable* checksum = MakeChecksumGlobal(*m);
 
-  StructType* box = t.GetOrCreateStruct("pyobj");
-  box->SetBody({{"tag", t.I64(), 0}, {"payload", t.VoidPtrTy(), 0}});
-
+  // The dynamic-page box runtime; its opcode handlers take (base, pc), where
+  // `base` is the worker's first locals slot, so every box access stays
+  // inside the worker's own slice.
   const uint64_t slice = 32;  // boxed locals per worker
-  const uint64_t n_slots = kWorkers * slice;
-  const ir::FunctionType* op_ty = t.FunctionTy(t.VoidTy(), {t.I64(), t.I64()});
-  GlobalVariable* optable = m->CreateGlobal("optable", t.ArrayOf(t.PointerTo(op_ty), 16));
-  GlobalVariable* locals = m->CreateGlobal("locals", t.ArrayOf(t.PointerTo(box), n_slots));
-
-  Function* box_new =
-      m->CreateFunction("box_new", t.FunctionTy(t.PointerTo(box), {t.I64(), t.I64()}));
-  {
-    b.SetInsertPoint(box_new->CreateBlock("entry"));
-    Value* obj = b.Malloc(b.I64(box->SizeInBytes()), t.PointerTo(box));
-    Value* cell = b.Malloc(b.I64(8), t.PointerTo(t.I64()));
-    b.Store(box_new->arg(1), cell);
-    b.Store(box_new->arg(0), b.FieldAddr(obj, "tag"));
-    b.Store(b.Bitcast(cell, t.VoidPtrTy()), b.FieldAddr(obj, "payload"));
-    b.Ret(obj);
-  }
-
-  Function* box_val = m->CreateFunction("box_val", t.FunctionTy(t.I64(), {t.I64()}));
-  {
-    b.SetInsertPoint(box_val->CreateBlock("entry"));
-    Value* obj = b.Load(b.IndexAddr(b.GlobalAddr(locals), box_val->arg(0)));
-    Value* payload = b.Load(b.FieldAddr(obj, "payload"));
-    Value* cell = b.Bitcast(payload, t.PointerTo(t.I64()));
-    b.Ret(b.Load(cell));
-  }
-
-  // Opcode handlers take (base, pc): `base` is the worker's first locals
-  // slot, so every box access stays inside the worker's own slice.
-  std::vector<Function*> ops;
-  for (int k = 0; k < 4; ++k) {
-    Function* op = m->CreateFunction("pyop_" + std::to_string(k), op_ty);
-    b.SetInsertPoint(op->CreateBlock("entry"));
-    Value* base = op->arg(0);
-    Value* pc = op->arg(1);
-    Value* s0 = b.Add(base, b.Binary(ir::BinOp::kAnd, pc, b.I64(slice - 1)));
-    Value* s1 = b.Add(base, b.Binary(ir::BinOp::kAnd, b.Add(pc, b.I64(1)),
-                                     b.I64(slice - 1)));
-    Value* a = b.Call(box_val, {s0});
-    Value* c = b.Call(box_val, {s1});
-    Value* r;
-    switch (k) {
-      case 0: r = b.Add(a, c); break;
-      case 1: r = b.Mul(a, b.I64(3)); break;
-      case 2: r = b.Xor(a, c); break;
-      default: r = b.Sub(c, a); break;
-    }
-    Value* slot0 = b.IndexAddr(b.GlobalAddr(locals), s0);
-    Value* slot1 = b.IndexAddr(b.GlobalAddr(locals), s1);
-    Value* dst = b.Load(slot0);
-    b.Store(b.I64(k), b.FieldAddr(dst, "tag"));
-    Value* payload = b.Load(b.FieldAddr(dst, "payload"));
-    b.Store(r, b.Bitcast(payload, t.PointerTo(t.I64())));
-    b.Store(payload, b.FieldAddr(dst, "payload"));
-    Value* other = b.Load(slot1);
-    b.Store(other, slot0);
-    b.Store(dst, slot1);
-    b.Ret();
-    ops.push_back(op);
-  }
+  const BoxRuntime rt = EmitBoxRuntime(*m, b, kWorkers * slice, slice);
 
   // worker(shard): populate the shard's locals slice with its own boxes
   // (per-thread heap arenas keep the addresses schedule-independent), then
@@ -262,36 +170,26 @@ std::unique_ptr<Module> BuildMtDynamicPage(int scale) {
     Value* base = b.Mul(shard, b.I64(slice));
 
     LoopBlocks init = BeginLoop(b, worker, i_slot, b.I64(0), b.I64(slice), "init");
-    Value* boxed = b.Call(box_new, {b.I64(0), b.Mul(b.Add(init.index, shard), b.I64(7))});
-    b.Store(boxed, b.IndexAddr(b.GlobalAddr(locals), b.Add(base, init.index)));
+    Value* boxed = b.Call(rt.box_new, {b.I64(0), b.Mul(b.Add(init.index, shard), b.I64(7))});
+    b.Store(boxed, b.IndexAddr(b.GlobalAddr(rt.locals), b.Add(base, init.index)));
     EndLoop(b, init);
 
     LoopBlocks reqs = BeginLoop(b, worker, r_slot, b.I64(0), b.I64(30 * scale), "req");
     LoopBlocks prog = BeginLoop(b, worker, pc_slot, b.I64(0), b.I64(24), "op");
     Value* op_idx = b.Binary(ir::BinOp::kAnd, b.Mul(prog.index, b.I64(5)), b.I64(15));
-    Value* op_fn = b.Load(b.IndexAddr(b.GlobalAddr(optable), op_idx));
+    Value* op_fn = b.Load(b.IndexAddr(b.GlobalAddr(rt.optable), op_idx));
     b.IndirectCall(op_fn, {base, b.Add(prog.index, reqs.index)});
     EndLoop(b, prog);
     EndLoop(b, reqs);
 
-    b.Ret(b.Call(box_val, {base}));
+    b.Ret(b.Call(rt.box_val, {base}));
   }
 
   Function* main = m->CreateFunction("main", t.FunctionTy(t.I64(), {}));
   b.SetInsertPoint(main->CreateBlock("entry"));
-  Value* i_slot = b.Alloca(t.I64(), "i");
-  LoopBlocks opinit = BeginLoop(b, main, i_slot, b.I64(0), b.I64(4), "opinit");
-  for (int k = 0; k < 4; ++k) {
-    Value* idx = b.Add(b.Mul(opinit.index, b.I64(4)), b.I64(k));
-    b.Store(b.FuncAddr(ops[k]), b.IndexAddr(b.GlobalAddr(optable), idx));
-  }
-  EndLoop(b, opinit);
+  EmitOpTableInit(b, main, b.Alloca(t.I64(), "i"), rt);
 
-  std::vector<Value*> tids;
-  for (uint64_t w = 0; w < kWorkers; ++w) {
-    tids.push_back(b.Spawn(worker, {b.I64(w)}, "w" + std::to_string(w)));
-  }
-  JoinWorkersAndFinish(b, checksum, tids);
+  RunWorkersAndFinish(b, worker, checksum);
   return m;
 }
 
@@ -403,23 +301,8 @@ std::unique_ptr<Module> BuildEventLoop(int scale) {
   GlobalVariable* handlers =
       m->CreateGlobal("handlers", t.ArrayOf(t.PointerTo(handler_ty), n_handlers));
 
-  std::vector<Function*> hfns;
-  for (uint64_t k = 0; k < n_handlers; ++k) {
-    Function* h = m->CreateFunction("ev_handler_" + std::to_string(k), handler_ty);
-    b.SetInsertPoint(h->CreateBlock("entry"));
-    Value* buf = h->arg(0);
-    Value* req = h->arg(1);
-    Value* i_slot = b.Alloca(t.I64(), "i");
-    LoopBlocks body = BeginLoop(b, h, i_slot, b.I64(0), b.I64(16), "fmt");
-    Value* c = b.Binary(ir::BinOp::kAnd,
-                        b.Add(b.Mul(body.index, b.I64(2 * k + 3)), req), b.I64(63));
-    b.Store(b.Cast(ir::CastKind::kTrunc, b.Add(c, b.I64('0')), t.CharTy()),
-            b.IndexAddr(buf, body.index));
-    EndLoop(b, body);
-    b.Store(b.Char(0), b.IndexAddr(buf, b.I64(16)));
-    b.Ret(b.LibCall(ir::LibFunc::kStrlen, {buf}));
-    hfns.push_back(h);
-  }
+  const std::vector<Function*> hfns =
+      EmitFormatHandlers(*m, b, handler_ty, "ev_handler_", 16, 2, 3);
 
   // accept(conns, i, which, state): close any previous connection in slot i
   // and install a fresh one whose handler comes from the shared table.
@@ -515,20 +398,11 @@ std::unique_ptr<Module> BuildEventLoop(int scale) {
 
   // Register handlers before any worker exists; read-only from then on.
   LoopBlocks reg = BeginLoop(b, main, i_slot, b.I64(0), b.I64(n_handlers), "reg");
-  Value* which = b.Binary(ir::BinOp::kAnd, reg.index, b.I64(3));
-  Value* h01 = b.Select(b.ICmpEq(which, b.I64(0)), b.FuncAddr(hfns[0]),
-                        b.FuncAddr(hfns[1]));
-  Value* h23 = b.Select(b.ICmpEq(which, b.I64(2)), b.FuncAddr(hfns[2]),
-                        b.FuncAddr(hfns[3]));
-  Value* h = b.Select(b.ICmpSLt(which, b.I64(2)), h01, h23);
+  Value* h = SelectOfFour(b, reg.index, hfns);
   b.Store(h, b.IndexAddr(b.GlobalAddr(handlers), reg.index));
   EndLoop(b, reg);
 
-  std::vector<Value*> tids;
-  for (uint64_t w = 0; w < kWorkers; ++w) {
-    tids.push_back(b.Spawn(worker, {b.I64(w)}, "w" + std::to_string(w)));
-  }
-  JoinWorkersAndFinish(b, checksum, tids);
+  RunWorkersAndFinish(b, worker, checksum);
   return m;
 }
 
@@ -585,24 +459,8 @@ std::unique_ptr<Module> BuildChurnServer(int scale) {
   GlobalVariable* handoff =
       m->CreateGlobal("handoff", t.ArrayOf(t.I64(), kSlots * kQueueCap));
 
-  std::vector<Function*> hfns;
-  hfns.reserve(n_handlers);
-  for (uint64_t k = 0; k < n_handlers; ++k) {
-    Function* h = m->CreateFunction("churn_handler_" + std::to_string(k), handler_ty);
-    b.SetInsertPoint(h->CreateBlock("entry"));
-    Value* buf = h->arg(0);
-    Value* req = h->arg(1);
-    Value* i_slot = b.Alloca(t.I64(), "i");
-    LoopBlocks body = BeginLoop(b, h, i_slot, b.I64(0), b.I64(16), "fmt");
-    Value* c = b.Binary(ir::BinOp::kAnd,
-                        b.Add(b.Mul(body.index, b.I64(2 * k + 5)), req), b.I64(63));
-    b.Store(b.Cast(ir::CastKind::kTrunc, b.Add(c, b.I64('0')), t.CharTy()),
-            b.IndexAddr(buf, body.index));
-    EndLoop(b, body);
-    b.Store(b.Char(0), b.IndexAddr(buf, b.I64(16)));
-    b.Ret(b.LibCall(ir::LibFunc::kStrlen, {buf}));
-    hfns.push_back(h);
-  }
+  const std::vector<Function*> hfns =
+      EmitFormatHandlers(*m, b, handler_ty, "churn_handler_", 16, 2, 5);
 
   // accept(idx, which, state): install a fresh connection (allocated in the
   // *calling* thread's arena, handler from the shared table) into the shared
@@ -723,12 +581,7 @@ std::unique_ptr<Module> BuildChurnServer(int scale) {
   Value* i_slot = b.Alloca(t.I64(), "i");
 
   LoopBlocks reg = BeginLoop(b, main, i_slot, b.I64(0), b.I64(n_handlers), "reg");
-  Value* which = b.Binary(ir::BinOp::kAnd, reg.index, b.I64(3));
-  Value* h01 = b.Select(b.ICmpEq(which, b.I64(0)), b.FuncAddr(hfns[0]),
-                        b.FuncAddr(hfns[1]));
-  Value* h23 = b.Select(b.ICmpEq(which, b.I64(2)), b.FuncAddr(hfns[2]),
-                        b.FuncAddr(hfns[3]));
-  Value* h = b.Select(b.ICmpSLt(which, b.I64(2)), h01, h23);
+  Value* h = SelectOfFour(b, reg.index, hfns);
   b.Store(h, b.IndexAddr(b.GlobalAddr(handlers), reg.index));
   EndLoop(b, reg);
 

@@ -27,22 +27,12 @@ std::unique_ptr<Module> BuildStaticPage(int scale) {
   IRBuilder b(m.get());
   GlobalVariable* checksum = MakeChecksumGlobal(*m);
 
-  const uint64_t page_size = 2048;
-  GlobalVariable* page =
-      m->CreateGlobal("page", t.ArrayOf(t.CharTy(), page_size), /*is_const=*/true);
-  {
-    std::vector<uint8_t> content(page_size);
-    for (uint64_t i = 0; i < page_size - 1; ++i) {
-      content[i] = static_cast<uint8_t>('a' + (i * 17) % 25);
-    }
-    content[page_size - 1] = 0;
-    page->set_initializer(std::move(content));
-  }
+  GlobalVariable* page = MakeStaticPage(*m);
 
   Function* main = m->CreateFunction("main", t.FunctionTy(t.I64(), {}));
   b.SetInsertPoint(main->CreateBlock("entry"));
   Value* r_slot = b.Alloca(t.I64(), "req");
-  Value* resp = b.Malloc(b.I64(page_size + 128), t.PointerTo(t.CharTy()), "resp");
+  Value* resp = b.Malloc(b.I64(kStaticPageBytes + 128), t.PointerTo(t.CharTy()), "resp");
 
   LoopBlocks reqs = BeginLoop(b, main, r_slot, b.I64(0), b.I64(400 * scale), "req");
   Value* page0 = b.IndexAddr(b.GlobalAddr(page), b.I64(0));
@@ -73,23 +63,8 @@ std::unique_ptr<Module> BuildWsgiPage(int scale) {
   const uint64_t n_routes = 8;
   GlobalVariable* routes = m->CreateGlobal("routes", t.ArrayOf(route, n_routes));
 
-  std::vector<Function*> handlers;
-  for (int k = 0; k < 4; ++k) {
-    Function* h = m->CreateFunction("handler_" + std::to_string(k), handler_ty);
-    b.SetInsertPoint(h->CreateBlock("entry"));
-    Value* buf = h->arg(0);
-    Value* req = h->arg(1);
-    Value* i_slot = b.Alloca(t.I64(), "i");
-    LoopBlocks body = BeginLoop(b, h, i_slot, b.I64(0), b.I64(64), "fmt");
-    Value* c = b.Binary(ir::BinOp::kAnd,
-                        b.Add(b.Mul(body.index, b.I64(k + 3)), req), b.I64(63));
-    b.Store(b.Cast(ir::CastKind::kTrunc, b.Add(c, b.I64('0')), t.CharTy()),
-            b.IndexAddr(buf, body.index));
-    EndLoop(b, body);
-    b.Store(b.Char(0), b.IndexAddr(buf, b.I64(64)));
-    b.Ret(b.LibCall(ir::LibFunc::kStrlen, {buf}));
-    handlers.push_back(h);
-  }
+  const std::vector<Function*> handlers =
+      EmitFormatHandlers(*m, b, handler_ty, "handler_", 64, 1, 3);
 
   Function* main = m->CreateFunction("main", t.FunctionTy(t.I64(), {}));
   b.SetInsertPoint(main->CreateBlock("entry"));
@@ -100,12 +75,7 @@ std::unique_ptr<Module> BuildWsgiPage(int scale) {
   // Register routes.
   LoopBlocks reg = BeginLoop(b, main, i_slot, b.I64(0), b.I64(n_routes), "reg");
   Value* entry = b.IndexAddr(b.GlobalAddr(routes), reg.index);
-  Value* which = b.Binary(ir::BinOp::kAnd, reg.index, b.I64(3));
-  Value* h01 = b.Select(b.ICmpEq(which, b.I64(0)), b.FuncAddr(handlers[0]),
-                        b.FuncAddr(handlers[1]));
-  Value* h23 = b.Select(b.ICmpEq(which, b.I64(2)), b.FuncAddr(handlers[2]),
-                        b.FuncAddr(handlers[3]));
-  Value* h = b.Select(b.ICmpSLt(which, b.I64(2)), h01, h23);
+  Value* h = SelectOfFour(b, reg.index, handlers);
   b.Store(h, b.FieldAddr(entry, "handler"));
   EndLoop(b, reg);
 
@@ -132,76 +102,10 @@ std::unique_ptr<Module> BuildDynamicPage(int scale) {
   IRBuilder b(m.get());
   GlobalVariable* checksum = MakeChecksumGlobal(*m);
 
-  // Boxed value: { tag, payload: void* } — the payload is a universal
-  // pointer, so every access is CPI-instrumented.
-  StructType* box = t.GetOrCreateStruct("pyobj");
-  box->SetBody({{"tag", t.I64(), 0}, {"payload", t.VoidPtrTy(), 0}});
-
-  const ir::FunctionType* op_ty = t.FunctionTy(t.VoidTy(), {t.I64()});
-  GlobalVariable* optable = m->CreateGlobal("optable", t.ArrayOf(t.PointerTo(op_ty), 16));
+  // Boxed values with universal void* payloads: every access is
+  // CPI-instrumented.
   const uint64_t n_slots = 32;
-  GlobalVariable* locals = m->CreateGlobal("locals", t.ArrayOf(t.PointerTo(box), n_slots));
-
-  // box_new(tag, v): heap-allocate a box whose payload points at a heap i64.
-  Function* box_new =
-      m->CreateFunction("box_new", t.FunctionTy(t.PointerTo(box), {t.I64(), t.I64()}));
-  {
-    b.SetInsertPoint(box_new->CreateBlock("entry"));
-    Value* obj = b.Malloc(b.I64(box->SizeInBytes()), t.PointerTo(box));
-    Value* cell = b.Malloc(b.I64(8), t.PointerTo(t.I64()));
-    b.Store(box_new->arg(1), cell);
-    b.Store(box_new->arg(0), b.FieldAddr(obj, "tag"));
-    b.Store(b.Bitcast(cell, t.VoidPtrTy()), b.FieldAddr(obj, "payload"));
-    b.Ret(obj);
-  }
-
-  // box_val(slot): unbox locals[slot] -> i64.
-  Function* box_val = m->CreateFunction("box_val", t.FunctionTy(t.I64(), {t.I64()}));
-  {
-    b.SetInsertPoint(box_val->CreateBlock("entry"));
-    Value* obj = b.Load(b.IndexAddr(b.GlobalAddr(locals), box_val->arg(0)));
-    Value* payload = b.Load(b.FieldAddr(obj, "payload"));
-    Value* cell = b.Bitcast(payload, t.PointerTo(t.I64()));
-    b.Ret(b.Load(cell));
-  }
-
-  // Opcode handlers over the locals table. Like CPython's eval loop, every
-  // opcode is dominated by box traffic: loads/stores of object pointers
-  // (sensitive: the box holds a void*) and of the void* payloads themselves
-  // (universal) — with only occasional allocation.
-  std::vector<Function*> ops;
-  for (int k = 0; k < 4; ++k) {
-    Function* op = m->CreateFunction("pyop_" + std::to_string(k), op_ty);
-    b.SetInsertPoint(op->CreateBlock("entry"));
-    Value* pc = op->arg(0);
-    Value* s0 = b.Binary(ir::BinOp::kAnd, pc, b.I64(n_slots - 1));
-    Value* s1 = b.Binary(ir::BinOp::kAnd, b.Add(pc, b.I64(1)), b.I64(n_slots - 1));
-    Value* a = b.Call(box_val, {s0});
-    Value* c = b.Call(box_val, {s1});
-    Value* r;
-    switch (k) {
-      case 0: r = b.Add(a, c); break;
-      case 1: r = b.Mul(a, b.I64(3)); break;
-      case 2: r = b.Xor(a, c); break;
-      default: r = b.Sub(c, a); break;
-    }
-    // In-place rebind: dst->tag = k; *(i64*)dst->payload = r — unboxing and
-    // reboxing through the universal payload pointer.
-    Value* slot0 = b.IndexAddr(b.GlobalAddr(locals), s0);
-    Value* slot1 = b.IndexAddr(b.GlobalAddr(locals), s1);
-    Value* dst = b.Load(slot0);
-    b.Store(b.I64(k), b.FieldAddr(dst, "tag"));
-    Value* payload = b.Load(b.FieldAddr(dst, "payload"));
-    b.Store(r, b.Bitcast(payload, t.PointerTo(t.I64())));
-    b.Store(payload, b.FieldAddr(dst, "payload"));  // refresh (INCREF-style)
-    // Rotate the two locals (object-pointer shuffling, as bytecode stack
-    // slots do).
-    Value* other = b.Load(slot1);
-    b.Store(other, slot0);
-    b.Store(dst, slot1);
-    b.Ret();
-    ops.push_back(op);
-  }
+  const BoxRuntime rt = EmitBoxRuntime(*m, b, n_slots, /*slice=*/0);
 
   Function* main = m->CreateFunction("main", t.FunctionTy(t.I64(), {}));
   b.SetInsertPoint(main->CreateBlock("entry"));
@@ -211,24 +115,19 @@ std::unique_ptr<Module> BuildDynamicPage(int scale) {
 
   // Initialise locals and the opcode table.
   LoopBlocks init = BeginLoop(b, main, i_slot, b.I64(0), b.I64(n_slots), "init");
-  Value* boxed = b.Call(box_new, {b.I64(0), b.Mul(init.index, b.I64(7))});
-  b.Store(boxed, b.IndexAddr(b.GlobalAddr(locals), init.index));
+  Value* boxed = b.Call(rt.box_new, {b.I64(0), b.Mul(init.index, b.I64(7))});
+  b.Store(boxed, b.IndexAddr(b.GlobalAddr(rt.locals), init.index));
   EndLoop(b, init);
-  LoopBlocks opinit = BeginLoop(b, main, i_slot, b.I64(0), b.I64(4), "opinit");
-  for (int k = 0; k < 4; ++k) {
-    Value* idx = b.Add(b.Mul(opinit.index, b.I64(4)), b.I64(k));
-    b.Store(b.FuncAddr(ops[k]), b.IndexAddr(b.GlobalAddr(optable), idx));
-  }
-  EndLoop(b, opinit);
+  EmitOpTableInit(b, main, i_slot, rt);
 
   // Request loop: each request runs a short template program.
   LoopBlocks reqs = BeginLoop(b, main, r_slot, b.I64(0), b.I64(120 * scale), "req");
   LoopBlocks prog = BeginLoop(b, main, pc_slot, b.I64(0), b.I64(24), "op");
   Value* op_idx = b.Binary(ir::BinOp::kAnd, b.Mul(prog.index, b.I64(5)), b.I64(15));
-  Value* op_fn = b.Load(b.IndexAddr(b.GlobalAddr(optable), op_idx));
+  Value* op_fn = b.Load(b.IndexAddr(b.GlobalAddr(rt.optable), op_idx));
   b.IndirectCall(op_fn, {b.Add(prog.index, reqs.index)});
   EndLoop(b, prog);
-  AccumulateChecksum(b, checksum, b.Call(box_val, {b.I64(0)}));
+  AccumulateChecksum(b, checksum, b.Call(rt.box_val, {b.I64(0)}));
   EndLoop(b, reqs);
 
   EmitChecksumAndRet(b, checksum);

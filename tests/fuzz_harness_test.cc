@@ -89,6 +89,28 @@ TEST(FuzzDifferentialTest, CleanOnSampledSeeds) {
   }
 }
 
+// RunCase runs one declared row list per scheme: per registry scheme the
+// oracle, four counter-identity cells, three behaviour cells and three
+// reference/fused pairs (14 cells), plus eight fault cells with the fault
+// campaign on; CPI adds its debug and temporal pairs. A lost or duplicated
+// row changes the count of a passing, never fuel-capped case.
+TEST(FuzzDifferentialTest, RunsTheDeclaredMatrix) {
+  ASSERT_EQ(core::SchemeRegistry::All().size(), 11u);
+  fuzz::DiffOptions no_faults;
+  no_faults.fault_campaign = false;
+  for (uint64_t seed : {7ULL, 8ULL}) {
+    const fuzz::Plan plan = fuzz::MakePlan(seed, FullOptions());
+    const fuzz::CaseResult with_faults = fuzz::RunCase(plan);
+    const fuzz::CaseResult without = fuzz::RunCase(plan, no_faults);
+    for (const fuzz::CaseResult* r : {&with_faults, &without}) {
+      ASSERT_EQ(r->status, fuzz::CaseStatus::kPass) << "seed " << seed << ": " << r->detail;
+      ASSERT_EQ(r->fuel_skips, 0) << "seed " << seed;
+    }
+    EXPECT_EQ(with_faults.cells_run, 11 * 22 + 4) << "seed " << seed;
+    EXPECT_EQ(without.cells_run, 11 * 14 + 4) << "seed " << seed;
+  }
+}
+
 // RunCase runs most cells of a compile key on one shared module, so running
 // a module must leave it as it was: every runtime setting RunCase varies,
 // run in turn on one module, gives the run a fresh compile gives.
