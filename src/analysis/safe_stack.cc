@@ -23,7 +23,9 @@ class EscapeWalker {
     for (const auto& bb : function.blocks()) {
       for (Instruction* inst : bb->instructions()) {
         for (Value* op : inst->operands()) {
-          users_[op].push_back(inst);
+          if (IsAllocaDerivable(op)) {
+            users_[op].push_back(inst);
+          }
         }
       }
     }
@@ -85,6 +87,17 @@ class EscapeWalker {
     return true;
   }
 
+  // The only values DerivedUsesAreSafe looks up: an alloca and the
+  // field/index steps that may derive an address from one.
+  static bool IsAllocaDerivable(const Value* v) {
+    if (v->value_kind() != ir::ValueKind::kInstruction) {
+      return false;
+    }
+    const Opcode op = static_cast<const Instruction*>(v)->op();
+    return op == Opcode::kAlloca || op == Opcode::kFieldAddr || op == Opcode::kIndexAddr;
+  }
+
+  // Users of each alloca-derivable operand, in block order.
   std::map<Value*, std::vector<Instruction*>> users_;
 };
 

@@ -1,6 +1,7 @@
 #include "src/ir/verifier.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -9,11 +10,99 @@
 namespace cpi::ir {
 namespace {
 
+// The values and blocks of one function, as a flat open-addressing set of
+// addresses with linear probing. Storage is sized once for the largest
+// function of a module; each function then uses only a power-of-two prefix
+// sized to its own key count, so clearing and filling it stay linear in the
+// function.
+class PointerSet {
+ public:
+  // Sizes the storage for functions of up to `max_keys` keys.
+  void Reserve(size_t max_keys) {
+    const size_t capacity = size_t{1} << BitsFor(max_keys);
+    if (slots_.size() < capacity) {
+      slots_.assign(capacity, nullptr);
+    }
+  }
+
+  // Empties the set and sets it up for at most `keys` inserts.
+  void Clear(size_t keys) {
+    const unsigned bits = BitsFor(keys);
+    const size_t capacity = size_t{1} << bits;
+    CPI_CHECK(capacity <= slots_.size());
+    std::fill(slots_.begin(), slots_.begin() + static_cast<ptrdiff_t>(capacity), nullptr);
+    mask_ = capacity - 1;
+    shift_ = 64 - bits;
+  }
+
+  void Insert(const void* p) {
+    for (size_t i = Slot(p);; i = (i + 1) & mask_) {
+      if (slots_[i] == nullptr) {
+        slots_[i] = p;
+        return;
+      }
+      if (slots_[i] == p) {
+        return;
+      }
+    }
+  }
+
+  // nullptr marks an empty slot, so it is never a member.
+  bool Contains(const void* p) const {
+    for (size_t i = Slot(p);; i = (i + 1) & mask_) {
+      if (slots_[i] == p) {
+        return p != nullptr;
+      }
+      if (slots_[i] == nullptr) {
+        return false;
+      }
+    }
+  }
+
+ private:
+  // log2 of the capacity for `keys` keys: at most half full, so every probe
+  // ends at an empty slot within a few steps.
+  static unsigned BitsFor(size_t keys) {
+    unsigned bits = 4;
+    while ((size_t{1} << bits) < 2 * keys) {
+      ++bits;
+    }
+    return bits;
+  }
+
+  // Fibonacci hashing: the multiply spreads the aligned low bits of an
+  // address into the high bits, which select the slot.
+  size_t Slot(const void* p) const {
+    const uint64_t key = reinterpret_cast<uintptr_t>(p);
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  std::vector<const void*> slots_;
+  size_t mask_ = 0;
+  unsigned shift_ = 64;
+};
+
+// Arguments, block-resident instructions and blocks of `f`: the keys the
+// verifier puts in its PointerSet for `f`.
+size_t OwnedCount(const Function& f) {
+  size_t n = f.args().size() + f.blocks().size();
+  for (const auto& bb : f.blocks()) {
+    n += bb->instructions().size();
+  }
+  return n;
+}
+
 class Verifier {
  public:
   explicit Verifier(const Module& module) : module_(module) {}
 
   std::vector<std::string> Run() {
+    size_t max_owned = 0;
+    for (const auto& f : module_.functions()) {
+      max_owned = std::max(max_owned, OwnedCount(*f));
+    }
+    owned_.Reserve(max_owned);
+
     bool has_main = false;
     for (const auto& f : module_.functions()) {
       if (f->name() == "main") {
@@ -50,20 +139,18 @@ class Verifier {
     }
 
     // Collect all values and blocks defined in this function so operand and
-    // successor ownership can be validated.
-    defined_.clear();
-    blocks_.clear();
+    // successor ownership can be validated. An instruction created but never
+    // placed in a block is not collected, so using it is an error too.
+    owned_.Clear(OwnedCount(f));
     for (const auto& arg : f.args()) {
-      defined_.push_back(arg.get());
+      owned_.Insert(arg.get());
     }
     for (const auto& bb : f.blocks()) {
-      blocks_.push_back(bb.get());
+      owned_.Insert(bb.get());
       for (const Instruction* inst : bb->instructions()) {
-        defined_.push_back(inst);
+        owned_.Insert(inst);
       }
     }
-    std::sort(defined_.begin(), defined_.end());
-    std::sort(blocks_.begin(), blocks_.end());
 
     for (const auto& bb : f.blocks()) {
       const Where where{f, *bb};
@@ -80,13 +167,13 @@ class Verifier {
           Error(where, "terminator in the middle of a block");
         }
         for (const Value* op : inst->operands()) {
-          if (!op->IsConstant() && !std::binary_search(defined_.begin(), defined_.end(), op)) {
+          if (!op->IsConstant() && !owned_.Contains(op)) {
             Error(where, std::string(OpcodeName(inst->op())) +
                              " uses a value from another function");
           }
         }
         for (size_t s = 0; s < inst->successor_count(); ++s) {
-          if (!std::binary_search(blocks_.begin(), blocks_.end(), inst->successor(s))) {
+          if (!owned_.Contains(inst->successor(s))) {
             Error(where, "branch to a block of another function");
           }
         }
@@ -163,6 +250,11 @@ class Verifier {
           } else if (inst.field_index() >=
                      static_cast<const StructType*>(pointee)->fields().size()) {
             Error(where, "fieldaddr index out of range");
+          } else if (!inst.type()->IsPointer() ||
+                     Pointee(&inst) != static_cast<const StructType*>(pointee)
+                                           ->fields()[inst.field_index()]
+                                           .type) {
+            Error(where, "fieldaddr result is not a pointer to the field type");
           }
         }
         break;
@@ -234,6 +326,8 @@ class Verifier {
           expect_int(0);
           if (inst.operand(1)->type() != inst.operand(2)->type()) {
             Error(where, "select arms have different types");
+          } else if (inst.type() != inst.operand(1)->type()) {
+            Error(where, "select result type does not match its arms");
           }
         }
         break;
@@ -242,6 +336,9 @@ class Verifier {
         if (callee == nullptr) {
           Error(where, "call without callee");
           break;
+        }
+        if (inst.type() != callee->type()->return_type()) {
+          Error(where, "call result type does not match callee return type");
         }
         const auto& params = callee->type()->params();
         if (inst.operands().size() != params.size()) {
@@ -297,8 +394,18 @@ class Verifier {
           break;
         }
         const auto* fn_type = static_cast<const FunctionType*>(Pointee(inst.operand(0)));
-        if (inst.operands().size() - 1 != fn_type->params().size()) {
+        if (inst.type() != fn_type->return_type()) {
+          Error(where, "indirect call result type does not match callee return type");
+        }
+        const auto& params = fn_type->params();
+        if (inst.operands().size() - 1 != params.size()) {
           Error(where, "indirect call argument count mismatch");
+          break;
+        }
+        for (size_t i = 0; i < params.size(); ++i) {
+          if (inst.operand(i + 1)->type() != params[i]) {
+            Error(where, "indirect call argument " + std::to_string(i) + " type mismatch");
+          }
         }
         break;
       }
@@ -443,10 +550,8 @@ class Verifier {
 
   const Module& module_;
   std::vector<std::string> errors_;
-  // The function being verified: its arguments and instructions, and its
-  // blocks, each sorted for std::binary_search. Reused across functions.
-  std::vector<const Value*> defined_;
-  std::vector<const BasicBlock*> blocks_;
+  // What the function being verified owns; sized once per module.
+  PointerSet owned_;
 };
 
 }  // namespace

@@ -226,6 +226,50 @@ INSTANTIATE_TEST_SUITE_P(
                         b.Load(b.FieldAddr(obj, "b"));
                         return obj;
                       },
+                      true},
+        SafeStackCase{"field_address_stored_to_memory_is_unsafe",
+                      [](Module& m, IRBuilder& b, ir::Function*) {
+                        auto& t = m.types();
+                        StructType* st = t.GetOrCreateStruct("pair");
+                        st->SetBody({{"a", t.I64(), 0}, {"b", t.I64(), 0}});
+                        auto* obj = b.Alloca(st);
+                        auto* holder = b.Alloca(t.PointerTo(t.I64()));
+                        b.Store(b.FieldAddr(obj, "b"), holder);
+                        return obj;
+                      },
+                      false},
+        SafeStackCase{"index_of_field_passed_to_libcall_is_unsafe",
+                      [](Module& m, IRBuilder& b, ir::Function*) {
+                        auto& t = m.types();
+                        StructType* st = t.GetOrCreateStruct("msg");
+                        st->SetBody({{"len", t.I64(), 0}, {"buf", t.ArrayOf(t.CharTy(), 16), 0}});
+                        auto* obj = b.Alloca(st);
+                        ir::Value* p = b.IndexAddr(b.FieldAddr(obj, "buf"), b.I64(0));
+                        b.LibCall(ir::LibFunc::kMemset, {p, b.I64(0), b.I64(16)});
+                        return obj;
+                      },
+                      false},
+        SafeStackCase{"derived_address_as_select_arm_is_unsafe",
+                      [](Module& m, IRBuilder& b, ir::Function*) {
+                        auto* a = b.Alloca(m.types().ArrayOf(m.types().I64(), 4));
+                        ir::Value* chosen =
+                            b.Select(b.Input(), b.IndexAddr(a, b.I64(1)), b.IndexAddr(a, b.I64(2)));
+                        b.Load(chosen);
+                        return a;
+                      },
+                      false},
+        SafeStackCase{"loaded_value_passed_to_call_and_output_is_safe",
+                      [](Module& m, IRBuilder& b, ir::Function*) {
+                        auto& t = m.types();
+                        ir::Function* sink =
+                            m.CreateFunction("sink", t.FunctionTy(t.I64(), {t.I64()}));
+                        auto* a = b.Alloca(t.I64());
+                        b.Store(b.Input(), a);
+                        ir::Value* v = b.Load(a);
+                        b.Call(sink, {v});
+                        b.Output(v);
+                        return a;
+                      },
                       true}),
     [](const ::testing::TestParamInfo<SafeStackCase>& info) { return info.param.name; });
 

@@ -366,6 +366,152 @@ TEST(VerifierTest, DetectsCallArgumentMismatch) {
   EXPECT_NE(errors[0].find("argument count"), std::string::npos);
 }
 
+TEST(VerifierTest, DetectsCallResultTypeMismatch) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* callee = m.CreateFunction("callee", types.FunctionTy(types.I64(), {types.I64()}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(callee->CreateBlock("entry"));
+  b.Ret(callee->arg(0));
+
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  Instruction* call = main->CreateInstruction(Opcode::kCall, types.I32());  // callee gives i64
+  call->set_callee(callee);
+  call->AddOperand(b.I64(1));
+  b.insert_block()->Append(call);
+  b.Ret(b.I64(0));
+  EXPECT_EQ(VerifyModule(m), (std::vector<std::string>{
+                                 "main/entry: call result type does not match callee return type",
+                             }));
+}
+
+TEST(VerifierTest, DetectsIndirectCallTypeMismatch) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* callee = m.CreateFunction("callee", types.FunctionTy(types.I64(), {types.I64()}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(callee->CreateBlock("entry"));
+  b.Ret(callee->arg(0));
+
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  Value* fnptr = b.FuncAddr(callee);
+  // Right result type, but a float where the pointee type takes an i64.
+  Instruction* bad_arg = main->CreateInstruction(Opcode::kIndirectCall, types.I64());
+  bad_arg->AddOperand(fnptr);
+  bad_arg->AddOperand(b.F64(1.0));
+  b.insert_block()->Append(bad_arg);
+  // Right argument, but a pointer result where the pointee type returns i64.
+  Instruction* bad_result =
+      main->CreateInstruction(Opcode::kIndirectCall, types.PointerTo(types.I64()));
+  bad_result->AddOperand(fnptr);
+  bad_result->AddOperand(b.I64(1));
+  b.insert_block()->Append(bad_result);
+  b.Ret(b.I64(0));
+  EXPECT_EQ(VerifyModule(m),
+            (std::vector<std::string>{
+                "main/entry: indirect call argument 0 type mismatch",
+                "main/entry: indirect call result type does not match callee return type",
+            }));
+}
+
+TEST(VerifierTest, DetectsSelectResultTypeMismatch) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  Instruction* select = main->CreateInstruction(Opcode::kSelect, types.I32());  // arms are i64
+  select->AddOperand(b.Input());
+  select->AddOperand(b.I64(1));
+  select->AddOperand(b.I64(2));
+  b.insert_block()->Append(select);
+  b.Ret(b.I64(0));
+  EXPECT_EQ(VerifyModule(m), (std::vector<std::string>{
+                                 "main/entry: select result type does not match its arms",
+                             }));
+}
+
+TEST(VerifierTest, DetectsFieldAddrResultTypeMismatch) {
+  Module m("bad");
+  auto& types = m.types();
+  StructType* pair = types.GetOrCreateStruct("pair");
+  pair->SetBody({{"a", types.I64(), 0}, {"b", types.I64(), 0}});
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  Value* obj = b.Alloca(pair);
+  // A pointer to the wrong type, then not a pointer at all.
+  for (const Type* result : {static_cast<const Type*>(types.PointerTo(types.I32())),
+                             static_cast<const Type*>(types.I64())}) {
+    Instruction* field = main->CreateInstruction(Opcode::kFieldAddr, result);
+    field->set_field_index(1);
+    field->AddOperand(obj);
+    b.insert_block()->Append(field);
+  }
+  b.Ret(b.I64(0));
+  EXPECT_EQ(VerifyModule(m), (std::vector<std::string>{
+                                 "main/entry: fieldaddr result is not a pointer to the field type",
+                                 "main/entry: fieldaddr result is not a pointer to the field type",
+                             }));
+}
+
+// The verifier's ownership contract: an operand must be resident in a block
+// of the using function. An instruction the function created but never
+// placed is not.
+TEST(VerifierTest, UnplacedInstructionIsNotOwned) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  Instruction* unplaced = main->CreateInstruction(Opcode::kInput, types.I64());
+  b.Output(unplaced);
+  b.Ret(b.I64(0));
+  EXPECT_EQ(VerifyModule(m), (std::vector<std::string>{
+                                 "main/entry: output uses a value from another function",
+                             }));
+}
+
+// Thousands of values and blocks in one function, then one foreign use at
+// its very end: the ownership set must hold them all and still miss the
+// foreign value.
+TEST(VerifierTest, LargeFunctionFindsOneForeignUseAtItsEnd) {
+  constexpr int kBlocks = 1000;
+  for (const bool foreign_use : {false, true}) {
+    Module m("large");
+    auto& types = m.types();
+    Function* helper = m.CreateFunction("helper", types.FunctionTy(types.I64(), {types.I64()}));
+    IRBuilder b(&m);
+    b.SetInsertPoint(helper->CreateBlock("entry"));
+    b.Ret(helper->arg(0));
+
+    Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+    b.SetInsertPoint(main->CreateBlock("entry"));
+    Value* acc = b.Input();
+    for (int i = 0; i < kBlocks; ++i) {
+      for (int j = 0; j < 4; ++j) {
+        acc = b.Add(acc, b.I64(static_cast<uint64_t>(i * 4 + j)));
+      }
+      BasicBlock* next = main->CreateBlock("b" + std::to_string(i));
+      b.Br(next);
+      b.SetInsertPoint(next);
+    }
+    if (foreign_use) {
+      acc = b.Add(acc, helper->arg(0));
+    }
+    b.Ret(acc);
+    ASSERT_GT(main->InstructionCount(), 5000u);
+
+    const std::vector<std::string> expected =
+        foreign_use ? std::vector<std::string>{"main/b" + std::to_string(kBlocks - 1) +
+                                               ": binop uses a value from another function"}
+                    : std::vector<std::string>{};
+    EXPECT_EQ(VerifyModule(m), expected) << "foreign_use=" << foreign_use;
+  }
+}
+
 TEST(PrinterTest, PrintsReadableFunction) {
   auto m = BuildAddModule();
   m->FindFunction("main")->RenumberValues();
