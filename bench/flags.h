@@ -6,9 +6,9 @@
 //   --json       machine-readable output
 //   --time       print harness wall-clock
 //   --scale N    workload size multiplier, N >= 1 (also accepts "small" == 1)
-//   --jobs N     measurement-cell parallelism; 0 or omitted = hardware
-//                concurrency, 1 = strictly serial (bit-identical tables
-//                either way — only wall-clock changes)
+//   --jobs N     measurement-cell parallelism, 0..kMaxJobs; 0 or omitted =
+//                hardware concurrency, 1 = strictly serial (bit-identical
+//                tables either way — only wall-clock changes)
 //   --opt N      0 or 1 (default 0). The standard tables always run at O0,
 //                every historical table's level; 1 adds the ablation_opt
 //                O0-vs-O1 table.
@@ -17,7 +17,7 @@
 //                bit-identical across tiers; only wall-clock changes.
 //
 // fuzz (see bench/fuzz.cc):
-//   --cases N (>= 1)  --seed S  --jobs N  --max-steps N  --inject N
+//   --cases N (>= 1)  --seed S  --jobs N (<= kMaxJobs)  --max-steps N  --inject N
 //   --corpus-dir DIR  --replay FILE  --no-hazards  --no-threads
 //   --no-self-test  --json
 //
@@ -83,19 +83,23 @@ inline uint64_t ParseCount(Args& args, uint64_t min, uint64_t max) {
 
 constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
 constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+// Upper bound of --jobs (both usage strings state it): each ParallelFor
+// starts up to jobs - 1 threads, so an unbounded value would ask for
+// billions of them before any work ran.
+constexpr uint64_t kMaxJobs = 256;
 
 struct Flags {
   bool json = false;
   bool timing = false;
   int scale = 1;
-  int jobs = 0;  // resolved to ThreadPool::DefaultJobs() by Parse
+  int jobs = 0;  // resolved to DefaultJobs() by Parse
   int opt = 0;   // core::Config::opt_level of the ablation_opt cells
   vm::EngineKind engine = vm::EngineKind::kFused;  // core::Config::engine
 };
 
 inline Flags Parse(int argc, char** argv) {
   Args args{argc, argv,
-            "[--json] [--time] [--scale N|small] [--jobs N] [--opt N] "
+            "[--json] [--time] [--scale N|small] [--jobs N (0..256)] [--opt N] "
             "[--engine fused|decoded|reference]"};
   Flags flags;
   while (args.Next()) {
@@ -109,7 +113,7 @@ inline Flags Parse(int argc, char** argv) {
     } else if (args.Is("--scale")) {
       flags.scale = static_cast<int>(ParseCount(args, 1, kMaxInt));
     } else if (args.Is("--jobs")) {
-      flags.jobs = static_cast<int>(ParseCount(args, 0, kMaxInt));
+      flags.jobs = static_cast<int>(ParseCount(args, 0, kMaxJobs));
     } else if (args.Is("--opt")) {
       flags.opt = static_cast<int>(ParseCount(args, 0, 1));
     } else if (args.Is("--engine")) {
@@ -128,7 +132,7 @@ inline Flags Parse(int argc, char** argv) {
     }
   }
   if (flags.jobs == 0) {
-    flags.jobs = ThreadPool::DefaultJobs();
+    flags.jobs = DefaultJobs();
   }
   return flags;
 }
@@ -149,7 +153,7 @@ struct FuzzFlags {
 
 inline FuzzFlags ParseFuzz(int argc, char** argv) {
   Args args{argc, argv,
-            "[--cases N] [--seed S] [--jobs N] [--max-steps N]\n"
+            "[--cases N] [--seed S] [--jobs N (0..256)] [--max-steps N]\n"
             "       [--corpus-dir DIR] [--replay FILE] [--inject N]\n"
             "       [--no-hazards] [--no-threads] [--no-self-test] [--json]"};
   FuzzFlags flags;
@@ -159,7 +163,7 @@ inline FuzzFlags ParseFuzz(int argc, char** argv) {
     } else if (args.Is("--seed")) {
       flags.seed = ParseCount(args, 0, kMaxU64);
     } else if (args.Is("--jobs")) {
-      flags.jobs = static_cast<int>(ParseCount(args, 0, kMaxInt));
+      flags.jobs = static_cast<int>(ParseCount(args, 0, kMaxJobs));
     } else if (args.Is("--max-steps")) {
       flags.max_steps = ParseCount(args, 0, kMaxU64);
     } else if (args.Is("--inject")) {

@@ -128,13 +128,10 @@ int Main(int argc, char** argv) {
   const size_t n = static_cast<size_t>(flags.cases);
   std::vector<fuzz::CaseResult> results(n);
   std::vector<fuzz::Plan> plans(n);
-  {
-    ThreadPool pool(flags.jobs);
-    pool.ParallelFor(n, [&](size_t i) {
-      plans[i] = fuzz::MakePlan(flags.seed + i, gopts);
-      results[i] = fuzz::RunCase(plans[i], dopts);
-    });
-  }
+  ParallelFor(flags.jobs, n, [&](size_t i) {
+    plans[i] = fuzz::MakePlan(flags.seed + i, gopts);
+    results[i] = fuzz::RunCase(plans[i], dopts);
+  });
 
   int divergences = 0;
   int host_errors = 0;

@@ -1184,7 +1184,7 @@ int main(int argc, char** argv) {
   if (flags.json) {
     std::printf("{\"bench\":\"suite\",\"scale\":%d,\"jobs\":%d,"
                 "\"hardware_concurrency\":%d,\"wall_ms\":%.1f,\"table_wall_ms\":{",
-                flags.scale, flags.jobs, cpi::ThreadPool::DefaultJobs(), wall_ms);
+                flags.scale, flags.jobs, cpi::DefaultJobs(), wall_ms);
     bool first = true;
     for (const auto& [name, ms] : table_wall_ms) {
       std::printf("%s\"%s\":%.1f", first ? "" : ",", name.c_str(), ms);

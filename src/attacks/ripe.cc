@@ -624,22 +624,24 @@ AttackResult RunAttack(const AttackSpec& spec, const core::Config& config) {
   return result;
 }
 
-std::vector<AttackResult> RunAttackMatrix(const core::Config& config, int jobs) {
-  const std::vector<AttackSpec> specs = GenerateAttackMatrix();
+namespace {
+
+// Runs every spec under `config`, one result slot per spec.
+std::vector<AttackResult> RunSpecs(const std::vector<AttackSpec>& specs,
+                                   const core::Config& config, int jobs) {
   std::vector<AttackResult> results(specs.size());
-  ThreadPool pool(jobs);
-  pool.ParallelFor(specs.size(),
-                   [&](size_t i) { results[i] = RunAttack(specs[i], config); });
+  ParallelFor(jobs, specs.size(), [&](size_t i) { results[i] = RunAttack(specs[i], config); });
   return results;
 }
 
+}  // namespace
+
+std::vector<AttackResult> RunAttackMatrix(const core::Config& config, int jobs) {
+  return RunSpecs(GenerateAttackMatrix(), config, jobs);
+}
+
 std::vector<AttackResult> RunCrossThreadMatrix(const core::Config& config, int jobs) {
-  const std::vector<AttackSpec> specs = GenerateCrossThreadMatrix();
-  std::vector<AttackResult> results(specs.size());
-  ThreadPool pool(jobs);
-  pool.ParallelFor(specs.size(),
-                   [&](size_t i) { results[i] = RunAttack(specs[i], config); });
-  return results;
+  return RunSpecs(GenerateCrossThreadMatrix(), config, jobs);
 }
 
 }  // namespace cpi::attacks

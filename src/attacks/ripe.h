@@ -109,8 +109,9 @@ std::unique_ptr<ir::Module> BuildAttackProgram(const AttackSpec& spec);
 AttackResult RunAttack(const AttackSpec& spec, const core::Config& config);
 
 // Runs the whole matrix; returns one result per attack, in matrix order.
-// Attacks are independent programs, so `jobs` > 1 runs them across a thread
-// pool; results are identical at any jobs value.
+// Attacks are independent programs, so `jobs` > 1 runs them on that many
+// executors (cpi::ParallelFor, src/support/pool.h); results are identical at
+// any jobs value.
 std::vector<AttackResult> RunAttackMatrix(const core::Config& config, int jobs = 1);
 
 // Same, over the cross-thread rows.

@@ -1,207 +1,55 @@
 #include "src/support/pool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
+
 namespace cpi {
 
-namespace {
-
-// Which pool the current thread works for (nullptr off-pool) and its worker
-// index — lets Submit route to the local deque and PopTask pop LIFO.
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local int tls_worker = -1;
-
-}  // namespace
-
-int ThreadPool::DefaultJobs() {
+int DefaultJobs() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-ThreadPool::ThreadPool(int jobs) {
-  jobs_ = jobs <= 0 ? DefaultJobs() : jobs;
-  const int worker_count = jobs_ - 1;
-  workers_.reserve(worker_count);
-  for (int i = 0; i < worker_count; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(worker_count);
-  for (int i = 0; i < worker_count; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    stop_ = true;
-  }
-  wake_.notify_all();
-  for (std::thread& t : threads_) {
-    t.join();
-  }
-}
-
-void ThreadPool::Submit(std::function<void()> fn) {
-  if (tls_pool == this && tls_worker >= 0) {
-    Worker& w = *workers_[tls_worker];
-    std::lock_guard<std::mutex> lock(w.mutex);
-    w.deque.push_back(std::move(fn));
-  } else {
-    std::lock_guard<std::mutex> lock(injector_mutex_);
-    injector_.push_back(std::move(fn));
-  }
-  // Empty critical section: orders the push before the notify so a worker
-  // that evaluated its wait predicate cannot miss this wakeup.
-  { std::lock_guard<std::mutex> lock(wake_mutex_); }
-  wake_.notify_one();
-}
-
-bool ThreadPool::PopTask(std::function<void()>& out) {
-  const int self = tls_pool == this ? tls_worker : -1;
-  if (self >= 0) {
-    Worker& w = *workers_[self];
-    std::lock_guard<std::mutex> lock(w.mutex);
-    if (!w.deque.empty()) {
-      out = std::move(w.deque.back());
-      w.deque.pop_back();
-      return true;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(injector_mutex_);
-    if (!injector_.empty()) {
-      out = std::move(injector_.front());
-      injector_.pop_front();
-      return true;
-    }
-  }
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    if (static_cast<int>(i) == self) {
-      continue;
-    }
-    Worker& w = *workers_[i];
-    std::lock_guard<std::mutex> lock(w.mutex);
-    if (!w.deque.empty()) {
-      out = std::move(w.deque.front());
-      w.deque.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::HasPending() {
-  {
-    std::lock_guard<std::mutex> lock(injector_mutex_);
-    if (!injector_.empty()) {
-      return true;
-    }
-  }
-  for (const auto& w : workers_) {
-    std::lock_guard<std::mutex> lock(w->mutex);
-    if (!w->deque.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ThreadPool::RunOneTask() {
-  std::function<void()> task;
-  if (!PopTask(task)) {
-    return false;
-  }
-  task();
-  return true;
-}
-
-void ThreadPool::WorkerLoop(int index) {
-  tls_pool = this;
-  tls_worker = index;
-  for (;;) {
-    std::function<void()> task;
-    if (PopTask(task)) {
-      task();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    wake_.wait(lock, [this] { return stop_ || HasPending(); });
-    if (stop_) {
-      return;
-    }
-  }
-}
-
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
-  if (n == 0) {
-    return;
-  }
-  if (workers_.empty() || n == 1) {
-    // Same exception contract as the parallel path: every index runs, and
-    // the lowest-index exception (the first one, running in order) is
-    // rethrown at the end.
-    std::exception_ptr error;
-    for (size_t i = 0; i < n; ++i) {
+void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& body) {
+  const size_t executors = std::min(static_cast<size_t>(jobs <= 0 ? DefaultJobs() : jobs), n);
+  std::atomic<size_t> next{0};
+  std::mutex error_mutex;
+  size_t error_index = n;
+  std::exception_ptr error;
+  // Claims indices until none remain; a lone executor claims them in order.
+  auto drain = [&] {
+    for (size_t i = next++; i < n; i = next++) {
       try {
         body(i);
       } catch (...) {
-        if (error == nullptr) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (i < error_index) {
+          error_index = i;
           error = std::current_exception();
         }
       }
     }
-    if (error != nullptr) {
-      std::rethrow_exception(error);
-    }
-    return;
-  }
-
-  struct State {
-    const std::function<void(size_t)>* body = nullptr;
-    size_t n = 0;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    std::mutex error_mutex;
-    size_t error_index = 0;
-    std::exception_ptr error;
-  };
-  auto state = std::make_shared<State>();
-  state->body = &body;
-  state->n = n;
-
-  // Drains indices until none remain. `body` outlives every dereference:
-  // the caller below does not return before done == n, and a drainer that
-  // starts later only observes next >= n and exits without touching it.
-  auto drain = [state] {
-    for (;;) {
-      const size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= state->n) {
-        return;
-      }
-      try {
-        (*state->body)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(state->error_mutex);
-        if (state->error == nullptr || i < state->error_index) {
-          state->error = std::current_exception();
-          state->error_index = i;
-        }
-      }
-      state->done.fetch_add(1, std::memory_order_release);
-    }
   };
 
-  const size_t helpers = std::min(workers_.size(), n - 1);
-  for (size_t i = 0; i < helpers; ++i) {
-    Submit(drain);
+  std::vector<std::thread> threads;
+  threads.reserve(executors);
+  for (size_t t = 1; t < executors; ++t) {
+    try {
+      threads.emplace_back(drain);
+    } catch (...) {
+      break;  // the executors already running drain every index
+    }
   }
   drain();
-  while (state->done.load(std::memory_order_acquire) < n) {
-    if (!RunOneTask()) {
-      std::this_thread::yield();
-    }
+  for (std::thread& t : threads) {
+    t.join();
   }
-  if (state->error != nullptr) {
-    std::rethrow_exception(state->error);
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
 }
 

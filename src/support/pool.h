@@ -1,114 +1,28 @@
-// A small work-stealing thread pool — the execution substrate of the
-// measurement harness (src/workloads/measure.h) and the unified bench suite.
-//
-// `jobs` counts executors, not helper threads: ThreadPool(jobs) spawns
-// jobs - 1 worker threads and the calling thread lends itself to
-// ParallelFor / Await, so jobs == 1 means strictly serial execution on the
-// calling thread with no worker threads at all — the property the
-// serial-vs-parallel differential tests in tests/measure_test.cc rely on.
-//
-// Every worker owns a deque: tasks submitted from that worker push to its
-// back and pop from its back (LIFO, cache-hot), idle workers steal from the
-// front of other workers' deques (FIFO, oldest first), and submissions from
-// non-pool threads go to a shared injector queue. Waiters never block the
-// pool: ParallelFor and Await execute pending tasks while they wait, so a
-// task may freely submit subtasks and wait for them (nested-submit safety —
-// a single-worker pool cannot deadlock on nested waits).
+// Host parallelism for the measurement harness (src/workloads/measure.h),
+// the RIPE matrices and the bench binaries: every caller runs one flat batch
+// of independent indices, so one call that starts, drains and joins its own
+// threads is all the machinery there is.
 #ifndef CPI_SRC_SUPPORT_POOL_H_
 #define CPI_SRC_SUPPORT_POOL_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace cpi {
 
-class ThreadPool {
- public:
-  // jobs <= 0 selects DefaultJobs() (hardware concurrency).
-  explicit ThreadPool(int jobs = 0);
-  // Joins the workers. Tasks that never started are dropped; the harness
-  // call sites (ParallelFor / Await) always drain their own work first.
-  ~ThreadPool();
+// std::thread::hardware_concurrency(), at least 1.
+int DefaultJobs();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // The executor count this pool was built with (workers + calling thread).
-  int jobs() const { return jobs_; }
-
-  // std::thread::hardware_concurrency(), at least 1.
-  static int DefaultJobs();
-
-  // Enqueues fn: onto the submitting worker's own deque when called from a
-  // pool thread, onto the shared injector queue otherwise.
-  void Submit(std::function<void()> fn);
-
-  // Submit returning a future for the task's result; exceptions thrown by
-  // fn surface from future.get() (use Await to wait without idling the
-  // pool).
-  template <typename F>
-  auto SubmitTask(F&& fn) -> std::future<decltype(fn())> {
-    using R = decltype(fn());
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    Submit([task] { (*task)(); });
-    return future;
-  }
-
-  // Runs body(i) for every i in [0, n), distributed over the executors. The
-  // calling thread participates, so the call completes even with zero
-  // workers and may be issued from inside a pool task. Every index runs
-  // exactly once; if bodies throw, the exception from the lowest-numbered
-  // index is rethrown after all indices finished (deterministic regardless
-  // of scheduling).
-  void ParallelFor(size_t n, const std::function<void(size_t)>& body);
-
-  // Blocks until `future` is ready, executing pending pool tasks while
-  // waiting — safe to call from inside a task.
-  template <typename T>
-  T Await(std::future<T> future) {
-    while (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-      if (!RunOneTask()) {
-        std::this_thread::yield();
-      }
-    }
-    return future.get();
-  }
-
-  // Executes one pending task if any queue holds one; false when the whole
-  // pool is idle. Exposed so blocked waiters keep the pool productive.
-  bool RunOneTask();
-
- private:
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> deque;
-  };
-
-  void WorkerLoop(int index);
-  // Pops in priority order: own deque back (when on a worker thread), the
-  // injector front, then steals the front of the other workers' deques.
-  bool PopTask(std::function<void()>& out);
-  bool HasPending();
-
-  int jobs_ = 1;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::mutex injector_mutex_;
-  std::deque<std::function<void()>> injector_;
-  std::mutex wake_mutex_;
-  std::condition_variable wake_;
-  bool stop_ = false;
-};
+// Runs body(i) for every i in [0, n) on min(jobs, n) executors: the calling
+// thread plus the threads this call starts and joins before returning.
+// `jobs` counts executors, not helper threads; jobs <= 0 selects
+// DefaultJobs(), and jobs == 1 runs every index in order on the calling
+// thread without starting one. Every index runs exactly once; if bodies
+// throw, the exception from the lowest-numbered index is rethrown after all
+// indices finished, whatever the scheduling. A body may itself call
+// ParallelFor: each call owns its threads, so nesting cannot deadlock. If a
+// thread fails to start, the executors already running cover every index.
+void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& body);
 
 }  // namespace cpi
 

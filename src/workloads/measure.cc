@@ -25,9 +25,7 @@ double Measurement::OverheadPct(const core::ProtectionScheme* scheme) const {
 std::vector<std::unique_ptr<ir::Module>> BuildWorkloads(
     const std::vector<Workload>& workloads, int scale, int jobs) {
   std::vector<std::unique_ptr<ir::Module>> built(workloads.size());
-  ThreadPool pool(jobs);
-  pool.ParallelFor(workloads.size(),
-                   [&](size_t i) { built[i] = workloads[i].build(scale); });
+  ParallelFor(jobs, workloads.size(), [&](size_t i) { built[i] = workloads[i].build(scale); });
   return built;
 }
 
@@ -101,8 +99,7 @@ std::vector<CellResult> CellMemo::Run(const std::vector<CellRequest>& cells) {
     built_[unbuilt[i].name] = std::move(modules[i]);
   }
   std::vector<CellResult> ran(batch.size());
-  ThreadPool pool(jobs_);
-  pool.ParallelFor(batch.size(), [&](size_t i) {
+  ParallelFor(jobs_, batch.size(), [&](size_t i) {
     const CellRequest& cell = *batch[i];
     ran[i] = RunCell(*built_.at(cell.workload->name), *cell.workload, cell.config);
   });

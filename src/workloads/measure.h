@@ -9,8 +9,9 @@
 // canonical Config), so a cell several tables request runs once and every
 // later request is a lookup. Cells are independent by construction
 // (ir::CloneModule gives every cell its own module and VM), so the memo runs
-// each batch of new cells across a work-stealing thread pool
-// (src/support/pool.h) and writes each result into its own slot. Results
+// each batch of new cells in one cpi::ParallelFor call (src/support/pool.h),
+// which starts and joins its own threads, and writes each result into its
+// own slot. Results
 // come back in request order, which makes every derived Measurement
 // bit-identical at any `jobs` value; tests/measure_test.cc checks that
 // serial and parallel memos agree.

@@ -281,21 +281,20 @@ TEST(DecodeSharingTest, SharedDecodeMatchesFreshDecodeInEverySetting) {
   EXPECT_GT(page_ooms, 0u);
 }
 
-// The same decodes shared by four pool workers running every setting at
+// The same decodes shared by four executors running every setting at
 // once: a decode is read-only, so concurrent runs stay bit-identical to
 // serial fresh ones.
 TEST(DecodeSharingTest, ConcurrentRunsOnOneDecode) {
   const Config base = SharingBase();
-  ThreadPool pool(4);
   for (const SharedProgram& p : SharingPrograms(base)) {
     const uint64_t span = core::Run(*p.module, base, p.input).counters.instructions;
     const std::vector<Setting> settings = RuntimeSettings(span);
     for (vm::EngineKind engine : {vm::EngineKind::kDecoded, vm::EngineKind::kFused}) {
       const vm::DecodedModule decoded(*p.module, vm::ComputeProgramLayout(*p.module),
                                       engine == vm::EngineKind::kFused);
-      // Each setting twice, so several workers run the same one together.
+      // Each setting twice, so several executors run the same one together.
       std::vector<RunResult> shared(2 * settings.size());
-      pool.ParallelFor(shared.size(), [&](size_t i) {
+      ParallelFor(4, shared.size(), [&](size_t i) {
         const Setting& s = settings[i % settings.size()];
         shared[i] = core::Run(decoded, ConfigFor(base, s, engine), p.input);
       });

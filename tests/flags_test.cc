@@ -61,13 +61,13 @@ TEST(BenchFlagsDeathTest, NonNumericOrOutOfRangeValuesExitNonZero) {
       {"--jobs", "x"},    {"--jobs", "-1"},    {"--jobs", "2x"},  {"--jobs", ""},
       {"--opt", "x"},     {"--opt", "2"},      {"--opt", "-1"},   {"--scale", "big"},
       {"--scale", "0"},   {"--scale", "4.5"},  {"--scale", "+1"},
-      {"--scale", "99999999999999999999"},
+      {"--scale", "99999999999999999999"}, {"--jobs", "100000"},
   };
   // bench/fuzz shares the rule, widened to 64 bits for --seed: `--cases x`
   // used to run one case and `--seed -5` to wrap through strtoull.
   const std::pair<const char*, const char*> kBadFuzz[] = {
       {"--cases", "x"}, {"--cases", "0"}, {"--seed", "-5"}, {"--jobs", "-1"},
-      {"--seed", "18446744073709551616"}, {"--max-steps", "1e6"},
+      {"--seed", "18446744073709551616"}, {"--max-steps", "1e6"}, {"--jobs", "100000"},
   };
   const auto expect_invalid = [](auto parse, const char* flag, const char* value) {
     char a0[] = "bench";

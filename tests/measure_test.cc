@@ -1,15 +1,18 @@
-// Tests for the parallel measurement harness: the work-stealing thread pool
+// Tests for the parallel measurement harness: cpi::ParallelFor
 // (src/support/pool.h) and the cell memo every measurement runs through
 // (src/workloads/measure.h).
 //
 // The load-bearing property is the serial-vs-parallel differential: every
 // Measurement field must be bit-identical between --jobs 1 (strictly
-// serial, no worker threads) and --jobs N. The suite relies on it —
+// serial, no thread started) and --jobs N. The suite relies on it —
 // parallelism may only change wall-clock, never a number.
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,7 +26,7 @@
 
 namespace {
 
-using cpi::ThreadPool;
+using cpi::ParallelFor;
 using cpi::core::Config;
 using cpi::core::Protection;
 using cpi::core::ProtectionScheme;
@@ -34,30 +37,45 @@ using cpi::workloads::Measurement;
 using cpi::workloads::Workload;
 
 // ---------------------------------------------------------------------------
-// Thread pool.
+// ParallelFor (the ThreadPoolTest names are what the TSan job filters on).
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(5000);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  struct Case {
+    int jobs;
+    size_t n;
+  };
+  for (const Case c : {Case{4, 5000}, Case{8, 3}}) {
+    std::vector<std::atomic<int>> hits(c.n);
+    std::mutex mutex;
+    std::set<std::thread::id> executors;
+    ParallelFor(c.jobs, hits.size(), [&](size_t i) {
+      hits[i].fetch_add(1);
+      std::lock_guard<std::mutex> lock(mutex);
+      executors.insert(std::this_thread::get_id());
+    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "jobs " << c.jobs << " index " << i;
+    }
+    // At most min(jobs, n) executors: no thread is started without an index.
+    EXPECT_LE(executors.size(), std::min(static_cast<size_t>(c.jobs), c.n)) << "jobs " << c.jobs;
   }
 }
 
 TEST(ThreadPoolTest, ResultsLandInTheirOwnSlots) {
-  ThreadPool pool(4);
   std::vector<uint64_t> out(10000, 0);
-  pool.ParallelFor(out.size(), [&](size_t i) { out[i] = i * i + 1; });
+  ParallelFor(4, out.size(), [&](size_t i) { out[i] = i * i + 1; });
   for (size_t i = 0; i < out.size(); ++i) {
     ASSERT_EQ(out[i], i * i + 1);
   }
 }
 
 TEST(ThreadPoolTest, SingleJobPoolRunsInlineInOrder) {
-  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<size_t> order;  // no synchronisation: jobs == 1 must be serial
-  pool.ParallelFor(100, [&](size_t i) { order.push_back(i); });
+  ParallelFor(1, 100, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << "index " << i;
+    order.push_back(i);
+  });
   ASSERT_EQ(order.size(), 100u);
   for (size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], i);
@@ -65,10 +83,9 @@ TEST(ThreadPoolTest, SingleJobPoolRunsInlineInOrder) {
 }
 
 TEST(ThreadPoolTest, ExceptionFromLowestIndexPropagates) {
-  ThreadPool pool(4);
   std::atomic<int> executed{0};
   try {
-    pool.ParallelFor(256, [&](size_t i) {
+    ParallelFor(4, 256, [&](size_t i) {
       executed.fetch_add(1);
       if (i == 11 || i == 37) {
         throw std::runtime_error("boom " + std::to_string(i));
@@ -86,10 +103,9 @@ TEST(ThreadPoolTest, ExceptionFromLowestIndexPropagates) {
 TEST(ThreadPoolTest, SerialPoolKeepsTheSameExceptionContract) {
   // jobs == 1 must behave like jobs == N: every index still runs, and the
   // lowest-index exception is rethrown at the end.
-  ThreadPool pool(1);
   int executed = 0;
   try {
-    pool.ParallelFor(64, [&](size_t i) {
+    ParallelFor(1, 64, [&](size_t i) {
       ++executed;
       if (i == 7 || i == 23) {
         throw std::runtime_error("boom " + std::to_string(i));
@@ -103,11 +119,10 @@ TEST(ThreadPoolTest, SerialPoolKeepsTheSameExceptionContract) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  ThreadPool pool(3);
   std::vector<uint64_t> sums(8, 0);
-  pool.ParallelFor(sums.size(), [&](size_t i) {
+  ParallelFor(3, sums.size(), [&](size_t i) {
     std::vector<uint64_t> inner(32, 0);
-    pool.ParallelFor(inner.size(), [&](size_t j) { inner[j] = 100 * i + j; });
+    ParallelFor(3, inner.size(), [&](size_t j) { inner[j] = 100 * i + j; });
     uint64_t sum = 0;
     for (uint64_t v : inner) {
       sum += v;
@@ -117,21 +132,6 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   for (size_t i = 0; i < sums.size(); ++i) {
     EXPECT_EQ(sums[i], 100 * i * 32 + 31 * 32 / 2);
   }
-}
-
-TEST(ThreadPoolTest, SubmitAndAwaitFromInsideTask) {
-  ThreadPool pool(2);
-  auto outer = pool.SubmitTask([&pool] {
-    auto inner = pool.SubmitTask([] { return 21; });
-    return pool.Await(std::move(inner)) * 2;
-  });
-  EXPECT_EQ(pool.Await(std::move(outer)), 42);
-}
-
-TEST(ThreadPoolTest, SubmitTaskPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.SubmitTask([]() -> int { throw std::logic_error("task failed"); });
-  EXPECT_THROW(pool.Await(std::move(future)), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ std::vector<Workload> Subset() {
 }
 
 // What CellMemo::Measure must produce, from direct RunCell calls on a fresh
-// build of the workload per cell: no memo, no shared build, no pool.
+// build of the workload per cell: no memo, no shared build, no threads.
 std::vector<Measurement> MeasureDirect(const std::vector<Workload>& workloads,
                                        const std::vector<const ProtectionScheme*>& schemes) {
   std::vector<Measurement> out;
