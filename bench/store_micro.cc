@@ -41,7 +41,7 @@ void RunStoreMix(benchmark::State& state, StoreKind kind) {
   }
   state.counters["region_touches_per_op"] =
       benchmark::Counter(static_cast<double>(touches) / 2,
-                         benchmark::Counter::kIsIterationInvariant);
+                         benchmark::Counter::kAvgIterations);
   state.counters["resident_bytes"] = static_cast<double>(store->MemoryBytes());
 }
 

@@ -1029,7 +1029,7 @@ Printers AblationChurn(Suite& s) {
             std::printf("\nShare of safe-store ops paying the shard-crossing premium:\n\n");
             PrintGrid(header, names, Interleave(st_cont, ep_cont));
             std::printf("\nEpoch publishes charged %llu shard-owner migrations in total\n"
-                        "(one OpCosts::sync each). The st columns reproduce the static\n"
+                        "(one sync premium each). The st columns reproduce the static\n"
                         "ablation_shards pricing; the ep columns re-derive owners at every\n"
                         "spawn/join so worker heirs stop paying for inherited connection\n"
                         "cells and frozen read-mostly shards stop paying altogether.\n\n",

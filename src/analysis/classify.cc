@@ -50,21 +50,6 @@ bool IsStringLibFunc(LibFunc f) {
   }
 }
 
-bool IsMemTransferLibFunc(LibFunc f) {
-  switch (f) {
-    case LibFunc::kMemcpy:
-    case LibFunc::kMemset:
-    case LibFunc::kMemmove:
-    case LibFunc::kStrcpy:
-    case LibFunc::kStrncpy:
-    case LibFunc::kStrcat:
-    case LibFunc::kInputBytes:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Looks through pointer bitcasts to recover the "real" type of a pointer
 // argument before it was cast to void*/char* for a libc call (§3.2.2: the
 // analysis inspects the real types of memset/memcpy arguments prior to the
@@ -290,7 +275,7 @@ void Classifier::ClassifyFunction(const Function& f) {
           break;
         }
         case Opcode::kLibCall: {
-          if (!IsMemTransferLibFunc(inst->lib_func())) {
+          if (!ir::IsMemTransfer(inst->lib_func())) {
             break;
           }
           // §3.2.2: memory-transfer calls whose arguments really point to
@@ -346,7 +331,7 @@ ModuleStats ComputeModuleStats(const ir::Module& module, const ClassifyOptions& 
       for (const Instruction* inst : bb->instructions()) {
         const bool is_mem_op =
             inst->op() == Opcode::kLoad || inst->op() == Opcode::kStore ||
-            (inst->op() == Opcode::kLibCall && IsMemTransferLibFunc(inst->lib_func()));
+            (inst->op() == Opcode::kLibCall && ir::IsMemTransfer(inst->lib_func()));
         if (!is_mem_op) {
           continue;
         }

@@ -112,26 +112,6 @@ bool CompositeScheme::UsesSafeStore() const {
   return false;
 }
 
-void CompositeScheme::ConfigureRun(vm::RunOptions& options) const {
-  options.use_safe_store = UsesSafeStore();
-  // Per-op costs add up as deltas against the default cost model: each
-  // component contributes what it charges beyond the baseline, so stacking
-  // schemes sums their premiums and a 1-element composite reproduces its
-  // base scheme's costs bit for bit.
-  const vm::OpCosts base;
-  vm::OpCosts sum = base;
-  for (const ProtectionScheme* p : parts_) {
-    vm::RunOptions part;
-    p->ConfigureRun(part);
-    sum.check += part.costs.check - base.check;
-    sum.cfi_check += part.costs.cfi_check - base.cfi_check;
-    sum.seal += part.costs.seal - base.seal;
-    sum.auth += part.costs.auth - base.auth;
-    sum.sync += part.costs.sync - base.sync;
-  }
-  options.costs = sum;
-}
-
 void CompositeScheme::ConfigureClassification(
     analysis::ClassifyOptions& options) const {
   for (const ProtectionScheme* p : parts_) {
@@ -161,7 +141,6 @@ class BuiltinScheme final : public ProtectionScheme {
     bool uses_safe_store = false;
     // Sensitivity criterion, when the scheme runs the classifier.
     std::optional<analysis::Protection> classification;
-    vm::OpCosts costs;
     SchemeReporting reporting;
     // Scheme-specific optimizer cleanup (may be null).
     void (*contribute_opt)(opt::PassManager&) = nullptr;
@@ -176,11 +155,6 @@ class BuiltinScheme final : public ProtectionScheme {
   std::vector<PipelineStage> Stages() const override { return spec_.stages; }
 
   bool UsesSafeStore() const override { return spec_.uses_safe_store; }
-
-  void ConfigureRun(vm::RunOptions& options) const override {
-    options.use_safe_store = spec_.uses_safe_store;
-    options.costs = spec_.costs;
-  }
 
   void ConfigureClassification(analysis::ClassifyOptions& options) const override {
     if (spec_.classification.has_value()) {
@@ -213,12 +187,8 @@ constexpr int kOrderSafeStack = 30;
 constexpr int kOrderCookies = 32;
 constexpr int kOrderRetChain = 40;
 
-PipelineStage SafeStackStage() {
-  return {"safestack-layout", kOrderSafeStack, kTagStackLayout,
-          [](ir::Module& m, const instrument::PassOptions&) {
-            instrument::ApplySafeStack(m);
-          }};
-}
+constexpr PipelineStage kSafeStackStage = {"safestack-layout", kOrderSafeStack,
+                                           kTagStackLayout, instrument::ApplySafeStack};
 
 struct Registry {
   std::vector<std::unique_ptr<ProtectionScheme>> owned;
@@ -259,78 +229,58 @@ struct Registry {
   }
 
   Registry() {
-    using instrument::PassOptions;
     // Weakest to strongest, matching the §5.1 matrix ordering; the paper's
     // evaluation columns (SafeStack/CPS/CPI + PtrEnc) opt into
     // overhead_column.
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kNone, "vanilla", "No protection",
         {},
-        /*uses_safe_store=*/false, std::nullopt, vm::OpCosts{},
+        /*uses_safe_store=*/false, std::nullopt,
         SchemeReporting{false, true, false}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kStackCookies, "cookies", "Stack cookies",
         {{"cookie-prologues", kOrderCookies, kTagStackLayout,
-          [](ir::Module& m, const PassOptions&) {
-            instrument::ApplyStackCookiesRewrites(m);
-          }}},
-        /*uses_safe_store=*/false, std::nullopt, vm::OpCosts{},
+          instrument::ApplyStackCookiesRewrites}},
+        /*uses_safe_store=*/false, std::nullopt,
         SchemeReporting{false, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kCfi, "cfi", "Control-Flow Integrity",
-        {{"cfi-icall-checks", kOrderCfi, kTagICalls,
-          [](ir::Module& m, const PassOptions&) {
-            instrument::ApplyCfiRewrites(m);
-          }}},
+        {{"cfi-icall-checks", kOrderCfi, kTagICalls, instrument::ApplyCfiRewrites}},
         /*uses_safe_store=*/false, std::nullopt,
-        vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{false, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kSafeStack, "safestack", "Safe Stack",
-        {SafeStackStage()},
-        /*uses_safe_store=*/false, std::nullopt, vm::OpCosts{},
+        {kSafeStackStage},
+        /*uses_safe_store=*/false, std::nullopt,
         SchemeReporting{true, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kCps, "cps", "Code-Pointer Separation",
         {{"cps-rewrites", kOrderCpsRewrites,
           kTagPtrLoads | kTagPtrStores | kTagICalls,
-          [](ir::Module& m, const PassOptions& o) {
-            instrument::ApplyCpsRewrites(m, o);
-          }},
-         SafeStackStage()},
+          instrument::ApplyCpsRewrites},
+         kSafeStackStage},
         /*uses_safe_store=*/true, analysis::Protection::kCps,
-        vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{true, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kCpi, "cpi", "Code-Pointer Integrity",
         {{"cpi-rewrites", kOrderCpiRewrites,
           kTagPtrLoads | kTagPtrStores | kTagICalls,
-          [](ir::Module& m, const PassOptions& o) {
-            instrument::ApplyCpiRewrites(m, o);
-          }},
-         SafeStackStage()},
+          instrument::ApplyCpiRewrites},
+         kSafeStackStage},
         /*uses_safe_store=*/true, analysis::Protection::kCpi,
-        vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{true, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kSoftBound, "softbound", "Memory Safety",
         {{"softbound-checks", kOrderSoftBound, kTagPtrLoads | kTagPtrStores,
-          [](ir::Module& m, const PassOptions&) {
-            instrument::ApplySoftBoundRewrites(m);
-          }}},
+          instrument::ApplySoftBoundRewrites}},
         /*uses_safe_store=*/false, std::nullopt,
-        vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{false, true, true}}));
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kPtrEnc, "ptrenc", "In-Place Pointer Encryption",
         {{"ptrenc-rewrites", kOrderPtrEncRewrites,
           kTagPtrLoads | kTagPtrStores | kTagICalls | kTagRetMac,
-          [](ir::Module& m, const PassOptions& o) {
-            instrument::ApplyPtrEncRewrites(m, o);
-          }}},
+          instrument::ApplyPtrEncRewrites}},
         /*uses_safe_store=*/false, analysis::Protection::kCps,
-        // PAC-style sign/authenticate latency dominates; no separate checks.
-        vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{true, true, true},
         // Seal→auth pair elision folds the pattern only this scheme emits.
         +[](opt::PassManager& pm) { pm.Add(opt::CreateSealElisionPass()); }}));
@@ -340,12 +290,8 @@ struct Registry {
     Add(std::make_unique<BuiltinScheme>(BuiltinScheme::Spec{
         Protection::kPtrEncRetChain, "ptrenc-ret-chain",
         "Chained Return Authentication",
-        {{"ret-chain", kOrderRetChain, kTagRetMac,
-          [](ir::Module& m, const PassOptions&) {
-            instrument::ApplyRetChain(m);
-          }}},
+        {{"ret-chain", kOrderRetChain, kTagRetMac, instrument::ApplyRetChain}},
         /*uses_safe_store=*/false, std::nullopt,
-        vm::OpCosts{/*check=*/1, /*cfi_check=*/3, /*seal=*/4, /*auth=*/4},
         SchemeReporting{false, false, false, /*composite_table=*/true}}));
     // The blessed composites of the evaluation: pointer sealing over an
     // isolated return stack, and full CPI with chain-authenticated returns.

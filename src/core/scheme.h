@@ -16,8 +16,9 @@
 // deterministic scheduler, which is what makes schemes stackable: a
 // CompositeScheme merges the stage lists of N component schemes, rejects
 // combinations whose write tags overlap, and merges the runtime facets
-// (safe-store use OR'd, per-op costs summed, classification and optimizer
-// contributions applied in pipeline order).
+// (safe-store use OR'd, classification and optimizer contributions applied
+// in pipeline order). Every scheme runs under the VM's one fixed op-cost
+// table (vm/machine.cc), so a scheme supplies no costs.
 //
 // The seven protections of the paper's evaluation (vanilla, SafeStack, CPS,
 // CPI, SoftBound, coarse CFI, stack cookies) are registered built-ins, as is
@@ -31,7 +32,6 @@
 #define CPI_SRC_CORE_SCHEME_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -69,7 +69,7 @@ struct PipelineStage {
   const char* name;
   int order = 0;
   uint32_t writes = 0;  // StageTag bitmask
-  std::function<void(ir::Module&, const instrument::PassOptions&)> run;
+  void (*run)(ir::Module&, const instrument::PassOptions&) = nullptr;
 };
 
 // Sorts `stages` by (order, declaration index), runs them, and re-numbers
@@ -118,12 +118,11 @@ class ProtectionScheme {
     RunStagePipeline(Stages(), module, options);
   }
 
-  // (b) Runtime requirements: whether a safe pointer store backs the run
-  // (mirrored into vm::RunOptions::use_safe_store — a scheme without it
-  // never allocates one) and the scheme's per-op cycle costs for the VM's
-  // cost model.
+  // (b) Runtime requirements: whether a safe pointer store backs the run.
+  // ConfigureRun mirrors it into vm::RunOptions::use_safe_store; a scheme
+  // without it never allocates one.
   virtual bool UsesSafeStore() const { return false; }
-  virtual void ConfigureRun(vm::RunOptions& options) const {
+  void ConfigureRun(vm::RunOptions& options) const {
     options.use_safe_store = UsesSafeStore();
   }
 
@@ -144,10 +143,9 @@ class ProtectionScheme {
 };
 
 // A stack of component schemes behaving as one scheme: stages merged by the
-// deterministic scheduler, safe-store use OR'd, per-op costs summed (as
-// deltas against the default vm::OpCosts, so a 1-element composite is
-// byte-identical to its base scheme), classification options and optimizer
-// contributions applied in component order. Reports only into the composite
+// deterministic scheduler, safe-store use OR'd, classification options and
+// optimizer contributions applied in component order, so a 1-element
+// composite is byte-identical to its base scheme. Reports only into the composite
 // table, keeping every frozen single-scheme table byte-identical.
 class CompositeScheme final : public ProtectionScheme {
  public:
@@ -165,7 +163,6 @@ class CompositeScheme final : public ProtectionScheme {
 
   std::vector<PipelineStage> Stages() const override;
   bool UsesSafeStore() const override;
-  void ConfigureRun(vm::RunOptions& options) const override;
   void ConfigureClassification(analysis::ClassifyOptions& options) const override;
   void ContributeOptPasses(opt::PassManager& pm) const override;
   SchemeReporting reporting() const override {

@@ -98,6 +98,19 @@ class Parser {
   }
 
   // --- types ---------------------------------------------------------------
+  static bool IsScalar(const Type* type) {
+    return type->IsInt() || type->IsFloat() || type->IsPointer();
+  }
+  static bool IsArithmetic(const Type* type) { return type->IsInt() || type->IsFloat(); }
+
+  // Fails unless `type` has a size (ir::IsSized): objects, fields and
+  // pointer arithmetic need one. A no-op once an error is recorded.
+  void RequireSized(const Type* type, const std::string& what) {
+    if (ok() && !ir::IsSized(type)) {
+      Fail(what + ": incomplete type " + type->ToString());
+    }
+  }
+
   bool StartsType() const {
     switch (Peek().kind) {
       case TokenKind::kInt:
@@ -148,6 +161,9 @@ class Parser {
     while (Match(TokenKind::kLBracket)) {
       Token n = Expect(TokenKind::kIntLiteral, "array size");
       Expect(TokenKind::kRBracket, "]");
+      if (ok() && n.int_value == 0) {
+        Fail("array size must be positive");
+      }
       if (!ok()) {
         return nullptr;
       }
@@ -241,6 +257,7 @@ class Parser {
         field_type = ParseArraySuffix(base);
       }
       Expect(TokenKind::kSemicolon, ";");
+      RequireSized(field_type, "field '" + field_name + "'");
       if (!ok()) {
         return;
       }
@@ -271,6 +288,10 @@ class Parser {
       const Type* fp_type = ParseFunctionPointerDeclarator(base, &name);
       Expect(TokenKind::kSemicolon, ";");
       if (ok() && !pass_two_) {
+        if (module_->FindGlobal(name) != nullptr) {
+          Fail("global '" + name + "' redefined");
+          return;
+        }
         module_->CreateGlobal(name, fp_type, is_const);
       }
       return;
@@ -286,11 +307,19 @@ class Parser {
       return;
     }
 
-    // Global variable.
+    // Global variable. Its type must be complete by the end of the file
+    // (C's tentative definition), so it is checked in pass two.
     const Type* var_type = ParseArraySuffix(base);
     Expect(TokenKind::kSemicolon, ";");
     if (ok() && !pass_two_) {
+      if (module_->FindGlobal(id.text) != nullptr) {
+        Fail("global '" + id.text + "' redefined");
+        return;
+      }
       module_->CreateGlobal(id.text, var_type, is_const);
+    }
+    if (ok() && pass_two_) {
+      RequireSized(var_type, "global '" + id.text + "'");
     }
   }
 
@@ -321,8 +350,22 @@ class Parser {
       return;
     }
 
+    for (size_t i = 0; i < param_types.size(); ++i) {
+      RequireSized(param_types[i], "parameter '" + param_names[i] + "'");
+    }
+    if (ok() && !ret->IsVoid() && !IsScalar(ret)) {
+      Fail("function '" + name + "' must return a scalar or void");
+    }
+    if (!ok()) {
+      return;
+    }
+
     Function* fn = nullptr;
     if (!pass_two_) {
+      if (module_->FindFunction(name) != nullptr) {
+        Fail("function '" + name + "' redefined");
+        return;
+      }
       fn = module_->CreateFunction(name, t.FunctionTy(ret, param_types));
     } else {
       fn = module_->FindFunction(name);
@@ -512,6 +555,7 @@ class Parser {
         name = id.text;
         var_type = ParseArraySuffix(base);
       }
+      RequireSized(var_type, "variable '" + name + "'");
       if (!ok()) {
         return;
       }
@@ -782,6 +826,10 @@ class Parser {
     const Type* rt = RvalueType(rhs);
     // Pointer arithmetic: p + i / p - i via element indexing.
     if (lt->IsPointer() && rt->IsInt() && (op == BinOp::kAdd || op == BinOp::kSub)) {
+      RequireSized(static_cast<const ir::PointerType*>(lt)->pointee(), "pointer arithmetic");
+      if (!ok()) {
+        return {};
+      }
       Value* index = Coerce(Rvalue(rhs), rhs.type, t.I64());
       if (op == BinOp::kSub) {
         index = builder_.Sub(builder_.I64(0), index);
@@ -797,6 +845,10 @@ class Parser {
       out.value = builder_.Binary(op, l, r);
       out.type = t.I64();
       return out;
+    }
+    if (!IsArithmetic(lt) || !IsArithmetic(rt)) {
+      Fail("invalid operand types for binary operator");
+      return {};
     }
     // Float arithmetic.
     if (lt->IsFloat() || rt->IsFloat()) {
@@ -820,10 +872,6 @@ class Parser {
                             : static_cast<const Type*>(t.FloatTy());
       return out;
     }
-    if (!lt->IsInt() || !rt->IsInt()) {
-      Fail("invalid operand types for binary operator");
-      return {};
-    }
     // Integers: usual promotion to int (i64).
     Value* l = Coerce(Rvalue(lhs), lhs.type, t.I64());
     Value* r = Coerce(Rvalue(rhs), rhs.type, t.I64());
@@ -845,6 +893,12 @@ class Parser {
       }
       const Type* pointee = static_cast<const ir::PointerType*>(operand.type)->pointee();
       ExprValue out;
+      if (pointee->IsFunction()) {
+        // *fn designates the function, which decays straight back to fn.
+        out.value = Rvalue(operand);
+        out.type = operand.type;
+        return out;
+      }
       out.value = Rvalue(operand);  // address
       out.type = pointee;
       out.is_lvalue = true;
@@ -867,6 +921,10 @@ class Parser {
     if (Match(TokenKind::kMinus)) {
       ExprValue operand = ParseUnary();
       if (!ok()) {
+        return {};
+      }
+      if (!operand.type->IsInt() && !operand.type->IsFloat()) {
+        Fail("invalid operand to unary '-'");
         return {};
       }
       ExprValue out;
@@ -961,6 +1019,13 @@ class Parser {
           elem = static_cast<const ir::PointerType*>(base.type)->pointee();
         } else {
           Fail("subscript of a non-array");
+          return {};
+        }
+        RequireSized(elem, "subscript");
+        if (ok() && !RvalueType(index)->IsInt()) {
+          Fail("array subscript is not an integer");
+        }
+        if (!ok()) {
           return {};
         }
         ExprValue out;
@@ -1121,6 +1186,9 @@ class Parser {
       Expect(TokenKind::kLParen, "(");
       ExprValue size = ParseExpression();
       Expect(TokenKind::kRParen, ")");
+      if (ok() && !RvalueType(size)->IsInt()) {
+        Fail("malloc size is not an integer");
+      }
       if (!ok()) {
         return {};
       }
@@ -1133,6 +1201,7 @@ class Parser {
       Expect(TokenKind::kLParen, "(");
       const Type* type = ParseType();
       Expect(TokenKind::kRParen, ")");
+      RequireSized(type, "sizeof");
       if (!ok()) {
         return {};
       }
@@ -1234,6 +1303,9 @@ class Parser {
   // Materialises an rvalue: loads lvalues, decays arrays to pointers.
   Value* Rvalue(const ExprValue& v) {
     if (!v.is_lvalue) {
+      if (ok() && v.type->IsVoid()) {
+        Fail("void value used as a value");
+      }
       return v.value;
     }
     if (v.type->IsArray()) {
@@ -1243,6 +1315,10 @@ class Parser {
     if (v.type->IsStruct()) {
       Fail("struct values are not supported; use pointers or memcpy");
       return v.value;  // address, keeps lowering alive until the error stops it
+    }
+    if (!IsScalar(v.type)) {
+      Fail("cannot use a value of type " + v.type->ToString());
+      return v.value;
     }
     return builder_.Load(v.value);
   }

@@ -14,10 +14,9 @@
 
 namespace cpi::instrument {
 
-void ApplyRetChain(ir::Module& module) {
+void ApplyRetChain(ir::Module& module, const PassOptions&) {
   CPI_CHECK(!module.protection().ptrenc && !module.protection().ret_chain);
   module.protection().ret_chain = true;
-  FinalizeModule(module);
 }
 
 }  // namespace cpi::instrument

@@ -4,7 +4,7 @@
 
 namespace cpi::instrument {
 
-void ApplySafeStack(ir::Module& module) {
+void ApplySafeStack(ir::Module& module, const PassOptions&) {
   for (const auto& f : module.functions()) {
     const analysis::SafeStackResult result = analysis::AnalyzeSafeStack(*f);
     for (const auto& bb : f->blocks()) {
@@ -19,7 +19,6 @@ void ApplySafeStack(ir::Module& module) {
     f->set_needs_unsafe_frame(result.NeedsUnsafeFrame());
   }
   module.protection().safe_stack = true;
-  FinalizeModule(module);
 }
 
 void FinalizeModule(ir::Module& module) {

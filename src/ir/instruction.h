@@ -86,6 +86,12 @@ enum class LibFunc {
   kInputBytes,  // (dst, max) -> i64 ; copies program input bytes, returns count
 };
 
+// Whether a libcall writes memory (all but strlen and strcmp). These are the
+// memory transfers whose checked variant moves protected pointers along with
+// the bytes; the classifier, SoftBound and the optimizer's clobber test all
+// ask this one function.
+inline bool IsMemTransfer(LibFunc f) { return f != LibFunc::kStrlen && f != LibFunc::kStrcmp; }
+
 // Which stack an alloca lives on after the SafeStack pass (§3.2.4).
 enum class StackKind {
   kDefault,  // single unprotected stack (no SafeStack pass run)

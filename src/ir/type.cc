@@ -128,6 +128,20 @@ const StructType* TypeContext::FindStruct(const std::string& name) const {
   return it == struct_types_.end() ? nullptr : it->second;
 }
 
+bool IsSized(const Type* type) {
+  switch (type->kind()) {
+    case TypeKind::kVoid:
+    case TypeKind::kFunction:
+      return false;
+    case TypeKind::kStruct:
+      return !static_cast<const StructType*>(type)->is_opaque();
+    case TypeKind::kArray:
+      return IsSized(static_cast<const ArrayType*>(type)->element());
+    default:
+      return true;
+  }
+}
+
 bool IsUniversalPointer(const Type* type) {
   if (!type->IsPointer()) {
     return false;

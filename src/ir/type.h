@@ -246,6 +246,11 @@ bool IsUniversalPointer(const Type* type);
 // True for pointers to function types (code pointers).
 bool IsCodePointer(const Type* type);
 
+// True for types an object can have: scalars, pointers, structs with a body
+// and arrays of those. Void, function and opaque struct types have no size,
+// so no alloca, global or pointer arithmetic may use them.
+bool IsSized(const Type* type);
+
 // Natural alignment used by struct layout: min(size, 8) for scalars,
 // element/field alignment for aggregates.
 uint64_t AlignmentOf(const Type* type);

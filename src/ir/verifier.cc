@@ -103,6 +103,11 @@ class Verifier {
     }
     owned_.Reserve(max_owned);
 
+    for (const auto& g : module_.globals()) {
+      if (!IsSized(g->type())) {
+        Error("global @" + g->name(), "unsized type " + g->type()->ToString());
+      }
+    }
     bool has_main = false;
     for (const auto& f : module_.functions()) {
       if (f->name() == "main") {
@@ -170,6 +175,8 @@ class Verifier {
           if (!op->IsConstant() && !owned_.Contains(op)) {
             Error(where, std::string(OpcodeName(inst->op())) +
                              " uses a value from another function");
+          } else if (op->type()->IsVoid()) {
+            Error(where, std::string(OpcodeName(inst->op())) + " uses a void value");
           }
         }
         for (size_t s = 0; s < inst->successor_count(); ++s) {
@@ -219,6 +226,8 @@ class Verifier {
         expect_operands(0);
         if (inst.extra_type() == nullptr) {
           Error(where, "alloca without allocated type");
+        } else if (!IsSized(inst.extra_type())) {
+          Error(where, "alloca of unsized type " + inst.extra_type()->ToString());
         }
         break;
       case Opcode::kLoad:
@@ -261,6 +270,12 @@ class Verifier {
       case Opcode::kIndexAddr:
         if (expect_operands(2) && expect_ptr(0)) {
           expect_int(1);
+          const Type* pointee = Pointee(inst.operand(0));
+          if (!IsSized(pointee->IsArray()
+                           ? static_cast<const ArrayType*>(pointee)->element()
+                           : pointee)) {
+            Error(where, "index into unsized type " + pointee->ToString());
+          }
         }
         break;
       case Opcode::kBinOp: {

@@ -125,8 +125,7 @@ bool WritesMemory(const ir::Instruction* inst) {
     case Opcode::kYield:
       return true;
     case Opcode::kLibCall:
-      return inst->lib_func() != ir::LibFunc::kStrlen &&
-             inst->lib_func() != ir::LibFunc::kStrcmp;
+      return ir::IsMemTransfer(inst->lib_func());
     case Opcode::kIntrinsic:
       switch (inst->intrinsic()) {
         case IntrinsicId::kCpiStore:

@@ -11,6 +11,7 @@
 #include "src/runtime/seal.h"
 #include "src/support/rng.h"
 #include "src/vm/bits.h"
+#include "src/vm/cache.h"
 #include "src/vm/decode.h"
 #include "src/vm/layout.h"
 
@@ -57,8 +58,18 @@ using runtime::TouchList;
 using runtime::Violation;
 
 // --- cost model ------------------------------------------------------------
+// One fixed table for every scheme; the protection ops' costs are charged
+// only by the intrinsics a scheme's instrumentation emits.
 constexpr uint64_t kBaseCycles = 1;
 constexpr uint64_t kCallCycles = 3;
+constexpr uint64_t kCheckCycles = 1;     // software bounds / code-pointer assert
+constexpr uint64_t kCfiCheckCycles = 3;  // coarse-CFI valid-set membership test
+constexpr uint64_t kSealCycles = 4;      // PAC-style sign (PtrEnc store / call setup)
+constexpr uint64_t kAuthCycles = 4;      // PAC-style authenticate (PtrEnc load / return)
+// Shard-crossing premium on a safe-pointer-store operation of a concurrent
+// run (see RunOptions::shards) and on each shard an epoch publish migrates
+// (RunOptions::migrate).
+constexpr uint64_t kSyncCycles = 2;
 constexpr uint64_t kAllocCycles = 24;
 constexpr uint64_t kFloatExtraCycles = 2;
 constexpr uint64_t kDivExtraCycles = 12;
@@ -165,8 +176,7 @@ class Machine {
   struct ThreadContext {
     enum class State { kRunnable, kJoining, kDone };
 
-    ThreadContext(uint64_t id, const CacheModel::Config& cache_config)
-        : tid(id), cache(cache_config) {}
+    explicit ThreadContext(uint64_t id) : tid(id) {}
 
     uint64_t tid = 0;
     State state = State::kRunnable;
@@ -531,7 +541,7 @@ class Machine {
     store_->Clear(addr, &t);
     ChargeStoreTouches(addr, t, /*is_read=*/false);
   }
-  // The shard-crossing rule (see OpCosts::sync): an access is contended
+  // The shard-crossing rule (see kSyncCycles): an access is contended
   // unless its key's shard is write-local to the executing thread. Reads pay
   // like writes — epoch validation against a shard another thread can write
   // is conservatively treated as a crossing (and at the default shard count
@@ -560,7 +570,7 @@ class Machine {
     if (concurrent_ && (migrate_ ? ShardContendedEpoch(addr, is_read)
                                  : ShardContended(addr))) {
       ++result_.counters.store_contended_ops;
-      Cycles(options_.costs.sync);
+      Cycles(kSyncCycles);
     }
     for (int i = 0; i < t.count; ++i) {
       ChargeAccess(t.addrs[i]);
@@ -579,7 +589,7 @@ class Machine {
     if (concurrent_ && (migrate_ ? ShardContendedEpoch(dst_addr, /*is_read=*/false)
                                  : ShardContended(dst_addr))) {
       result_.counters.store_contended_ops += ops;
-      Cycles(ops * options_.costs.sync);
+      Cycles(ops * kSyncCycles);
     }
   }
   // Re-derives shard ownership from the dynamic home→thread map and
@@ -589,7 +599,7 @@ class Machine {
   // single coordinator thread, so the publish sequence is ordered by
   // happens-before and charges stay engine/quantum-invariant. Each shard
   // whose owner changed is a *migration*: it costs the publisher one
-  // OpCosts::sync (the release-store installing the new owner) and is
+  // kSyncCycles (the release-store installing the new owner) and is
   // counted in Counters::shard_migrations. Shards the publisher owns come
   // out frozen — publish-then-spawn/join makes their current contents
   // visible to every thread adopting this epoch, so reads need no sync
@@ -635,7 +645,7 @@ class Machine {
     }
     if (migrated > 0) {
       result_.counters.shard_migrations += migrated;
-      Cycles(migrated * options_.costs.sync);
+      Cycles(migrated * kSyncCycles);
     }
     if (next.owner != prev.owner || next.frozen != prev.frozen) {
       epochs_.push_back(std::move(next));
@@ -645,17 +655,17 @@ class Machine {
   void ChargeCheck() {
     ++result_.counters.checks;
     if (!options_.mpx_assist) {
-      Cycles(options_.costs.check);
+      Cycles(kCheckCycles);
     }
   }
   // One PAC-style sign or authenticate operation (PtrEnc).
   void ChargeSeal() {
     ++result_.counters.seal_ops;
-    Cycles(options_.costs.seal);
+    Cycles(kSealCycles);
   }
   void ChargeAuth() {
     ++result_.counters.seal_ops;
-    Cycles(options_.costs.auth);
+    Cycles(kAuthCycles);
   }
 
   // Temporal liveness (only enforced when the module was instrumented with
@@ -749,7 +759,7 @@ void Machine::LoadProgram() {
   }
 
   // Main thread (tid 0) with the classic stack layout.
-  threads_.push_back(std::make_unique<ThreadContext>(0, options_.cache));
+  threads_.push_back(std::make_unique<ThreadContext>(0));
   cur_ = threads_[0].get();
   cur_index_ = 0;
   cur_->sp = kStackTop - 16;
@@ -1803,7 +1813,7 @@ void Machine::DoSpawn(Frame& f, const Function* callee, std::vector<uint64_t> ar
     PublishEpoch();
   }
 
-  threads_.push_back(std::make_unique<ThreadContext>(tid, options_.cache));
+  threads_.push_back(std::make_unique<ThreadContext>(tid));
   ThreadContext* t = threads_.back().get();
   t->sp = UnsafeStackTopFor(tid) - 16;
   t->safe_sp = SafeStackTopFor(tid) - 16;
@@ -2419,7 +2429,7 @@ void Machine::DoIntrinsic(Frame& f, IntrinsicId id, const Ops& ops) {
     case IntrinsicId::kCfiCheck: {
       const uint64_t value = ops.value(0);
       ++result_.counters.checks;
-      Cycles(options_.costs.cfi_check);
+      Cycles(kCfiCheckCycles);
       const Function* target = FunctionAtAddress(value);
       if (target == nullptr || !target->address_taken()) {
         Abort(Violation::kCfiBadTarget, "CFI: indirect call target not in the valid set");

@@ -26,7 +26,6 @@
 #include "src/runtime/safe_store.h"
 #include "src/runtime/temporal.h"
 #include "src/runtime/violation.h"
-#include "src/vm/cache.h"
 #include "src/vm/fault.h"
 #include "src/vm/memory.h"
 
@@ -56,27 +55,6 @@ enum class EngineKind : uint8_t {
 
 const char* EngineKindName(EngineKind e);
 
-// Per-operation cycle costs of the active protection scheme. Each
-// core::ProtectionScheme fills in the entries its instrumentation exercises
-// (via ConfigureRun), so the cost model is scheme-supplied data rather than
-// machine-internal constants.
-struct OpCosts {
-  uint64_t check = 1;      // software bounds / code-pointer assert
-  uint64_t cfi_check = 3;  // coarse-CFI valid-set membership test
-  uint64_t seal = 4;       // PAC-style sign (PtrEnc store / call setup)
-  uint64_t auth = 4;       // PAC-style authenticate (PtrEnc load / return)
-  // Shard-crossing premium on safe-pointer-store operations once the run
-  // has spawned a second thread (§3.2.3: the safe region is shared process
-  // state). The store is partitioned into RunOptions::shards per-thread
-  // write-local shards; an access pays this premium exactly when its key's
-  // shard is not owned by the accessing thread (epoch validation against a
-  // foreign-writable shard — conservatively charged on reads and writes
-  // alike). At the default shard count of 1 the single shard is shared by
-  // every thread, so every concurrent access pays — the historical flat
-  // model, byte for byte. Single-threaded runs never pay it.
-  uint64_t sync = 2;
-};
-
 struct RunOptions {
   uint64_t max_steps = 200'000'000;
   runtime::StoreKind store = runtime::StoreKind::kArray;
@@ -89,12 +67,16 @@ struct RunOptions {
   // cost no extra cycles (metadata traffic remains).
   bool mpx_assist = false;
   // Whether a safe pointer store backs the run (schemes that protect
-  // pointers in place — or not at all — set this false via ConfigureRun and
-  // no store is ever allocated).
+  // pointers in place — or not at all — set this false via
+  // core::ProtectionScheme::ConfigureRun and no store is ever allocated).
   bool use_safe_store = true;
   // Shard count of the safe pointer store (vm::ShardOfAddress routing).
-  // 1 — the default — is the legacy shared store with the flat concurrent
-  // sync premium; every recorded table is at 1. Behaviour (status, output,
+  // Once the run has spawned a second thread, a safe-store access pays the
+  // shard-crossing premium kSyncCycles (machine.cc; §3.2.3: the safe region
+  // is shared process state) exactly when its key's shard is not owned by
+  // the accessing thread. 1 — the default — is the legacy shared store, so
+  // every concurrent access pays (the flat model); every recorded table is
+  // at 1. Single-threaded runs never pay. Behaviour (status, output,
   // per-op entry state) is identical at any count; cycles/cache/memory
   // legitimately vary with it (the suite's ablation_shards table sweeps it).
   uint32_t shards = 1;
@@ -102,7 +84,7 @@ struct RunOptions {
   // owner table is the static one precomputed from the layout — the PR 8
   // model, byte for byte. When true (and shards > 1), the machine re-derives
   // shard ownership at every spawn/join boundary, publishes it as a new
-  // epoch (charging OpCosts::sync once per *migrated* shard to the
+  // epoch (charging kSyncCycles once per *migrated* shard to the
   // publishing thread, counted in Counters::shard_migrations), and gives
   // readers an RCU-style path: a thread consults the owner snapshot it
   // adopted at its own birth/spawn/join, pays nothing on shards it owns in
@@ -111,7 +93,6 @@ struct RunOptions {
   // sync). Single-threaded runs never publish, so they are byte-identical
   // to migrate=false at every shard count.
   bool migrate = false;
-  OpCosts costs;
   // Scheduling quantum of the deterministic round-robin thread scheduler:
   // how many instructions a runnable thread executes before the next one
   // runs. Purely a simulated-interleaving knob — context switches are free
@@ -121,7 +102,6 @@ struct RunOptions {
   uint64_t seed = 1;  // stack cookie value derivation
   std::vector<uint64_t> input_words;
   std::vector<uint8_t> input_bytes;
-  CacheModel::Config cache;
   // Optional adversarial fault plan (see src/vm/fault.h). Null — the normal
   // case — takes zero dispatch-loop cost; the historical tables depend on
   // that. The plan outlives the run; the machine does not copy it.
@@ -137,7 +117,7 @@ struct Counters {
   // single-threaded; == safe_store_ops-after-first-spawn at shard count 1).
   uint64_t store_contended_ops = 0;
   // Shards whose owner changed at an epoch publish (RunOptions::migrate;
-  // each one charged OpCosts::sync once to the publishing thread). Always 0
+  // each one charged kSyncCycles once to the publishing thread). Always 0
   // with migration off or single-threaded.
   uint64_t shard_migrations = 0;
   uint64_t seal_ops = 0;  // PtrEnc sign/authenticate operations

@@ -49,8 +49,8 @@ std::unique_ptr<CompositeScheme> MustMake(
 }
 
 // A 1-element composite must be byte-identical to its base scheme: the
-// pipeline scheduler, the delta-summed costs and the merged runtime facets
-// all reduce to the base scheme's own configuration. Swept across engines,
+// pipeline scheduler and the merged runtime facets all reduce to the base
+// scheme's own configuration. Swept across engines,
 // O0/O1 and scheduler quanta on a threaded workload so any divergence in any
 // tier's counter stream would surface.
 TEST(CompositeTest, OneElementCompositeIsByteIdenticalToItsBase) {

@@ -3,10 +3,13 @@
 // void*, strcpy overflows) that the instrumentation must handle.
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 #include "src/core/levee.h"
 #include "src/frontend/compile.h"
 #include "src/frontend/lexer.h"
 #include "src/ir/verifier.h"
+#include "src/support/rng.h"
 
 namespace cpi::frontend {
 namespace {
@@ -269,6 +272,177 @@ TEST(CompileTest, ErrorStructRedefinition) {
   CompileResult r = CompileC("struct s { int a; }; struct s { int b; }; int main() { return 0; }");
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error.find("redefined"), std::string::npos);
+}
+
+// Malformed programs are rejected with an error instead of aborting the
+// host: each of these once tripped a CPI_CHECK in the builder, the type
+// system or the VM.
+TEST(CompileTest, ErrorsInsteadOfAbortsOnMalformedPrograms) {
+  const struct {
+    const char* source;
+    const char* error;
+  } kCases[] = {
+      {"int d(int (*fn)(int)) { return (*fn); } int main() { return 0; }",
+       "return type mismatch"},
+      {"struct s { int v; struct t x; }; int main() { return 0; }",
+       "field 'x': incomplete type struct t"},
+      {"struct s { int v; struct s x; }; int main() { return 0; }",
+       "field 'x': incomplete type struct s"},
+      {"int main() { int x; x = -malloc(8); return 0; }", "invalid operand to unary '-'"},
+      {"int main() { struct t v; return 0; }", "variable 'v': incomplete type struct t"},
+      {"struct t g; int main() { return 0; }", "global 'g': incomplete type struct t"},
+      {"int main() { void* p; p = p + 1; return 0; }", "pointer arithmetic: incomplete type void"},
+      {"int main() { return sizeof(struct t); }", "sizeof: incomplete type struct t"},
+      {"int main() { int a[0]; return 0; }", "array size must be positive"},
+      {"int f() { return 1; } int f() { return 2; } int main() { return 0; }",
+       "function 'f' redefined"},
+      {"int main() { float f; int* p; f = f + p; return 0; }",
+       "invalid operand types for binary operator"},
+      {"void f() { } int main() { output(f()); return 0; }", "void value used as a value"},
+  };
+  for (const auto& c : kCases) {
+    CompileResult r = CompileC(c.source);
+    EXPECT_FALSE(r.ok()) << c.source;
+    EXPECT_NE(r.error.find(c.error), std::string::npos) << c.source << " -> " << r.error;
+  }
+}
+
+// As in C, *fn on a function pointer designates the function, which decays
+// straight back to the pointer: `g = *fn` and `(*fn)(x)` are plain uses of fn.
+TEST(CompileTest, DereferencedFunctionPointerDecaysToItself) {
+  auto out = RunSource(R"(
+    int twice(int x) { return x * 2; }
+    int f(int (*fn)(int)) { int (*g)(int); g = *fn; return (*g)(21); }
+    int main() { output(f(twice)); return 0; }
+  )");
+  EXPECT_EQ(out, (std::vector<uint64_t>{42}));
+}
+
+// Token-level mutants of two small programs (deleted, duplicated, swapped
+// and transplanted tokens, fixed seed): each must compile to a module that
+// verifies and runs, or fail with an error — never abort the host.
+std::vector<std::string> SplitTokens(const std::string& source) {
+  static const char* kTwoChar[] = {"->", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>"};
+  std::vector<std::string> out;
+  size_t i = 0;
+  while (i < source.size()) {
+    const unsigned char c = static_cast<unsigned char>(source[i]);
+    if (std::isspace(c)) {
+      ++i;
+      continue;
+    }
+    size_t end = i + 1;
+    if (std::isalnum(c) || c == '_') {
+      while (end < source.size() &&
+             (std::isalnum(static_cast<unsigned char>(source[end])) || source[end] == '_')) {
+        ++end;
+      }
+    } else if (c == '"') {
+      end = source.find('"', end) + 1;
+    } else {
+      for (const char* two : kTwoChar) {
+        if (source.compare(i, 2, two) == 0) {
+          end = i + 2;
+        }
+      }
+    }
+    out.push_back(source.substr(i, end - i));
+    i = end;
+  }
+  return out;
+}
+
+std::string MutateTokens(const std::vector<std::string>& tokens, Rng& rng) {
+  std::vector<std::string> t = tokens;
+  const uint64_t edits = 1 + rng.NextBelow(3);
+  for (uint64_t e = 0; e < edits && !t.empty(); ++e) {
+    const size_t at = rng.NextBelow(t.size());
+    const std::string& donor = tokens[rng.NextBelow(tokens.size())];
+    switch (rng.NextBelow(5)) {
+      case 0:
+        t.erase(t.begin() + static_cast<ptrdiff_t>(at));
+        break;
+      case 1:
+        t.insert(t.begin() + static_cast<ptrdiff_t>(at), t[at]);
+        break;
+      case 2:
+        if (at + 1 < t.size()) {
+          std::swap(t[at], t[at + 1]);
+        }
+        break;
+      case 3:
+        t[at] = donor;
+        break;
+      default:
+        t.insert(t.begin() + static_cast<ptrdiff_t>(at), donor);
+        break;
+    }
+  }
+  std::string out;
+  for (const std::string& token : t) {
+    out += token;
+    out += ' ';
+  }
+  return out;
+}
+
+TEST(CompileTest, TokenMutantsCompileCleanlyOrFailWithAnError) {
+  const char* kSources[] = {
+      R"(
+        struct op { char name[8]; int (*fn)(int, int); };
+        struct op table[4];
+        int add(int a, int b) { return a + b; }
+        int mul(int a, int b) { return a * b; }
+        int main() {
+          table[0].fn = add;
+          table[1].fn = mul;
+          int (*f)(int, int);
+          f = table[0].fn;
+          output(f(20, 22));
+          f = table[1].fn;
+          output(f(6, 7));
+          return 0;
+        }
+      )",
+      R"(
+        struct node;
+        struct node { int v; struct node* next; char tag[4]; };
+        int twice(int x) { return x * 2; }
+        int apply(int (*fn)(int), int x) { return fn(x); }
+        int main() {
+          struct node* n = (struct node*)malloc(sizeof(struct node));
+          n->v = -3;
+          n->next = n;
+          strcpy(n->tag, "ab");
+          int x = apply(twice, n->v) + strlen(n->tag);
+          if (x < 0 && n->next == n) { output(-x); }
+          free(n);
+          return 0;
+        }
+      )"};
+  int compiled = 0;
+  int rejected = 0;
+  for (const char* source : kSources) {
+    const std::vector<std::string> tokens = SplitTokens(source);
+    ASSERT_TRUE(CompileC(source).ok());
+    Rng rng(7);
+    for (int i = 0; i < 1000; ++i) {
+      const std::string mutant = MutateTokens(tokens, rng);
+      CompileResult r = CompileC(mutant);
+      if (!r.ok()) {
+        EXPECT_FALSE(r.error.empty()) << mutant;
+        ++rejected;
+        continue;
+      }
+      ++compiled;
+      EXPECT_EQ(ir::VerifyModule(*r.module), std::vector<std::string>{}) << mutant;
+      core::Config config;
+      config.max_steps = 100'000;
+      core::InstrumentAndRun(*r.module, config);
+    }
+  }
+  EXPECT_EQ(compiled + rejected, 2000);
+  EXPECT_GT(compiled, 0);
 }
 
 TEST(CompileTest, ForwardDeclaredStructPointersAreUniversal) {

@@ -457,6 +457,45 @@ TEST(VerifierTest, DetectsFieldAddrResultTypeMismatch) {
                              }));
 }
 
+// Objects and pointer arithmetic need a sized type: an alloca or global of an
+// opaque struct, or an index through void*, would abort the VM's layout and
+// decode, so the verifier rejects them.
+TEST(VerifierTest, DetectsUnsizedAllocaGlobalAndIndex) {
+  Module m("bad");
+  auto& types = m.types();
+  StructType* opaque = types.GetOrCreateStruct("t");
+  m.CreateGlobal("g", opaque, /*is_const=*/false);
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  b.Alloca(opaque, "v");
+  b.IndexAddr(b.Malloc(b.I64(8), types.VoidPtrTy()), b.I64(1));
+  b.Ret(b.I64(0));
+  EXPECT_EQ(VerifyModule(m), (std::vector<std::string>{
+                                 "global @g: unsized type struct t",
+                                 "main/entry: alloca of unsized type struct t",
+                                 "main/entry: index into unsized type void",
+                             }));
+}
+
+// A void call result is not a value: using it as an operand once reached
+// the VM as register -1.
+TEST(VerifierTest, DetectsVoidOperand) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* f = m.CreateFunction("f", types.FunctionTy(types.VoidTy(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(f->CreateBlock("entry"));
+  b.Ret();
+  Function* main = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  b.SetInsertPoint(main->CreateBlock("entry"));
+  b.Output(b.Call(f, {}));
+  b.Ret(b.I64(0));
+  EXPECT_EQ(VerifyModule(m), (std::vector<std::string>{
+                                 "main/entry: output uses a void value",
+                             }));
+}
+
 // The verifier's ownership contract: an operand must be resident in a block
 // of the using function. An instruction the function created but never
 // placed is not.

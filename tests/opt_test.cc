@@ -132,6 +132,30 @@ TEST(UseListTest, RecomputeUsesDropsOrphanedUsers) {
   EXPECT_EQ(slot->UseCount(), 1u);  // just the store
 }
 
+// One libcall-writes-memory decision (ir::IsMemTransfer) serves the
+// classifier, SoftBound's checked libcalls and the optimizer's clobber test.
+// Pins the set over every LibFunc and checks WritesMemory agrees with it.
+TEST(LibCallEffectTest, WritesMemoryAgreesWithIsMemTransfer) {
+  using ir::LibFunc;
+  const struct {
+    LibFunc f;
+    bool writes;
+  } kAll[] = {
+      {LibFunc::kStrcpy, true},  {LibFunc::kStrncpy, true}, {LibFunc::kStrcat, true},
+      {LibFunc::kStrlen, false}, {LibFunc::kStrcmp, false}, {LibFunc::kMemcpy, true},
+      {LibFunc::kMemset, true},  {LibFunc::kMemmove, true}, {LibFunc::kInputBytes, true},
+  };
+  ASSERT_EQ(std::size(kAll), static_cast<size_t>(LibFunc::kInputBytes) + 1);  // every LibFunc
+  Module m("libcalls");
+  Function* main = m.CreateFunction("main", m.types().FunctionTy(m.types().I64(), {}));
+  for (const auto& entry : kAll) {
+    EXPECT_EQ(ir::IsMemTransfer(entry.f), entry.writes) << ir::LibFuncName(entry.f);
+    Instruction* call = main->CreateInstruction(Opcode::kLibCall, m.types().I64());
+    call->set_lib_func(entry.f);
+    EXPECT_EQ(opt::WritesMemory(call), entry.writes) << ir::LibFuncName(entry.f);
+  }
+}
+
 TEST(DominatorTest, DiamondCfg) {
   Module m("diamond");
   auto& types = m.types();

@@ -4,6 +4,7 @@
 // attack-prevention behaviour, and its zero-safe-region memory shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -127,6 +128,66 @@ TEST(PtrEncTest, TransparentOnEverySpecWorkload) {
     ASSERT_EQ(r.status, vm::RunStatus::kOk) << w.name << ": " << r.message;
     EXPECT_EQ(r.output, base.output) << w.name;
   }
+}
+
+// PtrEnc is CPS's site selection with seal intrinsics: on every SPEC model
+// the two rewrite the same instruction positions, one intrinsic kind for
+// another, and neither emits CPI's bounds checks.
+std::vector<std::string> SiteShape(const workloads::Workload& w, Protection p) {
+  Config config;
+  config.protection = p;
+  auto module = w.build(1);
+  core::Compiler(config).Instrument(*module);
+  std::vector<std::string> shape;
+  for (const auto& f : module->functions()) {
+    for (const auto& bb : f->blocks()) {
+      for (const ir::Instruction* inst : bb->instructions()) {
+        if (inst->op() != ir::Opcode::kIntrinsic) {
+          shape.push_back(ir::OpcodeName(inst->op()));
+          continue;
+        }
+        switch (inst->intrinsic()) {
+          case ir::IntrinsicId::kCpsLoad:
+          case ir::IntrinsicId::kCpsLoadUni:
+          case ir::IntrinsicId::kSealLoad:
+            shape.push_back("protected-load");
+            break;
+          case ir::IntrinsicId::kCpsStore:
+          case ir::IntrinsicId::kCpsStoreUni:
+          case ir::IntrinsicId::kSealStore:
+            shape.push_back("protected-store");
+            break;
+          case ir::IntrinsicId::kCpsAssertCode:
+          case ir::IntrinsicId::kSealAssertCode:
+            shape.push_back("code-assert");
+            break;
+          default:
+            shape.push_back(ir::IntrinsicName(inst->intrinsic()));
+            break;
+        }
+      }
+    }
+  }
+  return shape;
+}
+
+TEST(PtrEncTest, RewritesExactlyCpsSitesWithSealIntrinsics) {
+  size_t sites = 0;
+  for (const auto& w : workloads::SpecCpu2006()) {
+    const std::vector<std::string> cps = SiteShape(w, Protection::kCps);
+    const std::vector<std::string> ptrenc = SiteShape(w, Protection::kPtrEnc);
+    EXPECT_EQ(cps, ptrenc) << w.name;
+    for (const char* kind : {"protected-load", "protected-store", "code-assert"}) {
+      sites += static_cast<size_t>(std::count(cps.begin(), cps.end(), kind));
+    }
+    for (const std::vector<std::string>* shape : {&cps, &ptrenc}) {
+      EXPECT_EQ(std::count(shape->begin(), shape->end(),
+                           ir::IntrinsicName(ir::IntrinsicId::kCpiBoundsCheck)),
+                0)
+          << w.name;
+    }
+  }
+  EXPECT_GT(sites, 0u);
 }
 
 TEST(PtrEncTest, UsesNoSafeRegionUnderAnyStoreKind) {
