@@ -7,7 +7,6 @@ namespace cpi::analysis {
 using ir::CastKind;
 using ir::Function;
 using ir::Instruction;
-using ir::LibFunc;
 using ir::Opcode;
 using ir::PointerType;
 using ir::Type;
@@ -35,19 +34,6 @@ namespace {
 
 const Type* Pointee(const Value* v) {
   return static_cast<const PointerType*>(v->type())->pointee();
-}
-
-bool IsStringLibFunc(LibFunc f) {
-  switch (f) {
-    case LibFunc::kStrcpy:
-    case LibFunc::kStrncpy:
-    case LibFunc::kStrcat:
-    case LibFunc::kStrlen:
-    case LibFunc::kStrcmp:
-      return true;
-    default:
-      return false;
-  }
 }
 
 // Looks through pointer bitcasts to recover the "real" type of a pointer
@@ -118,7 +104,7 @@ void Classifier::ClassifyFunction(const Function& f) {
   if (options_.char_star_heuristic) {
     for (const auto& bb : f.blocks()) {
       for (const Instruction* inst : bb->instructions()) {
-        if (inst->op() == Opcode::kLibCall && IsStringLibFunc(inst->lib_func())) {
+        if (inst->op() == Opcode::kLibCall && ir::Info(inst->lib_func()).string) {
           for (const Value* op : inst->operands()) {
             if (op->type()->IsPointer()) {
               string_values.insert(op);

@@ -10,6 +10,12 @@
 //
 // `input()` / `output(e)` map to the VM's observable I/O; `malloc`/`free`
 // are the heap interface of the formal model.
+//
+// The libc routines are typed by their rows in ir/intrinsics.h: a call with
+// the wrong argument count, or an integer where a pointer belongs (or the
+// reverse), is a compile error. The integer literal 0 is C's null pointer
+// constant and converts to any pointer type in assignments, comparisons,
+// returns and call arguments; any other integer needs a cast.
 #ifndef CPI_SRC_FRONTEND_COMPILE_H_
 #define CPI_SRC_FRONTEND_COMPILE_H_
 

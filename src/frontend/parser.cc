@@ -5,8 +5,9 @@
 // collected, then function bodies are lowered. Expressions are lowered with
 // an lvalue/rvalue discipline: an lvalue carries the *address* of the
 // object; loads materialise only when the value is needed.
+#include <cstdint>
 #include <map>
-#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/frontend/compile.h"
@@ -23,7 +24,6 @@ using ir::CastKind;
 using ir::Function;
 using ir::GlobalVariable;
 using ir::IRBuilder;
-using ir::LibFunc;
 using ir::Module;
 using ir::StructType;
 using ir::Type;
@@ -154,65 +154,53 @@ class Parser {
     return base;
   }
 
-  // Declarator suffixes after the name: arrays `[N]`. Returns adjusted type.
-  const Type* ParseArraySuffix(const Type* base) {
+  // The declarator after a base type, as struct fields, globals, parameters
+  // and locals spell it: `name` and, when `arrays` is set, `name[N]...`; or a
+  // function pointer `(*name)(params)`, or an array of them
+  // `(*name[N])(params)`. Every array size must be a positive integer
+  // literal. Fills `name` and returns the declared type (nullptr after an
+  // error). `what` names the plain identifier in errors.
+  const Type* ParseDeclarator(const Type* base, const char* what, bool arrays,
+                              std::string* name) {
     auto& t = module_->types();
+    const bool fn_ptr = Match(TokenKind::kLParen);
+    if (fn_ptr) {
+      Expect(TokenKind::kStar, "*");
+    }
+    *name = Expect(TokenKind::kIdentifier, fn_ptr ? "declarator name" : what).text;
+    const size_t max_dims = fn_ptr ? 1 : arrays ? SIZE_MAX : 0;
     std::vector<uint64_t> dims;
-    while (Match(TokenKind::kLBracket)) {
+    while (ok() && dims.size() < max_dims && Match(TokenKind::kLBracket)) {
       Token n = Expect(TokenKind::kIntLiteral, "array size");
       Expect(TokenKind::kRBracket, "]");
       if (ok() && n.int_value == 0) {
         Fail("array size must be positive");
       }
-      if (!ok()) {
-        return nullptr;
-      }
       dims.push_back(n.int_value);
+    }
+    if (fn_ptr) {
+      Expect(TokenKind::kRParen, ")");
+      Expect(TokenKind::kLParen, "(");
+      std::vector<const Type*> params;
+      if (ok() && !Check(TokenKind::kRParen)) {
+        do {
+          params.push_back(ParseType());
+          // Parameter names in prototypes are optional.
+          Match(TokenKind::kIdentifier);
+        } while (ok() && Match(TokenKind::kComma));
+      }
+      Expect(TokenKind::kRParen, ")");
+      if (ok()) {
+        base = t.PointerTo(t.FunctionTy(base, std::move(params)));
+      }
+    }
+    if (!ok()) {
+      return nullptr;
     }
     for (auto it = dims.rbegin(); it != dims.rend(); ++it) {
       base = t.ArrayOf(base, *it);
     }
     return base;
-  }
-
-  // Function-pointer declarator: `T (*name)(params)` — or an array of them,
-  // `T (*name[N])(params)` — after T was parsed. Returns the declared type
-  // and fills `name`.
-  const Type* ParseFunctionPointerDeclarator(const Type* ret, std::string* name) {
-    auto& t = module_->types();
-    Expect(TokenKind::kLParen, "(");
-    Expect(TokenKind::kStar, "*");
-    Token id = Expect(TokenKind::kIdentifier, "declarator name");
-    uint64_t array_count = 0;
-    if (Match(TokenKind::kLBracket)) {
-      Token n = Expect(TokenKind::kIntLiteral, "array size");
-      Expect(TokenKind::kRBracket, "]");
-      array_count = n.int_value;
-    }
-    Expect(TokenKind::kRParen, ")");
-    Expect(TokenKind::kLParen, "(");
-    std::vector<const Type*> params;
-    if (!Check(TokenKind::kRParen)) {
-      do {
-        const Type* p = ParseType();
-        if (!ok()) {
-          return nullptr;
-        }
-        // Parameter names in prototypes are optional.
-        Match(TokenKind::kIdentifier);
-        params.push_back(p);
-      } while (Match(TokenKind::kComma));
-    }
-    Expect(TokenKind::kRParen, ")");
-    if (!ok()) {
-      return nullptr;
-    }
-    *name = id.text;
-    const Type* fp = t.PointerTo(t.FunctionTy(ret, std::move(params)));
-    if (array_count > 0) {
-      return t.ArrayOf(fp, array_count);
-    }
-    return fp;
   }
 
   // --- top level -------------------------------------------------------------
@@ -248,14 +236,7 @@ class Parser {
         return;
       }
       std::string field_name;
-      const Type* field_type = nullptr;
-      if (Check(TokenKind::kLParen)) {
-        field_type = ParseFunctionPointerDeclarator(base, &field_name);
-      } else {
-        Token id = Expect(TokenKind::kIdentifier, "field name");
-        field_name = id.text;
-        field_type = ParseArraySuffix(base);
-      }
+      const Type* field_type = ParseDeclarator(base, "field name", true, &field_name);
       Expect(TokenKind::kSemicolon, ";");
       RequireSized(field_type, "field '" + field_name + "'");
       if (!ok()) {
@@ -282,44 +263,26 @@ class Parser {
       return;
     }
 
-    // Function-pointer global: `T (*name)(params);`
-    if (Check(TokenKind::kLParen)) {
-      std::string name;
-      const Type* fp_type = ParseFunctionPointerDeclarator(base, &name);
-      Expect(TokenKind::kSemicolon, ";");
-      if (ok() && !pass_two_) {
-        if (module_->FindGlobal(name) != nullptr) {
-          Fail("global '" + name + "' redefined");
-          return;
-        }
-        module_->CreateGlobal(name, fp_type, is_const);
-      }
-      return;
-    }
-
-    Token id = Expect(TokenKind::kIdentifier, "name");
-    if (!ok()) {
-      return;
-    }
-
-    if (Check(TokenKind::kLParen)) {
-      ParseFunction(base, id.text, bodies);
+    if (Check(TokenKind::kIdentifier) && Peek(1).kind == TokenKind::kLParen) {
+      const std::string name = tokens_[pos_++].text;
+      ParseFunction(base, name, bodies);
       return;
     }
 
     // Global variable. Its type must be complete by the end of the file
     // (C's tentative definition), so it is checked in pass two.
-    const Type* var_type = ParseArraySuffix(base);
+    std::string name;
+    const Type* var_type = ParseDeclarator(base, "name", true, &name);
     Expect(TokenKind::kSemicolon, ";");
     if (ok() && !pass_two_) {
-      if (module_->FindGlobal(id.text) != nullptr) {
-        Fail("global '" + id.text + "' redefined");
+      if (module_->FindGlobal(name) != nullptr) {
+        Fail("global '" + name + "' redefined");
         return;
       }
-      module_->CreateGlobal(id.text, var_type, is_const);
+      module_->CreateGlobal(name, var_type, is_const);
     }
     if (ok() && pass_two_) {
-      RequireSized(var_type, "global '" + id.text + "'");
+      RequireSized(var_type, "global '" + name + "'");
     }
   }
 
@@ -334,15 +297,9 @@ class Parser {
         if (!ok()) {
           return;
         }
-        if (Check(TokenKind::kLParen)) {  // function-pointer parameter
-          std::string pname;
-          p = ParseFunctionPointerDeclarator(p, &pname);
-          param_names.push_back(pname);
-        } else {
-          Token pid = Expect(TokenKind::kIdentifier, "parameter name");
-          param_names.push_back(pid.text);
-        }
-        param_types.push_back(p);
+        std::string pname;
+        param_types.push_back(ParseDeclarator(p, "parameter name", false, &pname));
+        param_names.push_back(pname);
       } while (Match(TokenKind::kComma));
     }
     Expect(TokenKind::kRParen, ")");
@@ -544,17 +501,7 @@ class Parser {
     }
     do {
       std::string name;
-      const Type* var_type = nullptr;
-      if (Check(TokenKind::kLParen)) {
-        var_type = ParseFunctionPointerDeclarator(base, &name);
-      } else {
-        Token id = Expect(TokenKind::kIdentifier, "variable name");
-        if (!ok()) {
-          return;
-        }
-        name = id.text;
-        var_type = ParseArraySuffix(base);
-      }
+      const Type* var_type = ParseDeclarator(base, "variable name", true, &name);
       RequireSized(var_type, "variable '" + name + "'");
       if (!ok()) {
         return;
@@ -838,10 +785,18 @@ class Parser {
       out.type = lt;
       return out;
     }
-    // Pointer comparisons.
-    if (lt->IsPointer() && rt->IsPointer() && (op == BinOp::kEq || op == BinOp::kNe)) {
-      Value* l = builder_.PtrToInt(Rvalue(lhs));
-      Value* r = builder_.PtrToInt(Rvalue(rhs));
+    // Pointer comparisons; one side may be the null pointer constant.
+    if ((lt->IsPointer() || rt->IsPointer()) && (op == BinOp::kEq || op == BinOp::kNe)) {
+      auto word = [&](const ExprValue& v, const Type* type, const Type* other) -> Value* {
+        Value* p = Coerce(Rvalue(v), type, type->IsPointer() ? type : other);
+        return p == nullptr ? nullptr : builder_.PtrToInt(p);
+      };
+      Value* l = word(lhs, lt, rt);
+      Value* r = word(rhs, rt, lt);
+      if (l == nullptr || r == nullptr) {
+        Fail("invalid operand types for binary operator");
+        return {};
+      }
       out.value = builder_.Binary(op, l, r);
       out.type = t.I64();
       return out;
@@ -1218,15 +1173,8 @@ class Parser {
     if (Check(TokenKind::kIdentifier)) {
       Token id = tokens_[pos_++];
       // libc routines.
-      static const std::map<std::string, LibFunc> kLibFuncs = {
-          {"strcpy", LibFunc::kStrcpy},   {"strncpy", LibFunc::kStrncpy},
-          {"strcat", LibFunc::kStrcat},   {"strlen", LibFunc::kStrlen},
-          {"strcmp", LibFunc::kStrcmp},   {"memcpy", LibFunc::kMemcpy},
-          {"memset", LibFunc::kMemset},   {"memmove", LibFunc::kMemmove},
-          {"input_bytes", LibFunc::kInputBytes}};
-      auto lib = kLibFuncs.find(id.text);
-      if (lib != kLibFuncs.end()) {
-        return EmitLibCall(lib->second);
+      if (const ir::LibFuncInfo* lib = ir::FindLibFunc(id.text)) {
+        return EmitLibCall(*lib);
       }
       // Local variable?
       const LocalVar* local = LookupLocal(id.text);
@@ -1268,8 +1216,12 @@ class Parser {
     return {};
   }
 
-  ExprValue EmitLibCall(LibFunc f) {
+  // A libc routine call, type-checked against the routine's row: a
+  // pointer where it takes one (arrays decay; 0 is the null pointer), an
+  // integer (widened to i64) where it takes one.
+  ExprValue EmitLibCall(const ir::LibFuncInfo& lib) {
     auto& t = module_->types();
+    const std::string_view kinds = lib.operands;
     Expect(TokenKind::kLParen, "(");
     std::vector<Value*> args;
     if (!Check(TokenKind::kRParen)) {
@@ -1278,24 +1230,33 @@ class Parser {
         if (!ok()) {
           return {};
         }
+        const size_t i = args.size();
+        const Type* type = RvalueType(a);
         Value* v = Rvalue(a);
-        // Array arguments decay to element pointers.
-        if (a.is_lvalue && a.type->IsArray()) {
-          v = builder_.IndexAddr(a.value, builder_.I64(0));
-        } else if (a.type->IsInt() && a.type != t.I64()) {
-          v = Coerce(v, a.type, t.I64());
+        if (i < kinds.size() && kinds[i] == 'p') {
+          v = type->IsPointer() ? v : Coerce(v, type, t.VoidPtrTy());
+        } else if (i < kinds.size()) {
+          v = type->IsInt() ? Coerce(v, type, t.I64()) : nullptr;
+        }
+        if (v == nullptr) {
+          Fail(std::string(lib.name) + " argument " + std::to_string(i + 1) + " must be " +
+               (kinds[i] == 'p' ? "a pointer" : "an integer"));
+          return {};
         }
         args.push_back(v);
       } while (Match(TokenKind::kComma));
     }
     Expect(TokenKind::kRParen, ")");
+    if (ok() && args.size() != kinds.size()) {
+      Fail(std::string(lib.name) + " takes " + std::to_string(kinds.size()) +
+           (kinds.size() == 1 ? " argument" : " arguments"));
+    }
     if (!ok()) {
       return {};
     }
     ExprValue out;
-    Value* r = builder_.LibCall(f, args);
-    out.value = r;
-    out.type = r->type();
+    out.value = builder_.LibCall(lib.id, args);
+    out.type = out.value->type();
     return out;
   }
 
@@ -1332,12 +1293,22 @@ class Parser {
     return v.type;
   }
 
+  // C's null pointer constant: the integer literal 0.
+  static bool IsNullPointerConstant(const Value* v) {
+    return v->value_kind() == ir::ValueKind::kConstInt &&
+           static_cast<const ir::ConstantInt*>(v)->value() == 0;
+  }
+
   // Implicit conversions: integer width changes, char<->int, void* to/from
-  // any pointer, array decay. Returns nullptr when incompatible.
+  // any pointer, array decay, and the null pointer constant to any pointer.
+  // Returns nullptr when incompatible.
   Value* Coerce(Value* v, const Type* from, const Type* to) {
     auto& t = module_->types();
     if (from == to) {
       return v;
+    }
+    if (from->IsInt() && to->IsPointer()) {
+      return IsNullPointerConstant(v) ? builder_.Null(to) : nullptr;
     }
     if (from->IsArray() && to->IsPointer()) {
       return v;  // already decayed by Rvalue

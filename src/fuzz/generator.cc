@@ -521,34 +521,6 @@ struct Builder {
 
 }  // namespace
 
-const char* OpKindName(OpKind k) {
-  switch (k) {
-    case kOpArith: return "arith";
-    case kOpDiv: return "div";
-    case kOpTableCall: return "table-call";
-    case kOpTableRotate: return "table-rotate";
-    case kOpBoxCall: return "box-call";
-    case kOpAnyRoundTrip: return "any-round-trip";
-    case kOpLoop: return "loop";
-    case kOpSelect: return "select";
-    case kOpCellAlloc: return "cell-alloc";
-    case kOpCellUse: return "cell-use";
-    case kOpCellFree: return "cell-free";
-    case kOpUafRead: return "uaf-read";
-    case kOpDoubleFree: return "double-free";
-    case kOpNestedCall: return "nested-call";
-    case kOpStrTraffic: return "str-traffic";
-    case kOpMemCopy: return "mem-copy";
-    case kOpSpawn: return "spawn";
-    case kOpJoin: return "join";
-    case kOpYield: return "yield";
-    case kOpSpawnShared: return "spawn-shared";
-    case kOpWorkerChurn: return "worker-churn";
-    case kNumOpKinds: break;
-  }
-  return "?";
-}
-
 Plan MakePlan(uint64_t seed, const GenOptions& options) {
   Rng rng(seed);
   Plan plan;

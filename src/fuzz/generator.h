@@ -78,8 +78,6 @@ enum OpKind : uint8_t {
   kNumOpKinds,
 };
 
-const char* OpKindName(OpKind k);
-
 struct GenOptions {
   int min_ops = 12;
   int max_ops = 32;

@@ -186,21 +186,8 @@ Value* IRBuilder::IndirectCall(Value* fnptr, std::vector<Value*> args, const std
 
 Value* IRBuilder::LibCall(LibFunc f, std::vector<Value*> args, const std::string& name) {
   const Type* result = module_->types().I64();
-  switch (f) {
-    case LibFunc::kStrlen:
-    case LibFunc::kStrcmp:
-    case LibFunc::kInputBytes:
-      result = module_->types().I64();
-      break;
-    case LibFunc::kStrcpy:
-    case LibFunc::kStrncpy:
-    case LibFunc::kStrcat:
-    case LibFunc::kMemcpy:
-    case LibFunc::kMemset:
-    case LibFunc::kMemmove:
-      result = args.empty() ? module_->types().VoidPtrTy()
-                            : static_cast<const Type*>(args[0]->type());
-      break;
+  if (Info(f).returns_dst) {
+    result = args.empty() ? module_->types().VoidPtrTy() : args[0]->type();
   }
   Instruction* inst = Emit(Opcode::kLibCall, result);
   inst->set_lib_func(f);

@@ -51,7 +51,6 @@ class IRBuilder {
   Value* ICmpEq(Value* a, Value* b) { return Binary(BinOp::kEq, a, b); }
   Value* ICmpNe(Value* a, Value* b) { return Binary(BinOp::kNe, a, b); }
   Value* ICmpSLt(Value* a, Value* b) { return Binary(BinOp::kSLt, a, b); }
-  Value* ICmpSGe(Value* a, Value* b) { return Binary(BinOp::kSGe, a, b); }
   Value* Select(Value* cond, Value* a, Value* b, const std::string& name = "");
 
   // --- casts --------------------------------------------------------------
@@ -71,6 +70,8 @@ class IRBuilder {
   Value* Join(Value* tid, const std::string& name = "");
   // Ends the current thread's scheduling quantum.
   void Yield();
+  // The result type comes from the callee's row (ir::Info): operand 0's
+  // type for the routines that return their destination, else i64.
   Value* LibCall(LibFunc f, std::vector<Value*> args, const std::string& name = "");
   Value* FuncAddr(Function* f, const std::string& name = "");
   Value* GlobalAddr(GlobalVariable* g, const std::string& name = "");

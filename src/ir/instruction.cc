@@ -104,50 +104,11 @@ const char* CastKindName(CastKind kind) {
   CPI_UNREACHABLE();
 }
 
-const char* LibFuncName(LibFunc f) {
-  switch (f) {
-    case LibFunc::kStrcpy: return "strcpy";
-    case LibFunc::kStrncpy: return "strncpy";
-    case LibFunc::kStrcat: return "strcat";
-    case LibFunc::kStrlen: return "strlen";
-    case LibFunc::kStrcmp: return "strcmp";
-    case LibFunc::kMemcpy: return "memcpy";
-    case LibFunc::kMemset: return "memset";
-    case LibFunc::kMemmove: return "memmove";
-    case LibFunc::kInputBytes: return "input_bytes";
-  }
-  CPI_UNREACHABLE();
-}
-
 const char* StackKindName(StackKind k) {
   switch (k) {
     case StackKind::kDefault: return "default";
     case StackKind::kSafe: return "safe";
     case StackKind::kUnsafe: return "unsafe";
-  }
-  CPI_UNREACHABLE();
-}
-
-const char* IntrinsicName(IntrinsicId id) {
-  switch (id) {
-    case IntrinsicId::kCpiStore: return "cpi_store";
-    case IntrinsicId::kCpiLoad: return "cpi_load";
-    case IntrinsicId::kCpiStoreUni: return "cpi_store_uni";
-    case IntrinsicId::kCpiLoadUni: return "cpi_load_uni";
-    case IntrinsicId::kCpiBoundsCheck: return "cpi_bounds_check";
-    case IntrinsicId::kCpiAssertCode: return "cpi_assert_code";
-    case IntrinsicId::kCpsStore: return "cps_store";
-    case IntrinsicId::kCpsLoad: return "cps_load";
-    case IntrinsicId::kCpsStoreUni: return "cps_store_uni";
-    case IntrinsicId::kCpsLoadUni: return "cps_load_uni";
-    case IntrinsicId::kCpsAssertCode: return "cps_assert_code";
-    case IntrinsicId::kSbStore: return "sb_store";
-    case IntrinsicId::kSbLoad: return "sb_load";
-    case IntrinsicId::kSbCheck: return "sb_check";
-    case IntrinsicId::kCfiCheck: return "cfi_check";
-    case IntrinsicId::kSealStore: return "seal_store";
-    case IntrinsicId::kSealLoad: return "seal_load";
-    case IntrinsicId::kSealAssertCode: return "seal_assert_code";
   }
   CPI_UNREACHABLE();
 }

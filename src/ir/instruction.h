@@ -72,26 +72,6 @@ enum class CastKind {
   kFloatToInt,
 };
 
-// Libc-style functions with VM-implemented semantics. The unbounded ones
-// (strcpy/strcat/sprintf-style) are the classic overflow vectors RIPE uses.
-enum class LibFunc {
-  kStrcpy,   // (dst, src) -> dst          ; unbounded: overflow vector
-  kStrncpy,  // (dst, src, n) -> dst
-  kStrcat,   // (dst, src) -> dst          ; unbounded: overflow vector
-  kStrlen,   // (s) -> i64
-  kStrcmp,   // (a, b) -> i64
-  kMemcpy,   // (dst, src, n) -> dst
-  kMemset,   // (dst, byte, n) -> dst
-  kMemmove,  // (dst, src, n) -> dst
-  kInputBytes,  // (dst, max) -> i64 ; copies program input bytes, returns count
-};
-
-// Whether a libcall writes memory (all but strlen and strcmp). These are the
-// memory transfers whose checked variant moves protected pointers along with
-// the bytes; the classifier, SoftBound and the optimizer's clobber test all
-// ask this one function.
-inline bool IsMemTransfer(LibFunc f) { return f != LibFunc::kStrlen && f != LibFunc::kStrcmp; }
-
 // Which stack an alloca lives on after the SafeStack pass (§3.2.4).
 enum class StackKind {
   kDefault,  // single unprotected stack (no SafeStack pass run)
@@ -207,34 +187,6 @@ class Instruction final : public Value {
     return op_ == Opcode::kBr || op_ == Opcode::kCondBr || op_ == Opcode::kRet;
   }
 
-  // True for operations that read or write program memory; these are the
-  // operations CPI's static analysis classifies (Table 2's denominators).
-  bool IsMemoryAccess() const {
-    switch (op_) {
-      case Opcode::kLoad:
-      case Opcode::kStore:
-        return true;
-      case Opcode::kIntrinsic:
-        switch (intrinsic_) {
-          case IntrinsicId::kCpiStore:
-          case IntrinsicId::kCpiLoad:
-          case IntrinsicId::kCpiStoreUni:
-          case IntrinsicId::kCpiLoadUni:
-          case IntrinsicId::kCpsStore:
-          case IntrinsicId::kCpsLoad:
-          case IntrinsicId::kCpsStoreUni:
-          case IntrinsicId::kCpsLoadUni:
-          case IntrinsicId::kSbStore:
-          case IntrinsicId::kSbLoad:
-            return true;
-          default:
-            return false;
-        }
-      default:
-        return false;
-    }
-  }
-
   // For kLibCall memory-transfer functions: true once an instrumentation pass
   // marked this call as needing the checked, metadata-aware variant (§3.2.2's
   // type-specific memcpy/memset handling; SoftBound's checked libc).
@@ -267,7 +219,6 @@ class Instruction final : public Value {
 const char* OpcodeName(Opcode op);
 const char* BinOpName(BinOp op);
 const char* CastKindName(CastKind kind);
-const char* LibFuncName(LibFunc f);
 const char* StackKindName(StackKind k);
 
 }  // namespace cpi::ir

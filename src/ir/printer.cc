@@ -91,12 +91,6 @@ void PrintInstructionTo(std::ostringstream& os, const Instruction& inst) {
 
 }  // namespace
 
-std::string PrintInstruction(const Instruction& inst) {
-  std::ostringstream os;
-  PrintInstructionTo(os, inst);
-  return os.str();
-}
-
 std::string PrintFunction(const Function& function) {
   std::ostringstream os;
   os << "func @" << function.name() << "(";

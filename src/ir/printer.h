@@ -1,4 +1,4 @@
-// Textual rendering of modules, functions and instructions, in an
+// Textual rendering of modules and functions, in an
 // LLVM-flavoured format. Used for debugging, golden tests, and inspecting
 // what the instrumentation passes did.
 #ifndef CPI_SRC_IR_PRINTER_H_
@@ -12,7 +12,6 @@ namespace cpi::ir {
 
 std::string PrintModule(const Module& module);
 std::string PrintFunction(const Function& function);
-std::string PrintInstruction(const Instruction& inst);
 
 }  // namespace cpi::ir
 

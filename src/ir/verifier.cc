@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 #include "src/support/check.h"
 
@@ -189,6 +190,21 @@ class Verifier {
     }
   }
 
+  static bool IsScalar(const Type* t) { return t->IsInt() || t->IsFloat() || t->IsPointer(); }
+
+  // An instruction's name in diagnostics: the callee of a libcall or an
+  // intrinsic, else the opcode.
+  static const char* Label(const Instruction& inst) {
+    switch (inst.op()) {
+      case Opcode::kLibCall:
+        return LibFuncName(inst.lib_func());
+      case Opcode::kIntrinsic:
+        return IntrinsicName(inst.intrinsic());
+      default:
+        return OpcodeName(inst.op());
+    }
+  }
+
   static const Type* Pointee(const Value* v) {
     return static_cast<const PointerType*>(v->type())->pointee();
   }
@@ -197,7 +213,7 @@ class Verifier {
     auto expect_operands = [&](size_t n) {
       if (inst.operands().size() != n) {
         std::ostringstream os;
-        os << OpcodeName(inst.op()) << ": expected " << n << " operands, got "
+        os << Label(inst) << ": expected " << n << " operands, got "
            << inst.operands().size();
         Error(where, os.str());
         return false;
@@ -206,7 +222,7 @@ class Verifier {
     };
     auto expect_ptr = [&](size_t i) {
       if (!inst.operand(i)->type()->IsPointer()) {
-        Error(where, std::string(OpcodeName(inst.op())) + ": operand " + std::to_string(i) +
+        Error(where, std::string(Label(inst)) + ": operand " + std::to_string(i) +
                          " must be a pointer");
         return false;
       }
@@ -214,7 +230,7 @@ class Verifier {
     };
     auto expect_int = [&](size_t i) {
       if (!inst.operand(i)->type()->IsInt()) {
-        Error(where, std::string(OpcodeName(inst.op())) + ": operand " + std::to_string(i) +
+        Error(where, std::string(Label(inst)) + ": operand " + std::to_string(i) +
                          " must be an integer");
         return false;
       }
@@ -233,7 +249,7 @@ class Verifier {
       case Opcode::kLoad:
         if (expect_operands(1) && expect_ptr(0)) {
           const Type* pointee = Pointee(inst.operand(0));
-          if (!pointee->IsInt() && !pointee->IsFloat() && !pointee->IsPointer()) {
+          if (!IsScalar(pointee)) {
             Error(where, "load of non-scalar type");
           } else if (pointee != inst.type()) {
             Error(where, "load result type does not match pointee");
@@ -424,33 +440,23 @@ class Verifier {
         }
         break;
       }
-      case Opcode::kLibCall:
-        switch (inst.lib_func()) {
-          case LibFunc::kStrcpy:
-          case LibFunc::kStrcat:
-          case LibFunc::kStrcmp:
-            expect_operands(2);
-            break;
-          case LibFunc::kStrlen:
-            expect_operands(1);
-            break;
-          case LibFunc::kStrncpy:
-          case LibFunc::kMemcpy:
-          case LibFunc::kMemset:
-          case LibFunc::kMemmove:
-            expect_operands(3);
-            break;
-          case LibFunc::kInputBytes:
-            expect_operands(2);
-            break;
-        }
-        for (size_t i = 0; i < inst.operands().size(); ++i) {
-          const Type* t = inst.operand(i)->type();
-          if (!t->IsPointer() && !t->IsInt()) {
-            Error(where, "libcall operand must be pointer or integer");
+      case Opcode::kLibCall: {
+        const LibFuncInfo& info = Info(inst.lib_func());
+        const std::string_view kinds = info.operands;
+        if (expect_operands(kinds.size())) {
+          for (size_t i = 0; i < kinds.size(); ++i) {
+            if (kinds[i] == 'p') {
+              expect_ptr(i);
+            } else {
+              expect_int(i);
+            }
+          }
+          if (info.returns_dst ? inst.type() != inst.operand(0)->type() : !inst.type()->IsInt()) {
+            Error(where, std::string(Label(inst)) + ": result type does not match its signature");
           }
         }
         break;
+      }
       case Opcode::kMalloc:
         if (expect_operands(1)) {
           expect_int(0);
@@ -502,61 +508,44 @@ class Verifier {
         expect_operands(1);
         break;
       case Opcode::kIntrinsic: {
-        const char* iname = IntrinsicName(inst.intrinsic());
-        switch (inst.intrinsic()) {
-          case IntrinsicId::kCpiStore:
-          case IntrinsicId::kCpiStoreUni:
-          case IntrinsicId::kCpsStore:
-          case IntrinsicId::kCpsStoreUni:
-          case IntrinsicId::kSbStore:
-          case IntrinsicId::kSealStore:
+        const std::string label = Label(inst);
+        const IntrinsicShape shape = Info(inst.intrinsic()).shape;
+        switch (shape) {
+          case IntrinsicShape::kStore:
             if (expect_operands(2)) {
               expect_ptr(0);
-              const Type* vt = inst.operand(1)->type();
-              if (!vt->IsInt() && !vt->IsFloat() && !vt->IsPointer()) {
-                Error(where, std::string(iname) + ": stored value must be scalar");
+              if (!IsScalar(inst.operand(1)->type())) {
+                Error(where, label + ": stored value must be scalar");
               }
             }
-            if (!inst.type()->IsVoid()) {
-              Error(where, std::string(iname) + ": store intrinsic must produce void");
-            }
             break;
-          case IntrinsicId::kCpiLoad:
-          case IntrinsicId::kCpiLoadUni:
-          case IntrinsicId::kCpsLoad:
-          case IntrinsicId::kCpsLoadUni:
-          case IntrinsicId::kSbLoad:
-          case IntrinsicId::kSealLoad:
+          case IntrinsicShape::kLoad:
             if (expect_operands(1)) {
               expect_ptr(0);
             }
-            if (!inst.type()->IsInt() && !inst.type()->IsFloat() &&
-                !inst.type()->IsPointer()) {
-              Error(where, std::string(iname) + ": load intrinsic must produce a scalar");
+            if (!IsScalar(inst.type())) {
+              Error(where, label + ": load intrinsic must produce a scalar");
             }
             break;
-          case IntrinsicId::kCpiBoundsCheck:
-          case IntrinsicId::kSbCheck:
+          case IntrinsicShape::kCheck:
             if (expect_operands(2)) {
               expect_ptr(0);
               expect_int(1);
             }
-            if (!inst.type()->IsVoid()) {
-              Error(where, std::string(iname) + ": check intrinsic must produce void");
-            }
             break;
-          case IntrinsicId::kCpiAssertCode:
-          case IntrinsicId::kCpsAssertCode:
-          case IntrinsicId::kCfiCheck:
-          case IntrinsicId::kSealAssertCode:
+          case IntrinsicShape::kAssert:
             if (expect_operands(1)) {
               expect_ptr(0);
               if (inst.type() != inst.operand(0)->type()) {
-                Error(where, std::string(iname) +
-                                 ": assert result type must match its operand");
+                Error(where, label + ": assert result type must match its operand");
               }
             }
             break;
+        }
+        if ((shape == IntrinsicShape::kStore || shape == IntrinsicShape::kCheck) &&
+            !inst.type()->IsVoid()) {
+          Error(where, label + (shape == IntrinsicShape::kStore ? ": store" : ": check") +
+                           " intrinsic must produce void");
         }
         break;
       }

@@ -92,16 +92,9 @@ bool MetaNoneAnalysis::DefinitelyNoMeta(const ir::Value* v) {
       none = DefinitelyNoMeta(inst->operand(1)) && DefinitelyNoMeta(inst->operand(2));
       break;
     case Opcode::kLibCall:
-      switch (inst->lib_func()) {
-        case ir::LibFunc::kStrlen:
-        case ir::LibFunc::kStrcmp:
-        case ir::LibFunc::kInputBytes:
-          none = true;  // integer results with RegMeta::None
-          break;
-        default:
-          none = false;  // copy routines return the dst pointer + metadata
-          break;
-      }
+      // i64 results carry RegMeta::None; the copy routines return the dst
+      // pointer with its metadata.
+      none = !ir::Info(inst->lib_func()).returns_dst;
       break;
     default:
       none = false;
@@ -112,7 +105,6 @@ bool MetaNoneAnalysis::DefinitelyNoMeta(const ir::Value* v) {
 }
 
 bool WritesMemory(const ir::Instruction* inst) {
-  using ir::IntrinsicId;
   using ir::Opcode;
   switch (inst->op()) {
     case Opcode::kStore:
@@ -127,17 +119,7 @@ bool WritesMemory(const ir::Instruction* inst) {
     case Opcode::kLibCall:
       return ir::IsMemTransfer(inst->lib_func());
     case Opcode::kIntrinsic:
-      switch (inst->intrinsic()) {
-        case IntrinsicId::kCpiStore:
-        case IntrinsicId::kCpiStoreUni:
-        case IntrinsicId::kCpsStore:
-        case IntrinsicId::kCpsStoreUni:
-        case IntrinsicId::kSbStore:
-        case IntrinsicId::kSealStore:
-          return true;
-        default:
-          return false;
-      }
+      return ir::Info(inst->intrinsic()).shape == ir::IntrinsicShape::kStore;
     default:
       return false;
   }

@@ -53,7 +53,7 @@ void EraseInstructions(ir::Function& function,
 
 // True for every instruction that can write program memory — regular
 // region, safe region, safe pointer store or shadow metadata: stores, store
-// intrinsics, writing libcalls (strlen/strcmp are the only read-only ones),
+// intrinsics, libcalls whose row says they write memory (ir::Info),
 // and calls (the callee may write). The single definition every pass's kill
 // logic shares: an entry missing here silently breaks the O0/O1
 // differential contract under attack.

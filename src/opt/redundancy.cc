@@ -65,39 +65,9 @@ namespace {
 
 using ir::Instruction;
 using ir::IntrinsicId;
+using ir::IntrinsicShape;
 using ir::Opcode;
 using ir::Value;
-
-enum class ExprKind {
-  kSafeLoad,   // safe-store / shadow / sealed-slot get: killed by memory writes
-  kTempCheck,  // bounds check: killed by free (and calls, if the module frees)
-  kAssert,     // code-pointer assert: pure in the operand register
-};
-
-bool ClassifyIntrinsic(IntrinsicId id, ExprKind* kind) {
-  switch (id) {
-    case IntrinsicId::kCpiLoad:
-    case IntrinsicId::kCpiLoadUni:
-    case IntrinsicId::kCpsLoad:
-    case IntrinsicId::kCpsLoadUni:
-    case IntrinsicId::kSbLoad:
-    case IntrinsicId::kSealLoad:
-      *kind = ExprKind::kSafeLoad;
-      return true;
-    case IntrinsicId::kCpiBoundsCheck:
-    case IntrinsicId::kSbCheck:
-      *kind = ExprKind::kTempCheck;
-      return true;
-    case IntrinsicId::kCpiAssertCode:
-    case IntrinsicId::kCpsAssertCode:
-    case IntrinsicId::kCfiCheck:
-    case IntrinsicId::kSealAssertCode:
-      *kind = ExprKind::kAssert;
-      return true;
-    default:
-      return false;
-  }
-}
 
 struct Position {
   size_t block = 0;  // RPO index
@@ -118,7 +88,12 @@ enum class AddrClass {
 };
 
 struct ExprInfo {
-  ExprKind kind = ExprKind::kSafeLoad;
+  // The intrinsic's shape (ir::Info) decides what kills the expression:
+  //   kLoad    safe-store / shadow / sealed-slot get: memory writes
+  //   kCheck   bounds check: free (and calls, if the module frees)
+  //   kAssert  code-pointer assert: nothing (pure in the operand register)
+  // Store intrinsics write memory and are never candidates.
+  IntrinsicShape kind = IntrinsicShape::kLoad;
   AddrClass addr_class = AddrClass::kOther;      // safe loads only
   const Value* addr_alloca = nullptr;            // the alloca when kBareAlloca
   std::vector<Instruction*> generators;  // every instance, in RPO scan order
@@ -312,15 +287,15 @@ class RedundancyEliminationPass final : public Pass {
         if (inst->op() != Opcode::kIntrinsic) {
           continue;
         }
-        ExprKind kind;
-        if (!ClassifyIntrinsic(inst->intrinsic(), &kind)) {
+        const IntrinsicShape kind = ir::Info(inst->intrinsic()).shape;
+        if (kind == IntrinsicShape::kStore) {
           continue;
         }
         // Fold asserts over a direct function address immediately: a
         // FuncAddr register provably satisfies every assert variant (it is
         // Code-tagged, and a CFI target is address-taken by this very
         // instruction), so the check is statically true.
-        if (kind == ExprKind::kAssert &&
+        if (kind == IntrinsicShape::kAssert &&
             inst->operand(0)->value_kind() == ir::ValueKind::kInstruction &&
             static_cast<const Instruction*>(inst->operand(0))->op() == Opcode::kFuncAddr) {
           // The fold is only exact when the FuncAddr has actually executed
@@ -344,7 +319,7 @@ class RedundancyEliminationPass final : public Pass {
           ExprInfo info;
           info.kind = kind;
           info.kills.resize(nblocks);
-          if (kind == ExprKind::kSafeLoad &&
+          if (kind == IntrinsicShape::kLoad &&
               inst->operand(0)->value_kind() == ir::ValueKind::kInstruction) {
             const auto* addr = static_cast<const Instruction*>(inst->operand(0));
             if (addr->op() == Opcode::kGlobalAddr) {
@@ -421,8 +396,8 @@ class RedundancyEliminationPass final : public Pass {
         }
         if (writes || frees) {
           for (ExprInfo& e : exprs) {
-            bool killed = (writes && e.kind == ExprKind::kSafeLoad) ||
-                          (frees && e.kind == ExprKind::kTempCheck);
+            bool killed = (writes && e.kind == IntrinsicShape::kLoad) ||
+                          (frees && e.kind == IntrinsicShape::kCheck);
             if (killed && confined_to != nullptr &&
                 (e.addr_class == AddrClass::kBareGlobal ||
                  (e.addr_class == AddrClass::kBareAlloca &&
@@ -527,7 +502,7 @@ class RedundancyEliminationPass final : public Pass {
         // Rewiring is only exact when no user can execute before this
         // instance and read its register pre-definition (use-before-def is
         // verifier-legal).
-        if (e.kind != ExprKind::kTempCheck && !dt.DominatesAllReachableUses(inst)) {
+        if (e.kind != IntrinsicShape::kCheck && !dt.DominatesAllReachableUses(inst)) {
           continue;
         }
         for (Instruction* master : e.generators) {
@@ -546,34 +521,24 @@ class RedundancyEliminationPass final : public Pass {
     return !dead.empty();
   }
 
-  static void Retire(Instruction* inst, Instruction* master, ExprKind kind,
+  static void Retire(Instruction* inst, Instruction* master, IntrinsicShape kind,
                      PipelineContext& ctx,
                      std::unordered_set<const Instruction*>& dead, PassStats& stats) {
-    if (kind != ExprKind::kTempCheck) {
+    if (kind != IntrinsicShape::kCheck) {
       inst->ReplaceAllUsesWith(master);
     }
     ctx.RecordOperands(inst);
     inst->DropOperandUses();
     dead.insert(inst);
     ++stats.removed_instructions;
-    switch (inst->intrinsic()) {
-      case IntrinsicId::kCpiLoad:
-      case IntrinsicId::kCpiLoadUni:
-      case IntrinsicId::kCpsLoad:
-      case IntrinsicId::kCpsLoadUni:
-      case IntrinsicId::kSbLoad:
-        ++stats.eliminated_safe_store_ops;
-        break;
-      case IntrinsicId::kSealLoad:
+    const ir::IntrinsicInfo& info = ir::Info(inst->intrinsic());
+    if (kind == IntrinsicShape::kLoad) {
+      ++(info.seal ? stats.eliminated_seal_ops : stats.eliminated_safe_store_ops);
+    } else {
+      ++stats.eliminated_checks;
+      if (info.seal) {
         ++stats.eliminated_seal_ops;
-        break;
-      case IntrinsicId::kSealAssertCode:
-        ++stats.eliminated_seal_ops;
-        ++stats.eliminated_checks;
-        break;
-      default:
-        ++stats.eliminated_checks;
-        break;
+      }
     }
   }
 };

@@ -42,37 +42,14 @@ using ir::IntrinsicId;
 using ir::Opcode;
 using ir::Value;
 
-// Nothing in the function can write memory or leave the frame: loads,
-// address/register arithmetic, read-only libcalls, seal loads/asserts,
-// I/O and control flow only.
+// Nothing in the function can write memory or leave the frame: no
+// WritesMemory instruction (stores, calls, thread ops, writing libcalls and
+// intrinsics), malloc or free.
 bool IsPureLeaf(const ir::Function& f) {
   for (const auto& bb : f.blocks()) {
     for (const Instruction* inst : bb->instructions()) {
-      switch (inst->op()) {
-        case Opcode::kStore:
-        case Opcode::kCall:
-        case Opcode::kIndirectCall:
-        case Opcode::kMalloc:
-        case Opcode::kFree:
-        // Thread ops hand control to other threads (which may write
-        // anything) and spawn itself writes the new thread's stacks.
-        case Opcode::kSpawn:
-        case Opcode::kJoin:
-        case Opcode::kYield:
-          return false;
-        case Opcode::kLibCall:
-          if (inst->lib_func() != ir::LibFunc::kStrlen &&
-              inst->lib_func() != ir::LibFunc::kStrcmp) {
-            return false;
-          }
-          break;
-        case Opcode::kIntrinsic:
-          if (WritesMemory(inst)) {
-            return false;
-          }
-          break;
-        default:
-          break;
+      if (WritesMemory(inst) || inst->op() == Opcode::kMalloc || inst->op() == Opcode::kFree) {
+        return false;
       }
     }
   }

@@ -1232,6 +1232,12 @@ void Machine::RunToCompletion() {
     fault_at_ = fault_events_.front().at_instruction;
   }
 
+  // Frames index their registers by value id (Function::RenumberValues,
+  // which core::Compiler runs). A function it never ran on has no
+  // registers: stop here on every engine instead of indexing past them.
+  for (const auto& fn : module_.functions()) {
+    CPI_CHECK(fn->register_count() != 0);
+  }
   const Function* main_fn = module_.FindFunction("main");
   CPI_CHECK(main_fn != nullptr);
   CPI_CHECK(main_fn->args().empty());

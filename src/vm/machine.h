@@ -163,7 +163,8 @@ struct RunResult {
 class DecodedModule;  // src/vm/decode.h
 
 // Executes module's main() under the given options. The module must verify
-// (ir::VerifyModule) and have had RenumberValues() run by the caller — the
+// (ir::VerifyModule) and have had RenumberValues() run by the caller (every
+// engine CPI_CHECKs that each function has registers) — the
 // core::Compiler facade takes care of both. On the decoded and fused tiers
 // this decodes the module for the one run; callers that run a module many
 // times decode it once and use the overload below.

@@ -307,6 +307,109 @@ TEST(CompileTest, ErrorsInsteadOfAbortsOnMalformedPrograms) {
   }
 }
 
+// C's null pointer constant: the literal 0 converts to any pointer type in
+// assignment, comparison, return and call arguments.
+TEST(CompileTest, NullPointerConstantConvertsToAnyPointer) {
+  const char* kSource = R"(
+    struct n { struct n* next; int v; };
+    struct n* none() { return 0; }
+    int is_null(struct n* p) { return p == 0; }
+    int twice(int x) { return x * 2; }
+    int main() {
+      struct n x;
+      struct n y;
+      x.next = &y;
+      x.v = 5;
+      y.next = 0;
+      y.v = 7;
+      int total = 0;
+      for (struct n* p = &x; p != 0; p = p->next) { total = total + p->v; }
+      output(total);
+      output(is_null(0) + is_null(&x) * 10);
+      output(none() == 0);
+      int (*fp)(int) = 0;
+      if (0 == fp) { fp = twice; }
+      output(fp(21));
+      return 0;
+    }
+  )";
+  for (core::Protection protection : {core::Protection::kNone, core::Protection::kCpi}) {
+    for (vm::EngineKind engine :
+         {vm::EngineKind::kReference, vm::EngineKind::kDecoded, vm::EngineKind::kFused}) {
+      CompileResult cr = CompileC(kSource);
+      ASSERT_TRUE(cr.ok()) << cr.error;
+      core::Config config;
+      config.protection = protection;
+      config.engine = engine;
+      vm::RunResult r = core::InstrumentAndRun(*cr.module, config);
+      ASSERT_EQ(r.status, vm::RunStatus::kOk) << r.message;
+      EXPECT_EQ(r.output, (std::vector<uint64_t>{12, 1, 1, 42}))
+          << core::ProtectionName(protection) << " on " << vm::EngineKindName(engine);
+    }
+  }
+}
+
+// Only the literal 0 is a null pointer constant: any other integer needs a
+// cast, and libc routines take exactly the operand kinds of their row.
+TEST(CompileTest, RejectsImplicitIntToPointerAndMistypedLibcalls) {
+  const struct {
+    const char* source;
+    const char* error;
+  } kCases[] = {
+      {"int main() { int* p; p = 1; return 0; }", "type mismatch in assignment"},
+      {"int main() { int* p; int z = 0; p = z; return 0; }", "type mismatch in assignment"},
+      {"int main() { int* p = 0; return p == 1; }", "invalid operand types for binary operator"},
+      {"int* f() { return 2; } int main() { return 0; }", "return type mismatch"},
+      {"int main() { strcpy(1, 2); return 0; }", "strcpy argument 1 must be a pointer"},
+      {"int main() { char* p = (char*)malloc(8); memset(p, p, 4); return 0; }",
+       "memset argument 2 must be an integer"},
+      {"int main() { char b[4]; return strlen(b, 4); }", "strlen takes 1 argument"},
+      {"int main() { char b[4]; memcpy(b, b); return 0; }", "memcpy takes 3 arguments"},
+      {"int main() { float f; return strlen(f); }", "strlen argument 1 must be a pointer"},
+  };
+  for (const auto& c : kCases) {
+    CompileResult r = CompileC(c.source);
+    EXPECT_FALSE(r.ok()) << c.source;
+    EXPECT_NE(r.error.find(c.error), std::string::npos) << c.source << " -> " << r.error;
+  }
+}
+
+// Every declarator site (fields, globals, parameters, locals) parses through
+// one function, so an array of function pointers obeys the same positive-size
+// rule as any other array.
+TEST(CompileTest, DeclaratorsShareOneArrayRule) {
+  const char* kRejected[] = {
+      "int g(int x) { return x; } int main() { int (*fp[0])(int); fp = g; return fp(3); }",
+      "int (*table[0])(int); int main() { return 0; }",
+      "struct s { int (*fn[0])(int); }; int main() { return 0; }",
+      "int f(int (*fn[0])(int)) { return 0; } int main() { return 0; }",
+  };
+  for (const char* source : kRejected) {
+    CompileResult r = CompileC(source);
+    EXPECT_FALSE(r.ok()) << source;
+    EXPECT_NE(r.error.find("array size must be positive"), std::string::npos)
+        << source << " -> " << r.error;
+  }
+  auto out = RunSource(R"(
+    struct ops { int (*fn[2])(int); char tag[2][3]; };
+    struct ops o;
+    int (*spare[2])(int);
+    int inc(int x) { return x + 1; }
+    int dbl(int x) { return x * 2; }
+    int apply(int (*f)(int), int x) { return f(x); }
+    int main() {
+      int (*local[2])(int);
+      local[0] = inc;
+      o.fn[1] = dbl;
+      spare[1] = o.fn[1];
+      o.tag[1][2] = 9;
+      output(apply(local[0], 1) + spare[1](10) + o.tag[1][2]);
+      return 0;
+    }
+  )");
+  EXPECT_EQ(out, (std::vector<uint64_t>{31}));
+}
+
 // As in C, *fn on a function pointer designates the function, which decays
 // straight back to the pointer: `g = *fn` and `(*fn)(x)` are plain uses of fn.
 TEST(CompileTest, DereferencedFunctionPointerDecaysToItself) {

@@ -1,6 +1,7 @@
 // Unit tests for the IR: type interning and layout, universal-pointer
 // classification, builder-produced structure, verifier diagnostics, and the
 // printer.
+#include <set>
 #include <string>
 #include <vector>
 
@@ -332,6 +333,79 @@ TEST(VerifierTest, VerifyOrDiePrintsEveryErrorAfterItsContext) {
   b.SetInsertPoint(f->CreateBlock("entry"));
   b.Ret();
   EXPECT_DEATH(VerifyOrDie(m, "after pass dce"), "after pass dce: module: no main function");
+}
+
+// One signature row per intrinsic and libcall, in enum order, with distinct
+// names (intrinsics.cc static_asserts the counts and the order).
+TEST(SignatureTableTest, EveryCalleeHasOneRowWithADistinctName) {
+  std::set<std::string> names;
+  for (size_t i = 0; i < kIntrinsicCount; ++i) {
+    const auto id = static_cast<IntrinsicId>(i);
+    EXPECT_EQ(Info(id).id, id);
+    EXPECT_TRUE(names.insert(IntrinsicName(id)).second) << IntrinsicName(id);
+  }
+  for (size_t i = 0; i < kLibFuncCount; ++i) {
+    const auto f = static_cast<LibFunc>(i);
+    const LibFuncInfo& row = Info(f);
+    EXPECT_EQ(row.id, f);
+    EXPECT_TRUE(names.insert(row.name).second) << row.name;
+    EXPECT_EQ(FindLibFunc(row.name), &row);
+    EXPECT_EQ(std::string(row.operands).find_first_not_of("pi"), std::string::npos);
+    EXPECT_EQ(row.operands[0], 'p') << row.name;  // every routine takes a buffer first
+  }
+  EXPECT_EQ(FindLibFunc("printf"), nullptr);
+}
+
+// Libcalls are checked against their row: arity, and a pointer or an
+// integer in every operand.
+TEST(VerifierTest, ChecksLibcallOperandsAgainstTheirSignature) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* f = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(f->CreateBlock("entry"));
+  Value* buf = b.Alloca(types.ArrayOf(types.CharTy(), 8));
+  Value* p = b.IndexAddr(buf, b.I64(0));
+  b.LibCall(LibFunc::kStrcpy, {b.I64(1), b.I64(2)});
+  b.LibCall(LibFunc::kStrlen, {p, p});
+  b.LibCall(LibFunc::kMemset, {p, p, b.I64(4)});
+  b.LibCall(LibFunc::kMemcpy, {p, p, b.I64(4)});  // well-formed
+  Instruction* strlen_ptr = f->CreateInstruction(Opcode::kLibCall, p->type());
+  strlen_ptr->set_lib_func(LibFunc::kStrlen);
+  strlen_ptr->AddOperand(p);
+  b.insert_block()->Append(strlen_ptr);
+  b.Ret(b.I64(0));
+  EXPECT_EQ(VerifyModule(m), (std::vector<std::string>{
+                                 "main/entry: strcpy: operand 0 must be a pointer",
+                                 "main/entry: strcpy: operand 1 must be a pointer",
+                                 "main/entry: strlen: expected 1 operands, got 2",
+                                 "main/entry: memset: operand 1 must be an integer",
+                                 "main/entry: strlen: result type does not match its signature",
+                             }));
+}
+
+// Each intrinsic shape has its own operand and result checks.
+TEST(VerifierTest, ChecksIntrinsicsAgainstTheirShape) {
+  Module m("bad");
+  auto& types = m.types();
+  Function* f = m.CreateFunction("main", types.FunctionTy(types.I64(), {}));
+  IRBuilder b(&m);
+  b.SetInsertPoint(f->CreateBlock("entry"));
+  Value* slot = b.Alloca(types.I64());
+  Value* fp = b.FuncAddr(f);
+  b.Intrinsic(IntrinsicId::kSealStore, types.I64(), {slot, b.I64(1)});
+  b.Intrinsic(IntrinsicId::kCpsLoad, types.VoidTy(), {b.I64(8)});
+  b.Intrinsic(IntrinsicId::kSbCheck, types.VoidTy(), {slot, slot});
+  b.Intrinsic(IntrinsicId::kCfiCheck, types.I64(), {fp});
+  b.Intrinsic(IntrinsicId::kCpiAssertCode, fp->type(), {fp});  // well-formed
+  b.Ret(b.I64(0));
+  EXPECT_EQ(VerifyModule(m), (std::vector<std::string>{
+                                 "main/entry: seal_store: store intrinsic must produce void",
+                                 "main/entry: cps_load: operand 0 must be a pointer",
+                                 "main/entry: cps_load: load intrinsic must produce a scalar",
+                                 "main/entry: sb_check: operand 1 must be an integer",
+                                 "main/entry: cfi_check: assert result type must match its operand",
+                             }));
 }
 
 TEST(VerifierTest, DetectsBadCast) {

@@ -877,7 +877,7 @@ const LibCallCase kLibCallCases[] = {
      " checks 0 calls 1 hijacks 0 hits 11 misses 2 spawns 0"},
     {"copy_into_unmapped", Protection::kNone, IsolationKind::kSegment, false, kCopyIntoUnmapped,
      "crash|none|fault: write to unmapped address|out 7|"
-     "ins 4518 cyc 8297 mem 1805 store 0 contended 0 migrations 0 seal 0"
+     "ins 4517 cyc 8296 mem 1805 store 0 contended 0 migrations 0 seal 0"
      " checks 0 calls 1 hijacks 0 hits 1799 misses 6 spawns 0"},
     {"memset_into_unmapped", Protection::kNone, IsolationKind::kSegment, false, kMemsetIntoUnmapped,
      "crash|none|fault: write to unmapped address|out 3|"
@@ -905,29 +905,29 @@ const LibCallCase kLibCallCases[] = {
      " checks 0 calls 1 hijacks 0 hits 452 misses 65 spawns 0"},
     {"safe_stack_segment", Protection::kNone, IsolationKind::kSegment, true, kSafeStackOperands,
      "ok|none||out 5999 2 1 6158982671528956606 40 6218634745796487830|"
-     "ins 432138 cyc 906029 mem 229366 store 0 contended 0 migrations 0 seal 0"
+     "ins 432124 cyc 906015 mem 229366 store 0 contended 0 migrations 0 seal 0"
      " checks 0 calls 3 hijacks 0 hits 228989 misses 377 spawns 0"},
     {"safe_stack_info_hiding", Protection::kNone, IsolationKind::kInfoHiding, true,
      kSafeStackOperands,
      "ok|none||out 5999 2 1 6158982671528956606 40 6218634745796487830|"
-     "ins 432138 cyc 906029 mem 229366 store 0 contended 0 migrations 0 seal 0"
+     "ins 432124 cyc 906015 mem 229366 store 0 contended 0 migrations 0 seal 0"
      " checks 0 calls 3 hijacks 0 hits 228989 misses 377 spawns 0"},
     {"safe_stack_sfi", Protection::kNone, IsolationKind::kSfi, true, kSafeStackOperands,
      "ok|none||out 5999 2 1 6158982671528956606 40 6218634745796487830|"
-     "ins 432138 cyc 943363 mem 229366 store 0 contended 0 migrations 0 seal 0"
+     "ins 432124 cyc 943349 mem 229366 store 0 contended 0 migrations 0 seal 0"
      " checks 0 calls 3 hijacks 0 hits 228989 misses 377 spawns 0"},
     {"forged_read_segment", Protection::kNone, IsolationKind::kSegment, false, kForgedSafeRead,
      "crash|none|segment violation: regular access to the safe region|out 1|"
-     "ins 10 cyc 51 mem 3 store 0 contended 0 migrations 0 seal 0"
+     "ins 9 cyc 50 mem 3 store 0 contended 0 migrations 0 seal 0"
      " checks 0 calls 1 hijacks 0 hits 2 misses 1 spawns 0"},
     {"forged_read_info_hiding", Protection::kNone, IsolationKind::kInfoHiding, false,
      kForgedSafeRead,
      "crash|none|fault: access to unmapped address (safe region is hidden)|out 1|"
-     "ins 10 cyc 51 mem 3 store 0 contended 0 migrations 0 seal 0"
+     "ins 9 cyc 50 mem 3 store 0 contended 0 migrations 0 seal 0"
      " checks 0 calls 1 hijacks 0 hits 2 misses 1 spawns 0"},
     {"forged_read_sfi", Protection::kNone, IsolationKind::kSfi, false, kForgedSafeRead,
      "crash|none|fault: read of unmapped address|out 1|"
-     "ins 10 cyc 54 mem 3 store 0 contended 0 migrations 0 seal 0"
+     "ins 9 cyc 53 mem 3 store 0 contended 0 migrations 0 seal 0"
      " checks 0 calls 1 hijacks 0 hits 2 misses 1 spawns 0"},
     {"forged_write_sfi", Protection::kNone, IsolationKind::kSfi, false, kForgedSafeWrite,
      "crash|none|fault: write to unmapped address|out 1|"
@@ -965,6 +965,24 @@ TEST(LibCallTest, GoldenResultsOnEveryEngine) {
     for (EngineKind engine : {EngineKind::kReference, EngineKind::kDecoded, EngineKind::kFused}) {
       EXPECT_EQ(Fingerprint(RunLibCallCase(c, engine)), c.golden)
           << c.name << " on " << EngineKindName(engine);
+    }
+  }
+}
+
+// Registers are indexed by value id, which Function::RenumberValues assigns
+// (core::Compiler runs it). A module it never ran on, such as CompileC's
+// output, is rejected loudly by every engine instead of being run past its
+// register file.
+TEST(VmDeathTest, UnnumberedModuleDiesOnEveryEngine) {
+  for (const char* source : {"int main() { int x = input(); output(x + 1); return 0; }",
+                             "int main() { return 0; }"}) {
+    for (EngineKind engine : {EngineKind::kReference, EngineKind::kDecoded, EngineKind::kFused}) {
+      auto cr = frontend::CompileC(source);
+      ASSERT_TRUE(cr.ok()) << cr.error;
+      core::Config config;
+      config.engine = engine;
+      EXPECT_DEATH(core::Run(*cr.module, config), "CPI_CHECK failed")
+          << source << " on " << EngineKindName(engine);
     }
   }
 }
