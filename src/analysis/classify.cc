@@ -104,7 +104,7 @@ void Classifier::ClassifyFunction(const Function& f) {
   if (options_.char_star_heuristic) {
     for (const auto& bb : f.blocks()) {
       for (const Instruction* inst : bb->instructions()) {
-        if (inst->op() == Opcode::kLibCall && ir::Info(inst->lib_func()).string) {
+        if (inst->op() == Opcode::kLibCall && ir::Info(inst->lib_func()).c_string) {
           for (const Value* op : inst->operands()) {
             if (op->type()->IsPointer()) {
               string_values.insert(op);

@@ -31,7 +31,7 @@ constexpr IntrinsicInfo kIntrinsicRows[] = {
 };
 
 constexpr LibFuncInfo kLibFuncRows[] = {
-    // id, name, operands, returns_dst, writes_memory, string
+    // id, name, operands, returns_dst, writes_memory, c_string
     {LibFunc::kStrcpy, "strcpy", "pp", true, true, true},  // unbounded
     {LibFunc::kStrncpy, "strncpy", "ppi", true, true, true},
     {LibFunc::kStrcat, "strcat", "pp", true, true, true},  // unbounded

@@ -11,7 +11,8 @@
 // semantics.
 //
 // Adding an intrinsic: an enum value here, its row in intrinsics.cc, its arm
-// in the VM's DoIntrinsic, and the pass that emits it.
+// in the VM's DoIntrinsic, and the pass that emits it. Adding a libcall: an
+// enum value, its row and its arm in the VM's DoLibCall.
 #ifndef CPI_SRC_IR_INTRINSICS_H_
 #define CPI_SRC_IR_INTRINSICS_H_
 
@@ -100,7 +101,7 @@ struct LibFuncInfo {
   // Writes memory: the memory transfers whose checked variant moves
   // protected pointers along with the bytes.
   bool writes_memory;
-  bool string;  // a C-string routine (the classifier's char* heuristic)
+  bool c_string;  // a C-string routine (the classifier's char* heuristic)
 };
 
 const LibFuncInfo& Info(LibFunc f);

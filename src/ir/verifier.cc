@@ -508,14 +508,14 @@ class Verifier {
         expect_operands(1);
         break;
       case Opcode::kIntrinsic: {
-        const std::string label = Label(inst);
+        const char* label = Label(inst);
         const IntrinsicShape shape = Info(inst.intrinsic()).shape;
         switch (shape) {
           case IntrinsicShape::kStore:
             if (expect_operands(2)) {
               expect_ptr(0);
               if (!IsScalar(inst.operand(1)->type())) {
-                Error(where, label + ": stored value must be scalar");
+                Error(where, std::string(label) + ": stored value must be scalar");
               }
             }
             break;
@@ -524,7 +524,7 @@ class Verifier {
               expect_ptr(0);
             }
             if (!IsScalar(inst.type())) {
-              Error(where, label + ": load intrinsic must produce a scalar");
+              Error(where, std::string(label) + ": load intrinsic must produce a scalar");
             }
             break;
           case IntrinsicShape::kCheck:
@@ -537,14 +537,16 @@ class Verifier {
             if (expect_operands(1)) {
               expect_ptr(0);
               if (inst.type() != inst.operand(0)->type()) {
-                Error(where, label + ": assert result type must match its operand");
+                Error(where,
+                      std::string(label) + ": assert result type must match its operand");
               }
             }
             break;
         }
         if ((shape == IntrinsicShape::kStore || shape == IntrinsicShape::kCheck) &&
             !inst.type()->IsVoid()) {
-          Error(where, label + (shape == IntrinsicShape::kStore ? ": store" : ": check") +
+          Error(where, std::string(label) +
+                           (shape == IntrinsicShape::kStore ? ": store" : ": check") +
                            " intrinsic must produce void");
         }
         break;
