@@ -973,7 +973,7 @@ Printers AblationShards(Suite& s) {
 // (Config::migrate). The churn server retires and respawns its worker pool
 // so connection cells outlive the generation that allocated them; the
 // ablation_shards workloads ride along to show migration never charges
-// more than the static table. Per shard count: identical safe-store op
+// more than static ownership. Per shard count: identical safe-store op
 // counts, epoch contended ops <= static, no migrations with the flag off.
 Printers AblationChurn(Suite& s) {
   const auto rows = Rows({&cpi::workloads::ChurnServer(), &cpi::workloads::EventLoop(),

@@ -57,16 +57,18 @@ struct Config {
   runtime::StoreKind store = runtime::StoreKind::kArray;
   runtime::IsolationKind isolation = runtime::IsolationKind::kSegment;
   // Safe-pointer-store shard count (vm::RunOptions::shards). 1 — the default
-  // every historical table is recorded at — is the legacy shared store with
-  // the flat concurrent sync premium; higher counts partition the store into
-  // per-thread write-local shards and charge the modeled shard-crossing cost
-  // instead. Behaviour is identical at any count (tests/shard_test.cc).
+  // every historical table is recorded at — is one shard shared by every
+  // thread, so each concurrent store access pays the sync premium; higher
+  // counts partition the store into per-thread write-local shards and charge
+  // only shard crossings. Behaviour is identical at any count
+  // (tests/shard_test.cc).
   uint32_t shards = 1;
   // Epoch-based shard-ownership migration (vm::RunOptions::migrate). Off —
-  // the default every historical table is recorded at — keeps the static
-  // owner table; on (with shards > 1) the VM republishes ownership at every
-  // spawn/join boundary and gives readers the RCU-style epoch-local path
-  // (tests/epoch_test.cc; a no-op at shards == 1 or single-threaded).
+  // the default every historical table is recorded at — is static ownership:
+  // one epoch in which every thread owns its own home; on (with shards > 1)
+  // the VM republishes ownership at every spawn/join boundary and gives
+  // readers the RCU-style epoch-local path (tests/epoch_test.cc; a no-op at
+  // shards == 1 or single-threaded).
   bool migrate = false;
   bool debug_mode = false;          // §3.2.2 mirror-and-compare
   bool temporal = false;            // CETS-style temporal extension

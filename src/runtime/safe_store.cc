@@ -1,8 +1,10 @@
-// The three safe-pointer-store organisations (§4).
+// The three safe-pointer-store organisations (§4) and the sharded store
+// built from them.
 #include "src/runtime/safe_store.h"
 
 #include <algorithm>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "src/support/check.h"
@@ -20,87 +22,95 @@ constexpr uint64_t kSafeStoreBase = 0x6000'0000'0000ULL;
 
 uint64_t SlotOf(uint64_t addr) { return addr >> 3; }
 
-// ---------------------------------------------------------------------------
-// Sparse direct-mapped array. One entry per 8-byte slot of the regular
-// region, reserved a superpage at a time on first touch — the "simple array
-// relying on sparse address space support of the underlying OS" that §4
-// found fastest (with superpages). Memory cost is highest: every touched
-// superpage reserves entries for all of its slots. Like the OS's sparse
-// pages, the host backs a superpage only where it is written: its entries
-// are allocated one block (a regular-region page's worth of slots) at a
-// time, while MemoryBytes() reports the modeled footprint of whole
-// superpages.
-class ArrayStore final : public SafePointerStore {
- public:
-  static constexpr uint64_t kSlotsPerPage = 1 << 16;  // 2 MB superpage of entries
-  static constexpr uint64_t kSlotsPerBlock = 512;     // one 4 KiB regular page
+// One growth allocation (array page, second-level table, hash rehash) of a
+// shard, against the shard's own countdown while that is armed, otherwise
+// the store's (see SafePointerStore::InjectAllocFailure).
+struct Growth {
+  uint64_t& shard_countdown;
+  uint64_t& store_countdown;
 
-  StoreKind kind() const override { return StoreKind::kArray; }
-
-  void Set(uint64_t addr, const SafeEntry& entry, TouchList* touched) override {
-    const uint64_t slot = SlotOf(addr);
-    SafeEntry& dst = EntryFor(slot);
-    if (!dst.IsPresent() && entry.IsPresent()) {
-      ++live_entries_;
-    } else if (dst.IsPresent() && !entry.IsPresent()) {
-      --live_entries_;
+  void Allocate() const {
+    constexpr uint64_t kDisarmed = ~0ULL;
+    uint64_t& countdown = shard_countdown != kDisarmed ? shard_countdown : store_countdown;
+    if (countdown == kDisarmed) {
+      return;
     }
-    dst = entry;
+    if (countdown == 0) {
+      countdown = kDisarmed;
+      throw SimulatedOom("safe pointer store growth failed");
+    }
+    --countdown;
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Direct-mapped paged organisation: one entry per 8-byte slot of the regular
+// region, reserved a page at a time on first write. Two geometries:
+//  - the sparse array (65,536-slot superpages, no directory): the "simple
+//    array relying on sparse address space support of the underlying OS"
+//    that §4 found fastest (with superpages). One touch per operation, at an
+//    address whose locality mirrors the program's own; memory cost is
+//    highest, as every touched superpage reserves all of its slots.
+//  - the two-level lookup table (4,096-slot tables under a 4 KiB directory):
+//    the layout Intel MPX uses for its bound tables (§4 "Future MPX-based
+//    implementation"). Two touches: the directory, then the entry.
+// Reserving a page is the modeled growth allocation, and MemoryBytes()
+// reports whole pages. Like the OS's sparse pages, the host backs a page only
+// where it is written: entries are allocated one block (a regular-region
+// page's worth of slots) at a time.
+template <uint64_t kSlotsPerPage, bool kDirectory>
+class PagedStore {
+ public:
+  void Set(uint64_t slot, const SafeEntry& entry, TouchList* touched, const Growth& growth) {
     Touch(slot, touched);
+    SafeEntry& dst = EntryFor(slot, growth);
+    live_entries_ = live_entries_ - dst.IsPresent() + entry.IsPresent();
+    dst = entry;
   }
 
-  SafeEntry Get(uint64_t addr, TouchList* touched) const override {
-    const uint64_t slot = SlotOf(addr);
+  SafeEntry Get(uint64_t slot, TouchList* touched) const {
     Touch(slot, touched);
     const SafeEntry* e = FindEntry(slot);
     return e == nullptr ? SafeEntry{} : *e;
   }
 
-  void Clear(uint64_t addr, TouchList* touched) override {
-    const uint64_t slot = SlotOf(addr);
+  void Clear(uint64_t slot, TouchList* touched) {
     Touch(slot, touched);
-    SafeEntry* dst = FindEntry(slot);
-    if (dst == nullptr) {
-      return;
+    if (SafeEntry* dst = FindEntry(slot)) {
+      live_entries_ -= dst->IsPresent();
+      *dst = SafeEntry{};
     }
-    if (dst->IsPresent()) {
-      --live_entries_;
-    }
-    *dst = SafeEntry{};
   }
 
-  uint64_t MemoryBytes() const override {
-    return pages_.size() * kSlotsPerPage * kSafeEntryBytes;
+  void Reserve(uint64_t, const Growth&) {}  // direct-mapped: nothing to pre-size
+
+  uint64_t MemoryBytes() const {
+    if (pages_.empty()) {
+      return 0;  // nothing materialised: a scheme that never stores pays nothing
+    }
+    return (kDirectory ? 4096 : 0) + pages_.size() * kSlotsPerPage * kSafeEntryBytes;
   }
 
-  uint64_t EntryCount() const override { return live_entries_; }
+  uint64_t EntryCount() const { return live_entries_; }
 
-  bool CorruptEntry(uint64_t which, uint64_t xor_mask) override {
-    if (live_entries_ == 0 || xor_mask == 0) {
-      return false;
-    }
-    // pages_ iterates in hash order; scan page ids sorted so the corrupted
-    // entry is a deterministic function of (which, store contents). Within
-    // a superpage, blocks and entries go in slot order.
+  // Calls `fn` on each live entry in ascending slot order until it returns
+  // true; returns whether it did.
+  template <typename Fn>
+  bool ForEachLive(Fn fn) {
+    // pages_ iterates in hash order; walk page ids sorted.
     std::vector<uint64_t> ids;
     ids.reserve(pages_.size());
     for (const auto& [id, page] : pages_) {
-      (void)page;
       ids.push_back(id);
     }
     std::sort(ids.begin(), ids.end());
-    uint64_t target = which % live_entries_;
     for (uint64_t id : ids) {
       for (auto& block : pages_[id]->blocks) {
         if (block == nullptr) {
           continue;
         }
         for (SafeEntry& e : block->entries) {
-          if (!e.IsPresent()) {
-            continue;
-          }
-          if (target-- == 0) {
-            e.value ^= xor_mask;
+          if (e.IsPresent() && fn(e)) {
             return true;
           }
         }
@@ -110,6 +120,10 @@ class ArrayStore final : public SafePointerStore {
   }
 
  private:
+  static constexpr uint64_t kSlotsPerBlock = 512;  // one 4 KiB regular page
+  static_assert(kSlotsPerPage % kSlotsPerBlock == 0);
+  static constexpr uint64_t kEntryBase = kSafeStoreBase + (kDirectory ? 0x1000'0000ULL : 0);
+
   struct Block {
     SafeEntry entries[kSlotsPerBlock];
   };
@@ -118,11 +132,13 @@ class ArrayStore final : public SafePointerStore {
   };
 
   static void Touch(uint64_t slot, TouchList* touched) {
-    if (touched != nullptr) {
-      // Direct-mapped: exactly one safe-region access, at an address whose
-      // locality mirrors the program's own access locality.
-      touched->Add(kSafeStoreBase + slot * kSafeEntryBytes);
+    if (touched == nullptr) {
+      return;
     }
+    if constexpr (kDirectory) {
+      touched->Add(kSafeStoreBase + slot / kSlotsPerPage * 8);
+    }
+    touched->Add(kEntryBase + slot * kSafeEntryBytes);
   }
 
   // The slot's entry, or null when its block was never written.
@@ -135,12 +151,12 @@ class ArrayStore final : public SafePointerStore {
     return block == nullptr ? nullptr : &block->entries[slot % kSlotsPerBlock];
   }
 
-  // The slot's entry, reserving its superpage (the one modeled growth
+  // The slot's entry, reserving its page (the one modeled growth
   // allocation) and backing its block as needed.
-  SafeEntry& EntryFor(uint64_t slot) {
+  SafeEntry& EntryFor(uint64_t slot, const Growth& growth) {
     auto it = pages_.find(slot / kSlotsPerPage);
     if (it == pages_.end()) {
-      ConsumeGrowthAllocation();
+      growth.Allocate();
       it = pages_.emplace(slot / kSlotsPerPage, std::make_unique<Page>()).first;
     }
     std::unique_ptr<Block>& block = it->second->blocks[slot % kSlotsPerPage / kSlotsPerBlock];
@@ -154,243 +170,73 @@ class ArrayStore final : public SafePointerStore {
   uint64_t live_entries_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Two-level lookup table: a directory indexed by the high slot bits pointing
-// at second-level tables — the layout Intel MPX uses for its bound tables
-// (§4 "Future MPX-based implementation"). Each operation touches the
-// directory and the table entry.
-class TwoLevelStore final : public SafePointerStore {
- public:
-  static constexpr uint64_t kSecondLevelSlots = 1 << 12;
-
-  StoreKind kind() const override { return StoreKind::kTwoLevel; }
-
-  void Set(uint64_t addr, const SafeEntry& entry, TouchList* touched) override {
-    const uint64_t slot = SlotOf(addr);
-    Touch(slot, touched);
-    Table& table = GetTable(slot / kSecondLevelSlots);
-    SafeEntry& dst = table.entries[slot % kSecondLevelSlots];
-    if (!dst.IsPresent() && entry.IsPresent()) {
-      ++live_entries_;
-    } else if (dst.IsPresent() && !entry.IsPresent()) {
-      --live_entries_;
-    }
-    dst = entry;
-  }
-
-  SafeEntry Get(uint64_t addr, TouchList* touched) const override {
-    const uint64_t slot = SlotOf(addr);
-    Touch(slot, touched);
-    auto it = tables_.find(slot / kSecondLevelSlots);
-    if (it == tables_.end()) {
-      return SafeEntry{};
-    }
-    return it->second->entries[slot % kSecondLevelSlots];
-  }
-
-  void Clear(uint64_t addr, TouchList* touched) override {
-    const uint64_t slot = SlotOf(addr);
-    Touch(slot, touched);
-    auto it = tables_.find(slot / kSecondLevelSlots);
-    if (it == tables_.end()) {
-      return;
-    }
-    SafeEntry& dst = it->second->entries[slot % kSecondLevelSlots];
-    if (dst.IsPresent()) {
-      --live_entries_;
-    }
-    dst = SafeEntry{};
-  }
-
-  uint64_t MemoryBytes() const override {
-    if (tables_.empty()) {
-      return 0;  // nothing materialised: a scheme that never stores pays nothing
-    }
-    // Directory (8 bytes per present table, rounded to a page) + tables.
-    const uint64_t directory = 4096;
-    return directory + tables_.size() * kSecondLevelSlots * kSafeEntryBytes;
-  }
-
-  uint64_t EntryCount() const override { return live_entries_; }
-
-  bool CorruptEntry(uint64_t which, uint64_t xor_mask) override {
-    if (live_entries_ == 0 || xor_mask == 0) {
-      return false;
-    }
-    std::vector<uint64_t> ids;
-    ids.reserve(tables_.size());
-    for (const auto& [id, table] : tables_) {
-      (void)table;
-      ids.push_back(id);
-    }
-    std::sort(ids.begin(), ids.end());
-    uint64_t target = which % live_entries_;
-    for (uint64_t id : ids) {
-      for (SafeEntry& e : tables_[id]->entries) {
-        if (!e.IsPresent()) {
-          continue;
-        }
-        if (target-- == 0) {
-          e.value ^= xor_mask;
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
- private:
-  struct Table {
-    SafeEntry entries[kSecondLevelSlots];
-  };
-
-  static void Touch(uint64_t slot, TouchList* touched) {
-    if (touched != nullptr) {
-      const uint64_t dir_index = slot / kSecondLevelSlots;
-      // Directory probe, then the entry in the second-level table.
-      touched->Add(kSafeStoreBase + dir_index * 8);
-      touched->Add(kSafeStoreBase + 0x1000'0000ULL + slot * kSafeEntryBytes);
-    }
-  }
-
-  Table& GetTable(uint64_t table_id) {
-    auto it = tables_.find(table_id);
-    if (it == tables_.end()) {
-      ConsumeGrowthAllocation();
-      it = tables_.emplace(table_id, std::make_unique<Table>()).first;
-    }
-    return *it->second;
-  }
-
-  std::unordered_map<uint64_t, std::unique_ptr<Table>> tables_;
-  uint64_t live_entries_ = 0;
-};
+using ArrayStore = PagedStore<1 << 16, /*kDirectory=*/false>;    // 2 MiB superpages of entries
+using TwoLevelStore = PagedStore<1 << 12, /*kDirectory=*/true>;  // 128 KiB tables
 
 // ---------------------------------------------------------------------------
 // Open-addressing hash table with linear probing. Most memory-frugal (only
 // live entries occupy space) but each operation costs one-plus-probes
 // scattered safe-region touches, which is why §4 measured it slower than the
 // array.
-class HashStore final : public SafePointerStore {
+class HashStore {
  public:
-  // `touch_bias` offsets every synthesised touch address; the sharded
-  // wrapper gives each shard a disjoint bias so the cache model never
-  // aliases two shards' independent probe sequences (slot indices are
-  // per-table insertion history, unlike the array/two-level organisations
-  // whose touch addresses are pure functions of the global slot).
-  explicit HashStore(uint64_t touch_bias = 0) : touch_bias_(touch_bias) {}
-
-  StoreKind kind() const override { return StoreKind::kHash; }
+  // `touch_bias` offsets every synthesised touch address; each shard gets a
+  // disjoint bias so the cache model never aliases two shards' independent
+  // probe sequences (slot indices are per-table insertion history, unlike
+  // the paged organisations' touch addresses, which are pure functions of
+  // the key).
+  explicit HashStore(uint64_t touch_bias) : touch_bias_(touch_bias) {}
 
   // Pre-size to the smallest power-of-two table that holds `entries` live
   // entries below the rehash trigger.
-  void Reserve(uint64_t entries) override {
+  void Reserve(uint64_t entries, const Growth& growth) {
     size_t target = kInitialSlots;
     while (NeedsGrowth(entries, target)) {
       target *= 2;
     }
     if (target > slots_.size()) {
-      RehashTo(target);
+      RehashTo(target, growth);
     }
   }
 
-  void Set(uint64_t addr, const SafeEntry& entry, TouchList* touched) override {
+  void Set(uint64_t key, const SafeEntry& entry, TouchList* touched, const Growth& growth) {
     if (!entry.IsPresent()) {
-      Clear(addr, touched);
+      Clear(key, touched);
       return;
     }
     // The table materialises on first insertion, so an execution that never
     // stores a protected pointer reports zero resident safe-store memory.
     if (slots_.empty() || NeedsGrowth(live_entries_ + tombstones_, slots_.size())) {
-      Rehash();
+      RehashTo(std::max(slots_.size() * 2, kInitialSlots), growth);
     }
-    const uint64_t key = SlotOf(addr);
-    uint64_t index = HashOf(key) & (slots_.size() - 1);
-    // Probe for an existing live entry first; a key may live beyond a
-    // tombstone, so insertion must not stop at the first reusable slot.
-    size_t reusable = slots_.size();
-    for (;;) {
-      Slot& s = slots_[index];
-      Touch(index, touched);
-      if (s.state == SlotState::kLive && s.key == key) {
-        s.entry = entry;
-        return;
-      }
-      if (s.state == SlotState::kTombstone && reusable == slots_.size()) {
-        reusable = index;
-      }
-      if (s.state == SlotState::kEmpty) {
-        Slot& dst = reusable != slots_.size() ? slots_[reusable] : s;
-        if (dst.state == SlotState::kTombstone) {
-          --tombstones_;
-        }
-        dst.state = SlotState::kLive;
-        dst.key = key;
-        dst.entry = entry;
-        ++live_entries_;
-        return;
-      }
-      index = (index + 1) & (slots_.size() - 1);
-    }
+    Insert(key, entry, touched);
   }
 
-  SafeEntry Get(uint64_t addr, TouchList* touched) const override {
-    if (slots_.empty()) {
-      return SafeEntry{};
-    }
-    const uint64_t key = SlotOf(addr);
-    uint64_t index = HashOf(key) & (slots_.size() - 1);
-    for (;;) {
-      const Slot& s = slots_[index];
-      Touch(index, touched);
-      if (s.state == SlotState::kEmpty) {
-        return SafeEntry{};
-      }
-      if (s.state == SlotState::kLive && s.key == key) {
-        return s.entry;
-      }
-      index = (index + 1) & (slots_.size() - 1);
-    }
+  SafeEntry Get(uint64_t key, TouchList* touched) const {
+    const size_t index = Find(key, touched);
+    return index == slots_.size() ? SafeEntry{} : slots_[index].entry;
   }
 
-  void Clear(uint64_t addr, TouchList* touched) override {
-    if (slots_.empty()) {
+  void Clear(uint64_t key, TouchList* touched) {
+    const size_t index = Find(key, touched);
+    if (index == slots_.size()) {
       return;
     }
-    const uint64_t key = SlotOf(addr);
-    uint64_t index = HashOf(key) & (slots_.size() - 1);
-    for (;;) {
-      Slot& s = slots_[index];
-      Touch(index, touched);
-      if (s.state == SlotState::kEmpty) {
-        return;
-      }
-      if (s.state == SlotState::kLive && s.key == key) {
-        s.state = SlotState::kTombstone;
-        --live_entries_;
-        ++tombstones_;
-        return;
-      }
-      index = (index + 1) & (slots_.size() - 1);
-    }
+    slots_[index].state = SlotState::kTombstone;
+    --live_entries_;
+    ++tombstones_;
   }
 
-  uint64_t MemoryBytes() const override { return slots_.size() * (kSafeEntryBytes + 16); }
+  uint64_t MemoryBytes() const { return slots_.size() * (kSafeEntryBytes + 16); }
 
-  uint64_t EntryCount() const override { return live_entries_; }
+  uint64_t EntryCount() const { return live_entries_; }
 
-  bool CorruptEntry(uint64_t which, uint64_t xor_mask) override {
-    if (live_entries_ == 0 || xor_mask == 0) {
-      return false;
-    }
-    // slots_ is a flat vector: index order is already deterministic.
-    uint64_t target = which % live_entries_;
+  // Calls `fn` on each live entry in table order until it returns true;
+  // returns whether it did.
+  template <typename Fn>
+  bool ForEachLive(Fn fn) {
     for (Slot& s : slots_) {
-      if (s.state != SlotState::kLive) {
-        continue;
-      }
-      if (target-- == 0) {
-        s.entry.value ^= xor_mask;
+      if (s.state == SlotState::kLive && fn(s.entry)) {
         return true;
       }
     }
@@ -439,10 +285,58 @@ class HashStore final : public SafePointerStore {
     }
   }
 
-  void Rehash() { RehashTo(std::max(slots_.size() * 2, kInitialSlots)); }
+  // The index of `key`'s live slot, or slots_.size() when it has none.
+  size_t Find(uint64_t key, TouchList* touched) const {
+    if (slots_.empty()) {
+      return 0;
+    }
+    uint64_t index = HashOf(key) & (slots_.size() - 1);
+    for (;;) {
+      const Slot& s = slots_[index];
+      Touch(index, touched);
+      if (s.state == SlotState::kEmpty) {
+        return slots_.size();
+      }
+      if (s.state == SlotState::kLive && s.key == key) {
+        return index;
+      }
+      index = (index + 1) & (slots_.size() - 1);
+    }
+  }
 
-  void RehashTo(size_t new_size) {
-    ConsumeGrowthAllocation();
+  // Stores a present entry into a table with room for it.
+  void Insert(uint64_t key, const SafeEntry& entry, TouchList* touched) {
+    uint64_t index = HashOf(key) & (slots_.size() - 1);
+    // Probe for an existing live entry first; a key may live beyond a
+    // tombstone, so insertion must not stop at the first reusable slot.
+    size_t reusable = slots_.size();
+    for (;;) {
+      Slot& s = slots_[index];
+      Touch(index, touched);
+      if (s.state == SlotState::kLive && s.key == key) {
+        s.entry = entry;
+        return;
+      }
+      if (s.state == SlotState::kTombstone && reusable == slots_.size()) {
+        reusable = index;
+      }
+      if (s.state == SlotState::kEmpty) {
+        Slot& dst = reusable != slots_.size() ? slots_[reusable] : s;
+        if (dst.state == SlotState::kTombstone) {
+          --tombstones_;
+        }
+        dst.state = SlotState::kLive;
+        dst.key = key;
+        dst.entry = entry;
+        ++live_entries_;
+        return;
+      }
+      index = (index + 1) & (slots_.size() - 1);
+    }
+  }
+
+  void RehashTo(size_t new_size, const Growth& growth) {
+    growth.Allocate();
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_size, Slot{});
     live_entries_ = 0;
@@ -450,7 +344,7 @@ class HashStore final : public SafePointerStore {
     memo_key_ = ~0ULL;  // probe starts depend on the table size
     for (const Slot& s : old) {
       if (s.state == SlotState::kLive) {
-        Set(s.key << 3, s.entry, nullptr);
+        Insert(s.key, s.entry, nullptr);
       }
     }
   }
@@ -458,138 +352,129 @@ class HashStore final : public SafePointerStore {
   std::vector<Slot> slots_;
   uint64_t live_entries_ = 0;
   uint64_t tombstones_ = 0;
-  const uint64_t touch_bias_ = 0;
+  uint64_t touch_bias_ = 0;
   mutable uint64_t memo_key_ = ~0ULL;
   mutable uint64_t memo_hash_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Sharded wrapper: per-thread write-local shards (§3.2.3 scaled out). Every
-// key routes to exactly one of `count` private instances of the base
-// organisation, so the shards partition the key space and never contend on
-// shared structures — the mostly-lock-free design whose modeled cost the VM
-// charges per shard crossing. State per key is identical at any shard count;
-// only residency (per-shard pages/tables) and hash-probe neighbourhoods
-// change, which is the same speed/memory trade-off §4 describes per
-// organisation.
-class ShardedStore final : public SafePointerStore {
- public:
-  // Touch-address bias stride between hash shards: far larger than any
-  // realistic table so shards' probe addresses never collide.
-  static constexpr uint64_t kHashShardBias = 1ULL << 36;
-
-  ShardedStore(StoreKind kind, uint32_t count, ShardFn shard_of)
-      : kind_(kind), count_(count), shard_of_(shard_of) {
-    shards_.reserve(count);
-    for (uint32_t s = 0; s < count; ++s) {
-      if (kind == StoreKind::kHash) {
-        shards_.push_back(std::make_unique<HashStore>(s * kHashShardBias));
-      } else {
-        shards_.push_back(CreateSafeStore(kind));
-      }
-      // A global InjectAllocFailure must keep global-order semantics:
-      // whichever shard grows next consumes the shared countdown.
-      LinkGrowthFailure(*shards_.back(), *this);
-    }
-  }
-
-  StoreKind kind() const override { return kind_; }
-  uint32_t ShardCount() const override { return count_; }
-
-  void Set(uint64_t addr, const SafeEntry& entry, TouchList* touched) override {
-    ShardFor(addr).Set(addr, entry, touched);
-  }
-  SafeEntry Get(uint64_t addr, TouchList* touched) const override {
-    return ShardFor(addr).Get(addr, touched);
-  }
-  void Clear(uint64_t addr, TouchList* touched) override {
-    ShardFor(addr).Clear(addr, touched);
-  }
-
-  void Reserve(uint64_t entries) override {
-    // Conservative: keys are not uniformly distributed over shards (routing
-    // is by home region), so every shard pre-sizes for the full set.
-    for (auto& s : shards_) {
-      s->Reserve(entries);
-    }
-  }
-
-  uint64_t MemoryBytes() const override {
-    uint64_t total = 0;
-    for (const auto& s : shards_) {
-      total += s->MemoryBytes();
-    }
-    return total;
-  }
-
-  uint64_t EntryCount() const override {
-    uint64_t total = 0;
-    for (const auto& s : shards_) {
-      total += s->EntryCount();
-    }
-    return total;
-  }
-
-  bool CorruptEntry(uint64_t which, uint64_t xor_mask) override {
-    // Deterministic global order: shards in index order, each shard's own
-    // organisation-specific order within.
-    const uint64_t live = EntryCount();
-    if (live == 0 || xor_mask == 0) {
-      return false;
-    }
-    uint64_t target = which % live;
-    for (auto& s : shards_) {
-      const uint64_t n = s->EntryCount();
-      if (target < n) {
-        return s->CorruptEntry(target, xor_mask);
-      }
-      target -= n;
-    }
-    return false;
-  }
-
-  bool CorruptEntryInShard(uint32_t shard, uint64_t which, uint64_t xor_mask) override {
-    CPI_CHECK(shard < count_);
-    return shards_[shard]->CorruptEntry(which, xor_mask);
-  }
-
-  void InjectShardAllocFailure(uint32_t shard, uint64_t countdown) override {
-    CPI_CHECK(shard < count_);
-    // The shard's own countdown takes priority over the linked global one.
-    shards_[shard]->InjectAllocFailure(countdown);
-  }
-
- private:
-  SafePointerStore& ShardFor(uint64_t addr) const {
-    const uint32_t s = shard_of_(addr, count_);
-    CPI_CHECK(s < count_);
-    return *shards_[s];
-  }
-
-  const StoreKind kind_;
-  const uint32_t count_;
-  const ShardFn shard_of_;
-  std::vector<std::unique_ptr<SafePointerStore>> shards_;
-};
+// Touch-address bias stride between hash shards: far larger than any
+// realistic table so shards' probe addresses never collide.
+constexpr uint64_t kHashShardBias = 1ULL << 36;
 
 }  // namespace
 
-void SafePointerStore::ConsumeGrowthAllocation() {
-  if (alloc_failure_countdown_ != kAllocFailureDisarmed) {
-    if (alloc_failure_countdown_ == 0) {
-      alloc_failure_countdown_ = kAllocFailureDisarmed;
-      throw SimulatedOom("safe pointer store growth failed");
+struct SafePointerStore::Shard {
+  std::variant<ArrayStore, TwoLevelStore, HashStore> org;
+  uint64_t oom_countdown = kOomDisarmed;
+};
+
+SafePointerStore::SafePointerStore(StoreKind kind, uint32_t shards, ShardFn shard_of)
+    : shard_of_(shard_of) {
+  CPI_CHECK(shards <= 1 || shard_of_ != nullptr);
+  for (uint32_t s = 0; s < std::max<uint32_t>(shards, 1); ++s) {
+    switch (kind) {
+      case StoreKind::kArray:
+        shards_.push_back({ArrayStore{}});
+        break;
+      case StoreKind::kTwoLevel:
+        shards_.push_back({TwoLevelStore{}});
+        break;
+      case StoreKind::kHash:
+        shards_.push_back({HashStore(s * kHashShardBias)});
+        break;
     }
-    --alloc_failure_countdown_;
-    return;
   }
-  if (linked_alloc_failure_ != nullptr && *linked_alloc_failure_ != kAllocFailureDisarmed) {
-    if (*linked_alloc_failure_ == 0) {
-      *linked_alloc_failure_ = kAllocFailureDisarmed;
-      throw SimulatedOom("safe pointer store growth failed");
+}
+
+SafePointerStore::~SafePointerStore() = default;
+
+uint32_t SafePointerStore::ShardCount() const { return static_cast<uint32_t>(shards_.size()); }
+
+uint32_t SafePointerStore::ShardOf(uint64_t addr) const {
+  if (shards_.size() == 1) {
+    return 0;
+  }
+  const uint32_t s = shard_of_(addr, ShardCount());
+  CPI_CHECK(s < shards_.size());
+  return s;
+}
+
+void SafePointerStore::Set(uint64_t addr, const SafeEntry& entry, TouchList* touched) {
+  Shard& shard = shards_[ShardOf(addr)];
+  const Growth growth{shard.oom_countdown, oom_countdown_};
+  std::visit([&](auto& org) { org.Set(SlotOf(addr), entry, touched, growth); }, shard.org);
+}
+
+SafeEntry SafePointerStore::Get(uint64_t addr, TouchList* touched) const {
+  return std::visit([&](const auto& org) { return org.Get(SlotOf(addr), touched); },
+                    shards_[ShardOf(addr)].org);
+}
+
+void SafePointerStore::Clear(uint64_t addr, TouchList* touched) {
+  std::visit([&](auto& org) { org.Clear(SlotOf(addr), touched); }, shards_[ShardOf(addr)].org);
+}
+
+void SafePointerStore::Reserve(uint64_t entries) {
+  for (Shard& shard : shards_) {
+    const Growth growth{shard.oom_countdown, oom_countdown_};
+    std::visit([&](auto& org) { org.Reserve(entries, growth); }, shard.org);
+  }
+}
+
+uint64_t SafePointerStore::MemoryBytes() const {
+  uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += std::visit([](const auto& org) { return org.MemoryBytes(); }, shard.org);
+  }
+  return total;
+}
+
+uint64_t SafePointerStore::EntryCount() const {
+  uint64_t total = 0;
+  for (const Shard& shard : shards_) {
+    total += std::visit([](const auto& org) { return org.EntryCount(); }, shard.org);
+  }
+  return total;
+}
+
+void SafePointerStore::InjectShardAllocFailure(uint32_t shard, uint64_t countdown) {
+  CPI_CHECK(shard < shards_.size());
+  shards_[shard].oom_countdown = countdown;
+}
+
+bool SafePointerStore::CorruptEntry(uint64_t which, uint64_t xor_mask) {
+  return CorruptLiveEntry(0, ShardCount(), which, xor_mask);
+}
+
+bool SafePointerStore::CorruptEntryInShard(uint32_t shard, uint64_t which, uint64_t xor_mask) {
+  CPI_CHECK(shard < shards_.size());
+  return CorruptLiveEntry(shard, shard + 1, which, xor_mask);
+}
+
+// Corrupts the (`which` mod live)-th live entry of shards [first, last).
+bool SafePointerStore::CorruptLiveEntry(uint32_t first, uint32_t last, uint64_t which,
+                                        uint64_t xor_mask) {
+  uint64_t live = 0;
+  for (uint32_t s = first; s < last; ++s) {
+    live += std::visit([](const auto& org) { return org.EntryCount(); }, shards_[s].org);
+  }
+  if (live == 0 || xor_mask == 0) {
+    return false;
+  }
+  uint64_t target = which % live;
+  const auto hit = [&](SafeEntry& e) {
+    if (target-- != 0) {
+      return false;
     }
-    --*linked_alloc_failure_;
+    e.value ^= xor_mask;
+    return true;
+  };
+  for (uint32_t s = first; s < last; ++s) {
+    if (std::visit([&](auto& org) { return org.ForEachLive(hit); }, shards_[s].org)) {
+      return true;
+    }
   }
+  return false;
 }
 
 void SafePointerStore::ClearRange(uint64_t addr, uint64_t size) {
@@ -652,25 +537,9 @@ const char* StoreKindName(StoreKind kind) {
   CPI_UNREACHABLE();
 }
 
-std::unique_ptr<SafePointerStore> CreateSafeStore(StoreKind kind) {
-  switch (kind) {
-    case StoreKind::kArray:
-      return std::make_unique<ArrayStore>();
-    case StoreKind::kTwoLevel:
-      return std::make_unique<TwoLevelStore>();
-    case StoreKind::kHash:
-      return std::make_unique<HashStore>();
-  }
-  CPI_UNREACHABLE();
-}
-
 std::unique_ptr<SafePointerStore> CreateSafeStore(StoreKind kind, uint32_t shards,
                                                   ShardFn shard_of) {
-  if (shards <= 1) {
-    return CreateSafeStore(kind);
-  }
-  CPI_CHECK(shard_of != nullptr);
-  return std::make_unique<ShardedStore>(kind, shards, shard_of);
+  return std::make_unique<SafePointerStore>(kind, shards, shard_of);
 }
 
 }  // namespace cpi::runtime

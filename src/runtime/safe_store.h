@@ -7,6 +7,13 @@
 // operation) and in resident memory — which is exactly the speed/memory
 // trade-off §5.2 reports.
 //
+// A store is always `shards` (>= 1) private instances of one organisation:
+// §3.2.3's isolated safe region split into per-thread write-local shards.
+// Every key routes to exactly one shard, so the shards partition the key
+// space; one shard is the whole store. Entry state, bulk-transfer semantics
+// and (for the array and two-level organisations) touch addresses are pure
+// functions of the key, so behaviour is the same at every shard count.
+//
 // Every operation reports which safe-region addresses it touched so the VM's
 // cache model can charge realistic costs.
 #ifndef CPI_SRC_RUNTIME_SAFE_STORE_H_
@@ -15,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/runtime/metadata.h"
 
@@ -42,23 +50,29 @@ enum class StoreKind {
 
 const char* StoreKindName(StoreKind kind);
 
-class SafePointerStore {
- public:
-  virtual ~SafePointerStore() = default;
+// The shard routing function: maps a safe-store key (a regular-region
+// address) to its shard. Supplied by the VM layer (vm::ShardOfAddress), so
+// the runtime stays layout-agnostic. Must be pure.
+using ShardFn = uint32_t (*)(uint64_t addr, uint32_t shard_count);
 
-  virtual StoreKind kind() const = 0;
+class SafePointerStore final {
+ public:
+  // `shards` instances of `kind`; `shard_of` routes keys when there is more
+  // than one.
+  SafePointerStore(StoreKind kind, uint32_t shards, ShardFn shard_of);
+  ~SafePointerStore();
 
   // Associates `entry` with the regular-region address `addr` (8-byte
   // aligned slots; unaligned addresses are rounded down, as pointer-sized
   // writes are).
-  virtual void Set(uint64_t addr, const SafeEntry& entry, TouchList* touched) = 0;
+  void Set(uint64_t addr, const SafeEntry& entry, TouchList* touched);
 
   // Returns the entry at `addr` (kind == kNone when absent).
-  virtual SafeEntry Get(uint64_t addr, TouchList* touched) const = 0;
+  SafeEntry Get(uint64_t addr, TouchList* touched) const;
 
   // Removes any entry at `addr` (used when a regular value overwrites a
   // universal-pointer slot).
-  virtual void Clear(uint64_t addr, TouchList* touched) = 0;
+  void Clear(uint64_t addr, TouchList* touched);
 
   // Bulk helpers for the checked memory-transfer variants (§3.2.2).
   // CopyRange interleaves each destination slot's Clear with its Set so the
@@ -67,87 +81,60 @@ class SafePointerStore {
   void CopyRange(uint64_t dst, uint64_t src, uint64_t size);
   void MoveRange(uint64_t dst, uint64_t src, uint64_t size);
 
-  // Pre-sizes the organisation for `entries` live entries. Benches with a
+  // Pre-sizes every shard for `entries` live entries (keys are not spread
+  // evenly over shards, so each sizes for the full set). Benches with a
   // known working set call this to skip rehash churn; it is never called on
   // the measured paths (growing up front changes resident-memory numbers).
-  virtual void Reserve(uint64_t entries) { (void)entries; }
+  void Reserve(uint64_t entries);
 
   // Resident safe-region memory in bytes (the §5.2 memory-overhead metric).
-  virtual uint64_t MemoryBytes() const = 0;
+  uint64_t MemoryBytes() const;
 
   // Number of live entries (diagnostics / tests).
-  virtual uint64_t EntryCount() const = 0;
+  uint64_t EntryCount() const;
 
-  // Number of shards backing this store. 1 for the plain organisations; the
-  // sharded wrapper returned by the shard-aware CreateSafeStore overload
-  // reports its configured count.
-  virtual uint32_t ShardCount() const { return 1; }
+  uint32_t ShardCount() const;
 
-  // Fault injection (vm::FaultPlan). InjectAllocFailure arms a one-shot
-  // simulated OOM: after `countdown` more growth allocations (array pages,
-  // second-level tables, hash rehashes) succeed, the next one throws
-  // SimulatedOom — the VM catches it and reports the run as crashed. On a
-  // sharded store the countdown is global: growth events consume it in
-  // execution order no matter which shard grows.
-  void InjectAllocFailure(uint64_t countdown) { alloc_failure_countdown_ = countdown; }
-
-  // Per-shard variant (vm::FaultKind::kOomShard): only growth inside the
-  // given shard consumes the countdown, so the failure is contained to that
-  // shard's structures. On an unsharded store shard 0 is the whole store.
-  virtual void InjectShardAllocFailure(uint32_t shard, uint64_t countdown) {
-    (void)shard;
-    InjectAllocFailure(countdown);
-  }
+  // Fault injection (vm::FaultPlan). Each arms a one-shot simulated OOM:
+  // after `countdown` more growth allocations (array pages, second-level
+  // tables, hash rehashes) succeed, the next one throws SimulatedOom — the
+  // VM catches it and reports the run as crashed. One rule at every shard
+  // count: a growing shard consumes its own countdown while that is armed
+  // (InjectShardAllocFailure, vm::FaultKind::kOomShard, which contains the
+  // failure to that shard), otherwise the store-wide one
+  // (InjectAllocFailure), which growth of any shard consumes in execution
+  // order.
+  void InjectAllocFailure(uint64_t countdown) { oom_countdown_ = countdown; }
+  void InjectShardAllocFailure(uint32_t shard, uint64_t countdown);
 
   // XORs `xor_mask` into the protected value of the (`which` mod live)-th
-  // live entry, in a deterministic organisation-specific order. Models an
-  // attacker corrupting the metadata region itself (§3.2.3's secrecy
-  // assumption): subsequent checks must fire on the forged bounds/value
-  // rather than trust it. Returns false when the store holds no entries.
-  virtual bool CorruptEntry(uint64_t which, uint64_t xor_mask) = 0;
+  // live entry: shards in index order, each shard's entries in its
+  // organisation's order (ascending slot for the array and two-level
+  // organisations, table order for the hash). Models an attacker corrupting
+  // the metadata region itself (§3.2.3's secrecy assumption): subsequent
+  // checks must fire on the forged bounds/value rather than trust it.
+  // Returns false when the store holds no entries.
+  bool CorruptEntry(uint64_t which, uint64_t xor_mask);
 
   // Per-shard variant (vm::FaultKind::kCorruptShard): corrupts a live entry
   // of the given shard only, proving containment — entries homed to other
   // shards are untouched. Returns false when that shard holds no entries.
-  virtual bool CorruptEntryInShard(uint32_t shard, uint64_t which, uint64_t xor_mask) {
-    (void)shard;
-    return CorruptEntry(which, xor_mask);
-  }
-
- protected:
-  // Growth paths call this before allocating backing storage. Consumes the
-  // store's own countdown first; when the store is a shard of a sharded
-  // store, it falls back to the parent's (global) countdown.
-  void ConsumeGrowthAllocation();
-
-  // Makes `shard`'s growth consume `parent`'s countdown whenever the
-  // shard's own is disarmed (the sharded wrapper links each shard to
-  // itself).
-  static void LinkGrowthFailure(SafePointerStore& shard, SafePointerStore& parent) {
-    shard.linked_alloc_failure_ = &parent.alloc_failure_countdown_;
-  }
+  bool CorruptEntryInShard(uint32_t shard, uint64_t which, uint64_t xor_mask);
 
  private:
-  static constexpr uint64_t kAllocFailureDisarmed = ~0ULL;
-  uint64_t alloc_failure_countdown_ = kAllocFailureDisarmed;
-  uint64_t* linked_alloc_failure_ = nullptr;
+  struct Shard;  // one instance of the organisation plus its own countdown
+
+  uint32_t ShardOf(uint64_t addr) const;
+  bool CorruptLiveEntry(uint32_t first, uint32_t last, uint64_t which, uint64_t xor_mask);
+
+  static constexpr uint64_t kOomDisarmed = ~0ULL;
+  const ShardFn shard_of_;
+  std::vector<Shard> shards_;
+  uint64_t oom_countdown_ = kOomDisarmed;
 };
 
-std::unique_ptr<SafePointerStore> CreateSafeStore(StoreKind kind);
-
-// The shard routing function: maps a safe-store key (a regular-region
-// address) to its shard. Supplied by the VM layer (vm::ShardOfAddress), so
-// the runtime stays layout-agnostic. Must be pure.
-using ShardFn = uint32_t (*)(uint64_t addr, uint32_t shard_count);
-
-// Shard-aware factory. `shards` <= 1 returns the plain organisation
-// (bit-for-bit the legacy store); otherwise a sharded wrapper routes every
-// operation to one of `shards` private instances of the organisation via
-// `shard_of(addr, shards)`. Entry state, bulk-transfer semantics and (for
-// the array/two-level organisations) touch addresses are pure functions of
-// the key, so behaviour is identical at every shard count.
-std::unique_ptr<SafePointerStore> CreateSafeStore(StoreKind kind, uint32_t shards,
-                                                  ShardFn shard_of);
+std::unique_ptr<SafePointerStore> CreateSafeStore(StoreKind kind, uint32_t shards = 1,
+                                                  ShardFn shard_of = nullptr);
 
 }  // namespace cpi::runtime
 

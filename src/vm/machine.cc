@@ -100,41 +100,25 @@ class Machine {
         layout_(layout),
         decoded_(decoded),
         store_(options.use_safe_store
-                   ? runtime::CreateSafeStore(options.store,
-                                              std::max<uint32_t>(options.shards, 1),
-                                              &ShardOfAddress)
+                   ? runtime::CreateSafeStore(options.store, options.shards, &ShardOfAddress)
                    : nullptr),
         sealer_(runtime::DeriveSealKey(options.seed)),
         shards_(std::max<uint32_t>(options.shards, 1)),
-        migrate_(options.migrate && std::max<uint32_t>(options.shards, 1) > 1) {
-    // Static shard-ownership table: shard s is write-local to thread t when
-    // t's home is the only one hashing to s; otherwise (including the
-    // single-shard default, shared by construction) the shard is contended
-    // for every thread. Pure function of the shard count — never of the
-    // schedule — so charges stay engine/quantum-invariant.
-    shard_owner_.assign(shards_, -1);
-    if (shards_ > 1) {
-      for (uint64_t h = 0; h < kMaxThreads; ++h) {
-        const uint32_t s = static_cast<uint32_t>(ShardHash(h) % shards_);
-        shard_owner_[s] = shard_owner_[s] == -1 ? static_cast<int32_t>(h) : -2;
-      }
+        migrate_(options.migrate && shards_ > 1) {
+    // Epoch 0. With migration, only the main thread has ever lived, so only
+    // its home is claimed; until the first spawn publishes epoch 1 nothing is
+    // charged anyway (concurrent_ is false), which is what keeps
+    // single-threaded migrate-on runs byte-identical at every shard count.
+    // Without it, every home is claimed by its own thread and epoch 0 is
+    // never republished: static ownership, a pure function of the shard
+    // count — never of the schedule — so charges stay engine/quantum-
+    // invariant. A shard is then write-local to t when t's home is the only
+    // one hashing to it; with one shard every home does, so it is shared.
+    for (uint64_t h = 0; h < kMaxThreads; ++h) {
+      home_owner_[h] = migrate_ ? -1 : static_cast<int32_t>(h);
     }
-    if (migrate_) {
-      // Epoch 0: only the main thread has ever lived, so only its home is
-      // claimed — this is where the epoch model beats the static table,
-      // which must reserve every home slot for a thread that may never
-      // spawn. Until the first spawn publishes epoch 1 nothing is charged
-      // anyway (concurrent_ is false), which is what keeps single-threaded
-      // migrate-on runs byte-identical at every shard count.
-      for (uint64_t h = 0; h < kMaxThreads; ++h) {
-        home_owner_[h] = -1;
-      }
-      home_owner_[0] = 0;
-      EpochTable base;
-      base.owner = DeriveEpochOwners();
-      base.frozen.assign(shards_, 0);
-      epochs_.push_back(std::move(base));
-    }
+    home_owner_[0] = 0;
+    epochs_.push_back({DeriveEpochOwners(), std::vector<uint8_t>(shards_, 0)});
   }
 
   RunResult Run();
@@ -199,11 +183,11 @@ class Machine {
     std::unordered_map<uint64_t, std::vector<uint64_t>> free_lists;  // size -> addrs
     ByteMemory safe_stack;
     CacheModel cache;
-    // Epoch-local ownership snapshot (RunOptions::migrate): index into
-    // epochs_, adopted at this thread's birth and at its *own* spawn/join
-    // ops only. A thread's contention charges are therefore a pure function
-    // of its own operation stream plus happens-before-ordered spawn/join
-    // events — never of how quanta interleaved the threads.
+    // Epoch-local ownership snapshot: index into epochs_ (always 0 without
+    // RunOptions::migrate), adopted at this thread's birth and at its *own*
+    // spawn/join ops only. A thread's contention charges are therefore a
+    // pure function of its own operation stream plus happens-before-ordered
+    // spawn/join events — never of how quanta interleaved the threads.
     uint32_t epoch = 0;
   };
 
@@ -541,23 +525,17 @@ class Machine {
     store_->Clear(addr, &t);
     ChargeStoreTouches(addr, t, /*is_read=*/false);
   }
-  // The shard-crossing rule (see kSyncCycles): an access is contended
-  // unless its key's shard is write-local to the executing thread. Reads pay
-  // like writes — epoch validation against a shard another thread can write
-  // is conservatively treated as a crossing (and at the default shard count
-  // of 1 the one shard is shared, reproducing the flat model exactly).
-  bool ShardContended(uint64_t addr) const {
-    return shard_owner_[ShardOfAddress(addr, shards_)] !=
-           static_cast<int32_t>(cur_->tid);
-  }
-  // Epoch variant (RunOptions::migrate): judged against the accessing
-  // thread's own epoch snapshot. Owned shards are free like the static
-  // model; additionally, *reads* of a shard its owner froze at a publish
-  // boundary are free — RCU's grace-period guarantee, the published data
-  // cannot change under a reader between its adoption points. Writes always
-  // pay unless the shard is owned: a writer must take the shard's lock no
-  // matter what snapshot it holds.
-  bool ShardContendedEpoch(uint64_t addr, bool is_read) const {
+  // The shard-crossing rule (see kSyncCycles), judged against the accessing
+  // thread's own epoch snapshot: an access is contended unless its key's
+  // shard is write-local to the executing thread. Reads pay like writes —
+  // validation against a shard another thread can write is conservatively
+  // treated as a crossing (and with one shard, shared by every home, that
+  // reproduces the flat model exactly) — except that *reads* of a shard its
+  // owner froze at a publish boundary are free: RCU's grace-period
+  // guarantee, the published data cannot change under a reader between its
+  // adoption points. Writes always pay unless the shard is owned: a writer
+  // must take the shard's lock no matter what snapshot it holds.
+  bool ShardContended(uint64_t addr, bool is_read) const {
     const EpochTable& e = epochs_[cur_->epoch];
     const uint32_t s = ShardOfAddress(addr, shards_);
     if (e.owner[s] == static_cast<int32_t>(cur_->tid)) {
@@ -567,8 +545,7 @@ class Machine {
   }
   void ChargeStoreTouches(uint64_t addr, const TouchList& t, bool is_read) {
     ++result_.counters.safe_store_ops;
-    if (concurrent_ && (migrate_ ? ShardContendedEpoch(addr, is_read)
-                                 : ShardContended(addr))) {
+    if (concurrent_ && ShardContended(addr, is_read)) {
       ++result_.counters.store_contended_ops;
       Cycles(kSyncCycles);
     }
@@ -586,30 +563,17 @@ class Machine {
   void ChargeBulkStoreOps(uint64_t dst_addr, uint64_t ops) {
     result_.counters.safe_store_ops += ops;
     Cycles(ops * 2);
-    if (concurrent_ && (migrate_ ? ShardContendedEpoch(dst_addr, /*is_read=*/false)
-                                 : ShardContended(dst_addr))) {
+    if (concurrent_ && ShardContended(dst_addr, /*is_read=*/false)) {
       result_.counters.store_contended_ops += ops;
       Cycles(ops * kSyncCycles);
     }
   }
-  // Re-derives shard ownership from the dynamic home→thread map and
-  // publishes it as a new epoch. Called only at spawn/join boundaries (the
-  // only points where the map changes), always by the thread executing the
-  // spawn/join — in every shipped workload and generated program that is a
-  // single coordinator thread, so the publish sequence is ordered by
-  // happens-before and charges stay engine/quantum-invariant. Each shard
-  // whose owner changed is a *migration*: it costs the publisher one
-  // kSyncCycles (the release-store installing the new owner) and is
-  // counted in Counters::shard_migrations. Shards the publisher owns come
-  // out frozen — publish-then-spawn/join makes their current contents
-  // visible to every thread adopting this epoch, so reads need no sync
-  // until the owner changes again.
   // Owner of each shard under the current home->thread claim map: the one
   // thread owning every claimed home that hashes into the shard, -1 when no
   // claimed home does (nobody has lived there), -2 when claimed homes of
   // two different threads collide (genuinely shared). Unclaimed homes do
-  // not poison a shard — that is the whole advantage over the static
-  // table, which has to pessimise for all kMaxThreads possible homes.
+  // not poison a shard — that is the whole advantage of migration over
+  // static ownership, which claims all kMaxThreads homes up front.
   std::vector<int32_t> DeriveEpochOwners() const {
     std::vector<int32_t> owner(shards_, -1);
     for (uint64_t h = 0; h < kMaxThreads; ++h) {
@@ -627,6 +591,18 @@ class Machine {
     return owner;
   }
 
+  // Re-derives shard ownership from the dynamic home→thread map and
+  // publishes it as a new epoch. Called only at spawn/join boundaries (the
+  // only points where the map changes), always by the thread executing the
+  // spawn/join — in every shipped workload and generated program that is a
+  // single coordinator thread, so the publish sequence is ordered by
+  // happens-before and charges stay engine/quantum-invariant. Each shard
+  // whose owner changed is a *migration*: it costs the publisher one
+  // kSyncCycles (the release-store installing the new owner) and is
+  // counted in Counters::shard_migrations. Shards the publisher owns come
+  // out frozen — publish-then-spawn/join makes their current contents
+  // visible to every thread adopting this epoch, so reads need no sync
+  // until the owner changes again.
   void PublishEpoch() {
     const EpochTable& prev = epochs_.back();
     EpochTable next;
@@ -709,18 +685,14 @@ class Machine {
   bool resched_ = false;    // current thread yielded / blocked / finished
   bool concurrent_ = false; // a spawn has happened; sync costs now apply
 
-  // Safe-store sharding (RunOptions::shards): shard_owner_[s] is the tid the
-  // shard is write-local to, or negative when shared (unclaimed / hash
-  // collision / the single-shard default).
+  // Safe-store sharding (RunOptions::shards) and shard ownership.
+  // home_owner_[h] is the thread currently owning static home slot h (see
+  // the constructor for epoch 0). With migration (RunOptions::migrate, only
+  // armed when shards_ > 1) a completed join retires the target's slots as
+  // one FIFO group and the next spawn adopts the oldest group (worker-pool
+  // slot reuse). epochs_ holds every published owner/frozen table; threads
+  // index into it through their snapshot (ThreadContext::epoch).
   const uint32_t shards_;
-  std::vector<int32_t> shard_owner_;
-
-  // Epoch-based ownership migration (RunOptions::migrate, only armed when
-  // shards_ > 1). home_owner_[h] is the thread currently owning static home
-  // slot h; a completed join retires the target's slots as one FIFO group
-  // and the next spawn adopts the oldest group (worker-pool slot reuse).
-  // epochs_ holds every published owner/frozen table; threads index into it
-  // through their snapshot (ThreadContext::epoch).
   struct EpochTable {
     std::vector<int32_t> owner;
     std::vector<uint8_t> frozen;
@@ -1328,7 +1300,7 @@ void Machine::InjectFault(const FaultEvent& e) {
     case FaultKind::kCorruptShard: {
       // Corrupt a live entry of one shard only (arg picks the shard; the
       // containment contract is that every other shard's entries survive
-      // intact). On the unsharded default the one shard is the whole store.
+      // intact). With the default single shard, that shard is the whole store.
       if (store_ == nullptr) {
         return;
       }

@@ -74,24 +74,27 @@ struct RunOptions {
   // Once the run has spawned a second thread, a safe-store access pays the
   // shard-crossing premium kSyncCycles (machine.cc; §3.2.3: the safe region
   // is shared process state) exactly when its key's shard is not owned by
-  // the accessing thread. 1 — the default — is the legacy shared store, so
-  // every concurrent access pays (the flat model); every recorded table is
-  // at 1. Single-threaded runs never pay. Behaviour (status, output,
-  // per-op entry state) is identical at any count; cycles/cache/memory
-  // legitimately vary with it (the suite's ablation_shards table sweeps it).
+  // the accessing thread in that thread's ownership epoch. A shard is owned
+  // by a thread when every claimed home hashing into it is that thread's;
+  // with 1 shard — the default, at which every recorded table is — all homes
+  // share it, so every concurrent access pays (the flat model).
+  // Single-threaded runs never pay. Behaviour (status, output, per-op entry
+  // state) is identical at any count; cycles/cache/memory legitimately vary
+  // with it (the suite's ablation_shards table sweeps it).
   uint32_t shards = 1;
-  // Epoch-based shard-ownership migration. When false (the default) the
-  // owner table is the static one precomputed from the layout — the PR 8
-  // model, byte for byte. When true (and shards > 1), the machine re-derives
-  // shard ownership at every spawn/join boundary, publishes it as a new
-  // epoch (charging kSyncCycles once per *migrated* shard to the
-  // publishing thread, counted in Counters::shard_migrations), and gives
-  // readers an RCU-style path: a thread consults the owner snapshot it
-  // adopted at its own birth/spawn/join, pays nothing on shards it owns in
-  // that epoch, and pays nothing on *reads* of shards the publisher froze
-  // at the boundary (publish-then-spawn makes the data visible without
-  // sync). Single-threaded runs never publish, so they are byte-identical
-  // to migrate=false at every shard count.
+  // Epoch-based shard-ownership migration. When false (the default) every
+  // home is claimed by its own thread in epoch 0, which is never
+  // republished: static ownership, a pure function of the layout. When true
+  // (and shards > 1), epoch 0 claims only the main thread's home and the
+  // machine re-derives shard ownership at every spawn/join boundary,
+  // publishes it as a new epoch (charging kSyncCycles once per *migrated*
+  // shard to the publishing thread, counted in Counters::shard_migrations),
+  // and gives readers an RCU-style path: a thread consults the owner
+  // snapshot it adopted at its own birth/spawn/join, pays nothing on shards
+  // it owns in that epoch, and pays nothing on *reads* of shards the
+  // publisher froze at the boundary (publish-then-spawn makes the data
+  // visible without sync). Single-threaded runs never publish, so they are
+  // byte-identical to migrate=false at every shard count.
   bool migrate = false;
   // Scheduling quantum of the deterministic round-robin thread scheduler:
   // how many instructions a runnable thread executes before the next one

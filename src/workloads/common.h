@@ -2,6 +2,7 @@
 #ifndef CPI_SRC_WORKLOADS_COMMON_H_
 #define CPI_SRC_WORKLOADS_COMMON_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,26 @@ BoxRuntime EmitBoxRuntime(ir::Module& m, ir::IRBuilder& b, uint64_t n_slots, uin
 // optable[4 * i + k] = pyop_k for i, k in 0..3, as a loop over `i_slot`.
 void EmitOpTableInit(ir::IRBuilder& b, ir::Function* f, ir::Value* i_slot,
                      const BoxRuntime& rt);
+
+// SPEC CPU2006 model builders, named by the SpecCpu2006() and Phoronix()
+// rows in system.cc. The C models are in spec_c.cc; BuildNumericKernel and
+// BuildGameTree serve several rows, which bind their parameters.
+std::unique_ptr<ir::Module> BuildPerlbench(int scale);
+std::unique_ptr<ir::Module> BuildBzip2(int scale);
+std::unique_ptr<ir::Module> BuildGcc(int scale);
+std::unique_ptr<ir::Module> BuildMcf(int scale);
+std::unique_ptr<ir::Module> BuildNumericKernel(const std::string& name, int flavor, int scale);
+std::unique_ptr<ir::Module> BuildGameTree(const std::string& name, uint64_t board_bytes,
+                                          int scale);
+std::unique_ptr<ir::Module> BuildH264(int scale);
+// The C++ models, in spec_cpp.cc.
+std::unique_ptr<ir::Module> BuildOmnetpp(int scale);
+std::unique_ptr<ir::Module> BuildDealII(int scale);
+std::unique_ptr<ir::Module> BuildNamd(int scale);
+std::unique_ptr<ir::Module> BuildSoplex(int scale);
+std::unique_ptr<ir::Module> BuildPovray(int scale);
+std::unique_ptr<ir::Module> BuildAstar(int scale);
+std::unique_ptr<ir::Module> BuildXalanc(int scale);
 
 }  // namespace cpi::workloads
 

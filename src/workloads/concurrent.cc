@@ -414,8 +414,8 @@ std::unique_ptr<Module> BuildEventLoop(int scale) {
 // the population into their own heap arenas and publish the cells through a
 // shared connection table; each later generation's worker inherits its
 // predecessor's home slots at the spawn/join boundary and keeps serving the
-// same cells — accesses the static owner table charges as cross-thread
-// forever, but that the epoch model re-homes after one migration. Requests
+// same cells — accesses static ownership charges as cross-thread forever,
+// but that the epoch model re-homes after one migration. Requests
 // flow through a bounded per-slot handoff queue with backpressure (overflow
 // is counted and folded into the checksum, so dropping is observable
 // behaviour), are served in batches, and a little keep-alive churn replaces

@@ -8,7 +8,6 @@
 #include "src/workloads/workloads.h"
 
 namespace cpi::workloads {
-namespace {
 
 using ir::Function;
 using ir::GlobalVariable;
@@ -509,28 +508,6 @@ std::unique_ptr<Module> BuildH264(int scale) {
   b.Free(cur);
   EmitChecksumAndRet(b, checksum);
   return m;
-}
-
-}  // namespace
-
-// Exposed to the registry in registry.cc.
-std::unique_ptr<Module> SpecPerlbench(int scale) { return BuildPerlbench(scale); }
-std::unique_ptr<Module> SpecBzip2(int scale) { return BuildBzip2(scale); }
-std::unique_ptr<Module> SpecGcc(int scale) { return BuildGcc(scale); }
-std::unique_ptr<Module> SpecMcf(int scale) { return BuildMcf(scale); }
-std::unique_ptr<Module> SpecMilc(int scale) { return BuildNumericKernel("433.milc", 0, scale); }
-std::unique_ptr<Module> SpecGobmk(int scale) { return BuildGameTree("445.gobmk", 64, scale); }
-std::unique_ptr<Module> SpecHmmer(int scale) {
-  return BuildNumericKernel("456.hmmer", 3, scale);
-}
-std::unique_ptr<Module> SpecSjeng(int scale) { return BuildGameTree("458.sjeng", 32, scale); }
-std::unique_ptr<Module> SpecLibquantum(int scale) {
-  return BuildNumericKernel("462.libquantum", 1, scale);
-}
-std::unique_ptr<Module> SpecH264ref(int scale) { return BuildH264(scale); }
-std::unique_ptr<Module> SpecLbm(int scale) { return BuildNumericKernel("470.lbm", 0, scale); }
-std::unique_ptr<Module> SpecSphinx3(int scale) {
-  return BuildNumericKernel("482.sphinx3", 2, scale);
 }
 
 }  // namespace cpi::workloads

@@ -111,6 +111,8 @@ void EmitArithMethod(IRBuilder& b, Function* fn, int cls, int method, Value* sel
   b.Ret(r);
 }
 
+}  // namespace
+
 // --- 471.omnetpp --------------------------------------------------------------
 // Discrete-event simulation: a ring of polymorphic event objects, constant
 // virtual dispatch, frequent allocation/free. The highest MOCPI in Table 2.
@@ -584,15 +586,5 @@ std::unique_ptr<Module> BuildXalanc(int scale) {
   EmitChecksumAndRet(b, checksum);
   return m;
 }
-
-}  // namespace
-
-std::unique_ptr<Module> SpecNamd(int scale) { return BuildNamd(scale); }
-std::unique_ptr<Module> SpecDealII(int scale) { return BuildDealII(scale); }
-std::unique_ptr<Module> SpecSoplex(int scale) { return BuildSoplex(scale); }
-std::unique_ptr<Module> SpecPovray(int scale) { return BuildPovray(scale); }
-std::unique_ptr<Module> SpecOmnetpp(int scale) { return BuildOmnetpp(scale); }
-std::unique_ptr<Module> SpecAstar(int scale) { return BuildAstar(scale); }
-std::unique_ptr<Module> SpecXalancbmk(int scale) { return BuildXalanc(scale); }
 
 }  // namespace cpi::workloads

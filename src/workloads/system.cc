@@ -269,63 +269,47 @@ std::unique_ptr<Module> BuildApache(int scale) { return BuildWsgiPage(scale * 2)
 
 }  // namespace
 
-// C workload builders (defined in spec_c.cc).
-std::unique_ptr<Module> SpecPerlbench(int scale);
-std::unique_ptr<Module> SpecBzip2(int scale);
-std::unique_ptr<Module> SpecGcc(int scale);
-std::unique_ptr<Module> SpecMcf(int scale);
-std::unique_ptr<Module> SpecMilc(int scale);
-std::unique_ptr<Module> SpecGobmk(int scale);
-std::unique_ptr<Module> SpecHmmer(int scale);
-std::unique_ptr<Module> SpecSjeng(int scale);
-std::unique_ptr<Module> SpecLibquantum(int scale);
-std::unique_ptr<Module> SpecH264ref(int scale);
-std::unique_ptr<Module> SpecLbm(int scale);
-std::unique_ptr<Module> SpecSphinx3(int scale);
-// C++ workload builders (defined in spec_cpp.cc).
-std::unique_ptr<Module> SpecNamd(int scale);
-std::unique_ptr<Module> SpecDealII(int scale);
-std::unique_ptr<Module> SpecSoplex(int scale);
-std::unique_ptr<Module> SpecPovray(int scale);
-std::unique_ptr<Module> SpecOmnetpp(int scale);
-std::unique_ptr<Module> SpecAstar(int scale);
-std::unique_ptr<Module> SpecXalancbmk(int scale);
-
 const std::vector<Workload>& SpecCpu2006() {
   static const std::vector<Workload>* workloads = new std::vector<Workload>{
-      {"400.perlbench", "C", SpecPerlbench, {}},
-      {"401.bzip2", "C", SpecBzip2, {}},
-      {"403.gcc", "C", SpecGcc, {}},
-      {"429.mcf", "C", SpecMcf, {}},
-      {"433.milc", "C", SpecMilc, {}},
-      {"444.namd", "C++", SpecNamd, {}},
-      {"445.gobmk", "C", SpecGobmk, {}},
-      {"447.dealII", "C++", SpecDealII, {}},
-      {"450.soplex", "C++", SpecSoplex, {}},
-      {"453.povray", "C++", SpecPovray, {}},
-      {"456.hmmer", "C", SpecHmmer, {}},
-      {"458.sjeng", "C", SpecSjeng, {}},
-      {"462.libquantum", "C", SpecLibquantum, {}},
-      {"464.h264ref", "C", SpecH264ref, {}},
-      {"470.lbm", "C", SpecLbm, {}},
-      {"471.omnetpp", "C++", SpecOmnetpp, {}},
-      {"473.astar", "C++", SpecAstar, {}},
-      {"482.sphinx3", "C", SpecSphinx3, {}},
-      {"483.xalancbmk", "C++", SpecXalancbmk, {}},
+      {"400.perlbench", "C", BuildPerlbench, {}},
+      {"401.bzip2", "C", BuildBzip2, {}},
+      {"403.gcc", "C", BuildGcc, {}},
+      {"429.mcf", "C", BuildMcf, {}},
+      {"433.milc", "C", [](int scale) { return BuildNumericKernel("433.milc", 0, scale); }, {}},
+      {"444.namd", "C++", BuildNamd, {}},
+      {"445.gobmk", "C", [](int scale) { return BuildGameTree("445.gobmk", 64, scale); }, {}},
+      {"447.dealII", "C++", BuildDealII, {}},
+      {"450.soplex", "C++", BuildSoplex, {}},
+      {"453.povray", "C++", BuildPovray, {}},
+      {"456.hmmer", "C", [](int scale) { return BuildNumericKernel("456.hmmer", 3, scale); }, {}},
+      {"458.sjeng", "C", [](int scale) { return BuildGameTree("458.sjeng", 32, scale); }, {}},
+      {"462.libquantum", "C", 
+       [](int scale) { return BuildNumericKernel("462.libquantum", 1, scale); },
+       {}},
+      {"464.h264ref", "C", BuildH264, {}},
+      {"470.lbm", "C", [](int scale) { return BuildNumericKernel("470.lbm", 0, scale); }, {}},
+      {"471.omnetpp", "C++", BuildOmnetpp, {}},
+      {"473.astar", "C++", BuildAstar, {}},
+      {"482.sphinx3", "C", 
+       [](int scale) { return BuildNumericKernel("482.sphinx3", 2, scale); },
+       {}},
+      {"483.xalancbmk", "C++", BuildXalanc, {}},
   };
   return *workloads;
 }
 
 const std::vector<Workload>& Phoronix() {
   static const std::vector<Workload>* workloads = new std::vector<Workload>{
-      {"compress-gzip", "C", SpecBzip2, {}},
+      {"compress-gzip", "C", BuildBzip2, {}},
       {"openssl", "C", BuildOpenssl, {}},
       {"sqlite", "C", BuildSqlite, {}},
       {"apache", "C", BuildApache, {}},
       {"redis", "C", BuildRedis, {}},
-      {"ffmpeg", "C", SpecH264ref, {}},
+      {"ffmpeg", "C", BuildH264, {}},
       {"pybench", "C", BuildDynamicPage, {}},
-      {"encode-mp3", "C", SpecSphinx3, {}},
+      {"encode-mp3", "C", 
+       [](int scale) { return BuildNumericKernel("482.sphinx3", 2, scale); },
+       {}},
   };
   return *workloads;
 }

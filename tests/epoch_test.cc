@@ -115,7 +115,7 @@ TEST(EpochDeterminismTest, EnginesAndQuantaAgreeOnChurn) {
 
 // On every concurrent workload and under every registered scheme, epoch
 // ownership must charge the same behaviour and never *more* contended ops
-// than the static table: a shard the static map prices as owned has a
+// than static ownership: a shard static ownership prices as owned has a
 // unique live home, and that home owns it in every epoch it can access.
 TEST(EpochSweepTest, NeverMoreContendedThanStatic) {
   for (const workloads::Workload& w : SweepWorkloads()) {

@@ -1,8 +1,8 @@
 // Unit and property tests for the runtime: the three safe-pointer-store
 // organisations (behavioural equivalence under random operation sequences,
 // range helpers, memory accounting), metadata semantics, and temporal ids.
-// Every store test runs over (organisation × shard count) — a sharded store
-// must be behaviourally indistinguishable from the flat one it wraps.
+// Every store test runs over (organisation × shard count) — a store of many
+// shards must be behaviourally indistinguishable from one of a single shard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -262,27 +262,46 @@ TEST_P(StoreTest, MemoryAccountingGrowsWithEntries) {
   EXPECT_EQ(store_->EntryCount(), 1000u);
 }
 
-// The array store's modeled footprint: a whole 2 MiB superpage of entries
-// per superpage touched (per shard), however few of its blocks the host
-// actually backs.
-TEST_P(StoreTest, ArraySuperpagesReportTheModeledFootprint) {
-  if (Kind() != StoreKind::kArray) {
-    GTEST_SKIP() << "array-store superpages only";
+// The paged organisations' geometries: slots per page (the growth unit), the
+// modeled bytes of one page of entries, and the directory each shard adds.
+struct PagedGeometry {
+  uint64_t slots_per_page;
+  uint64_t page_bytes;
+  uint64_t directory_bytes;
+};
+
+PagedGeometry GeometryOf(StoreKind kind) {
+  if (kind == StoreKind::kArray) {
+    return {1ULL << 16, 2ULL << 20, 0};  // superpage: 65,536 entries x 32 bytes
   }
-  constexpr uint64_t kSuperpageBytes = 2ULL << 20;  // 65,536 entries x 32 bytes
-  constexpr uint64_t kSpan = (1ULL << 16) * 8;      // regular bytes one superpage covers
-  std::set<std::pair<uint32_t, uint64_t>> superpages;  // (shard, superpage)
-  for (uint64_t base : {vm::kHeapBase, vm::kHeapBase + 5 * kSpan,
-                        vm::kHeapLimit - vm::kThreadHeapBytes, vm::kStackTop - kSpan}) {
-    for (uint64_t off = 0; off < kSpan; off += 4096 + 8) {
+  return {1ULL << 12, 128ULL << 10, 4096};  // table: 4,096 entries x 32 bytes
+}
+
+// The paged organisations' modeled footprint: a whole page of entries (a
+// 2 MiB array superpage, a 128 KiB two-level table) per page touched (per
+// shard), plus a 4 KiB two-level directory per shard holding tables,
+// however few of a page's blocks the host actually backs.
+TEST_P(StoreTest, ArraySuperpagesReportTheModeledFootprint) {
+  if (Kind() == StoreKind::kHash) {
+    GTEST_SKIP() << "paged organisations only";
+  }
+  const PagedGeometry g = GeometryOf(Kind());
+  const uint64_t span = g.slots_per_page * 8;     // regular bytes one page covers
+  std::set<std::pair<uint32_t, uint64_t>> pages;  // (shard, page)
+  std::set<uint32_t> shards;
+  for (uint64_t base : {vm::kHeapBase, vm::kHeapBase + 5 * span,
+                        vm::kHeapLimit - vm::kThreadHeapBytes, vm::kStackTop - span}) {
+    for (uint64_t off = 0; off < span; off += 4096 + 8) {
       const uint64_t addr = base + off;
       store_->Set(addr, SafeEntry::Code(0x1000), nullptr);
-      superpages.emplace(vm::ShardOfAddress(addr, Shards()), addr / kSpan);
+      pages.emplace(vm::ShardOfAddress(addr, Shards()), addr / span);
+      shards.insert(vm::ShardOfAddress(addr, Shards()));
     }
   }
-  EXPECT_EQ(store_->MemoryBytes(), superpages.size() * kSuperpageBytes);
+  const uint64_t footprint = pages.size() * g.page_bytes + shards.size() * g.directory_bytes;
+  EXPECT_EQ(store_->MemoryBytes(), footprint);
   store_->Clear(vm::kHeapBase, nullptr);  // clearing releases nothing
-  EXPECT_EQ(store_->MemoryBytes(), superpages.size() * kSuperpageBytes);
+  EXPECT_EQ(store_->MemoryBytes(), footprint);
 }
 
 // CorruptEntry(which) hits the which-th live entry in slot order (shards in
@@ -319,22 +338,23 @@ TEST_P(StoreTest, CorruptEntryFollowsSlotOrder) {
   }
 }
 
-// The array store's growth-failure countdown is consumed once per new
-// superpage; backing more blocks of a reserved superpage never consumes it.
+// A paged organisation's growth-failure countdown is consumed once per new
+// page; backing more blocks of a reserved page never consumes it.
 TEST_P(StoreTest, ArrayAllocFailureFiresOnSuperpageGrowth) {
-  if (Kind() != StoreKind::kArray) {
-    GTEST_SKIP() << "array-store superpages only";
+  if (Kind() == StoreKind::kHash) {
+    GTEST_SKIP() << "paged organisations only";
   }
-  constexpr uint64_t kSpan = (1ULL << 16) * 8;
+  const PagedGeometry g = GeometryOf(Kind());
+  const uint64_t span = g.slots_per_page * 8;
   store_->InjectAllocFailure(1);  // one growth succeeds, the next throws
-  for (uint64_t off = 0; off < kSpan; off += 4096) {  // every block of one superpage
+  for (uint64_t off = 0; off < span; off += 4096) {  // every block of one page
     ASSERT_NO_THROW(store_->Set(vm::kHeapBase + off, SafeEntry::Code(0x40), nullptr));
   }
-  EXPECT_THROW(store_->Set(vm::kHeapBase + kSpan, SafeEntry::Code(0x40), nullptr),
+  EXPECT_THROW(store_->Set(vm::kHeapBase + span, SafeEntry::Code(0x40), nullptr),
                SimulatedOom);
   // One-shot: disarmed after firing.
-  EXPECT_NO_THROW(store_->Set(vm::kHeapBase + 2 * kSpan, SafeEntry::Code(0x40), nullptr));
-  EXPECT_EQ(store_->MemoryBytes(), 2 * (2ULL << 20));
+  EXPECT_NO_THROW(store_->Set(vm::kHeapBase + 2 * span, SafeEntry::Code(0x40), nullptr));
+  EXPECT_EQ(store_->MemoryBytes(), 2 * g.page_bytes + g.directory_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
