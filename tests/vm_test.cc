@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "src/core/levee.h"
 #include "src/frontend/compile.h"
@@ -186,6 +190,188 @@ TEST(ByteMemoryTest, AllocFailureLeavesSlotUnmaterialised) {
   }
 }
 
+// A naive model of ByteMemory: one std::map entry per mapped page, holding
+// its writability and (once written) its bytes.
+class NaiveMemory {
+ public:
+  static constexpr uint64_t kPage = ByteMemory::kPageBytes;
+
+  void MapRange(uint64_t start, uint64_t size, bool writable) {
+    if (size == 0) {
+      return;
+    }
+    for (uint64_t p = start / kPage; p < (start + size + kPage - 1) / kPage; ++p) {
+      pages_[p].writable = writable;
+    }
+  }
+
+  void LoaderWrite(uint64_t addr, const uint8_t* data, uint64_t size) {
+    for (uint64_t i = 0; i < size; ++i) {
+      auto [it, inserted] = pages_.try_emplace((addr + i) / kPage);
+      if (inserted) {
+        it->second.writable = false;
+      }
+      ByteAt(it->second, addr + i) = data[i];
+    }
+  }
+
+  // The fault of the first page of [addr, addr+size) that is unmapped, or
+  // (for a write) read-only; kNone when every page passes.
+  MemFault Check(uint64_t addr, uint64_t size, bool write) const {
+    for (uint64_t p = addr / kPage; p <= (addr + size - 1) / kPage; ++p) {
+      auto it = pages_.find(p);
+      if (it == pages_.end()) {
+        return MemFault::kUnmapped;
+      }
+      if (write && !it->second.writable) {
+        return MemFault::kReadOnly;
+      }
+    }
+    return MemFault::kNone;
+  }
+
+  MemFault Write(uint64_t addr, const uint8_t* data, uint64_t size) {
+    const MemFault fault = Check(addr, size, /*write=*/true);
+    if (fault == MemFault::kNone) {
+      for (uint64_t i = 0; i < size; ++i) {
+        ByteAt(pages_.at((addr + i) / kPage), addr + i) = data[i];
+      }
+    }
+    return fault;
+  }
+
+  MemFault Read(uint64_t addr, uint8_t* out, uint64_t size) const {
+    const MemFault fault = Check(addr, size, /*write=*/false);
+    if (fault == MemFault::kNone) {
+      for (uint64_t i = 0; i < size; ++i) {
+        const Page& page = pages_.at((addr + i) / kPage);
+        out[i] = page.bytes.empty() ? 0 : page.bytes[(addr + i) % kPage];
+      }
+    }
+    return fault;
+  }
+
+  bool IsMapped(uint64_t addr) const { return pages_.count(addr / kPage) != 0; }
+  bool IsWritable(uint64_t addr) const {
+    auto it = pages_.find(addr / kPage);
+    return it != pages_.end() && it->second.writable;
+  }
+  uint64_t mapped_bytes() const { return pages_.size() * kPage; }
+
+  // The start of a random mapped page; the model must not be empty.
+  uint64_t SomeMappedPage(Rng& rng) const {
+    auto it = pages_.begin();
+    std::advance(it, rng.NextBelow(pages_.size()));
+    return it->first * kPage;
+  }
+  bool empty() const { return pages_.empty(); }
+
+ private:
+  struct Page {
+    bool writable = false;
+    std::vector<uint8_t> bytes;  // empty until first written
+  };
+  static uint8_t& ByteAt(Page& page, uint64_t addr) {
+    if (page.bytes.empty()) {
+      page.bytes.assign(kPage, 0);
+    }
+    return page.bytes[addr % kPage];
+  }
+
+  std::map<uint64_t, Page> pages_;
+};
+
+// Fixed-seed streams of maps (empty ones, sub-range remaps that flip
+// writability, maps straddling 2 MiB spans), loader writes and 1/2/4/8-byte
+// accesses that cross pages, checked against NaiveMemory: every fault kind,
+// every byte read, every view and mapped_bytes() after every operation.
+TEST(ByteMemoryTest, MatchesNaivePageModel) {
+  constexpr uint64_t kPage = ByteMemory::kPageBytes;
+  constexpr uint64_t kSpan = 2ULL << 20;
+  // Two windows of eight 2 MiB spans, one low and one high in the address
+  // space; no access comes near wrapping past 2^64.
+  const uint64_t kWindows[] = {kSpan, 0x6eff'ff00'0000ULL};
+  constexpr uint64_t kWindowBytes = 8 * kSpan;
+  for (uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    Rng rng(seed * 7919);
+    ByteMemory mem;
+    NaiveMemory naive;
+    // An address anywhere in a window, near a span or page boundary, or
+    // near a page already mapped, so accesses both hit and miss mappings.
+    auto pick = [&]() -> uint64_t {
+      const uint64_t window = kWindows[rng.NextBelow(2)];
+      switch (rng.NextBelow(4)) {
+        case 0:
+          return window + rng.NextBelow(kWindowBytes);
+        case 1:
+          return window + (1 + rng.NextBelow(kWindowBytes / kSpan - 1)) * kSpan - 16 +
+                 rng.NextBelow(32);
+        case 2:
+          return window + (1 + rng.NextBelow(kWindowBytes / kPage - 1)) * kPage - 8 +
+                 rng.NextBelow(16);
+        default:
+          return naive.empty() ? window : naive.SomeMappedPage(rng) - 8 + rng.NextBelow(kPage + 16);
+      }
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const uint64_t op = rng.NextBelow(16);
+      const uint64_t addr = pick();
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step << " op " << op
+                                      << " addr 0x" << std::hex << addr);
+      if (op == 0) {
+        // Map: empty, a few bytes, a few pages, or more than a span.
+        static constexpr uint64_t kSizes[] = {0,         1, 8, kPage, 2 * kPage, 3 * kPage + 5,
+                                              40 * kPage, kSpan + kPage};
+        const uint64_t size = kSizes[rng.NextBelow(8)] + rng.NextBelow(2) * rng.NextBelow(kPage);
+        const bool writable = rng.NextBelow(3) != 0;
+        mem.MapRange(addr, size, writable);
+        naive.MapRange(addr, size, writable);
+      } else if (op == 1) {
+        uint8_t data[24];
+        const uint64_t size = rng.NextBelow(sizeof(data) + 1);
+        for (uint8_t& b : data) {
+          b = static_cast<uint8_t>(rng.NextU64());
+        }
+        mem.LoaderWrite(addr, data, size);
+        naive.LoaderWrite(addr, data, size);
+      } else if (op < 9) {
+        const uint64_t size = uint64_t{1} << rng.NextBelow(4);
+        const uint64_t value = rng.NextU64();
+        uint8_t bytes[8];
+        std::memcpy(bytes, &value, sizeof(bytes));
+        ASSERT_EQ(mem.Write(addr, &value, size), naive.Write(addr, bytes, size)) << size;
+      } else if (op < 15) {
+        const uint64_t size = uint64_t{1} << rng.NextBelow(4);
+        uint64_t got = 0;
+        uint64_t want = 0;
+        const MemFault fault = naive.Read(addr, reinterpret_cast<uint8_t*>(&want), size);
+        ASSERT_EQ(mem.Read(addr, &got, size), fault) << size;
+        if (fault == MemFault::kNone) {
+          ASSERT_EQ(got, want) << size;
+        }
+      } else {
+        ASSERT_EQ(mem.IsMapped(addr), naive.IsMapped(addr));
+        ASSERT_EQ(mem.IsWritable(addr), naive.IsWritable(addr));
+        const uint8_t* view = mem.ReadView(addr);
+        ASSERT_EQ(view != nullptr, naive.IsMapped(addr));
+        if (view != nullptr) {
+          uint8_t want = 0;
+          ASSERT_EQ(naive.Read(addr, &want, 1), MemFault::kNone);
+          ASSERT_EQ(*view, want);
+        }
+        uint8_t* wview = mem.WriteView(addr);
+        ASSERT_EQ(wview != nullptr, naive.IsWritable(addr));
+        if (wview != nullptr) {
+          const uint8_t b = static_cast<uint8_t>(rng.NextU64());
+          *wview = b;
+          ASSERT_EQ(naive.Write(addr, &b, 1), MemFault::kNone);
+        }
+      }
+      ASSERT_EQ(mem.mapped_bytes(), naive.mapped_bytes());
+    }
+  }
+}
+
 TEST(CacheTest, RepeatAccessHits) {
   CacheModel cache;
   const uint64_t miss = cache.Access(0x1000);
@@ -280,31 +466,45 @@ class NaiveLru {
 };
 
 TEST(CacheTest, MatchesNaiveLruModel) {
+  // 16-set geometries, the default one (64 sets) and a 256-set one.
+  std::vector<CacheModel::Config> configs;
   for (uint64_t line : {4, 64, 128}) {
     for (uint64_t ways : {1, 2, 4, 8}) {
       CacheModel::Config config;
       config.line_bytes = line;
       config.ways = ways;
-      config.size_bytes = line * ways * 16;  // 16 sets
-      CacheModel cache(config);
-      NaiveLru naive(config);
-      Rng rng(line * 977 + ways);
-      for (int step = 0; step < 20000; ++step) {
-        // A footprint a few times the cache keeps every set evicting.
-        const uint64_t addr = rng.NextU64() % (config.size_bytes * 3);
-        const uint64_t n = rng.NextU64() % 4 == 0 ? 1 + rng.NextU64() % 6 : 1;
-        uint64_t want = 0;
-        for (uint64_t i = 0; i < n; ++i) {
-          want += naive.Access(addr);
-        }
-        const uint64_t got = n == 1 ? cache.Access(addr) : cache.AccessRepeated(addr, n);
-        ASSERT_EQ(got, want) << "line " << line << " ways " << ways << " step " << step;
-        ASSERT_EQ(cache.hits(), naive.hits);
-        ASSERT_EQ(cache.misses(), naive.misses);
-      }
-      EXPECT_GT(naive.hits, 0u);
-      EXPECT_GT(naive.misses, 16 * ways);  // well past the compulsory fills
+      config.size_bytes = line * ways * 16;
+      configs.push_back(config);
     }
+  }
+  configs.push_back(CacheModel::Config{});
+  CacheModel::Config wide;
+  wide.size_bytes = 64 * 1024;
+  wide.ways = 4;
+  configs.push_back(wide);
+  for (const CacheModel::Config& config : configs) {
+    const uint64_t line = config.line_bytes;
+    const uint64_t ways = config.ways;
+    const uint64_t sets = config.size_bytes / (line * ways);
+    CacheModel cache(config);
+    NaiveLru naive(config);
+    Rng rng(line * 977 + ways);
+    for (int step = 0; step < 20000; ++step) {
+      // A footprint a few times the cache keeps every set evicting.
+      const uint64_t addr = rng.NextU64() % (config.size_bytes * 3);
+      const uint64_t n = rng.NextU64() % 4 == 0 ? 1 + rng.NextU64() % 6 : 1;
+      uint64_t want = 0;
+      for (uint64_t i = 0; i < n; ++i) {
+        want += naive.Access(addr);
+      }
+      const uint64_t got = n == 1 ? cache.Access(addr) : cache.AccessRepeated(addr, n);
+      ASSERT_EQ(got, want) << "line " << line << " ways " << ways << " sets " << sets << " step "
+                           << step;
+      ASSERT_EQ(cache.hits(), naive.hits);
+      ASSERT_EQ(cache.misses(), naive.misses);
+    }
+    EXPECT_GT(naive.hits, 0u);
+    EXPECT_GT(naive.misses, sets * ways);  // well past the compulsory fills
   }
 }
 
