@@ -1703,8 +1703,15 @@ bool Machine::AllocateTemporalId(uint64_t* id) {
 }
 
 void Machine::DoMalloc(Frame& f, uint64_t requested, uint32_t dest) {
-  const uint64_t size = std::max<uint64_t>((requested + 15) & ~15ULL, 16);
   Cycles(kAllocCycles);
+  // No block is larger than thread 0's whole arena, so neither a free list
+  // nor a bump can serve a larger request. Checked before rounding, which
+  // would wrap a request within 15 of 2^64 (malloc(-1)) into 16 bytes.
+  if (requested > kHeapLimit - kHeapBase) {
+    Crash("out of memory");
+    return;
+  }
+  const uint64_t size = std::max<uint64_t>((requested + 15) & ~15ULL, 16);
   uint64_t addr = 0;
   auto& free_list = cur_->free_lists[size];
   if (!free_list.empty()) {

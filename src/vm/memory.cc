@@ -7,25 +7,7 @@
 
 namespace cpi::vm {
 
-namespace {
-
-// Bits [begin, end) of one 64-bit bitmap word, 0 <= begin < end <= 64.
-uint64_t BitRange(uint64_t begin, uint64_t end) {
-  const uint64_t high = end == 64 ? ~0ULL : (1ULL << end) - 1;
-  return high & ~((1ULL << begin) - 1);
-}
-
-}  // namespace
-
 const uint8_t ByteMemory::kZeroPage[ByteMemory::kPageBytes] = {};
-
-ByteMemory::Chunk& ByteMemory::ChunkFor(uint64_t chunk_id) {
-  std::unique_ptr<Chunk>& chunk = chunks_[chunk_id];
-  if (chunk == nullptr) {
-    chunk = std::make_unique<Chunk>();
-  }
-  return *chunk;
-}
 
 void ByteMemory::MapRange(uint64_t start, uint64_t size, bool writable) {
   if (size == 0) {
@@ -34,49 +16,91 @@ void ByteMemory::MapRange(uint64_t start, uint64_t size, bool writable) {
     // inflating mapped_bytes() — and with it the §5.2 memory tables.
     return;
   }
-  InvalidateTranslationCache();
   const uint64_t first = start / kPageBytes;
-  const uint64_t last = (start + size + kPageBytes - 1) / kPageBytes;
-  // One bitmap word (up to 64 pages) per step; a step never crosses a chunk,
-  // so the directory is consulted once per chunk, not once per word.
-  Chunk* current = nullptr;
-  for (uint64_t p = first; p < last;) {
-    const uint64_t in_chunk = p % kChunkPages;
-    const uint64_t word = in_chunk / 64;
-    const uint64_t bit = in_chunk % 64;
-    const uint64_t n = std::min(last - p, 64 - bit);
-    const uint64_t mask = BitRange(bit, bit + n);
-    if (current == nullptr || in_chunk == 0) {
-      current = &ChunkFor(p / kChunkPages);
-    }
-    Chunk& chunk = *current;
-    mapped_pages_ += static_cast<uint64_t>(__builtin_popcountll(mask & ~chunk.mapped[word]));
-    chunk.mapped[word] |= mask;
-    // Remap semantics: the most recent mapping wins, exactly like mprotect.
-    // The old or-merge could never drop writability, so a page remapped
-    // read-only (code/constant data) stayed silently writable.
-    if (writable) {
-      chunk.writable[word] |= mask;
-    } else {
-      chunk.writable[word] &= ~mask;
-    }
-    p += n;
+  const uint64_t last = (start + (size - 1)) / kPageBytes + 1;
+  Extent mapped{first, last, writable};
+  // Extents [lo, hi) overlap or touch the new one; the rest stay as they are.
+  auto lo = std::lower_bound(extents_.begin(), extents_.end(), first,
+                             [](const Extent& e, uint64_t page) { return e.last < page; });
+  auto hi = std::upper_bound(lo, extents_.end(), last,
+                             [](uint64_t page, const Extent& e) { return page < e.first; });
+  if (hi - lo == 1 && lo->first <= first && last <= lo->last && lo->writable == writable) {
+    return;  // already mapped so, e.g. a malloc inside a page its arena mapped
   }
+  InvalidateTranslationCache();
+  uint64_t overlap = 0;
+  for (auto it = lo; it != hi; ++it) {
+    const uint64_t from = std::max(it->first, first);
+    const uint64_t to = std::min(it->last, last);
+    if (to <= from) {
+      continue;  // a neighbour that only touches the range
+    }
+    overlap += to - from;
+    if (it->writable != writable) {
+      // Only mapped pages have slots: those whose writability flips take
+      // the new one.
+      for (uint64_t id = from; id < to; ++id) {
+        auto slot = slots_.find(id);
+        if (slot != slots_.end()) {
+          slot->second.writable = writable;
+        }
+      }
+    }
+  }
+  mapped_pages_ += last - first - overlap;
+  // Remap semantics: the most recent mapping wins, exactly like mprotect.
+  // Only the first and last of [lo, hi) can reach past the new extent; the
+  // parts that do keep their writability, merging into it when equal.
+  Extent pieces[3] = {};
+  size_t n = 0;
+  if (lo != hi && lo->first < first) {
+    if (lo->writable == writable) {
+      mapped.first = lo->first;
+    } else {
+      pieces[n++] = Extent{lo->first, first, lo->writable};
+    }
+  }
+  const Extent* tail = lo != hi && (hi - 1)->last > last ? &*(hi - 1) : nullptr;
+  if (tail != nullptr && tail->writable == writable) {
+    mapped.last = tail->last;
+    tail = nullptr;
+  }
+  pieces[n++] = mapped;
+  if (tail != nullptr) {
+    pieces[n++] = Extent{last, tail->last, tail->writable};
+  }
+  // Overwrite [lo, hi) with the pieces, growing or shrinking it in place.
+  const size_t at = static_cast<size_t>(lo - extents_.begin());
+  const size_t replaced = static_cast<size_t>(hi - lo);
+  if (n > replaced) {
+    extents_.insert(hi, n - replaced, Extent{});
+  } else {
+    extents_.erase(lo + static_cast<std::ptrdiff_t>(n), hi);
+  }
+  std::copy(pieces, pieces + n, extents_.begin() + static_cast<std::ptrdiff_t>(at));
+}
+
+const ByteMemory::Extent* ByteMemory::FindExtent(uint64_t id) const {
+  auto it = std::upper_bound(extents_.begin(), extents_.end(), id,
+                             [](uint64_t page, const Extent& e) { return page < e.first; });
+  if (it == extents_.begin() || (it - 1)->last <= id) {
+    return nullptr;
+  }
+  return &*(it - 1);
 }
 
 void ByteMemory::TranslateSlow(uint64_t id) const {
   cached_id_ = id;
   cached_page_ = PageRef{};
-  auto it = chunks_.find(id / kChunkPages);
-  if (it == chunks_.end()) {
-    return;
+  auto it = slots_.find(id);
+  if (it == slots_.end()) {
+    const Extent* extent = FindExtent(id);
+    if (extent == nullptr) {
+      return;
+    }
+    it = slots_.emplace(id, SlotEntry{nullptr, extent->writable}).first;
   }
-  Chunk& chunk = *it->second;
-  const uint64_t slot = id % kChunkPages;
-  const uint64_t bit = 1ULL << (slot % 64);
-  if ((chunk.mapped[slot / 64] & bit) != 0) {
-    cached_page_ = PageRef{&chunk.pages[slot], (chunk.writable[slot / 64] & bit) != 0};
-  }
+  cached_page_ = PageRef{&it->second.bytes, it->second.writable};
 }
 
 uint8_t* ByteMemory::MaterializePage(PageSlot& slot) {
@@ -93,6 +117,9 @@ uint8_t* ByteMemory::MaterializePage(PageSlot& slot) {
 }
 
 MemFault ByteMemory::ReadSlow(uint64_t addr, void* out, uint64_t size) const {
+  if (addr + (size - 1) < addr) {
+    return MemFault::kUnmapped;  // the range wraps past the top of the address space
+  }
   uint8_t* dst = static_cast<uint8_t*>(out);
   uint64_t done = 0;
   while (done < size) {
@@ -102,18 +129,18 @@ MemFault ByteMemory::ReadSlow(uint64_t addr, void* out, uint64_t size) const {
       return MemFault::kUnmapped;
     }
     const uint64_t in_page = a % kPageBytes;
-    const uint64_t chunk = std::min(size - done, kPageBytes - in_page);
-    if (*page.bytes == nullptr) {
-      std::memset(dst + done, 0, chunk);
-    } else {
-      std::memcpy(dst + done, *page.bytes + in_page, chunk);
-    }
-    done += chunk;
+    const uint64_t n = std::min(size - done, kPageBytes - in_page);
+    const uint8_t* bytes = *page.bytes == nullptr ? kZeroPage : *page.bytes;
+    std::memcpy(dst + done, bytes + in_page, n);
+    done += n;
   }
   return MemFault::kNone;
 }
 
 MemFault ByteMemory::WriteSlow(uint64_t addr, const void* data, uint64_t size) {
+  if (addr + (size - 1) < addr) {
+    return MemFault::kUnmapped;  // the range wraps past the top of the address space
+  }
   const uint8_t* src = static_cast<const uint8_t*>(data);
   // Validate the whole range first so partially-applied writes cannot occur.
   for (uint64_t a = addr / kPageBytes; a <= (addr + size - 1) / kPageBytes; ++a) {
@@ -130,31 +157,25 @@ MemFault ByteMemory::WriteSlow(uint64_t addr, const void* data, uint64_t size) {
     const uint64_t a = addr + done;
     PageSlot& slot = *Translate(a).bytes;
     const uint64_t in_page = a % kPageBytes;
-    const uint64_t chunk = std::min(size - done, kPageBytes - in_page);
-    std::memcpy(PageBytes(slot) + in_page, src + done, chunk);
-    done += chunk;
+    const uint64_t n = std::min(size - done, kPageBytes - in_page);
+    std::memcpy(PageBytes(slot) + in_page, src + done, n);
+    done += n;
   }
   return MemFault::kNone;
 }
 
 void ByteMemory::LoaderWrite(uint64_t addr, const void* data, uint64_t size) {
-  InvalidateTranslationCache();
   const uint8_t* src = static_cast<const uint8_t*>(data);
   uint64_t done = 0;
   while (done < size) {
     const uint64_t a = addr + done;
-    const uint64_t id = a / kPageBytes;
-    const uint64_t slot = id % kChunkPages;
-    const uint64_t bit = 1ULL << (slot % 64);
-    Chunk& chunk = ChunkFor(id / kChunkPages);
-    if ((chunk.mapped[slot / 64] & bit) == 0) {
+    if (FindExtent(a / kPageBytes) == nullptr) {
       // A page the loader touches first is mapped read-only.
-      chunk.mapped[slot / 64] |= bit;
-      ++mapped_pages_;
+      MapRange(a - a % kPageBytes, kPageBytes, /*writable=*/false);
     }
     const uint64_t in_page = a % kPageBytes;
     const uint64_t n = std::min(size - done, kPageBytes - in_page);
-    std::memcpy(PageBytes(chunk.pages[slot]) + in_page, src + done, n);
+    std::memcpy(PageBytes(*Translate(a).bytes) + in_page, src + done, n);
     done += n;
   }
 }

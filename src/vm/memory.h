@@ -6,13 +6,14 @@
 // page on real hardware — this is what turns wild attacker guesses under
 // information-hiding isolation into crashes (§3.2.3).
 //
-// Pages live in a two-level table: a sparse directory of fixed-size chunks,
-// each a flat array of page slots with per-page mapped/writable bitmaps.
-// Mapping a range sets bitmap words, so its cost grows with the chunks it
-// covers, not the pages; a page's bytes are allocated only on first write.
-// Slots are raw pointers into one per-memory list that owns the materialised
-// pages, so tearing a memory down costs O(chunks + materialised pages), not
-// a walk of every slot of every chunk.
+// Mappings are a short sorted list of page extents, each with one
+// writability: the read-only and writable globals, one per heap arena, one
+// per stack. Mapping a range edits that list the way mprotect splits and
+// merges VMAs, so it allocates nothing and costs the same for a page as for
+// a 4 MiB stack. A page gets a slot — in a node-stable hash map, with a
+// copy of its writability — on its first access, and 4 KiB of bytes on its
+// first write; a run pays only for the pages it touches. The materialised
+// pages are owned by one per-memory list, the slots point into it.
 #ifndef CPI_SRC_VM_MEMORY_H_
 #define CPI_SRC_VM_MEMORY_H_
 
@@ -33,13 +34,12 @@ enum class MemFault {
 class ByteMemory {
  public:
   static constexpr uint64_t kPageBytes = 4096;
-  // Pages per directory chunk: 512 pages, a 2 MiB span.
-  static constexpr uint64_t kChunkPages = 512;
 
-  // Makes [start, start+size) accessible. Pages materialise lazily,
-  // zero-filled. A zero-size range maps nothing. Remapping is mprotect-like:
-  // every page the (page-rounded) range touches takes the new writability,
-  // the previous permission does not linger.
+  // Makes [start, start+size) accessible; the range must not wrap past
+  // 2^64. Pages materialise lazily, zero-filled. A zero-size range maps
+  // nothing. Remapping is mprotect-like: every page the (page-rounded) range
+  // touches takes the new writability, the previous permission does not
+  // linger.
   void MapRange(uint64_t start, uint64_t size, bool writable);
 
   bool IsMapped(uint64_t addr) const { return Translate(addr).bytes != nullptr; }
@@ -47,18 +47,15 @@ class ByteMemory {
 
   // Scalar accesses. Single-page ones (virtually all of them: the VM
   // reads/writes 1-8 byte scalars) take the inline fast path;
-  // page-straddling accesses fall back to the chunked loop in memory.cc.
+  // page-straddling accesses fall back to the page loop in memory.cc.
   MemFault Read(uint64_t addr, void* out, uint64_t size) const {
     if ((addr & (kPageBytes - 1)) + size <= kPageBytes) {
       const PageRef& page = Translate(addr);
       if (page.bytes == nullptr) {
         return MemFault::kUnmapped;
       }
-      if (*page.bytes == nullptr) {
-        std::memset(out, 0, size);
-      } else {
-        std::memcpy(out, *page.bytes + (addr & (kPageBytes - 1)), size);
-      }
+      const uint8_t* bytes = *page.bytes == nullptr ? kZeroPage : *page.bytes;
+      CopyScalar(out, bytes + (addr & (kPageBytes - 1)), size);
       return MemFault::kNone;
     }
     return ReadSlow(addr, out, size);
@@ -72,7 +69,7 @@ class ByteMemory {
       if (!page.writable) {
         return MemFault::kReadOnly;
       }
-      std::memcpy(PageBytes(*page.bytes) + (addr & (kPageBytes - 1)), data, size);
+      CopyScalar(PageBytes(*page.bytes) + (addr & (kPageBytes - 1)), data, size);
       return MemFault::kNone;
     }
     return WriteSlow(addr, data, size);
@@ -120,8 +117,8 @@ class ByteMemory {
   // Fault injection (vm::FaultPlan, kOomPageAlloc): after `countdown` more
   // page materialisations succeed, the next one throws SimulatedOom. The VM
   // catches it and reports the run as crashed; the harness asserts the host
-  // survives. One-shot: the failure disarms itself after firing. Directory
-  // chunks are bookkeeping, not pages, and never consume the countdown.
+  // survives. One-shot: the failure disarms itself after firing. Extents and
+  // slots are bookkeeping, not pages, and never consume the countdown.
   void ArmAllocFailure(uint64_t countdown) { alloc_failure_countdown_ = countdown; }
 
  private:
@@ -129,13 +126,19 @@ class ByteMemory {
   // by pages_.
   using PageSlot = uint8_t*;
   static const uint8_t kZeroPage[kPageBytes];
-  static constexpr uint64_t kChunkWords = kChunkPages / 64;
 
-  // Trivially destructible: freeing a chunk never visits its slots.
-  struct Chunk {
-    PageSlot pages[kChunkPages] = {};
-    uint64_t mapped[kChunkWords] = {};
-    uint64_t writable[kChunkWords] = {};
+  // A mapped page accessed so far: its slot and its extent's writability,
+  // which MapRange keeps current, so a translation needs one lookup.
+  struct SlotEntry {
+    PageSlot bytes;
+    bool writable;
+  };
+
+  // Pages [first, last), all mapped with one writability.
+  struct Extent {
+    uint64_t first;
+    uint64_t last;
+    bool writable;
   };
 
   // One page's translation: its byte slot (null when the page is unmapped)
@@ -145,6 +148,27 @@ class ByteMemory {
     bool writable = false;
   };
 
+  // A copy of 1, 2, 4 or 8 bytes is a fixed-size copy (one load and one
+  // store), not a call into the library memcpy.
+  static void CopyScalar(void* dst, const void* src, uint64_t size) {
+    switch (size) {
+      case 1:
+        std::memcpy(dst, src, 1);
+        break;
+      case 2:
+        std::memcpy(dst, src, 2);
+        break;
+      case 4:
+        std::memcpy(dst, src, 4);
+        break;
+      case 8:
+        std::memcpy(dst, src, 8);
+        break;
+      default:
+        std::memcpy(dst, src, size);
+    }
+  }
+
   const PageRef& Translate(uint64_t addr) const {
     const uint64_t id = addr / kPageBytes;
     if (id != cached_id_) {
@@ -153,7 +177,8 @@ class ByteMemory {
     return cached_page_;
   }
   void TranslateSlow(uint64_t id) const;
-  Chunk& ChunkFor(uint64_t chunk_id);
+  // The extent holding page `id`, or null when the page is unmapped.
+  const Extent* FindExtent(uint64_t id) const;
   uint8_t* PageBytes(PageSlot& slot) {
     if (slot == nullptr) {
       return MaterializePage(slot);
@@ -170,7 +195,12 @@ class ByteMemory {
     cached_page_ = PageRef{};
   }
 
-  std::unordered_map<uint64_t, std::unique_ptr<Chunk>> chunks_;
+  // Sorted by page, disjoint; neighbours that touch have different
+  // writability (equal ones are coalesced).
+  std::vector<Extent> extents_;
+  // Every mapped page accessed so far. Pages are never unmapped and the
+  // map's nodes never move, so a slot pointer stays valid.
+  mutable std::unordered_map<uint64_t, SlotEntry> slots_;
   // Every materialised page, in materialisation order; the slots point in.
   std::vector<std::unique_ptr<uint8_t[]>> pages_;
   uint64_t mapped_pages_ = 0;
@@ -178,10 +208,10 @@ class ByteMemory {
   static constexpr uint64_t kAllocFailureDisarmed = ~0ULL;
   uint64_t alloc_failure_countdown_ = kAllocFailureDisarmed;
   // One-entry translation cache: program accesses hit the same page in
-  // bursts, so most lookups skip the directory. Chunks are never freed, so
-  // a cached slot pointer stays valid; the cache is invalidated on every
-  // map, because that can change a page's permissions. Purely a host-side
-  // speedup — no simulated cost depends on it.
+  // bursts, so most lookups skip the extent list and the slot map. The
+  // cache is invalidated on every map, because that can change a page's
+  // permissions. Purely a host-side speedup — no simulated cost depends on
+  // it.
   mutable uint64_t cached_id_ = ~0ULL;
   mutable PageRef cached_page_;
 };

@@ -101,18 +101,19 @@ TEST(ByteMemoryTest, RemapPermissionsHonourLastMapping) {
   EXPECT_EQ(mem.WriteU64(0x3000, 7), MemFault::kNone);
 }
 
-// A stack-sized range that starts mid-chunk spans three directory chunks;
-// mapped_bytes() counts its pages once, however often they are remapped.
+// A stack-sized range that starts mid-way through a 2 MiB span covers parts
+// of three; mapped_bytes() counts its pages once, however often they are
+// remapped.
 TEST(ByteMemoryTest, StraddlingMapCountsEachPageOnce) {
-  constexpr uint64_t kChunkBytes = ByteMemory::kChunkPages * ByteMemory::kPageBytes;
+  constexpr uint64_t kSpanBytes = 2ULL << 20;
   constexpr uint64_t kBytes = 4ULL << 20;
-  const uint64_t start = 5 * kChunkBytes - 3 * ByteMemory::kPageBytes;
+  const uint64_t start = 5 * kSpanBytes - 3 * ByteMemory::kPageBytes;
   ByteMemory mem;
   mem.MapRange(start, kBytes, /*writable=*/true);
   EXPECT_EQ(mem.mapped_bytes(), 1024 * ByteMemory::kPageBytes);
   EXPECT_FALSE(mem.IsMapped(start - 1));
   EXPECT_TRUE(mem.IsMapped(start));
-  EXPECT_TRUE(mem.IsMapped(5 * kChunkBytes));  // the first chunk boundary
+  EXPECT_TRUE(mem.IsMapped(5 * kSpanBytes));  // the first 2 MiB boundary
   EXPECT_TRUE(mem.IsMapped(start + kBytes - 1));
   EXPECT_FALSE(mem.IsMapped(start + kBytes));
   ASSERT_EQ(mem.WriteU64(start + kBytes - 8, 9), MemFault::kNone);
@@ -147,17 +148,17 @@ TEST(ByteMemoryTest, LoaderWriteMapsUnmappedPagesReadOnly) {
   EXPECT_EQ(mem.WriteU64(0x9000, 1), MemFault::kNone);
 }
 
-// kOomPageAlloc's countdown counts page materialisations. Mapping creates
-// directory chunks, which must not consume it.
+// kOomPageAlloc's countdown counts page materialisations. Mapping and the
+// page slots an access creates are bookkeeping, which must not consume it.
 TEST(ByteMemoryTest, AllocFailureCountsPagesNotChunks) {
-  constexpr uint64_t kChunkBytes = ByteMemory::kChunkPages * ByteMemory::kPageBytes;
+  constexpr uint64_t kSpanBytes = 2ULL << 20;
   ByteMemory mem;
   mem.ArmAllocFailure(2);
-  mem.MapRange(0, 3 * kChunkBytes, /*writable=*/true);  // three new chunks
+  mem.MapRange(0, 3 * kSpanBytes, /*writable=*/true);  // three 2 MiB spans
   EXPECT_EQ(mem.WriteByte(0, 1), MemFault::kNone);
-  EXPECT_EQ(mem.WriteByte(kChunkBytes, 1), MemFault::kNone);
-  EXPECT_EQ(mem.WriteByte(kChunkBytes + 1, 1), MemFault::kNone);  // page already there
-  EXPECT_THROW(mem.WriteByte(2 * kChunkBytes, 1), SimulatedOom);
+  EXPECT_EQ(mem.WriteByte(kSpanBytes, 1), MemFault::kNone);
+  EXPECT_EQ(mem.WriteByte(kSpanBytes + 1, 1), MemFault::kNone);  // page already there
+  EXPECT_THROW(mem.WriteByte(2 * kSpanBytes, 1), SimulatedOom);
 }
 
 // An armed allocation failure that fires mid-run throws before the page's
@@ -188,6 +189,34 @@ TEST(ByteMemoryTest, AllocFailureLeavesSlotUnmaterialised) {
     ASSERT_EQ(mem.ReadU64(addr, &v), MemFault::kNone);
     EXPECT_EQ(v, want) << addr;
   }
+}
+
+// Regression: a page-straddling access whose range wraps past 2^64 checked
+// no page and then wrote through a null slot, crashing the host. It faults
+// as unmapped and writes nothing, even with the top page and page 0 mapped.
+TEST(ByteMemoryTest, WrappingAccessFaultsUnmapped) {
+  constexpr uint64_t kPage = ByteMemory::kPageBytes;
+  constexpr uint64_t kNearTop = ~0ULL - 3;
+  uint64_t v = 0x1122334455667788ull;
+  ByteMemory empty;
+  EXPECT_EQ(empty.Write(kNearTop, &v, 8), MemFault::kUnmapped);
+  EXPECT_EQ(empty.Read(kNearTop, &v, 8), MemFault::kUnmapped);
+
+  ByteMemory mem;
+  mem.MapRange(0 - kPage, kPage, /*writable=*/true);
+  mem.MapRange(0, kPage, /*writable=*/true);
+  EXPECT_EQ(mem.mapped_bytes(), 2 * kPage);
+  EXPECT_EQ(mem.Write(kNearTop, &v, 8), MemFault::kUnmapped);
+  EXPECT_EQ(mem.Read(kNearTop, &v, 8), MemFault::kUnmapped);
+  uint32_t top = 1;
+  uint32_t bottom = 1;
+  ASSERT_EQ(mem.Read(kNearTop, &top, 4), MemFault::kNone);
+  ASSERT_EQ(mem.Read(0, &bottom, 4), MemFault::kNone);
+  EXPECT_EQ(top, 0u);
+  EXPECT_EQ(bottom, 0u);
+  ASSERT_EQ(mem.Write(kNearTop, &v, 4), MemFault::kNone);  // the last 4 bytes
+  ASSERT_EQ(mem.Read(kNearTop, &top, 4), MemFault::kNone);
+  EXPECT_EQ(top, 0x55667788u);
 }
 
 // A naive model of ByteMemory: one std::map entry per mapped page, holding
@@ -612,6 +641,41 @@ TEST(ExecTest, HeapReuseAfterFree) {
     }
   )");
   EXPECT_EQ(out, (std::vector<uint64_t>{1}));
+}
+
+// Regression: malloc's 16-byte round-up wrapped a request within 15 of
+// 2^64, so malloc(-1) returned a 16-byte block. Vanilla then wrote past it
+// unchecked, and CPI and SoftBound flagged p[0] because the block's upper
+// bound wrapped too. Such a request is out of memory on every engine.
+TEST(ExecTest, MallocOfWrappingSizeRunsOutOfMemory) {
+  const char* source = R"(
+    int main() {
+      output(1);
+      int n = 0;
+      n = n - 1;
+      char* p = (char*)malloc(n);
+      p[0] = 7;
+      p[100] = 9;
+      output(p[100]);
+      return 0;
+    }
+  )";
+  for (core::Protection protection :
+       {core::Protection::kNone, core::Protection::kCpi, core::Protection::kSoftBound}) {
+    for (EngineKind engine : {EngineKind::kReference, EngineKind::kDecoded, EngineKind::kFused}) {
+      auto cr = frontend::CompileC(source);
+      ASSERT_TRUE(cr.ok()) << cr.error;
+      core::Config config;
+      config.protection = protection;
+      config.engine = engine;
+      const RunResult r = core::InstrumentAndRun(*cr.module, config);
+      const std::string label = std::string(core::ProtectionName(protection)) + " on " +
+                                EngineKindName(engine);
+      EXPECT_EQ(r.status, RunStatus::kCrash) << label;
+      EXPECT_EQ(r.message, "out of memory") << label;
+      EXPECT_EQ(r.output, (std::vector<uint64_t>{1})) << label;
+    }
+  }
 }
 
 TEST(ExecTest, DoubleFreeCrashes) {
