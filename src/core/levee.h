@@ -40,7 +40,7 @@ enum class Protection {
   // authenticates over its predecessor, so swapping two live tokens (or
   // replaying a stale one) breaks the chain even though each token alone
   // would authenticate. Return protection only — composes with data-pointer
-  // schemes (see core::CompositeScheme).
+  // schemes (see core::ComposeSchemes).
   kPtrEncRetChain,
 };
 
@@ -51,8 +51,9 @@ class ProtectionScheme;  // src/core/scheme.h
 struct Config {
   Protection protection = Protection::kNone;
   // When set, overrides `protection`: compilation and execution are driven
-  // by this (possibly out-of-tree) scheme instead of a registry built-in.
-  // Read both through SchemeOf.
+  // by this scheme instead of a registry built-in — a registry entry, a
+  // ComposeSchemes stack or an out-of-tree ProtectionScheme the caller owns
+  // (it must outlive the runs). Read both through SchemeOf.
   const ProtectionScheme* scheme = nullptr;
   runtime::StoreKind store = runtime::StoreKind::kArray;
   runtime::IsolationKind isolation = runtime::IsolationKind::kSegment;
@@ -80,8 +81,9 @@ struct Config {
   // default, see vm::EngineKind). Bench drivers expose this as `--engine`.
   vm::EngineKind engine = vm::EngineKind::kFused;
   // Legacy switch for the tree-walking oracle: when set it overrides
-  // `engine` with vm::EngineKind::kReference (kept because the differential
-  // tests toggle the oracle through this knob).
+  // `engine` with vm::EngineKind::kReference. The differential tests select
+  // the oracle through `engine`; only measure_test (which checks that both
+  // spellings key and run the same cell) and perfbench set this knob.
   bool reference_interpreter = false;
   // Post-instrumentation optimization level (src/opt). 0 — the default —
   // runs no passes, so every O0 run is byte-identical to the historical

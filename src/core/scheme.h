@@ -1,38 +1,33 @@
-// The ProtectionScheme extension point.
+// Protection schemes as data.
 //
-// The paper's Levee prototype (§4) composes a protection out of (a)
-// instrumentation passes, (b) runtime support, (c) a sensitivity analysis
-// configuration and (d) an evaluation harness. A ProtectionScheme bundles
-// those four facets into one self-describing object, and the SchemeRegistry
-// makes the set of schemes open-ended: the compiler facade, the VM option
-// plumbing and every bench driver iterate the registry instead of switching
-// on an enum, so adding a defense means registering one object — no edits
-// across layers.
+// The paper's Levee prototype (§4) picks each protection from a fixed set of
+// compiler flags, each a fixed bundle of (a) instrumentation passes, (b)
+// runtime support, (c) a sensitivity-analysis criterion and (d) a place in
+// the evaluation. A ProtectionScheme is that bundle as one Spec row of one
+// concrete class. The compiler facade, the VM option plumbing and every bench
+// driver iterate the SchemeRegistry instead of switching on an enum, so a new
+// built-in defense is one Spec row in scheme.cc.
 //
-// Instrumentation is declared as a *staged pipeline*: a scheme exposes a
-// list of named, ordered PipelineStages, each tagged with the module aspects
-// it writes (stack layout, pointer loads/stores, indirect calls, the saved
-// return-token format). The default Instrument runs the stages through a
-// deterministic scheduler, which is what makes schemes stackable: a
-// CompositeScheme merges the stage lists of N component schemes, rejects
-// combinations whose write tags overlap, and merges the runtime facets
-// (safe-store use OR'd, classification and optimizer contributions applied
-// in pipeline order). Every scheme runs under the VM's one fixed op-cost
-// table (vm/machine.cc), so a scheme supplies no costs.
+// Instrumentation is a *staged pipeline*: named, ordered PipelineStages, each
+// tagged with the module aspects it writes. The deterministic scheduler makes
+// schemes stackable: ComposeSchemes merges the specs of N schemes and rejects
+// stacks whose write tags overlap. Every scheme runs under the VM's one fixed
+// op-cost table (vm/machine.cc), so a scheme supplies no costs.
 //
-// The seven protections of the paper's evaluation (vanilla, SafeStack, CPS,
-// CPI, SoftBound, coarse CFI, stack cookies) are registered built-ins, as is
-// PtrEnc, the PACTight/LIPPEN-style in-place pointer-sealing scheme that
-// exercises the "fundamentally different runtime shape" case: no safe region
-// at all. On top of the pipeline come ptrenc-ret-chain (PACStack-style
-// chained return MACs — return protection only, so it stacks onto data
-// schemes) and the two registered composites, ptrenc+safestack and
-// cpi+ptrenc-ret-chain.
+// The registry is fixed at its first use: the seven protections of the
+// paper's evaluation (vanilla, SafeStack, CPS, CPI, SoftBound, coarse CFI,
+// stack cookies); PtrEnc, the PACTight/LIPPEN-style in-place pointer sealing
+// (CPS's site selection with seal intrinsics, no safe region at all);
+// ptrenc-ret-chain (PACStack-style chained return MACs, return protection
+// only, so it stacks onto data schemes); and the two blessed composites,
+// ptrenc+safestack and cpi+ptrenc-ret-chain. An out-of-tree scheme is a
+// ProtectionScheme its caller owns, selected with Config::scheme.
 #ifndef CPI_SRC_CORE_SCHEME_H_
 #define CPI_SRC_CORE_SCHEME_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,7 +43,7 @@ namespace cpi::core {
 // Module aspects a pipeline stage may write. Two schemes compose only when
 // their stages' write sets are disjoint — overlapping writers (e.g. CPI and
 // CPS both rewriting pointer loads) have no order-independent meaning, so
-// CompositeScheme::Make rejects them instead of picking an order silently.
+// ComposeSchemes rejects them instead of picking an order silently.
 enum StageTag : uint32_t {
   kTagStackLayout = 1u << 0,  // frame layout: alloca placement, prologues
   kTagPtrLoads = 1u << 1,     // rewrites pointer-typed loads
@@ -61,8 +56,8 @@ enum StageTag : uint32_t {
 // conflict diagnostics.
 std::string DescribeStageTags(uint32_t tags);
 
-// One named unit of instrumentation. Stages are merged across schemes by
-// `order` (stable: equal orders keep declaration order), so built-ins use
+// One named unit of instrumentation. Stages are scheduled by `order`
+// (stable: equal orders keep declaration order), so built-ins use
 // pairwise-distinct order values — any conflict-free composite schedules the
 // same pipeline regardless of the order its components were listed in.
 struct PipelineStage {
@@ -71,12 +66,6 @@ struct PipelineStage {
   uint32_t writes = 0;  // StageTag bitmask
   void (*run)(ir::Module&, const instrument::PassOptions&) = nullptr;
 };
-
-// Sorts `stages` by (order, declaration index), runs them, and re-numbers
-// the module (instrument::FinalizeModule) — the shared tail every historical
-// monolithic Instrument ended with.
-void RunStagePipeline(std::vector<PipelineStage> stages, ir::Module& module,
-                      const instrument::PassOptions& options);
 
 // Where the scheme's results appear in the paper-style reports.
 struct SchemeReporting {
@@ -93,118 +82,85 @@ struct SchemeReporting {
 
 class ProtectionScheme {
  public:
-  virtual ~ProtectionScheme() = default;
+  struct Spec {
+    // Only SchemeRegistry::Get and perfbench read ids; everything else
+    // identifies a scheme by its pointer (SchemeOf). A composite takes its
+    // first component's id.
+    Protection id = Protection::kNone;
+    // Short reporting name used for table rows/columns ("cpi", "ptrenc";
+    // "a+b" for a composite) and the registry's lookup key.
+    std::string name;
+    // Fig. 5-style mechanism label ("Code-Pointer Integrity").
+    std::string description;
+    // (a) Instrumentation as pipeline stages (empty for vanilla: the
+    // scheduler's FinalizeModule is the whole pass).
+    std::vector<PipelineStage> stages;
+    // (b) Whether a safe pointer store backs the run; a scheme without it
+    // never allocates one.
+    bool uses_safe_store = false;
+    // (c) Sensitivity criterion, when the scheme runs the classifier.
+    std::optional<analysis::Protection> classification;
+    // (d) Reporting columns for the paper-style tables.
+    SchemeReporting reporting;
+    // Scheme-specific cleanup passes for the post-instrumentation optimizer,
+    // folding patterns only this scheme emits (PtrEnc: seal→auth elision).
+    std::vector<std::unique_ptr<opt::Pass> (*)()> opt_passes;
+  };
 
-  virtual Protection id() const = 0;
-  // Short reporting name used for table rows/columns ("cpi", "ptrenc").
-  virtual const char* name() const = 0;
-  // Fig. 5-style mechanism label ("Code-Pointer Integrity").
-  virtual const char* description() const = 0;
+  // Orders the stages once (stable by `order`); Instrument replays them.
+  explicit ProtectionScheme(Spec spec);
 
-  // (a) The scheme's instrumentation, as an ordered, conflict-tagged stage
-  // list. The default Instrument below runs it through RunStagePipeline;
-  // composition (CompositeScheme) merges these lists, so a scheme is
-  // stackable exactly when its stages carry honest write tags.
-  virtual std::vector<PipelineStage> Stages() const { return {}; }
+  Protection id() const { return spec_.id; }
+  const char* name() const { return spec_.name.c_str(); }
+  const char* description() const { return spec_.description.c_str(); }
+  const Spec& spec() const { return spec_; }
 
-  // Union of the write tags of every stage (the conflict signature).
-  uint32_t StageWrites() const;
+  // Runs the scheduled stages on a verified module, then re-numbers it
+  // (instrument::FinalizeModule).
+  void Instrument(ir::Module& module, const instrument::PassOptions& options) const;
 
-  // Applies the scheme's instrumentation passes to a verified module. The
-  // default runs the declared stage pipeline; a scheme may still override
-  // this directly, at the price of not composing.
-  virtual void Instrument(ir::Module& module,
-                          const instrument::PassOptions& options) const {
-    RunStagePipeline(Stages(), module, options);
-  }
-
-  // (b) Runtime requirements: whether a safe pointer store backs the run.
-  // ConfigureRun mirrors it into vm::RunOptions::use_safe_store; a scheme
-  // without it never allocates one.
-  virtual bool UsesSafeStore() const { return false; }
+  // Mirrors the safe-store requirement into vm::RunOptions::use_safe_store.
+  bool UsesSafeStore() const { return spec_.uses_safe_store; }
   void ConfigureRun(vm::RunOptions& options) const {
-    options.use_safe_store = UsesSafeStore();
+    options.use_safe_store = spec_.uses_safe_store;
   }
 
-  // (c) Classification options for the scheme's sensitivity analysis
-  // (schemes without a static analysis leave the defaults untouched).
-  virtual void ConfigureClassification(analysis::ClassifyOptions& options) const {
-    (void)options;
-  }
+  // Sets the classifier's criterion (schemes without a static analysis
+  // leave the defaults untouched).
+  void ConfigureClassification(analysis::ClassifyOptions& options) const;
 
-  // Scheme-specific cleanup passes for the post-instrumentation optimizer
-  // (Config::opt_level >= 1). Called after the standard pipeline's analysis
-  // passes and before the final DCE, so a scheme can fold patterns only its
-  // own instrumentation emits (PtrEnc contributes seal→auth pair elision).
-  virtual void ContributeOptPasses(opt::PassManager& pm) const { (void)pm; }
-
-  // (d) Reporting name/columns for the Table 1/2-style output.
-  virtual SchemeReporting reporting() const { return {}; }
-};
-
-// A stack of component schemes behaving as one scheme: stages merged by the
-// deterministic scheduler, safe-store use OR'd, classification options and
-// optimizer contributions applied in component order, so a 1-element
-// composite is byte-identical to its base scheme. Reports only into the composite
-// table, keeping every frozen single-scheme table byte-identical.
-class CompositeScheme final : public ProtectionScheme {
- public:
-  // Builds a composite of one or more components. Returns nullptr and fills
-  // *error when two components' stage write tags overlap (or a component
-  // repeats) — such stacks have no order-independent meaning.
-  static std::unique_ptr<CompositeScheme> Make(
-      std::vector<const ProtectionScheme*> parts, std::string* error);
-
-  // The first component's id. Only SchemeRegistry::Get and perfbench read
-  // ids; everything else identifies a scheme by its pointer (SchemeOf). name() is the canonical "a+b" spec string.
-  Protection id() const override { return parts_.front()->id(); }
-  const char* name() const override { return name_.c_str(); }
-  const char* description() const override { return description_.c_str(); }
-
-  std::vector<PipelineStage> Stages() const override;
-  bool UsesSafeStore() const override;
-  void ConfigureClassification(analysis::ClassifyOptions& options) const override;
-  void ContributeOptPasses(opt::PassManager& pm) const override;
-  SchemeReporting reporting() const override {
-    return SchemeReporting{false, false, false, /*composite_table=*/true};
-  }
-
-  const std::vector<const ProtectionScheme*>& parts() const { return parts_; }
+  // Adds the scheme's cleanup passes (Config::opt_level >= 1). Called after
+  // the standard pipeline's analysis passes and before the final DCE.
+  void ContributeOptPasses(opt::PassManager& pm) const;
 
  private:
-  explicit CompositeScheme(std::vector<const ProtectionScheme*> parts);
-
-  std::vector<const ProtectionScheme*> parts_;
-  std::string name_;         // "a+b+..."
-  std::string description_;  // "A + B + ..."
+  Spec spec_;
 };
 
-// Process-global scheme registry. Registration order is reporting order.
+// A stack of schemes behaving as one scheme the caller owns: stages merged
+// by the scheduler, safe-store use OR'd, classification and optimizer
+// contributions applied in component order, so a 1-element composite is
+// byte-identical to its base scheme. Named "a+b+..."; reports only into the
+// composite table, keeping every frozen single-scheme table byte-identical.
+// Returns nullptr and fills *error when a component repeats or two
+// components' stage write tags overlap — such stacks have no
+// order-independent meaning.
+std::unique_ptr<ProtectionScheme> ComposeSchemes(
+    const std::vector<const ProtectionScheme*>& parts, std::string* error);
+
+// The process-global scheme table, fixed when first used. Table order is
+// reporting order.
 class SchemeRegistry {
  public:
-  // Every registered scheme: the built-ins (including ptrenc-ret-chain and
-  // the two blessed composites), then runtime extensions.
+  // Every scheme: the built-ins (including ptrenc-ret-chain), then the two
+  // blessed composites.
   static const std::vector<const ProtectionScheme*>& All();
 
-  // The built-in (or first registered) scheme with the given id.
+  // The built-in scheme with the given id.
   static const ProtectionScheme& Get(Protection p);
 
   // Lookup by reporting name; nullptr when unknown.
   static const ProtectionScheme* FindByName(std::string_view name);
-
-  // The pluggable extension point: registers an out-of-tree scheme. The
-  // registry takes ownership; the scheme outlives every later lookup.
-  // Reporting names are the lookup key, so registering a name that is
-  // already taken is a fatal error.
-  static const ProtectionScheme& Register(std::unique_ptr<ProtectionScheme> scheme);
-
-  // Resolves a "name" or "name+name+..." spec: single names look up the
-  // registered scheme, composite specs return the already-registered
-  // composite of that spelling or build and register a new one. Returns
-  // nullptr and fills *error for unknown components, repeated components or
-  // stage write conflicts.
-  static const ProtectionScheme* FindOrRegisterComposite(std::string_view spec,
-                                                         std::string* error);
 
   // Reporting filters used by the bench drivers.
   static std::vector<const ProtectionScheme*> OverheadColumns();

@@ -9,6 +9,7 @@
 
 #include "src/core/levee.h"
 #include "src/core/scheme.h"
+#include "src/support/rng.h"
 #include "src/vm/decode.h"
 #include "src/vm/fault.h"
 
@@ -163,10 +164,7 @@ std::string DiffCounters(const vm::RunResult& a, const vm::RunResult& b) {
 }
 
 uint64_t Mix(uint64_t seed, uint64_t salt) {
-  uint64_t z = seed + salt * 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return SplitMix64(seed + salt * 0x9e3779b97f4a7c15ULL);
 }
 
 // One cell of a scheme's matrix. RunCase runs a scheme's rows in order after

@@ -3,8 +3,8 @@
 //
 // Every pass rewrites the module in place and records itself in
 // Module::protection(); the scheme layer composes them into pipelines
-// (core::ProtectionScheme::Stages) and re-numbers values once at the end
-// (FinalizeModule). Composition rules follow the paper: the
+// (core::ProtectionScheme::Spec::stages) and re-numbers values once at the
+// end (FinalizeModule). Composition rules follow the paper: the
 // SafeStack pass is part of both CPI and CPS deployments and also works
 // stand-alone (-fstack-protector-safe); the baselines are mutually exclusive
 // with CPI/CPS.
@@ -25,9 +25,9 @@ struct PassOptions {
 // The schemes' rewrite stages, as the scheme layer's staged pipeline
 // (core::PipelineStage) consumes them. Each applies one scheme's IR rewrites
 // and records its protection flags, but leaves the final module
-// re-numbering to the pipeline runner (core::RunStagePipeline). All share
-// one signature, so a stage is a plain function pointer; stages that read
-// no option ignore `options`.
+// re-numbering to the pipeline runner (core::ProtectionScheme::Instrument).
+// All share one signature, so a stage is a plain function pointer; stages
+// that read no option ignore `options`.
 //
 // §3.2.4: classifies every alloca as safe/unsafe, marks functions that need
 // an unsafe frame, and enables the dual-stack runtime.

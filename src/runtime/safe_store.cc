@@ -9,6 +9,7 @@
 
 #include "src/support/check.h"
 #include "src/support/oom.h"
+#include "src/support/rng.h"
 
 namespace cpi::runtime {
 
@@ -261,10 +262,7 @@ class HashStore {
 
   static uint64_t Hash(uint64_t key) {
     // SplitMix64 finaliser: good avalanche for sequential addresses.
-    uint64_t z = key + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return SplitMix64(key + 0x9e3779b97f4a7c15ULL);
   }
 
   // Probe-start hash with a one-entry memo: CopyRange/MoveRange snapshots

@@ -8,10 +8,8 @@ uint16_t PointerSealer::Mac(uint64_t value, uint64_t location) const {
   // SplitMix64 finaliser over the keyed (value, location) tuple: cheap, well
   // avalanched, and — like a real MAC — unforgeable without key_ for the
   // purposes of the simulation's deterministic attackers.
-  uint64_t z = (value & kValueMask) ^ (location * 0x9e3779b97f4a7c15ULL) ^ key_;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
+  const uint64_t z =
+      SplitMix64((value & kValueMask) ^ (location * 0x9e3779b97f4a7c15ULL) ^ key_);
   return static_cast<uint16_t>(z % 0xffff) + 1;  // in [1, 0xffff]
 }
 

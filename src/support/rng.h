@@ -13,6 +13,14 @@
 
 namespace cpi {
 
+// The SplitMix64 output finaliser: a bijective, well-avalanched 64-bit mix.
+// Callers add their own pre-mix (a Weyl increment, a key) before it.
+constexpr uint64_t SplitMix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(uint64_t seed) {
@@ -20,10 +28,7 @@ class Rng {
     uint64_t x = seed;
     for (auto& word : state_) {
       x += 0x9e3779b97f4a7c15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      word = SplitMix64(x);
     }
   }
 

@@ -19,6 +19,8 @@
 
 #include <cstdint>
 
+#include "src/support/rng.h"
+
 namespace cpi::vm {
 
 inline constexpr uint64_t kCodeBase = 0x0000'1000'0000ULL;
@@ -107,10 +109,7 @@ inline constexpr uint64_t HomeOf(uint64_t addr) {
 // modulo mapping would keep every shard shared until count >= kMaxThreads,
 // hiding the contention decline the shard ablation exists to show.
 inline constexpr uint64_t ShardHash(uint64_t home) {
-  uint64_t z = home + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return SplitMix64(home + 0x9e3779b97f4a7c15ULL);
 }
 inline constexpr uint32_t ShardOfAddress(uint64_t addr, uint32_t count) {
   if (count <= 1) {

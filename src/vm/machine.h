@@ -102,7 +102,9 @@ struct RunOptions {
   // in the cost model, and race-free programs produce identical counters at
   // any quantum (tests/sched_test.cc sweeps it).
   uint64_t quantum = 64;
-  uint64_t seed = 1;  // stack cookie value derivation
+  // Derives the per-run secrets: the stack cookie value and PtrEnc's
+  // sealing key (runtime::DeriveSealKey).
+  uint64_t seed = 1;
   std::vector<uint64_t> input_words;
   std::vector<uint8_t> input_bytes;
   // Optional adversarial fault plan (see src/vm/fault.h). Null — the normal

@@ -1,4 +1,4 @@
-// CompositeScheme tests: the staged-pipeline contract that makes schemes
+// ComposeSchemes tests: the staged-pipeline contract that makes schemes
 // stackable.
 //
 // The load-bearing properties:
@@ -27,7 +27,6 @@
 namespace cpi {
 namespace {
 
-using core::CompositeScheme;
 using core::Config;
 using core::Protection;
 using core::ProtectionScheme;
@@ -40,10 +39,10 @@ RunResult RunFresh(const workloads::Workload& w, const Config& config) {
   return core::InstrumentAndRun(*module, config, w.input);
 }
 
-std::unique_ptr<CompositeScheme> MustMake(
-    std::vector<const ProtectionScheme*> parts) {
+std::unique_ptr<ProtectionScheme> MustMake(
+    const std::vector<const ProtectionScheme*>& parts) {
   std::string error;
-  auto composite = CompositeScheme::Make(std::move(parts), &error);
+  auto composite = core::ComposeSchemes(parts, &error);
   EXPECT_NE(composite, nullptr) << error;
   return composite;
 }
@@ -148,8 +147,9 @@ TEST(CompositeTest, AttackResultsFollowTheResolvedScheme) {
   expect_same(cookies, by_id, "cookies by pointer vs by id");
 }
 
-// Overlapping write tags have no order-independent meaning; Make must refuse
-// them (and repeated components) with a diagnostic naming the clash.
+// Overlapping write tags have no order-independent meaning; ComposeSchemes
+// must refuse them (and repeated components) with a diagnostic naming the
+// clash.
 TEST(CompositeTest, ConflictingStacksAreRejected) {
   const ProtectionScheme* cpi_s = SchemeRegistry::FindByName("cpi");
   const ProtectionScheme* cps = SchemeRegistry::FindByName("cps");
@@ -160,44 +160,22 @@ TEST(CompositeTest, ConflictingStacksAreRejected) {
 
   std::string error;
   // Both rewrite pointer loads/stores and indirect calls.
-  EXPECT_EQ(CompositeScheme::Make({cpi_s, cps}, &error), nullptr);
+  EXPECT_EQ(core::ComposeSchemes({cpi_s, cps}, &error), nullptr);
   EXPECT_NE(error.find("conflict"), std::string::npos) << error;
 
   // CPI already carries the safe-stack stage.
   error.clear();
-  EXPECT_EQ(CompositeScheme::Make({cpi_s, safestack}, &error), nullptr);
+  EXPECT_EQ(core::ComposeSchemes({cpi_s, safestack}, &error), nullptr);
   EXPECT_NE(error.find("stack-layout"), std::string::npos) << error;
 
   // PtrEnc owns the saved return-token format itself.
   error.clear();
-  EXPECT_EQ(CompositeScheme::Make({ptrenc, chain}, &error), nullptr);
+  EXPECT_EQ(core::ComposeSchemes({ptrenc, chain}, &error), nullptr);
   EXPECT_NE(error.find("ret-mac"), std::string::npos) << error;
 
   // A repeated component is a conflict with itself.
   error.clear();
-  EXPECT_EQ(CompositeScheme::Make({cpi_s, cpi_s}, &error), nullptr);
-  EXPECT_FALSE(error.empty());
-}
-
-// Spec resolution: single names return the registered scheme, the blessed
-// composite spellings return the pre-registered composite (idempotently),
-// and unknown components are named in the error.
-TEST(CompositeTest, FindOrRegisterCompositeResolvesSpecs) {
-  std::string error;
-  EXPECT_EQ(SchemeRegistry::FindOrRegisterComposite("cpi", &error),
-            SchemeRegistry::FindByName("cpi"));
-
-  const ProtectionScheme* blessed =
-      SchemeRegistry::FindOrRegisterComposite("ptrenc+safestack", &error);
-  ASSERT_NE(blessed, nullptr) << error;
-  EXPECT_EQ(blessed, SchemeRegistry::FindByName("ptrenc+safestack"));
-  EXPECT_EQ(blessed, SchemeRegistry::FindOrRegisterComposite("ptrenc+safestack", &error));
-
-  EXPECT_EQ(SchemeRegistry::FindOrRegisterComposite("cpi+nope", &error), nullptr);
-  EXPECT_NE(error.find("unknown scheme 'nope'"), std::string::npos) << error;
-
-  error.clear();
-  EXPECT_EQ(SchemeRegistry::FindOrRegisterComposite("cpi+cps", &error), nullptr);
+  EXPECT_EQ(core::ComposeSchemes({cpi_s, cpi_s}, &error), nullptr);
   EXPECT_FALSE(error.empty());
 }
 

@@ -4,7 +4,10 @@
 // the checked-in regression corpus under ctest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "src/ir/verifier.h"
 #include "src/runtime/safe_store.h"
 #include "src/support/oom.h"
+#include "src/support/rng.h"
 #include "src/vm/layout.h"
 #include "src/vm/memory.h"
 
@@ -459,6 +463,103 @@ TEST(FuzzCorpusTest, RegressionCorpusReplaysClean) {
     ASSERT_TRUE(fuzz::LoadPlanFile(path.string(), &plan)) << path;
     const fuzz::CaseResult r = fuzz::RunCase(plan);
     EXPECT_EQ(r.status, fuzz::CaseStatus::kPass) << path << ": " << r.detail;
+  }
+}
+
+// Applies one edit a corrupted or hand-edited corpus entry could carry: an op
+// field set to 0, 2^32-1 or a small value, an op kind of 255, a pool size of
+// 0 or 2^32-1, or an op line duplicated or deleted.
+std::string MutatePlanText(const std::string& text, Rng& rng) {
+  std::vector<std::vector<std::string>> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream ls(line);
+    lines.emplace_back();
+    for (std::string field; ls >> field;) {
+      lines.back().push_back(field);
+    }
+  }
+  std::vector<size_t> ops;
+  size_t pools = 0;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (!lines[i].empty() && lines[i][0] == "op") {
+      ops.push_back(i);
+    } else if (!lines[i].empty() && lines[i][0] == "pools") {
+      pools = i;
+    }
+  }
+  if (ops.empty() || pools == 0) {
+    ADD_FAILURE() << "corpus entry without pools or op lines";
+    return text;
+  }
+  const size_t op = ops[rng.NextBelow(ops.size())];
+  const char* const extremes[] = {"0", "4294967295"};
+  switch (rng.NextBelow(5)) {
+    case 0: {
+      const uint64_t pick = rng.NextBelow(3);
+      lines[op][2 + rng.NextBelow(4)] =
+          pick < 2 ? extremes[pick] : std::to_string(rng.NextBelow(8));
+      break;
+    }
+    case 1:
+      lines[op][1] = "255";
+      break;
+    case 2:
+      lines[pools][1 + rng.NextBelow(5)] = extremes[rng.NextBelow(2)];
+      break;
+    case 3:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(op), lines[op]);
+      break;
+    default:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(op));
+      break;
+  }
+  std::string out;
+  for (const std::vector<std::string>& fields : lines) {
+    for (size_t i = 0; i < fields.size(); ++i) {
+      out += (i == 0 ? "" : " ") + fields[i];
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// Fixed-seed mutants of the regression corpus: each is rejected by the
+// parser or round-trips, materializes to valid IR and passes the full
+// differential matrix under a small step budget.
+TEST(FuzzCorpusTest, MutatedCorpusEntriesAreRejectedOrRunClean) {
+  const std::filesystem::path dir = std::filesystem::path(CPI_SOURCE_DIR) / "tests" / "corpus";
+  std::vector<std::filesystem::path> entries;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".plan") {
+      entries.push_back(e.path());
+    }
+  }
+  std::sort(entries.begin(), entries.end());
+  ASSERT_GE(entries.size(), 3u);
+  fuzz::DiffOptions options;
+  options.max_steps = 200'000;
+  Rng rng(1);
+  for (int i = 0; i < 50; ++i) {
+    const std::filesystem::path& path = entries[static_cast<size_t>(i) % entries.size()];
+    std::ifstream file(path);
+    std::ostringstream text;
+    text << file.rdbuf();
+    std::string mutant = text.str();
+    for (uint64_t edits = 1 + rng.NextBelow(3); edits > 0; --edits) {
+      mutant = MutatePlanText(mutant, rng);
+    }
+    SCOPED_TRACE(path.filename().string() + " mutant " + std::to_string(i) + ":\n" + mutant);
+    fuzz::Plan plan;
+    if (!fuzz::ParsePlan(mutant, &plan)) {
+      continue;
+    }
+    // The corpus is in canonical form, so a parsed mutant serializes back
+    // to its own text.
+    EXPECT_EQ(fuzz::SerializePlan(plan), mutant);
+    EXPECT_TRUE(ir::IsValid(*fuzz::Materialize(plan)));
+    const fuzz::CaseResult r = fuzz::RunCase(plan, options);
+    EXPECT_EQ(r.status, fuzz::CaseStatus::kPass) << r.detail;
   }
 }
 

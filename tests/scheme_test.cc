@@ -1,16 +1,17 @@
 // Tests for the ProtectionScheme registry and the PtrEnc (in-place pointer
 // sealing) scheme it was built to enable: registry completeness and lookup,
-// pluggable out-of-tree schemes, PtrEnc's functional transparency, its
-// attack-prevention behaviour, and its zero-safe-region memory shape.
+// out-of-tree schemes driven through Config::scheme, PtrEnc's functional
+// transparency, its attack-prevention behaviour, and its zero-safe-region
+// memory shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "src/attacks/ripe.h"
 #include "src/core/scheme.h"
-#include "src/instrument/passes.h"
 #include "src/workloads/workloads.h"
 
 namespace cpi {
@@ -65,23 +66,15 @@ TEST(SchemeRegistryTest, ReportingFiltersSelectTheEvaluationColumns) {
   }
 }
 
-// The pluggable extension point: an out-of-tree scheme registered at runtime
-// drives compilation and execution through Config::scheme.
-class NoopScheme final : public ProtectionScheme {
- public:
-  Protection id() const override { return Protection::kNone; }
-  const char* name() const override { return "noop-extension"; }
-  const char* description() const override { return "registry extension test"; }
-  void Instrument(ir::Module& module,
-                  const instrument::PassOptions&) const override {
-    instrument::FinalizeModule(module);
-  }
-};
-
+// The extension point: an out-of-tree scheme the caller owns, never added
+// to the fixed registry, drives compilation and execution through
+// Config::scheme.
 TEST(SchemeRegistryTest, OutOfTreeSchemeRunsThroughTheFacade) {
-  const ProtectionScheme& scheme =
-      SchemeRegistry::Register(std::make_unique<NoopScheme>());
-  EXPECT_EQ(SchemeRegistry::FindByName("noop-extension"), &scheme);
+  ProtectionScheme::Spec spec;
+  spec.name = "noop-extension";
+  spec.description = "out-of-tree scheme test";
+  const ProtectionScheme scheme(std::move(spec));
+  EXPECT_EQ(SchemeRegistry::FindByName("noop-extension"), nullptr);
 
   const workloads::Workload& w = workloads::SpecCpu2006().front();
   Config vanilla;
@@ -95,21 +88,6 @@ TEST(SchemeRegistryTest, OutOfTreeSchemeRunsThroughTheFacade) {
   vm::RunResult r = core::InstrumentAndRun(*module, config, w.input);
   ASSERT_EQ(r.status, vm::RunStatus::kOk) << r.message;
   EXPECT_EQ(r.output, base.output);
-}
-
-// Reporting names are the registry's lookup key (FindByName, composite
-// specs), so a second scheme under a taken name would shadow or be
-// shadowed silently. Registration must die instead.
-class NameSquatterScheme final : public ProtectionScheme {
- public:
-  Protection id() const override { return Protection::kNone; }
-  const char* name() const override { return "cpi"; }  // already taken
-  const char* description() const override { return "duplicate-name probe"; }
-};
-
-TEST(SchemeRegistryDeathTest, RegisteringADuplicateNameIsFatal) {
-  EXPECT_DEATH(SchemeRegistry::Register(std::make_unique<NameSquatterScheme>()),
-               "duplicate scheme name 'cpi'");
 }
 
 // --- PtrEnc ----------------------------------------------------------------
