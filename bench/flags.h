@@ -1,6 +1,5 @@
 // Strict CLI parsing for the bench binaries: Parse for bench/suite,
-// ParseFuzz for bench/fuzz (bench/store_micro takes google-benchmark's own
-// flags).
+// ParseFuzz for bench/fuzz.
 //
 // suite:
 //   --json       machine-readable output

@@ -14,12 +14,20 @@
 //
 // Each table is declared once, in kTables: its name and a function that
 // requests the cells it needs, reduces them, and returns its JSON and text
-// printers. Every column is a scheme (core::ProtectionScheme*), composite
-// or not. Every cell goes through one workloads::CellMemo keyed on
-// (workload, canonical Config), and every attack matrix through a memo keyed
-// the same way, so a table asks for its own baselines and a cell another
-// table already ran costs a lookup. Tables run in a fixed order (`run`);
-// each table's wall time charges only the cells it is first to request.
+// printers. Every table requests its cells through one Suite::Sweep, as
+// [workload][config] vm::RunResults; every column is a scheme
+// (core::ProtectionScheme*), composite or not. Sweep goes through one
+// workloads::CellMemo keyed on (workload, canonical Config), and every
+// attack matrix through a memo keyed the same way, so a table asks for its
+// own baselines and a cell another table already ran costs a lookup. Tables
+// run in a fixed order (`run`); each table's wall time charges only the
+// cells it is first to request.
+//
+// One failure rule: a cell that does not complete is printed as
+// "suite: FAILED cell <table>/<workload> under <scheme>: <status>" and the
+// suite exits 1 after printing its report. SoftBound cells are exempt: the
+// paper reports SoftBound breaking on unsafe pointer idioms, and Table 3
+// shows those cells as "fails".
 //
 // Table values are bit-identical at any --jobs value (the cost model is
 // simulated; the pool only changes wall-clock). The JSON keeps everything
@@ -56,13 +64,14 @@ using cpi::core::Protection;
 using cpi::core::ProtectionScheme;
 using cpi::core::SchemeRegistry;
 using cpi::runtime::StoreKind;
+using cpi::vm::RunResult;
 using cpi::workloads::CellRequest;
-using cpi::workloads::CellResult;
-using cpi::workloads::Measurement;
 using cpi::workloads::Workload;
 
 // values[row][column]
 using Grid = std::vector<std::vector<double>>;
+// cells[workload][config]
+using Cells = std::vector<std::vector<RunResult>>;
 
 class Stopwatch {
  public:
@@ -77,10 +86,6 @@ class Stopwatch {
 
 // A registry built-in, as the suite's columns take it.
 const ProtectionScheme* Builtin(Protection p) { return &SchemeRegistry::Get(p); }
-
-bool Failed(const Measurement& m, const ProtectionScheme* scheme) {
-  return m.status.count(scheme) != 0 && m.status.at(scheme) != cpi::vm::RunStatus::kOk;
-}
 
 std::vector<double> ColumnMeans(const Grid& grid) {
   std::vector<double> means;
@@ -130,7 +135,7 @@ class Suite {
 
   const cpi::bench::Flags& flags;
   cpi::workloads::CellMemo memo;
-  int failures = 0;  // unexpected failing cells (see Overheads)
+  int failures = 0;  // cells that did not complete (see Sweep)
 
   // The standard tables' base configuration: O0, every knob at its default
   // except the engine, under `scheme` (null: vanilla).
@@ -141,45 +146,31 @@ class Suite {
     return config;
   }
 
-  // Vanilla plus each of `schemes` per workload. Failing columns are
-  // tolerated (they surface in the JSON "fails" arrays) so one bad scheme
-  // cannot abort a long sweep, but each is reported, in workload then
-  // request order, and makes the suite exit non-zero — except SoftBound,
-  // which the paper reports breaking on unsafe pointer idioms (Table 3).
-  std::vector<Measurement> Overheads(const char* table, const std::vector<Workload>& workloads,
-                                     const std::vector<const ProtectionScheme*>& schemes) {
-    std::vector<Measurement> ms = memo.Measure(workloads, schemes, Base());
-    for (const Measurement& m : ms) {
-      for (const ProtectionScheme* scheme : schemes) {
-        if (Failed(m, scheme) && scheme != Builtin(Protection::kSoftBound)) {
-          std::fprintf(stderr, "suite: FAILED cell %s/%s under %s: %s\n", table,
-                       m.workload.c_str(), scheme->name(),
-                       cpi::vm::RunStatusName(m.status.at(scheme)));
-          ++failures;
-        }
-      }
-    }
-    return ms;
-  }
-
-  // Per workload, one cell per config (config 0 is usually the baseline);
-  // every cell must complete. Returns [workload][config].
-  std::vector<std::vector<CellResult>> Sweep(const std::vector<const Workload*>& workloads,
-                                             const std::vector<Config>& configs) {
+  // Per workload, one cell per config (config 0 is usually the baseline).
+  // Returns [workload][config]. A cell that does not complete is reported,
+  // in workload then config order, and counted in `failures` (the one
+  // failure rule above); the sweep goes on, so one bad cell cannot abort
+  // a long run.
+  Cells Sweep(const char* table, const std::vector<const Workload*>& workloads,
+              const std::vector<Config>& configs) {
     std::vector<CellRequest> cells;
     for (const Workload* w : workloads) {
       for (const Config& config : configs) {
         cells.push_back({w, config});
       }
     }
-    const std::vector<CellResult> results = memo.Run(cells);
-    std::vector<std::vector<CellResult>> out;
-    for (size_t wi = 0; wi < workloads.size(); ++wi) {
-      out.emplace_back(results.begin() + wi * configs.size(),
-                       results.begin() + (wi + 1) * configs.size());
-      for (const CellResult& r : out.back()) {
-        CPI_CHECK(r.status == cpi::vm::RunStatus::kOk);
+    std::vector<RunResult> results = memo.Run(cells);
+    Cells out(workloads.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+      const ProtectionScheme& scheme = cpi::core::SchemeOf(cells[i].config);
+      if (results[i].status != cpi::vm::RunStatus::kOk &&
+          &scheme != Builtin(Protection::kSoftBound)) {
+        std::fprintf(stderr, "suite: FAILED cell %s/%s under %s: %s\n", table,
+                     cells[i].workload->name.c_str(), scheme.name(),
+                     cpi::vm::RunStatusName(results[i].status));
+        ++failures;
       }
+      out[i / configs.size()].push_back(std::move(results[i]));
     }
     return out;
   }
@@ -204,14 +195,14 @@ class Suite {
   std::map<cpi::workloads::CellKey, std::vector<AttackResult>> matrices_;
 };
 
-// Overhead (%) of columns 1.. of each sweep row against its column 0.
-Grid OverheadGrid(const std::vector<std::vector<CellResult>>& sweep) {
+// Cycle overhead (%) of columns 1.. of each sweep row against its column 0.
+Grid OverheadGrid(const Cells& sweep) {
   Grid grid;
   for (const auto& row : sweep) {
     std::vector<double> out;
     for (size_t c = 1; c < row.size(); ++c) {
-      out.push_back(cpi::OverheadPercent(static_cast<double>(row[c].cycles),
-                                         static_cast<double>(row[0].cycles)));
+      out.push_back(cpi::OverheadPercent(static_cast<double>(row[c].counters.cycles),
+                                         static_cast<double>(row[0].counters.cycles)));
     }
     grid.push_back(std::move(out));
   }
@@ -219,10 +210,49 @@ Grid OverheadGrid(const std::vector<std::vector<CellResult>>& sweep) {
 }
 
 // Share (%) of safe-store ops that paid the shard-crossing premium.
-double ContendedPct(const CellResult& r) {
-  return r.safe_store_ops == 0 ? 0.0
-                               : 100.0 * static_cast<double>(r.store_contended_ops) /
-                                     static_cast<double>(r.safe_store_ops);
+double ContendedPct(const RunResult& r) {
+  const cpi::vm::Counters& n = r.counters;
+  return n.safe_store_ops == 0 ? 0.0
+                               : 100.0 * static_cast<double>(n.store_contended_ops) /
+                                     static_cast<double>(n.safe_store_ops);
+}
+
+// The overhead tables' cells: per row, vanilla then one scheme per column,
+// all at the standard base configuration.
+struct SchemeColumns {
+  std::vector<const Workload*> rows;
+  std::vector<const ProtectionScheme*> columns;
+  Cells cells;    // [row][0] vanilla, [row][1 + column]
+  Grid overhead;  // [row][column], % vs the row's vanilla cycles
+
+  bool Failed(size_t row, size_t column) const {
+    return cells[row][1 + column].status != cpi::vm::RunStatus::kOk;
+  }
+
+  // One column's overheads in row order, restricted to one language
+  // ("C" / "C++") unless `language` is empty; every cell must have
+  // completed.
+  std::vector<double> Column(size_t column, const std::string& language = "") const {
+    std::vector<double> out;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if (language.empty() || rows[r]->language == language) {
+        CPI_CHECK(!Failed(r, column));
+        out.push_back(overhead[r][column]);
+      }
+    }
+    return out;
+  }
+};
+
+SchemeColumns MeasureColumns(Suite& s, const char* table, const std::vector<const Workload*>& rows,
+                             const std::vector<const ProtectionScheme*>& columns) {
+  std::vector<Config> configs = {s.Base()};
+  for (const ProtectionScheme* scheme : columns) {
+    configs.push_back(s.Base(scheme));
+  }
+  Cells cells = s.Sweep(table, rows, configs);
+  Grid overhead = OverheadGrid(cells);
+  return {rows, columns, std::move(cells), std::move(overhead)};
 }
 
 // ---------------------------------------------------------------------------
@@ -255,24 +285,23 @@ void JsonArray(size_t n, const std::function<void(size_t)>& row) {
 }
 
 // The table1 / table3 / table4 / fig4 shape.
-void JsonOverheadTable(const std::vector<Measurement>& ms,
-                       const std::vector<const ProtectionScheme*>& columns, bool lang, bool fails) {
+void JsonOverheadTable(const SchemeColumns& t, bool lang, bool fails) {
   std::printf("{\"rows\":");
-  JsonArray(ms.size(), [&](size_t i) {
-    const Measurement& m = ms[i];
-    std::printf("{\"workload\":\"%s\",", m.workload.c_str());
+  JsonArray(t.rows.size(), [&](size_t r) {
+    const Workload& w = *t.rows[r];
+    std::printf("{\"workload\":\"%s\",", w.name.c_str());
     if (lang) {
-      std::printf("\"lang\":\"%s\",", m.language.c_str());
+      std::printf("\"lang\":\"%s\",", w.language.c_str());
     }
     std::vector<std::string> keys;
     std::vector<double> values;
     std::vector<std::string> failed;
-    for (const ProtectionScheme* scheme : columns) {
-      if (Failed(m, scheme)) {
-        failed.push_back(std::string("\"") + scheme->name() + "\"");
+    for (size_t c = 0; c < t.columns.size(); ++c) {
+      if (t.Failed(r, c)) {
+        failed.push_back(std::string("\"") + t.columns[c]->name() + "\"");
       } else {
-        keys.push_back(scheme->name());
-        values.push_back(m.overhead_pct.at(scheme));
+        keys.push_back(t.columns[c]->name());
+        values.push_back(t.overhead[r][c]);
       }
     }
     std::printf("\"overhead_pct\":");
@@ -289,24 +318,22 @@ void JsonOverheadTable(const std::vector<Measurement>& ms,
 // ---------------------------------------------------------------------------
 // Human rendering.
 
-Table OverheadTable(const std::vector<Measurement>& ms,
-                    const std::vector<const ProtectionScheme*>& columns, bool lang) {
+Table OverheadTable(const SchemeColumns& t, bool lang) {
   std::vector<std::string> header = {"Benchmark"};
   if (lang) {
     header.push_back("Lang");
   }
-  for (const ProtectionScheme* scheme : columns) {
+  for (const ProtectionScheme* scheme : t.columns) {
     header.push_back(scheme->name());
   }
   Table table(header);
-  for (const Measurement& m : ms) {
-    std::vector<std::string> row = {m.workload};
+  for (size_t r = 0; r < t.rows.size(); ++r) {
+    std::vector<std::string> row = {t.rows[r]->name};
     if (lang) {
-      row.push_back(m.language);
+      row.push_back(t.rows[r]->language);
     }
-    for (const ProtectionScheme* scheme : columns) {
-      row.push_back(Failed(m, scheme) ? "fails"
-                                      : Table::FormatPercent(m.overhead_pct.at(scheme)));
+    for (size_t c = 0; c < t.columns.size(); ++c) {
+      row.push_back(t.Failed(r, c) ? "fails" : Table::FormatPercent(t.overhead[r][c]));
     }
     table.AddRow(row);
   }
@@ -357,12 +384,13 @@ struct Printers {
 };
 
 Printers Table1(Suite& s) {
-  const auto columns = SchemeRegistry::OverheadColumns();
-  const auto ms = s.Overheads("table1_spec_overhead", cpi::workloads::SpecCpu2006(), columns);
-  return {[=] { JsonOverheadTable(ms, columns, /*lang=*/true, /*fails=*/false); },
+  const SchemeColumns cols =
+      MeasureColumns(s, "table1_spec_overhead", Rows({&cpi::workloads::SpecCpu2006()}),
+                     SchemeRegistry::OverheadColumns());
+  return {[=] { JsonOverheadTable(cols, /*lang=*/true, /*fails=*/false); },
           [=] {
             std::printf("Table 1 / Fig. 3 — SPEC CPU2006 performance overhead\n\n");
-            Table t = OverheadTable(ms, columns, /*lang=*/true);
+            Table t = OverheadTable(cols, /*lang=*/true);
             t.AddSeparator();
             // The paper's headline summary rows.
             const auto median = +[](const std::vector<double>& xs) { return cpi::Median(xs); };
@@ -377,9 +405,8 @@ Printers Table1(Suite& s) {
             };
             for (const auto& summary : summaries) {
               std::vector<std::string> row = {summary.label, ""};
-              for (const ProtectionScheme* scheme : columns) {
-                row.push_back(Table::FormatPercent(summary.reduce(
-                    cpi::workloads::OverheadColumn(ms, scheme, summary.language))));
+              for (size_t c = 0; c < cols.columns.size(); ++c) {
+                row.push_back(Table::FormatPercent(summary.reduce(cols.Column(c, summary.language))));
               }
               t.AddRow(row);
             }
@@ -487,31 +514,33 @@ Printers Table2(Suite& s) {
 Printers Table3(Suite& s) {
   std::vector<const ProtectionScheme*> columns = SchemeRegistry::OverheadColumns();
   columns.push_back(Builtin(Protection::kSoftBound));  // the subject column
-  const auto ms = s.Overheads("table3_softbound", cpi::workloads::SpecCpu2006(), columns);
-  return {[=] { JsonOverheadTable(ms, columns, /*lang=*/false, /*fails=*/true); },
+  const SchemeColumns cols =
+      MeasureColumns(s, "table3_softbound", Rows({&cpi::workloads::SpecCpu2006()}), columns);
+  return {[=] { JsonOverheadTable(cols, /*lang=*/false, /*fails=*/true); },
           [=] {
             std::printf("Table 3 — Levee vs SoftBound-style full memory safety\n\n");
-            OverheadTable(ms, columns, /*lang=*/false).Print();
-            const auto failures = std::count_if(ms.begin(), ms.end(), [](const Measurement& m) {
-              return Failed(m, Builtin(Protection::kSoftBound));
-            });
+            OverheadTable(cols, /*lang=*/false).Print();
+            int failures = 0;
+            for (size_t r = 0; r < cols.rows.size(); ++r) {
+              failures += cols.Failed(r, cols.columns.size() - 1) ? 1 : 0;
+            }
             std::printf("\nSoftBound failures: %d (the paper likewise reports that many SPEC\n"
                         "benchmarks do not compile or run under SoftBound).\n"
                         "Paper reference rows: bzip2 2.8%% CPI vs 90.2%% SoftBound; h264ref\n"
                         "5.8%% vs 249.4%% — CPI should be an order of magnitude cheaper.\n\n",
-                        static_cast<int>(failures));
+                        failures);
           }};
 }
 
 // The table1-shaped overhead tables over their own workload sets.
 Printers SimpleOverheads(Suite& s, const char* name, const std::vector<Workload>& workloads,
                          const char* title, const char* footnote) {
-  const auto columns = SchemeRegistry::OverheadColumns();
-  const auto ms = s.Overheads(name, workloads, columns);
-  return {[=] { JsonOverheadTable(ms, columns, /*lang=*/false, /*fails=*/false); },
+  const SchemeColumns cols =
+      MeasureColumns(s, name, Rows({&workloads}), SchemeRegistry::OverheadColumns());
+  return {[=] { JsonOverheadTable(cols, /*lang=*/false, /*fails=*/false); },
           [=] {
             std::printf("%s\n\n", title);
-            OverheadTable(ms, columns, /*lang=*/false).Print();
+            OverheadTable(cols, /*lang=*/false).Print();
             std::printf("\n%s\n", footnote);
           }};
 }
@@ -553,29 +582,29 @@ Printers Fig5(Suite& s) {
     bool has_overhead = false;
     double avg_overhead_pct = 0;
   };
-  std::vector<Workload> subset;  // in SPEC order
+  std::vector<const Workload*> subset;  // in SPEC order
   for (const Workload& w : cpi::workloads::SpecCpu2006()) {
     for (const char* name : {"401.bzip2", "447.dealII", "458.sjeng", "464.h264ref"}) {
       if (w.name == name) {
-        subset.push_back(w);
+        subset.push_back(&w);
       }
     }
   }
-  const auto defenses = SchemeRegistry::DefenseRows();
-  const auto ms = s.Overheads("fig5_defense_matrix", subset, defenses);
+  const SchemeColumns cols =
+      MeasureColumns(s, "fig5_defense_matrix", subset, SchemeRegistry::DefenseRows());
   std::vector<Row> rows;
-  for (const ProtectionScheme* d : defenses) {
-    Row row{d};
-    for (const AttackResult& r : s.Matrix(d, /*cross_thread=*/false)) {
+  for (size_t c = 0; c < cols.columns.size(); ++c) {
+    Row row{cols.columns[c]};
+    for (const AttackResult& r : s.Matrix(row.scheme, /*cross_thread=*/false)) {
       ++row.attacks;
       row.hijacked += r.Hijacked() ? 1 : 0;
     }
     std::vector<double> overheads;
-    for (const Measurement& m : ms) {
-      if (Failed(m, d)) {
+    for (size_t r = 0; r < cols.rows.size(); ++r) {
+      if (cols.Failed(r, c)) {
         row.some_fail = true;
       } else {
-        overheads.push_back(m.overhead_pct.at(d));
+        overheads.push_back(cols.overhead[r][c]);
       }
     }
     row.has_overhead = !overheads.empty();
@@ -626,13 +655,13 @@ Printers Fig5(Suite& s) {
 
 // A per-workload ablation over SPEC: CPI under each variant config, as
 // overhead vs vanilla, with an "average" row.
-Printers SpecAblation(Suite& s, const std::vector<Config>& variants,
+Printers SpecAblation(Suite& s, const char* table, const std::vector<Config>& variants,
                       const std::vector<std::string>& keys, bool nested, const char* title,
                       const std::vector<std::string>& header, const char* footnote) {
   const auto rows = Rows({&cpi::workloads::SpecCpu2006()});
   std::vector<Config> configs = {s.Base()};
   configs.insert(configs.end(), variants.begin(), variants.end());
-  const Grid grid = OverheadGrid(s.Sweep(rows, configs));
+  const Grid grid = OverheadGrid(s.Sweep(table, rows, configs));
   const auto names = Names(rows);
   const auto fields = [=](const std::vector<double>& values) {
     if (nested) {
@@ -668,7 +697,8 @@ Printers AblationIsolation(Suite& s) {
     variants.push_back(s.Base(Builtin(Protection::kCpi)));
     variants.back().isolation = isolation;
   }
-  return SpecAblation(s, variants, {"segment", "info-hiding", "sfi"}, /*nested=*/true,
+  return SpecAblation(s, "ablation_isolation", variants, {"segment", "info-hiding", "sfi"},
+                      /*nested=*/true,
                       "Ablation (§3.2.3) — isolation mechanism cost under CPI",
                       {"Benchmark", "segment", "info-hiding", "sfi"},
                       "Paper reference: \"the additional overhead introduced by SFI was less\n"
@@ -679,7 +709,8 @@ Printers AblationMpx(Suite& s) {
   const Config software = s.Base(Builtin(Protection::kCpi));
   Config assisted = software;
   assisted.mpx_assist = true;
-  return SpecAblation(s, {software, assisted}, {"software_pct", "mpx_pct"}, /*nested=*/false,
+  return SpecAblation(s, "ablation_mpx", {software, assisted}, {"software_pct", "mpx_pct"},
+                      /*nested=*/false,
                       "Ablation (§4) — projected hardware-assisted (MPX-style) CPI",
                       {"Benchmark", "CPI (software)", "CPI (MPX-assisted)"},
                       "The paper projects (no numbers available at the time) that MPX-style\n"
@@ -769,7 +800,7 @@ Printers AblationOpt(Suite& s) {
     for (Config& c : configs) {
       c.opt_level = level;
     }
-    return OverheadGrid(s.Sweep(rows, configs));
+    return OverheadGrid(s.Sweep("ablation_opt", rows, configs));
   };
   const Grid o0 = overheads_at(0);
   const Grid on = overheads_at(s.flags.opt);
@@ -831,16 +862,17 @@ Printers MemOverhead(Suite& s) {
       configs.push_back(s.Base(scheme));
       configs.back().store = store;
     }
-    const auto sweep = s.Sweep(rows, configs);
+    const Cells sweep = s.Sweep("mem_overhead", rows, configs);
     Row row;
     row.store = store;
     for (size_t pi = 0; pi < columns.size(); ++pi) {
       std::vector<double> overheads;
       std::vector<double> bytes;
       for (const auto& cells : sweep) {
-        overheads.push_back(cpi::OverheadPercent(static_cast<double>(cells[1 + pi].memory_bytes),
-                                                 static_cast<double>(cells[0].memory_bytes)));
-        bytes.push_back(static_cast<double>(cells[1 + pi].safe_store_bytes));
+        overheads.push_back(
+            cpi::OverheadPercent(static_cast<double>(cells[1 + pi].memory.TotalBytes()),
+                                 static_cast<double>(cells[0].memory.TotalBytes())));
+        bytes.push_back(static_cast<double>(cells[1 + pi].memory.safe_store_bytes));
       }
       row.median_overhead_pct.push_back(cpi::Median(overheads));
       row.median_safe_store_bytes.push_back(cpi::Median(bytes));
@@ -936,12 +968,12 @@ Printers AblationShards(Suite& s) {
     configs.push_back(s.Base(Builtin(Protection::kCpi)));
     configs.back().shards = shards;
   }
-  const auto sweep = s.Sweep(rows, configs);
+  const Cells sweep = s.Sweep("ablation_shards", rows, configs);
   Grid contended;
   for (const auto& cells : sweep) {
     std::vector<double> row;
     for (size_t si = 0; si < kShardCounts.size(); ++si) {
-      CPI_CHECK(cells[1 + si].safe_store_ops == cells[1].safe_store_ops);
+      CPI_CHECK(cells[1 + si].counters.safe_store_ops == cells[1].counters.safe_store_ops);
       row.push_back(ContendedPct(cells[1 + si]));
     }
     contended.push_back(std::move(row));
@@ -986,25 +1018,25 @@ Printers AblationChurn(Suite& s) {
       configs.back().migrate = migrate;
     }
   }
-  const auto sweep = s.Sweep(rows, configs);
+  const Cells sweep = s.Sweep("ablation_churn", rows, configs);
   const Grid both = OverheadGrid(sweep);  // [wi][2 * si + migrate]
   Grid st_over(rows.size()), ep_over(rows.size()), st_cont(rows.size()), ep_cont(rows.size()),
       migrations(rows.size());
   uint64_t total_migrations = 0;
   for (size_t wi = 0; wi < rows.size(); ++wi) {
     for (size_t si = 0; si < kShardCounts.size(); ++si) {
-      const CellResult& st = sweep[wi][1 + 2 * si];
-      const CellResult& ep = sweep[wi][2 + 2 * si];
-      CPI_CHECK(st.safe_store_ops == sweep[wi][1].safe_store_ops);
-      CPI_CHECK(ep.safe_store_ops == st.safe_store_ops);
-      CPI_CHECK(ep.store_contended_ops <= st.store_contended_ops);
-      CPI_CHECK(st.shard_migrations == 0);
+      const RunResult& st = sweep[wi][1 + 2 * si];
+      const RunResult& ep = sweep[wi][2 + 2 * si];
+      CPI_CHECK(st.counters.safe_store_ops == sweep[wi][1].counters.safe_store_ops);
+      CPI_CHECK(ep.counters.safe_store_ops == st.counters.safe_store_ops);
+      CPI_CHECK(ep.counters.store_contended_ops <= st.counters.store_contended_ops);
+      CPI_CHECK(st.counters.shard_migrations == 0);
       st_over[wi].push_back(both[wi][2 * si]);
       ep_over[wi].push_back(both[wi][2 * si + 1]);
       st_cont[wi].push_back(ContendedPct(st));
       ep_cont[wi].push_back(ContendedPct(ep));
-      migrations[wi].push_back(static_cast<double>(ep.shard_migrations));
-      total_migrations += ep.shard_migrations;
+      migrations[wi].push_back(static_cast<double>(ep.counters.shard_migrations));
+      total_migrations += ep.counters.shard_migrations;
     }
   }
   const auto names = Names(rows);
@@ -1053,24 +1085,24 @@ Printers TableComposites(Suite& s) {
     Matrix ripe;
     Matrix ripe_concurrent;
   };
-  const auto& spec = cpi::workloads::SpecCpu2006();
-  const auto schemes = SchemeRegistry::CompositeTableRows();
-  const auto ms = s.Overheads("table_composites", spec, schemes);
+  const SchemeColumns cols =
+      MeasureColumns(s, "table_composites", Rows({&cpi::workloads::SpecCpu2006()}),
+                     SchemeRegistry::CompositeTableRows());
   std::vector<Row> out;
-  for (const ProtectionScheme* scheme : schemes) {
+  for (size_t c = 0; c < cols.columns.size(); ++c) {
     Row row;
-    row.scheme = scheme;
-    row.overhead_pct = cpi::workloads::OverheadColumn(ms, scheme);
+    row.scheme = cols.columns[c];
+    row.overhead_pct = cols.Column(c);
     for (bool cross_thread : {false, true}) {
       Matrix& m = cross_thread ? row.ripe_concurrent : row.ripe;
-      for (const AttackResult& r : s.Matrix(scheme, cross_thread)) {
+      for (const AttackResult& r : s.Matrix(row.scheme, cross_thread)) {
         ++m.counts[static_cast<int>(r.outcome)];
         m.auth_aborts += r.violation == cpi::runtime::Violation::kPointerAuthFailure ? 1 : 0;
       }
     }
     out.push_back(std::move(row));
   }
-  const auto names = Names(Rows({&spec}));
+  const auto names = Names(cols.rows);
   const int attacks = static_cast<int>(cpi::attacks::GenerateAttackMatrix().size());
   const int concurrent_attacks =
       static_cast<int>(cpi::attacks::GenerateCrossThreadMatrix().size());

@@ -45,12 +45,6 @@ void ProtectionScheme::Instrument(ir::Module& module,
   instrument::FinalizeModule(module);
 }
 
-void ProtectionScheme::ConfigureClassification(analysis::ClassifyOptions& options) const {
-  if (spec_.classification.has_value()) {
-    options.protection = *spec_.classification;
-  }
-}
-
 void ProtectionScheme::ContributeOptPasses(opt::PassManager& pm) const {
   for (const auto& create : spec_.opt_passes) {
     pm.Add(create());
@@ -106,9 +100,6 @@ std::unique_ptr<ProtectionScheme> ComposeSchemes(
     merged.description += spec.description;
     merged.stages.insert(merged.stages.end(), spec.stages.begin(), spec.stages.end());
     merged.uses_safe_store |= spec.uses_safe_store;
-    if (spec.classification.has_value()) {
-      merged.classification = spec.classification;
-    }
     merged.opt_passes.insert(merged.opt_passes.end(), spec.opt_passes.begin(),
                              spec.opt_passes.end());
   }
@@ -140,49 +131,41 @@ std::vector<ProtectionScheme::Spec> BuiltinSpecs() {
   using Spec = ProtectionScheme::Spec;
   std::vector<Spec> specs;
   specs.push_back(Spec{Protection::kNone, "vanilla", "No protection", {},
-                       /*uses_safe_store=*/false, std::nullopt,
-                       SchemeReporting{false, true, false}, {}});
+                       /*uses_safe_store=*/false, SchemeReporting{false, true, false}, {}});
   specs.push_back(Spec{Protection::kStackCookies, "cookies", "Stack cookies",
                        {{"cookie-prologues", kOrderCookies, kTagStackLayout,
                          instrument::ApplyStackCookiesRewrites}},
-                       /*uses_safe_store=*/false, std::nullopt,
-                       SchemeReporting{false, true, true}, {}});
+                       /*uses_safe_store=*/false, SchemeReporting{false, true, true}, {}});
   specs.push_back(Spec{Protection::kCfi, "cfi", "Control-Flow Integrity",
                        {{"cfi-icall-checks", kOrderCfi, kTagICalls,
                          instrument::ApplyCfiRewrites}},
-                       /*uses_safe_store=*/false, std::nullopt,
-                       SchemeReporting{false, true, true}, {}});
+                       /*uses_safe_store=*/false, SchemeReporting{false, true, true}, {}});
   specs.push_back(Spec{Protection::kSafeStack, "safestack", "Safe Stack",
                        {kSafeStackStage},
-                       /*uses_safe_store=*/false, std::nullopt,
-                       SchemeReporting{true, true, true}, {}});
+                       /*uses_safe_store=*/false, SchemeReporting{true, true, true}, {}});
   specs.push_back(Spec{Protection::kCps, "cps", "Code-Pointer Separation",
                        {{"cps-rewrites", kOrderCpsRewrites,
                          kTagPtrLoads | kTagPtrStores | kTagICalls,
                          instrument::ApplyCpsRewrites},
                         kSafeStackStage},
-                       /*uses_safe_store=*/true, analysis::Protection::kCps,
-                       SchemeReporting{true, true, true}, {}});
+                       /*uses_safe_store=*/true, SchemeReporting{true, true, true}, {}});
   specs.push_back(Spec{Protection::kCpi, "cpi", "Code-Pointer Integrity",
                        {{"cpi-rewrites", kOrderCpiRewrites,
                          kTagPtrLoads | kTagPtrStores | kTagICalls,
                          instrument::ApplyCpiRewrites},
                         kSafeStackStage},
-                       /*uses_safe_store=*/true, analysis::Protection::kCpi,
-                       SchemeReporting{true, true, true}, {}});
+                       /*uses_safe_store=*/true, SchemeReporting{true, true, true}, {}});
   specs.push_back(Spec{Protection::kSoftBound, "softbound", "Memory Safety",
                        {{"softbound-checks", kOrderSoftBound,
                          kTagPtrLoads | kTagPtrStores,
                          instrument::ApplySoftBoundRewrites}},
-                       /*uses_safe_store=*/false, std::nullopt,
-                       SchemeReporting{false, true, true}, {}});
+                       /*uses_safe_store=*/false, SchemeReporting{false, true, true}, {}});
   // Seal→auth pair elision folds the pattern only this scheme emits.
   specs.push_back(Spec{Protection::kPtrEnc, "ptrenc", "In-Place Pointer Encryption",
                        {{"ptrenc-rewrites", kOrderPtrEncRewrites,
                          kTagPtrLoads | kTagPtrStores | kTagICalls | kTagRetMac,
                          instrument::ApplyPtrEncRewrites}},
-                       /*uses_safe_store=*/false, analysis::Protection::kCps,
-                       SchemeReporting{true, true, true},
+                       /*uses_safe_store=*/false, SchemeReporting{true, true, true},
                        {opt::CreateSealElisionPass}});
   // PACStack-style chained return MACs: return protection only, so it
   // stacks onto data-pointer schemes. Reports into the composite table —
@@ -190,7 +173,7 @@ std::vector<ProtectionScheme::Spec> BuiltinSpecs() {
   specs.push_back(Spec{Protection::kPtrEncRetChain, "ptrenc-ret-chain",
                        "Chained Return Authentication",
                        {{"ret-chain", kOrderRetChain, kTagRetMac, instrument::ApplyRetChain}},
-                       /*uses_safe_store=*/false, std::nullopt,
+                       /*uses_safe_store=*/false,
                        SchemeReporting{false, false, false, /*composite_table=*/true},
                        {}});
   return specs;

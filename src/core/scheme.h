@@ -2,11 +2,13 @@
 //
 // The paper's Levee prototype (§4) picks each protection from a fixed set of
 // compiler flags, each a fixed bundle of (a) instrumentation passes, (b)
-// runtime support, (c) a sensitivity-analysis criterion and (d) a place in
-// the evaluation. A ProtectionScheme is that bundle as one Spec row of one
-// concrete class. The compiler facade, the VM option plumbing and every bench
-// driver iterate the SchemeRegistry instead of switching on an enum, so a new
-// built-in defense is one Spec row in scheme.cc.
+// runtime support and (c) a place in the evaluation. A ProtectionScheme is
+// that bundle as one Spec row of one concrete class. A scheme's sensitivity
+// criterion belongs to its instrumentation pass: the CPI, CPS and PtrEnc
+// passes each classify with their own (src/instrument/cpi_pass.cc). The
+// compiler facade, the VM option plumbing and every bench driver iterate the
+// SchemeRegistry instead of switching on an enum, so a new built-in defense
+// is one Spec row in scheme.cc.
 //
 // Instrumentation is a *staged pipeline*: named, ordered PipelineStages, each
 // tagged with the module aspects it writes. The deterministic scheduler makes
@@ -27,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -98,9 +99,7 @@ class ProtectionScheme {
     // (b) Whether a safe pointer store backs the run; a scheme without it
     // never allocates one.
     bool uses_safe_store = false;
-    // (c) Sensitivity criterion, when the scheme runs the classifier.
-    std::optional<analysis::Protection> classification;
-    // (d) Reporting columns for the paper-style tables.
+    // (c) Reporting columns for the paper-style tables.
     SchemeReporting reporting;
     // Scheme-specific cleanup passes for the post-instrumentation optimizer,
     // folding patterns only this scheme emits (PtrEnc: seal→auth elision).
@@ -125,9 +124,10 @@ class ProtectionScheme {
     options.use_safe_store = spec_.uses_safe_store;
   }
 
-  // Sets the classifier's criterion (schemes without a static analysis
-  // leave the defaults untouched).
-  void ConfigureClassification(analysis::ClassifyOptions& options) const;
+  // A no-op: the criterion lives in each instrumentation pass. Its one
+  // caller is perfbench/layers.cc's traced cell replay, whose statistics
+  // ignore ClassifyOptions::protection; ROADMAP item 1 removes that call.
+  void ConfigureClassification(analysis::ClassifyOptions& /*options*/) const {}
 
   // Adds the scheme's cleanup passes (Config::opt_level >= 1). Called after
   // the standard pipeline's analysis passes and before the final DCE.
@@ -138,13 +138,12 @@ class ProtectionScheme {
 };
 
 // A stack of schemes behaving as one scheme the caller owns: stages merged
-// by the scheduler, safe-store use OR'd, classification and optimizer
-// contributions applied in component order, so a 1-element composite is
-// byte-identical to its base scheme. Named "a+b+..."; reports only into the
-// composite table, keeping every frozen single-scheme table byte-identical.
-// Returns nullptr and fills *error when a component repeats or two
-// components' stage write tags overlap — such stacks have no
-// order-independent meaning.
+// by the scheduler, safe-store use OR'd, optimizer contributions applied in
+// component order, so a 1-element composite is byte-identical to its base
+// scheme. Named "a+b+..."; reports only into the composite table, keeping
+// every frozen single-scheme table byte-identical. Returns nullptr and fills
+// *error when a component repeats or two components' stage write tags
+// overlap — such stacks have no order-independent meaning.
 std::unique_ptr<ProtectionScheme> ComposeSchemes(
     const std::vector<const ProtectionScheme*>& parts, std::string* error);
 

@@ -83,8 +83,6 @@ class PagedStore {
     }
   }
 
-  void Reserve(uint64_t, const Growth&) {}  // direct-mapped: nothing to pre-size
-
   uint64_t MemoryBytes() const {
     if (pages_.empty()) {
       return 0;  // nothing materialised: a scheme that never stores pays nothing
@@ -188,18 +186,6 @@ class HashStore {
   // the key).
   explicit HashStore(uint64_t touch_bias) : touch_bias_(touch_bias) {}
 
-  // Pre-size to the smallest power-of-two table that holds `entries` live
-  // entries below the rehash trigger.
-  void Reserve(uint64_t entries, const Growth& growth) {
-    size_t target = kInitialSlots;
-    while (NeedsGrowth(entries, target)) {
-      target *= 2;
-    }
-    if (target > slots_.size()) {
-      RehashTo(target, growth);
-    }
-  }
-
   void Set(uint64_t key, const SafeEntry& entry, TouchList* touched, const Growth& growth) {
     if (!entry.IsPresent()) {
       Clear(key, touched);
@@ -254,8 +240,7 @@ class HashStore {
     SafeEntry entry;
   };
 
-  // The one load-factor rule (0.7, counting tombstones): shared by Set's
-  // rehash trigger and Reserve's pre-sizing so they can never disagree.
+  // The load-factor rule of Set's rehash trigger (0.7, counting tombstones).
   static bool NeedsGrowth(uint64_t occupied, size_t size) {
     return (occupied + 1) * 10 > size * 7;
   }
@@ -410,13 +395,6 @@ SafeEntry SafePointerStore::Get(uint64_t addr, TouchList* touched) const {
 
 void SafePointerStore::Clear(uint64_t addr, TouchList* touched) {
   std::visit([&](auto& org) { org.Clear(SlotOf(addr), touched); }, shards_[ShardOf(addr)].org);
-}
-
-void SafePointerStore::Reserve(uint64_t entries) {
-  for (Shard& shard : shards_) {
-    const Growth growth{shard.oom_countdown, oom_countdown_};
-    std::visit([&](auto& org) { org.Reserve(entries, growth); }, shard.org);
-  }
 }
 
 uint64_t SafePointerStore::MemoryBytes() const {

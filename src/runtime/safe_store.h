@@ -81,12 +81,6 @@ class SafePointerStore final {
   void CopyRange(uint64_t dst, uint64_t src, uint64_t size);
   void MoveRange(uint64_t dst, uint64_t src, uint64_t size);
 
-  // Pre-sizes every shard for `entries` live entries (keys are not spread
-  // evenly over shards, so each sizes for the full set). Benches with a
-  // known working set call this to skip rehash churn; it is never called on
-  // the measured paths (growing up front changes resident-memory numbers).
-  void Reserve(uint64_t entries);
-
   // Resident safe-region memory in bytes (the §5.2 memory-overhead metric).
   uint64_t MemoryBytes() const;
 

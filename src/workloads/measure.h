@@ -1,6 +1,6 @@
-// Measurement harness behind the bench suite: runs workloads under
-// several protection schemes and reports relative overheads (in simulated
-// cycles).
+// The measurement harness behind the bench suite: runs workloads under
+// protection schemes and keeps each run's vm::RunResult; the suite reduces
+// those to overheads (in simulated cycles) and the other table values.
 //
 // The harness is organised around *cells*. A cell is one (workload ×
 // configuration) execution: clone the workload's pre-built module,
@@ -11,10 +11,9 @@
 // (ir::CloneModule gives every cell its own module and VM), so the memo runs
 // each batch of new cells in one cpi::ParallelFor call (src/support/pool.h),
 // which starts and joins its own threads, and writes each result into its
-// own slot. Results
-// come back in request order, which makes every derived Measurement
-// bit-identical at any `jobs` value; tests/measure_test.cc checks that
-// serial and parallel memos agree.
+// own slot. Results come back in request order, so every value reduced from
+// them is bit-identical at any `jobs` value; tests/measure_test.cc checks
+// that serial and parallel memos agree.
 #ifndef CPI_SRC_WORKLOADS_MEASURE_H_
 #define CPI_SRC_WORKLOADS_MEASURE_H_
 
@@ -30,57 +29,21 @@
 
 namespace cpi::workloads {
 
-// Overheads are keyed on the resolved scheme (core::SchemeOf), so a
-// composite is its own column, never its first component's.
-struct Measurement {
-  std::string workload;
-  std::string language;
-  uint64_t vanilla_cycles = 0;
-  // scheme -> overhead percent vs the vanilla run. Entries exist only for
-  // schemes whose run completed (see `status`).
-  std::map<const core::ProtectionScheme*, double> overhead_pct;
-  // scheme -> run status. SoftBound legitimately fails some workloads
-  // (unsafe pointer idioms produce false violations, like the paper
-  // reports); such columns are recorded here instead of aborting the sweep.
-  std::map<const core::ProtectionScheme*, vm::RunStatus> status;
-
-  // Overhead for `scheme`, CPI_CHECKed to have been measured and completed —
-  // for drivers whose columns must always succeed (Table 1 / Fig. 4 /
-  // Table 4). Drivers that tolerate failing columns (Table 3 / Fig. 5)
-  // consult `status` instead.
-  double OverheadPct(const core::ProtectionScheme* scheme) const;
-};
-
-// Raw observations from one cell; the harnesses reduce these in cell order.
-struct CellResult {
-  vm::RunStatus status = vm::RunStatus::kOk;
-  uint64_t cycles = 0;
-  uint64_t memory_bytes = 0;      // total footprint (MemoryFootprint::TotalBytes)
-  uint64_t safe_store_bytes = 0;  // resident safe pointer store
-  uint64_t safe_store_ops = 0;    // safe-pointer-store operations executed
-  // Store ops that paid the shard-crossing sync premium (the shard
-  // ablation's contention metric; == safe_store_ops after the first spawn
-  // at the default shard count of 1).
-  uint64_t store_contended_ops = 0;
-  // Shards whose owner changed at an epoch publish (Config::migrate; 0 with
-  // migration off).
-  uint64_t shard_migrations = 0;
-};
-
 // Frontend-builds every workload once, in parallel across `jobs` threads
 // (jobs <= 0 selects hardware concurrency; 1 is strictly serial).
 std::vector<std::unique_ptr<ir::Module>> BuildWorkloads(
     const std::vector<Workload>& workloads, int scale, int jobs = 1);
 
-// Runs one cell against the workload's pre-built base module.
-CellResult RunCell(const ir::Module& built, const Workload& workload,
-                   const core::Config& config);
+// Runs one cell against the workload's pre-built base module: a clone,
+// instrumented and run under `config` (core::InstrumentAndRun).
+vm::RunResult RunCell(const ir::Module& built, const Workload& workload,
+                      const core::Config& config);
 
 // The memo key of one cell: the workload name and every core::Config field,
 // canonicalised. The scheme is resolved (core::SchemeOf), so a composite
 // never shares a key with its first component, and the engine is the one
 // that runs (`reference_interpreter` selects vm::EngineKind::kReference).
-// Exactly two knobs are dropped, each proven not to change any CellResult
+// Exactly two knobs are dropped, each proven not to change any RunResult
 // field by MeasureDifferentialTest: `migrate` at one shard and `opt_level`
 // on the vanilla scheme.
 using CellKey = std::tuple<std::string, const core::ProtectionScheme*, runtime::StoreKind,
@@ -110,13 +73,7 @@ class CellMemo {
 
   // Results indexed like `cells`. The cells whose keys are new run as one
   // batch across `jobs` threads; every other cell is a lookup.
-  std::vector<CellResult> Run(const std::vector<CellRequest>& cells);
-
-  // Vanilla plus each of `schemes` on every workload, under `base`'s other
-  // knobs (its scheme is replaced).
-  std::vector<Measurement> Measure(const std::vector<Workload>& workloads,
-                                   const std::vector<const core::ProtectionScheme*>& schemes,
-                                   const core::Config& base = {});
+  std::vector<vm::RunResult> Run(const std::vector<CellRequest>& cells);
 
   // The workload's base module (built now if no cell has needed it yet).
   const ir::Module& Built(const Workload& workload);
@@ -129,14 +86,8 @@ class CellMemo {
   int jobs_;
   size_t executed_ = 0;
   std::map<std::string, std::unique_ptr<ir::Module>> built_;
-  std::map<CellKey, CellResult> results_;
+  std::map<CellKey, vm::RunResult> results_;
 };
-
-// Column of overhead values for one scheme, in workload order, restricted
-// to one language ("C" / "C++") unless `language` is empty.
-std::vector<double> OverheadColumn(const std::vector<Measurement>& measurements,
-                                   const core::ProtectionScheme* scheme,
-                                   const std::string& language = "");
 
 }  // namespace cpi::workloads
 

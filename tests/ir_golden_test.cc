@@ -1,8 +1,9 @@
 // Golden hashes of the printed IR every scheme produces: each workload of the
 // six lists at scale 1 plus fuzz plans of seeds 1-40, instrumented under every
-// registered scheme at O0 and O1. A refactor of the IR, the instrumentation
-// passes or the optimizer that claims to change nothing must keep every line
-// of tests/golden/ir-print.txt.
+// scheme of the registry at O0 and O1. A refactor of the IR, the
+// instrumentation passes or the optimizer that claims to change nothing must
+// keep every line of tests/golden/ir-print.txt, and the file must hold a line
+// for every scheme, level and group.
 //
 // Each line is `<scheme> O<level> <group> <fnv>`, where <fnv> is the FNV-1a 64
 // hash of the concatenated ir::PrintModule text of the group's modules, in
@@ -109,13 +110,16 @@ TEST(IrGoldenTest, PrintedIrMatchesGoldenForEverySchemeAndOptLevel) {
     expected[line.substr(0, sp)] = line.substr(sp + 1);
   }
   ASSERT_FALSE(expected.empty());
-  // Every golden line must be reproduced. The file holds the schemes
-  // registered when it was written; one that another test of the same
-  // process registers later has no lines and is not checked.
+  // Every golden line must be reproduced.
   for (const auto& [key, hash] : expected) {
     auto it = actual.find(key);
     ASSERT_NE(it, actual.end()) << "no scheme/opt/group for golden line '" << key << "'";
     EXPECT_EQ(it->second, hash) << "printed IR changed: " << key;
+  }
+  // And every computed line must be in the file: the registry is a fixed
+  // table, so a scheme row without golden lines is a file not yet rewritten.
+  for (const auto& [key, hash] : actual) {
+    EXPECT_EQ(expected.count(key), 1u) << "no golden line for '" << key << " " << hash << "'";
   }
 }
 

@@ -643,23 +643,25 @@ TEST(OptDifferentialTest, CloneMatchesFreshBuildAtO1) {
   }
 }
 
-// Schedule invariance at O1: the measurement harness reduces to identical
-// overhead tables at any --jobs value.
+// Schedule invariance at O1: the measurement harness returns identical
+// cells (vanilla, CPI and PtrEnc per workload) at any --jobs value.
 TEST(OptDifferentialTest, SerialAndParallelHarnessAgreeAtO1) {
-  std::vector<workloads::Workload> subset(workloads::SpecCpu2006().begin(),
-                                          workloads::SpecCpu2006().begin() + 3);
-  Config base;
-  base.opt_level = 1;
-  const std::vector<const ProtectionScheme*> schemes = {
-      &core::SchemeRegistry::Get(Protection::kCpi),
-      &core::SchemeRegistry::Get(Protection::kPtrEnc)};
-  const auto serial = workloads::CellMemo(1, /*jobs=*/1).Measure(subset, schemes, base);
-  const auto parallel = workloads::CellMemo(1, /*jobs=*/2).Measure(subset, schemes, base);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].vanilla_cycles, parallel[i].vanilla_cycles);
-    EXPECT_EQ(serial[i].overhead_pct, parallel[i].overhead_pct);
-    EXPECT_EQ(serial[i].status, parallel[i].status);
+  const auto& spec = workloads::SpecCpu2006();
+  std::vector<workloads::CellRequest> cells;
+  for (size_t wi = 0; wi < 3; ++wi) {
+    for (Protection p : {Protection::kNone, Protection::kCpi, Protection::kPtrEnc}) {
+      cells.push_back({&spec[wi], {}});
+      cells.back().config.scheme = &core::SchemeRegistry::Get(p);
+      cells.back().config.opt_level = 1;
+    }
+  }
+  const auto serial = workloads::CellMemo(1, /*jobs=*/1).Run(cells);
+  const auto parallel = workloads::CellMemo(1, /*jobs=*/2).Run(cells);
+  ASSERT_EQ(serial.size(), cells.size());
+  ASSERT_EQ(parallel.size(), cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    ExpectIdentical(serial[i], parallel[i],
+                    cells[i].workload->name + " / " + cells[i].config.scheme->name());
   }
 }
 

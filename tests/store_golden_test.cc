@@ -8,7 +8,6 @@
 //   ops <n> <fnv>         FNV-1a 64 over every touched safe-region address,
 //                         every Get result and MemoryBytes()/EntryCount()
 //                         after each of the first n operations
-//   reserve <n> <bytes>   MemoryBytes() of a fresh store after Reserve(n)
 //   corrupt <k> <addr>    the key whose entry CorruptEntry(k) flips after
 //                         the whole stream (`none` when it returns false)
 //   corrupt-shard <s> <k> <addr>   the same for CorruptEntryInShard(s, k)
@@ -245,10 +244,6 @@ std::map<std::string, std::string> ComputeLines() {
                           [&] { return store->CorruptEntryInShard(s, k, kMask); });
         }
       }
-
-      auto reserved = fresh();
-      reserved->Reserve(3000);
-      lines[prefix + "reserve 3000"] = std::to_string(reserved->MemoryBytes());
 
       for (uint64_t c : {0ull, 1ull, 2ull, 4ull, 7ull}) {
         auto armed = fresh();
